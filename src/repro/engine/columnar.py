@@ -25,9 +25,9 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from ..errors import AnalysisError
+from ..errors import AnalysisError, ReproError
 from .codecs import StringDictionary
-from ..traces.schema import Job, NUMERIC_DIMENSIONS
+from ..traces.schema import Job, NUMERIC_DIMENSIONS, REQUIRED_FIELDS
 from ..traces.trace import Trace
 
 __all__ = [
@@ -37,6 +37,8 @@ __all__ = [
     "STRING_COLUMNS",
     "DERIVED_COLUMNS",
     "DEFAULT_CHUNK_ROWS",
+    "decode_records",
+    "record_blocks",
 ]
 
 #: Numeric columns stored per job (float64; NaN encodes "not recorded").
@@ -425,6 +427,96 @@ def _buffers_to_arrays(buffers: Dict[str, List]) -> Dict[str, np.ndarray]:
         if column == "job_id" or any(values):
             columns[column] = np.asarray(values, dtype=np.str_)
     return columns
+
+
+_NUMBER_TYPES = {int, float, type(None)}
+
+
+def decode_records(records: Sequence, locate=None) -> Dict[str, List]:
+    """Validate a batch of job records (parsed JSON/CSV dicts) column by column.
+
+    The block path of ingest: it accepts exactly the records
+    :meth:`Job.from_dict` accepts and returns the per-column value lists
+    :func:`_append_job` would have built from the jobs, without building them.
+    Records made of plain JSON values (``str`` ids and strings, ``int`` /
+    ``float`` / ``None`` numbers, ``int`` task counts) are checked a column at
+    a time; a batch holding anything else, or failing a check, goes record by
+    record through ``Job.from_dict``, which either accepts it (numeric strings,
+    bools, integral floats as counts) or raises for the first bad record.
+    ``locate(index, exc)`` then supplies the exception to raise, naming where
+    that record came from; without it ``exc`` itself is raised.
+    """
+    try:
+        columns = _decode_plain(records)
+    except (KeyError, OverflowError):  # a required key is missing; a huge int
+        columns = None
+    if columns is None:
+        columns = {column: [] for column in ALL_COLUMNS}
+        for index, record in enumerate(records):
+            try:
+                _append_job(columns, Job.from_dict(record))
+            except ReproError as exc:
+                raise (locate(index, exc) if locate else exc) from None
+    return columns
+
+
+def _decode_plain(records: Sequence) -> Optional[Dict[str, List]]:
+    """The column lists of an all-plain, all-valid batch, else ``None``."""
+    if set(map(type, records)) != {dict}:  # also an empty batch
+        return None
+    columns: Dict[str, List] = {
+        name: [record[name] for record in records] for name in REQUIRED_FIELDS}
+    for name in ALL_COLUMNS:
+        if name not in columns:
+            columns[name] = [record.get(name) for record in records]
+    if set(map(type, columns["job_id"])) != {str} or not all(columns["job_id"]):
+        return None
+    for name in NUMERIC_COLUMNS:
+        kinds = set(map(type, columns[name]))
+        if not kinds <= _NUMBER_TYPES or (name in _INT_COLUMNS and float in kinds):
+            return None
+        negative = np.asarray(columns[name], dtype=float) < 0  # OverflowError: 10**400
+        if name != "submit_time_s" and negative.any():
+            return None
+    for name in STRING_COLUMNS[1:]:
+        kinds = set(map(type, columns[name]))
+        if not kinds <= {str, type(None)}:
+            return None
+        if type(None) in kinds:
+            columns[name] = [value or "" for value in columns[name]]
+    return columns
+
+
+def _column_blocks(batches: Iterable[Dict[str, List]],
+                   chunk_rows: int) -> Iterator[ColumnBlock]:
+    """Re-chunk batches of column lists into blocks of at most ``chunk_rows`` rows.
+
+    Arrays are built once per *chunk*, not per batch: a chunk's string width
+    and its set of recorded string columns must not depend on the batch size.
+    An empty stream still yields one (empty) block.
+    """
+    buffers: Dict[str, List] = {column: [] for column in ALL_COLUMNS}
+    yielded = False
+    for batch in batches:
+        for column, values in batch.items():
+            buffers[column].extend(values)
+        start, rows = 0, len(buffers["job_id"])
+        while rows - start >= chunk_rows:
+            yield ColumnBlock(_buffers_to_arrays(
+                {column: values[start:start + chunk_rows]
+                 for column, values in buffers.items()}))
+            yielded = True
+            start += chunk_rows
+        if start:
+            buffers = {column: values[start:] for column, values in buffers.items()}
+    if buffers["job_id"] or not yielded:
+        yield ColumnBlock(_buffers_to_arrays(buffers))
+
+
+def record_blocks(batches: Iterable, chunk_rows: int) -> Iterator[ColumnBlock]:
+    """Column blocks from ``(records, locate)`` batches (see :func:`decode_records`)."""
+    return _column_blocks(
+        (decode_records(records, locate) for records, locate in batches), chunk_rows)
 
 
 def _block_to_jobs(block: ColumnBlock) -> Iterator[Job]:

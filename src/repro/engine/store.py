@@ -50,9 +50,11 @@ small-materialized-aggregates trick; see the NeedleTail / Polynesia discussion
 in PAPERS.md).  Zone maps for the derived ``submit_hour`` column are resolved
 from the stored ``submit_time_s`` zones on the fly.
 
-The writer consumes any iterable of jobs — including the lazy trace-file
-readers in :mod:`repro.traces.io` — so a trace can be converted to columnar
-form without ever holding more than one chunk of jobs in memory.  Readers are
+The writer consumes any iterable of jobs, so a trace can be converted to
+columnar form without ever holding more than one chunk of jobs in memory; a
+trace *file* (:func:`repro.traces.io.iter_trace`) skips the ``Job`` objects
+altogether and decodes batches of parsed records straight into columns
+(:func:`repro.engine.columnar.decode_records`).  Readers are
 equally lazy: :meth:`ChunkedTraceStore.iter_chunks` loads one chunk (and only
 the requested columns) at a time.
 
@@ -79,6 +81,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 import numpy as np
 
 from ..errors import TraceFormatError
+from ..traces.io import RecordSource, _batches
 from ..traces.schema import Job
 from ..traces.trace import Trace
 from .codecs import (
@@ -99,7 +102,7 @@ from .columnar import (
     ColumnarTrace,
     _append_job,
     _block_to_jobs,
-    _buffers_to_arrays,
+    _column_blocks,
 )
 
 __all__ = ["ChunkedTraceStore", "StoreAppender", "write_store", "append_store",
@@ -499,7 +502,9 @@ class ChunkedTraceStore:
 
         Job iterables are consumed streamingly: at most ``chunk_rows`` jobs are
         buffered before being flushed to disk, so arbitrarily large traces can
-        be converted with bounded memory.  ``format_version`` selects the
+        be converted with bounded memory.  The :class:`~repro.traces.io.RecordSource`
+        of :func:`~repro.traces.io.iter_trace` streams the same way without
+        building a ``Job`` per row.  ``format_version`` selects the
         on-disk layout: 2 (default) writes raw per-column ``.npy`` files read
         back via mmap; 3 writes compressed per-column blocks with
         dictionary-encoded strings (``codec``/``codec_level`` pick the block
@@ -529,39 +534,24 @@ class ChunkedTraceStore:
             if codec not in available_codecs():
                 raise TraceFormatError("unknown codec %r (available: %s)"
                                        % (codec, ", ".join(available_codecs())))
+        sorted_hint, sequence = False, 0
         if isinstance(source, ChunkedTraceStore):
             if os.path.abspath(str(directory)) == os.path.abspath(source.directory):
                 raise TraceFormatError("cannot convert store %s onto itself"
                                        % (source.directory,))
-            os.makedirs(directory, exist_ok=True)
-            return cls._write_blocks(directory, source.iter_chunks(),
-                                     source.chunk_rows_target,
-                                     name or source.name,
-                                     machines if machines is not None else source.machines,
-                                     source.sorted_by_submit_time, format_version,
-                                     codec=codec, codec_level=codec_level,
-                                     manifest_sequence=source.manifest_sequence)
+            chunk_rows = source.chunk_rows_target
+            sorted_hint = source.sorted_by_submit_time
+            sequence = source.manifest_sequence
+        elif isinstance(source, (ColumnarTrace, Trace)):
+            sorted_hint = True  # both keep jobs sorted by submit time
+        if isinstance(source, (ChunkedTraceStore, ColumnarTrace, Trace)):
+            name = name or source.name
+            machines = machines if machines is not None else source.machines
         os.makedirs(directory, exist_ok=True)
-        sorted_hint = False
-        if isinstance(source, ColumnarTrace):
-            name = name or source.name
-            machines = machines if machines is not None else source.machines
-            sorted_hint = True
-            block_iter = source.iter_chunks(chunk_rows=chunk_rows)
-            return cls._write_blocks(directory, block_iter, chunk_rows, name, machines,
-                                     sorted_hint, format_version,
-                                     codec=codec, codec_level=codec_level)
-        if isinstance(source, Trace):
-            name = name or source.name
-            machines = machines if machines is not None else source.machines
-            sorted_hint = True  # Trace keeps jobs sorted by submit time
-            jobs: Iterable[Job] = source.jobs
-        else:
-            jobs = source
-        return cls._write_blocks(directory,
-                                 _job_blocks(jobs, chunk_rows),
+        return cls._write_blocks(directory, _source_blocks(source, chunk_rows),
                                  chunk_rows, name or "trace", machines, sorted_hint,
-                                 format_version, codec=codec, codec_level=codec_level)
+                                 format_version, codec=codec, codec_level=codec_level,
+                                 manifest_sequence=sequence)
 
     @classmethod
     def _write_blocks(cls, directory, blocks: Iterable[ColumnBlock], chunk_rows: int,
@@ -705,8 +695,9 @@ class StoreAppender:
 
         ``source`` may be a :class:`~repro.traces.trace.Trace`,
         :class:`~repro.engine.columnar.ColumnarTrace`, another
-        :class:`ChunkedTraceStore`, or any job iterable (consumed streamingly,
-        at most ``chunk_rows`` jobs buffered).  ``chunk_rows`` defaults to the
+        :class:`ChunkedTraceStore`, any job iterable (consumed streamingly,
+        at most ``chunk_rows`` jobs buffered), or a
+        :class:`~repro.traces.io.RecordSource`.  ``chunk_rows`` defaults to the
         store's own ``chunk_rows`` manifest entry.  An empty source is a
         no-op: nothing is written and the manifest (and its sequence number)
         stays untouched.
@@ -797,13 +788,22 @@ class StoreAppender:
 
 
 def _source_blocks(source, chunk_rows: int) -> Iterator[ColumnBlock]:
-    """Stream any supported source as column blocks of at most ``chunk_rows``."""
+    """Stream any supported source as column blocks of at most ``chunk_rows``.
+
+    The one dispatch the writer and the appender share.  Only sources that
+    really hold :class:`Job` objects (a :class:`Trace`, a job iterable) take
+    the row path; a :class:`~repro.traces.io.RecordSource` — a trace file from
+    ``iter_trace``, the records of an append request or a feed — decodes
+    batches of records straight into columns.
+    """
     if isinstance(source, ChunkedTraceStore):
         return source.iter_chunks()
     if isinstance(source, ColumnarTrace):
         return source.iter_chunks(chunk_rows=chunk_rows)
+    if isinstance(source, RecordSource):
+        return source.blocks(chunk_rows)
     if isinstance(source, Trace):
-        return _job_blocks(iter(source.jobs), chunk_rows)
+        source = source.jobs
     return _job_blocks(source, chunk_rows)
 
 
@@ -924,19 +924,13 @@ def _backfill_missing_columns(directory: str, chunk_metas: List[_ChunkMeta],
 
 def _job_blocks(jobs: Iterable[Job], chunk_rows: int) -> Iterator[ColumnBlock]:
     """Buffer a job iterable into column blocks of at most ``chunk_rows`` rows."""
-    buffers: Dict[str, List] = {column: [] for column in ALL_COLUMNS}
-    count = 0
-    yielded = False
-    for job in jobs:
-        _append_job(buffers, job)
-        count += 1
-        if count >= chunk_rows:
-            yield ColumnBlock(_buffers_to_arrays(buffers))
-            yielded = True
-            buffers = {column: [] for column in ALL_COLUMNS}
-            count = 0
-    if count or not yielded:
-        yield ColumnBlock(_buffers_to_arrays(buffers))
+    def columns(batch: List[Job]) -> Dict[str, List]:
+        buffers: Dict[str, List] = {column: [] for column in ALL_COLUMNS}
+        for job in batch:
+            _append_job(buffers, job)
+        return buffers
+
+    return _column_blocks(map(columns, _batches(jobs)), chunk_rows)
 
 
 def write_store(directory, source, chunk_rows: int = DEFAULT_CHUNK_ROWS,

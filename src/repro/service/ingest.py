@@ -13,8 +13,11 @@ restart (at-least-once ingest) — producers that need exactly-once semantics
 should write idempotent job ids.
 
 A line that has been started but not yet terminated with a newline is left
-for the next poll — partial JSON is never parsed.  Malformed complete lines
-raise :class:`~repro.errors.TraceFormatError`; the tailer records the error,
+for the next poll — partial JSON is never parsed.  The complete lines of a
+poll are parsed in one batch and decoded straight into column blocks
+(:func:`repro.traces.io.parse_json_lines`, no ``Job`` per record).  A line
+that is not valid JSON, not a JSON object, or violates the schema raises a
+:class:`~repro.errors.ReproError` naming it; the tailer records the error,
 skips that poll, and retries later (the producer may still be writing).
 
 Appends are serialized through ``append_lock`` — the daemon passes its
@@ -32,11 +35,11 @@ from __future__ import annotations
 import json
 import os
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..engine.store import append_store
-from ..errors import ReproError, TraceFormatError
-from ..traces.schema import Job
+from ..errors import ReproError
+from ..traces.io import RecordSource, parse_json_lines
 
 __all__ = ["FeedTailer"]
 
@@ -97,36 +100,25 @@ class FeedTailer:
             return 0
         complete, consumed = payload[: cut + 1], cut + 1
         try:
-            jobs = self._parse_jobs(complete)
+            text = complete.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            self.last_error = "feed contains invalid UTF-8: %s" % (exc,)
+            return 0
+        where = "%s past byte %d, line " % (self.feed_path, self.offset)
+        try:
+            records, locate = parse_json_lines(text.splitlines(), where)
+            if records:
+                with self.append_lock:
+                    append_store(self.store_directory,
+                                 RecordSource([(records, locate)]))
         except ReproError as exc:
             self.last_error = str(exc)
             return 0
-        if jobs:
-            with self.append_lock:
-                append_store(self.store_directory, jobs)
-            self.appended_jobs += len(jobs)
+        self.appended_jobs += len(records)
         self.offset += consumed
         self._save_offset()
         self.last_error = None
-        return len(jobs)
-
-    @staticmethod
-    def _parse_jobs(payload: bytes) -> List[Job]:
-        try:
-            text = payload.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise TraceFormatError("feed contains invalid UTF-8: %s" % (exc,))
-        jobs: List[Job] = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceFormatError("feed line is not valid JSON: %s" % (exc,))
-            jobs.append(Job.from_dict(record))
-        return jobs
+        return len(records)
 
     def status(self) -> Dict:
         return {

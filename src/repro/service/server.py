@@ -74,7 +74,7 @@ from ..engine.operators import execute
 from ..engine.store import ChunkedTraceStore, append_store
 from ..errors import AnalysisError, ReproError, TraceFormatError
 from ..simulator.sweep import Scenario
-from ..traces.schema import Job
+from ..traces.io import RecordSource
 from . import requests as request_specs
 from .admission import SharedScanAdmission
 from .cache import ResultCache
@@ -735,21 +735,17 @@ class TraceAnalyticsService:
         loop = asyncio.get_running_loop()
 
         def do_append() -> int:
-            # Parse off the event loop too: a 64MB body of job records would
-            # otherwise stall every other connection.
-            jobs = []
-            for index, record in enumerate(records):
-                if not isinstance(record, dict):
-                    raise _HTTPError(
-                        400, "jobs[%d] must be an object, got %s"
-                        % (index, type(record).__name__))
-                jobs.append(Job.from_dict(record))
+            def locate(index, exc):  # what Job.from_dict says (-> 400), and where
+                return type(exc)("jobs[%d]: %s" % (index, exc))
+
+            # The records decode off the event loop too (inside append_store):
+            # a 64MB body would otherwise stall every other connection.
             # One manifest swap at a time per daemon: concurrent appends to
             # the same store (endpoint or feed tailer) would race
             # read-manifest -> write-manifest.
             with self._append_io_lock:
-                append_store(entry.directory, jobs)
-            return len(jobs)
+                append_store(entry.directory, RecordSource([(records, locate)]))
+            return len(records)
 
         appended = await loop.run_in_executor(self._pool, do_append)
         store = self._observe_store(name)

@@ -5,6 +5,11 @@ The on-disk formats mirror the per-job summaries Hadoop's history logs provide
 optional name/path strings.  Both formats round-trip through
 :meth:`Job.to_dict` / :meth:`Job.from_dict` so they stay in sync with the
 schema automatically.
+
+``iter_csv`` / ``iter_jsonl`` yield one validated :class:`Job` per row (the
+row path); the :class:`RecordSource` from :func:`iter_trace` also hands the
+store writer batches of parsed records that become columns with no ``Job``
+per row (the block path).
 """
 
 from __future__ import annotations
@@ -14,13 +19,16 @@ import gzip
 import io
 import json
 import os
-from typing import Iterable, Iterator, Optional
+from itertools import islice
+from typing import Iterable, Iterator, List, Optional
 
-from ..errors import TraceFormatError
+from ..errors import ReproError, TraceFormatError
 from .schema import Job
 from .trace import Trace
 
 __all__ = [
+    "RecordSource",
+    "parse_json_lines",
     "write_csv",
     "read_csv",
     "iter_csv",
@@ -63,6 +71,10 @@ _NUMERIC_COLUMNS = {
 }
 _INT_COLUMNS = {"map_tasks", "reduce_tasks"}
 
+#: Records parsed (and alive as dicts) at a time on the block path — fixed, so
+#: memory does not follow the store's ``chunk_rows``.
+BATCH_RECORDS = 8192
+
 
 def _open_text(path, mode):
     """Open ``path`` as text, transparently handling a ``.gz`` suffix."""
@@ -88,18 +100,13 @@ def iter_csv(path) -> Iterator[Job]:
     """Yield jobs from a CSV trace file one row at a time (lazy).
 
     The file stays open only while the generator is being consumed; memory
-    use is one row, so arbitrarily large traces can be streamed straight into
-    the columnar engine's chunked store without a job-list detour.
+    use is one row.
 
     Raises:
         TraceFormatError: on a missing header or a malformed row.
     """
-    with _open_text(path, "r") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or "job_id" not in reader.fieldnames:
-            raise TraceFormatError("%s: missing CSV header with a job_id column" % (path,))
-        for line_number, row in enumerate(reader, start=2):
-            yield _job_from_csv_row(row, path, line_number)
+    for line_number, record in enumerate(_csv_records(path), start=2):
+        yield _job(record, path, line_number)
 
 
 def read_csv(path, name: Optional[str] = None, machines: Optional[int] = None) -> Trace:
@@ -114,7 +121,17 @@ def read_csv(path, name: Optional[str] = None, machines: Optional[int] = None) -
     return Trace(iter_csv(path), name=name or _default_name(path), machines=machines)
 
 
-def _job_from_csv_row(row, path, line_number):
+def _csv_records(path) -> Iterator[dict]:
+    """The rows of a CSV trace as typed records; row ``k`` is line ``k + 2``."""
+    with _open_text(path, "r") as handle:
+        reader = csv.DictReader(handle)
+        if reader.fieldnames is None or "job_id" not in reader.fieldnames:
+            raise TraceFormatError("%s: missing CSV header with a job_id column" % (path,))
+        for line_number, row in enumerate(reader, start=2):
+            yield _csv_record(row, path, line_number)
+
+
+def _csv_record(row, path, line_number) -> dict:
     data = {}
     for key, value in row.items():
         if value is None or value == "":
@@ -130,16 +147,35 @@ def _job_from_csv_row(row, path, line_number):
         elif key in _INT_COLUMNS:
             try:
                 data[key] = int(float(value))
-            except ValueError:
+            except (ValueError, OverflowError):  # "x", "nan"; "inf"
                 raise TraceFormatError(
                     "%s line %d: column %s is not an integer: %r" % (path, line_number, key, value)
                 )
         else:
             data[key] = value
+    return data
+
+
+def _batches(items: Iterable) -> Iterator[List]:
+    """``items`` in lists of at most :data:`BATCH_RECORDS`."""
+    items = iter(items)
+    return iter(lambda: list(islice(items, BATCH_RECORDS)), [])
+
+
+def _csv_batches(path):
+    first = 2
+    for batch in _batches(_csv_records(path)):
+        yield batch, lambda index, exc, first=first: TraceFormatError(
+            "%s line %d: %s" % (path, first + index, exc))
+        first += len(batch)
+
+
+def _job(record, path, line_number) -> Job:
+    """One record down the row path; a schema violation names its line."""
     try:
-        return Job.from_dict(data)
-    except Exception as exc:
-        raise TraceFormatError("%s line %d: %s" % (path, line_number, exc))
+        return Job.from_dict(record)
+    except ReproError as exc:
+        raise TraceFormatError("%s line %d: %s" % (path, line_number, exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -163,18 +199,52 @@ def iter_jsonl(path) -> Iterator[Job]:
     with _open_text(path, "r") as handle:
         for line_number, line in enumerate(handle, start=1):
             line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceFormatError("%s line %d: invalid JSON: %s" % (path, line_number, exc))
-            try:
-                yield Job.from_dict(record)
-            except TraceFormatError:
-                raise
-            except Exception as exc:
-                raise TraceFormatError("%s line %d: %s" % (path, line_number, exc))
+            if line:
+                yield _job(_parse_line(line, "%s line " % (path,), line_number),
+                           path, line_number)
+
+
+def _parse_line(line: str, where: str, number: int):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise TraceFormatError("%s%d: not valid JSON: %s" % (where, number, exc)) from None
+
+
+def parse_json_lines(lines: List[str], where: str, first: int = 1):
+    """Parse a batch of JSON lines in one call; blank lines are skipped.
+
+    ``where`` is what an error puts before a line number (``"t.jsonl line "``)
+    and ``first`` the number of ``lines[0]``.  The lines are parsed joined into
+    one JSON array (repeated keys are interned once per batch, not once per
+    line); if that does not give one value per line, each line goes through
+    ``json.loads`` alone to name the first bad one, as :func:`iter_jsonl` would.
+
+    Returns ``(records, locate)``; ``locate(index, exc)`` is the located
+    :class:`TraceFormatError` to raise when ``records[index]`` fails with ``exc``.
+    """
+    texts = [text for text in map(str.strip, lines) if text]
+
+    def numbers():  # the file line of each record; only an error asks
+        return [number for number, line in enumerate(lines, first) if line.strip()]
+
+    try:
+        records = json.loads("[%s]" % ",".join(texts))
+    except json.JSONDecodeError:
+        records = None
+    if records is None or len(records) != len(texts):
+        records = [_parse_line(text, where, number)
+                   for number, text in zip(numbers(), texts)]
+    return records, lambda index, exc: TraceFormatError(
+        "%s%d: %s" % (where, numbers()[index], exc))
+
+
+def _jsonl_batches(path):
+    with _open_text(path, "r") as handle:
+        first = 1
+        for lines in _batches(handle):
+            yield parse_json_lines(lines, "%s line " % (path,), first)
+            first += len(lines)
 
 
 def read_jsonl(path, name: Optional[str] = None, machines: Optional[int] = None) -> Trace:
@@ -214,17 +284,46 @@ def read_trace(path, name: Optional[str] = None, machines: Optional[int] = None)
     raise TraceFormatError("unknown trace format for %r (use .csv or .jsonl)" % (path,))
 
 
-def iter_trace(path) -> Iterator[Job]:
+class RecordSource:
+    """Job records on their way into a store, as batches of parsed dicts.
+
+    ``batches`` yields ``(records, locate)`` pairs (see :func:`parse_json_lines`).
+    The store writer and appender take :meth:`blocks`, which validates each
+    batch and turns it into columns with no :class:`Job` per record.  ``jobs``
+    is the row-path iterator a file source also offers: iterating the source
+    yields from it, as :func:`iter_trace` always did.
+    """
+
+    def __init__(self, batches: Iterable, jobs: Optional[Iterator[Job]] = None):
+        self._batches = batches
+        self._jobs = jobs
+
+    def __iter__(self) -> Iterator[Job]:
+        return self
+
+    def __next__(self) -> Job:
+        return next(self._jobs)
+
+    def blocks(self, chunk_rows: int):
+        """The records as validated column blocks of at most ``chunk_rows`` rows."""
+        from ..engine.columnar import record_blocks  # engine imports traces
+
+        return record_blocks(self._batches, chunk_rows)
+
+
+def iter_trace(path) -> RecordSource:
     """Stream jobs from a trace file lazily, choosing the format by extension.
 
-    This is the bounded-memory entry point: pair it with
-    :meth:`repro.engine.ChunkedTraceStore.write` to convert a trace file to
-    the columnar on-disk format without ever materializing the job list.
+    This is the bounded-memory entry point.  Iterating yields one :class:`Job`
+    per row; handed to :meth:`repro.engine.ChunkedTraceStore.write` or
+    :func:`repro.engine.append_store`, the same object streams
+    :meth:`RecordSource.blocks` instead, so a trace file becomes a columnar
+    store without a ``Job`` per row and without materializing the job list.
     """
     if _strip_gz(path).endswith(".csv"):
-        return iter_csv(path)
+        return RecordSource(_csv_batches(path), iter_csv(path))
     if _strip_gz(path).endswith(".jsonl"):
-        return iter_jsonl(path)
+        return RecordSource(_jsonl_batches(path), iter_jsonl(path))
     raise TraceFormatError("unknown trace format for %r (use .csv or .jsonl)" % (path,))
 
 

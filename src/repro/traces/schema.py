@@ -17,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, asdict
 from typing import Optional
 
-from ..errors import SchemaError
+from ..errors import SchemaError, TraceFormatError
 
-__all__ = ["Job", "NUMERIC_DIMENSIONS", "FEATURE_DIMENSIONS", "extract_first_word"]
+__all__ = ["Job", "NUMERIC_DIMENSIONS", "FEATURE_DIMENSIONS", "REQUIRED_FIELDS",
+           "extract_first_word"]
 
 
 def extract_first_word(name: Optional[str]) -> Optional[str]:
@@ -50,6 +51,12 @@ NUMERIC_DIMENSIONS = (
 
 #: The six dimensions used by the paper's k-means clustering (§6.2).
 FEATURE_DIMENSIONS = NUMERIC_DIMENSIONS
+
+#: Keys a job record must carry (their values may still be ``None``), in the
+#: order :meth:`Job.validate` checks them.
+REQUIRED_FIELDS = ("job_id", "submit_time_s", "duration_s", "input_bytes",
+                   "shuffle_bytes", "output_bytes", "map_task_seconds",
+                   "reduce_task_seconds")
 
 
 @dataclass
@@ -106,17 +113,13 @@ class Job:
         """Check field types and value ranges; raise :class:`SchemaError` if bad."""
         if not self.job_id:
             raise SchemaError("job_id must be a non-empty string")
-        numeric_fields = ("submit_time_s", "duration_s") + NUMERIC_DIMENSIONS[:3] + (
-            "map_task_seconds",
-            "reduce_task_seconds",
-        )
-        for field_name in numeric_fields:
+        for field_name in REQUIRED_FIELDS[1:]:
             value = getattr(self, field_name)
             if value is None:
                 continue
             try:
                 value = float(value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise SchemaError(
                     "job %s: field %s must be numeric, got %r"
                     % (self.job_id, field_name, getattr(self, field_name))
@@ -131,7 +134,11 @@ class Job:
             value = getattr(self, field_name)
             if value is None:
                 continue
-            if int(value) != value or value < 0:
+            try:
+                valid = int(value) == value and float(value) >= 0
+            except (TypeError, ValueError, OverflowError):  # "x", NaN, [1], 10**400
+                valid = False
+            if not valid:
                 raise SchemaError(
                     "job %s: field %s must be a non-negative integer, got %r"
                     % (self.job_id, field_name, value)
@@ -194,12 +201,17 @@ class Job:
 
         Unknown keys are ignored so traces written by newer versions can be
         read by older ones.
+
+        Raises:
+            TraceFormatError: ``data`` is not a dict (a JSON line holding
+                ``42``, ``null`` or a list).
+            SchemaError: a required field is missing or a value is invalid.
         """
-        known = {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
-        kwargs = {key: value for key, value in data.items() if key in known}
-        missing = {"job_id", "submit_time_s", "duration_s", "input_bytes",
-                   "shuffle_bytes", "output_bytes", "map_task_seconds",
-                   "reduce_task_seconds"} - set(kwargs)
+        if not isinstance(data, dict):
+            raise TraceFormatError("record must be a JSON object, got %s"
+                                   % (type(data).__name__,))
+        kwargs = {key: value for key, value in data.items() if key in _JOB_FIELDS}
+        missing = _REQUIRED_FIELD_SET - kwargs.keys()
         if missing:
             raise SchemaError("job record missing required fields: %s" % sorted(missing))
         return cls(**kwargs)
@@ -211,3 +223,7 @@ class Job:
         task time.  Missing values are treated as zero.
         """
         return [float(getattr(self, dim) or 0.0) for dim in FEATURE_DIMENSIONS]
+
+
+_JOB_FIELDS = frozenset(Job.__dataclass_fields__)  # type: ignore[attr-defined]
+_REQUIRED_FIELD_SET = frozenset(REQUIRED_FIELDS)

@@ -6,6 +6,8 @@ import json
 import os
 import time
 
+import pytest
+
 from repro.engine import ChunkedTraceStore
 from repro.service import FeedTailer, ServiceClient, ServiceThread
 
@@ -67,6 +69,21 @@ class TestFeedTailer:
         assert tailer.offset == 0  # nothing consumed; retried next poll
         status = tailer.status()
         assert status["store"] == "fb" and status["polls"] == 1
+
+    @pytest.mark.parametrize("line, reason", [
+        (b"42\n", "record must be a JSON object"),
+        (b'{"job_id": "j", "map_tasks": "x"}\n', "missing required fields"),
+    ])
+    def test_bad_record_recorded_not_consumed(self, tmp_path, catalog_dir,
+                                              cc_service_trace, line, reason):
+        """A non-object line used to escape poll() as AttributeError."""
+        tailer, feed = self._tailer(tmp_path, catalog_dir)
+        good = json.dumps(cc_service_trace.jobs[0].to_dict()).encode() + b"\n"
+        with open(feed, "ab") as handle:
+            handle.write(good + line)
+        assert tailer.poll() == 0
+        assert "line 2" in tailer.last_error and reason in tailer.last_error
+        assert tailer.offset == 0 and tailer.appended_jobs == 0
 
     def test_missing_feed_file_is_not_an_error(self, tmp_path, catalog_dir):
         tailer = FeedTailer("fb", str(tmp_path / "never-created.jsonl"),

@@ -79,6 +79,23 @@ class TestBasicEndpoints:
             client.post("/v1/stores/fb/append", {"jobs": [["not", "a", "dict"]]})
         assert excinfo.value.status == 400
         assert "jobs[0]" in excinfo.value.body["error"]
+        assert "must be a JSON object" in excinfo.value.body["error"]
+
+    @pytest.mark.parametrize("field, bad", [
+        ("map_tasks", "x"), ("map_tasks", [1]), ("reduce_tasks", 2.5),
+        ("input_bytes", -1), ("duration_s", "soon"), ("job_id", "")])
+    def test_append_with_a_bad_record_is_400_schema_error(self, client, field, bad,
+                                                          cc_service_trace):
+        """A client error, not a 500 — and nothing was appended."""
+        before = client.store_info("fb")["n_jobs"]
+        records = [job.to_dict() for job in cc_service_trace.jobs[:3]]
+        records[2][field] = bad
+        with pytest.raises(ServiceError) as excinfo:
+            client.post("/v1/stores/fb/append", {"jobs": records})
+        assert excinfo.value.status == 400
+        assert excinfo.value.body["type"] == "SchemaError"
+        assert excinfo.value.body["error"].startswith("jobs[2]: ")
+        assert client.store_info("fb")["n_jobs"] == before
 
     def test_metrics_endpoint_is_prometheus_text(self, client):
         client.healthz()

@@ -157,6 +157,40 @@ class TestLazyReaders:
         with pytest.raises(TraceFormatError):
             iter_trace(tmp_path / "trace.parquet")
 
+    @pytest.mark.parametrize("filename", ["t.csv", "t.jsonl", "t.csv.gz", "t.jsonl.gz"])
+    def test_iter_trace_also_streams_column_blocks(self, tmp_path, filename):
+        """The store writer's view of the same file: columns, no Job per row."""
+        path = tmp_path / filename
+        write_trace(sample_trace(), path)
+        (block,) = iter_trace(path).blocks(chunk_rows=10)
+        assert list(block.column("job_id")) == ["a", "b"]
+        assert list(block.column("input_bytes")) == [100.0, 1e9]
+        assert block.column("map_tasks")[0] == 2 and block.column("map_tasks")[1] != \
+            block.column("map_tasks")[1]  # not recorded -> NaN
+        assert list(block.column("name")) == ["select things", ""]
+        assert [b.n_rows for b in iter_trace(path).blocks(chunk_rows=1)] == [1, 1]
+
+    @pytest.mark.parametrize("line", ["42", "null", "[1, 2]", '"text"'])
+    def test_non_object_json_line_is_a_format_error(self, tmp_path, line):
+        path = tmp_path / "trace.jsonl"
+        write_jsonl(sample_trace(), path)
+        path.write_text(path.read_text() + "\n" + line + "\n")
+        message = "%s line 4: record must be a JSON object" % path
+        with pytest.raises(TraceFormatError, match=message):
+            list(iter_jsonl(path))
+        with pytest.raises(TraceFormatError, match=message):
+            list(iter_trace(path).blocks(chunk_rows=10))
+
+    def test_bad_task_count_names_its_line(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_jsonl(sample_trace(), path)
+        path.write_text(path.read_text().replace('"map_tasks": 2', '"map_tasks": "x"'))
+        message = "%s line 1: job a: field map_tasks must be a non-negative integer" % path
+        with pytest.raises(TraceFormatError, match=message):
+            read_jsonl(path)
+        with pytest.raises(TraceFormatError, match=message):
+            list(iter_trace(path).blocks(chunk_rows=10))
+
 
 class TestHadoopLogParser:
     def test_parse_single_line(self):

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import SchemaError
+from repro.errors import SchemaError, TraceFormatError
 from repro.traces import FEATURE_DIMENSIONS, Job
 
 
@@ -45,6 +45,19 @@ class TestValidation:
     def test_negative_task_count_rejected(self):
         with pytest.raises(SchemaError):
             make_job(reduce_tasks=-1)
+
+    @pytest.mark.parametrize("bad", ["x", float("nan"), float("inf"), [1], 10 ** 400])
+    def test_unusable_task_count_is_a_schema_error(self, bad):
+        """Not a bare ValueError/TypeError/OverflowError: the daemon maps SchemaError to 400."""
+        with pytest.raises(SchemaError, match="map_tasks must be a non-negative integer"):
+            make_job(map_tasks=bad)
+        with pytest.raises(SchemaError):
+            make_job(input_bytes=10 ** 400)
+
+    @pytest.mark.parametrize("record", [42, None, [1, 2], "text"])
+    def test_from_dict_of_a_non_object_is_a_format_error(self, record):
+        with pytest.raises(TraceFormatError, match="record must be a JSON object"):
+            Job.from_dict(record)
 
     def test_numeric_strings_coerced(self):
         job = make_job(input_bytes="123456")

@@ -25,6 +25,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..engine.aggregates import GroupedAggregates
 from ..engine.pipeline import ChunkConsumer, ScanChunk
 from ..engine.source import TraceSource
 from ..errors import AnalysisError
@@ -146,98 +147,46 @@ class CorrelationResult:
 class HourlyTotalsConsumer(ChunkConsumer):
     """Shared-scan fold for per-hour engine aggregates (one group-by pass).
 
-    The fold state is the same ``{hour: {label: AggregateState}}`` structure
-    the engine's group-by operator builds, updated by the operator's own
-    chunk-update routine — so the per-hour read-outs are identical to a
-    standalone :meth:`TraceSource.hourly_groups` query, chunk for chunk.
+    The fold state is the engine's own group-by state, a
+    :class:`~repro.engine.aggregates.GroupedAggregates` keyed on
+    ``submit_hour`` — so the per-hour read-outs are identical to a standalone
+    :meth:`TraceSource.hourly_groups` query, chunk for chunk.  Only the
+    scalar-field ops (count/sum/min/max/mean) checkpoint; sketch-backed ops
+    raise from :meth:`snapshot`.
     """
 
     resumable = True
 
-    #: Aggregate-state fields serialized per op by :meth:`snapshot` (the
-    #: mergeable scalar states; sketch-backed ops are not checkpointable).
-    _SNAPSHOT_FIELDS = {"count": ("count",), "sum": ("total",),
-                        "min": ("value",), "max": ("value",),
-                        "mean": ("total", "count")}
-
     def __init__(self, aggregate_specs: Dict[str, tuple], name: str = "hourly"):
-        from ..engine.operators import Query
-
         self.name = name
-        self.specs = dict(aggregate_specs)
-        self.query = Query().aggregate(**self.specs).group_by("submit_hour")
-        columns = ["submit_hour"]
-        for _op, column in self.specs.values():
-            if column not in columns:
-                columns.append(column)
-        self.columns = tuple(columns)
+        self.specs = tuple((label, op, column)
+                           for label, (op, column) in aggregate_specs.items())
+        self.columns = tuple(dict.fromkeys(
+            ["submit_hour"] + [column for _label, _op, column in self.specs]))
 
     def make_state(self):
-        return {}
+        return GroupedAggregates(self.specs, "submit_hour")
 
     def snapshot(self, state) -> Dict[str, object]:
-        for label, (op, _column) in self.specs.items():
-            if op not in self._SNAPSHOT_FIELDS:
-                raise AnalysisError(
-                    "hourly aggregate %r (op %r) has no serializable state"
-                    % (label, op))
-        keys = list(state)
-        # The None key pools jobs with no recorded submit time; encode it as
-        # NaN in the hour array (hours themselves are always finite).
-        payload: Dict[str, object] = {
-            "hours": np.array([np.nan if key is None else float(key)
-                               for key in keys], dtype=float)}
-        for label, (op, _column) in self.specs.items():
-            for field in self._SNAPSHOT_FIELDS[op]:
-                values = [getattr(state[key][label], field) for key in keys]
-                payload["%s.%s" % (label, field)] = np.array(
-                    [np.nan if value is None else float(value) for value in values],
-                    dtype=float)
-        return payload
+        # The None key (jobs with no recorded submit time) is NaN in ``hours``.
+        payload = state.snapshot()
+        return {"hours": payload.pop("keys"), **payload}
 
     def restore(self, payload: Dict[str, object]):
-        from ..engine.aggregates import make_aggregate
-
-        state = self.make_state()
-        hours = np.asarray(payload["hours"], dtype=float)
-        for position, hour in enumerate(hours.tolist()):
-            key = None if hour != hour else float(hour)  # NaN != NaN
-            group = state[key] = {}
-            for label, (op, _column) in self.specs.items():
-                aggregate = make_aggregate(op)
-                for field in self._SNAPSHOT_FIELDS[op]:
-                    value = float(np.asarray(payload["%s.%s" % (label, field)])[position])
-                    if value != value:
-                        value = None
-                    if field == "count":
-                        value = int(value) if value is not None else 0
-                    setattr(aggregate, field, value)
-                group[label] = aggregate
-        return state
+        return GroupedAggregates.restore(self.specs, "submit_hour",
+                                         {**payload, "keys": payload["hours"]})
 
     def fold(self, state, chunk: ScanChunk):
-        from ..engine.operators import _update_groups
-
-        _update_groups(state, chunk.block, self.query)
+        state.update(chunk.block)
         return state
 
     def merge(self, a, b):
-        for key, group in b.items():
-            target = a.get(key)
-            if target is None:
-                a[key] = group
-            else:
-                for label in target:
-                    target[label].merge(group[label])
+        a.merge(b)
         return a
 
     def finalize(self, state) -> Dict[int, Dict[str, object]]:
-        groups: Dict[int, Dict[str, object]] = {}
-        for key, states in state.items():
-            if key is None:
-                continue  # jobs with no recorded submit time
-            groups[int(key)] = {label: agg.result() for label, agg in states.items()}
-        return groups
+        return {int(key): values for key, values in state.result().items()
+                if key is not None}  # None: jobs with no recorded submit time
 
 
 def hourly_series_from_groups(groups: Dict[int, Dict[str, object]],

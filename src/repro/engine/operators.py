@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import AnalysisError
-from .aggregates import AggregateState, make_aggregate
+from .aggregates import GroupedAggregates, UngroupedAggregates, make_aggregate
 from .columnar import ColumnBlock
 
 __all__ = ["Predicate", "Query", "QueryResult", "execute", "PREDICATE_OPS"]
@@ -309,90 +309,45 @@ def execute(source, query: Query, chunk_indices: Optional[Sequence[int]] = None,
         from .planner import execute_planned
 
         return execute_planned(source, query)
+    if query.is_aggregate_only():
+        return _aggregate_result(query, *_fold_aggregates(source, query, chunk_indices))
     columns = query.required_columns()
     result = QueryResult()
-
-    if query.is_aggregate_only():
-        states = _make_states(query)
-        groups: Dict[object, Dict[str, AggregateState]] = {}
-        for block, skipped in _iter_source_chunks(source, columns, query.predicates, chunk_indices):
-            if skipped:
-                result.chunks_skipped += 1
-                continue
-            result.chunks_scanned += 1
-            result.rows_scanned += block.n_rows
-            block = _apply_filters(block, query.predicates)
-            result.rows_matched += block.n_rows
-            if block.n_rows == 0:
-                continue
-            if query.group_column is None:
-                _update_states(states, block, query)
-            else:
-                _update_groups(groups, block, query)
-        if query.group_column is None:
-            result.aggregates = {label: state.result() for label, state in states.items()}
-        else:
-            result.groups = {
-                key: {label: state.result() for label, state in group.items()}
-                for key, group in sorted(groups.items(), key=lambda item: str(item[0]))
-            }
-        return result
-
     if query.top_k_column is not None:
         return _execute_top_k(source, query, columns, chunk_indices, result)
-
     return _execute_collect(source, query, columns, chunk_indices, result)
 
 
-def _make_states(query: Query) -> Dict[str, AggregateState]:
-    return {label: _make_state(op) for label, op, _column in query.aggregates}
+def _fold_aggregates(source, query: Query, chunk_indices: Optional[Sequence[int]] = None):
+    """Scan and fold an aggregate-shaped query: ``(state, result)``, unread.
+
+    The state is still mergeable: :func:`execute` reads it out directly, a
+    parallel worker ships it to the parent, which merges the partials first.
+    ``result`` carries only the scan counters.
+    """
+    state = (UngroupedAggregates(query.aggregates) if query.group_column is None
+             else GroupedAggregates(query.aggregates, query.group_column))
+    result = QueryResult()
+    for block, skipped in _iter_source_chunks(source, query.required_columns(),
+                                              query.predicates, chunk_indices):
+        if skipped:
+            result.chunks_skipped += 1
+            continue
+        result.chunks_scanned += 1
+        result.rows_scanned += block.n_rows
+        block = _apply_filters(block, query.predicates)
+        result.rows_matched += block.n_rows
+        if block.n_rows:
+            state.update(block)
+    return state, result
 
 
-def _make_state(op: str) -> AggregateState:
-    if op == "rows":
-        # Row counting reuses CountState's mergeable counter; _update_states
-        # dispatches on the op string and adds block.n_rows directly.
-        from .aggregates import CountState
-
-        return CountState()
-    return make_aggregate(op)
-
-
-def _update_states(states: Dict[str, AggregateState], block: ColumnBlock, query: Query) -> None:
-    for label, op, column in query.aggregates:
-        if op == "rows":
-            states[label].count += block.n_rows  # type: ignore[attr-defined]
-        else:
-            states[label].update(block.column(column))
-
-
-def _update_groups(groups, block: ColumnBlock, query: Query) -> None:
-    keys = block.column(query.group_column)
-    if keys.dtype.kind not in "US":
-        # NaN keys are "not recorded": NaN != NaN would otherwise silently
-        # drop those rows and mint one bogus nan-group per chunk.  Pool them
-        # under a single None key instead.
-        missing = np.isnan(keys)
-        if missing.any():
-            sub = block.select(missing)
-            states = groups.get(None)
-            if states is None:
-                states = groups[None] = _make_states(query)
-            _update_states(states, sub, query)
-            block = block.select(~missing)
-            keys = keys[~missing]
-    # Single pass: unique + inverse, then partition rows by sorted inverse
-    # index instead of one full-column comparison per distinct key.
-    unique_keys, inverse = np.unique(keys, return_inverse=True)
-    order = np.argsort(inverse, kind="stable")
-    boundaries = np.searchsorted(inverse[order], np.arange(unique_keys.size + 1))
-    for key_index in range(unique_keys.size):
-        rows = order[boundaries[key_index]:boundaries[key_index + 1]]
-        group_key = _python_value(unique_keys[key_index])
-        states = groups.get(group_key)
-        if states is None:
-            states = groups[group_key] = _make_states(query)
-        _update_states(states, block.take(rows), query)
+def _aggregate_result(query: Query, state, result: QueryResult) -> QueryResult:
+    if query.group_column is None:
+        result.aggregates = state.result()
+    else:
+        result.groups = state.result()
+    return result
 
 
 def _apply_filters(block: ColumnBlock, predicates: Tuple[Predicate, ...]) -> ColumnBlock:

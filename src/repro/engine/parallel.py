@@ -7,9 +7,9 @@ process — and reuses it across every chunk batch it is handed, so only the
 picklable task payloads (a :class:`~repro.engine.operators.Query`, or the
 shared-scan pipeline's consumer lists) cross the process boundary.  Workers
 evaluate their chunk subset with the same serial ``execute`` path and return
-partial aggregate states; the parent merges partials with
-:meth:`AggregateState.merge` — exact for count/sum/min/max/mean and for the
-fixed-bin percentile/CDF sketches.
+partial aggregate states; the parent merges partials with the states' own
+``merge`` — exact for count/sum/min/max/mean and for the fixed-bin
+percentile/CDF sketches.
 
 Only aggregate-shaped queries (global or grouped) parallelize; ``top-k``,
 ``limit`` and plain collection fall back to the serial scan, which for
@@ -19,11 +19,10 @@ Only aggregate-shaped queries (global or grouped) parallelize; ``top-k``,
 from __future__ import annotations
 
 import multiprocessing
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..errors import AnalysisError
-from .aggregates import AggregateState
-from .operators import Query, QueryResult, execute
+from .operators import Query, QueryResult, _aggregate_result, _fold_aggregates, execute
 from .store import ChunkedTraceStore
 
 __all__ = ["ParallelExecutor", "get_worker_store"]
@@ -51,43 +50,13 @@ def get_worker_store(directory: Optional[str] = None) -> ChunkedTraceStore:
 
 
 def _worker_partials(task: Tuple[Query, List[int]]):
-    """Evaluate a chunk subset and return picklable partial state.
+    """Fold a chunk subset in a worker whose initializer opened the store.
 
-    Runs in a worker process whose initializer already opened the store.
-    Returns ``(states, groups, counters)`` where ``states``/``groups`` hold
-    :class:`AggregateState` partials (not results, so the parent can merge
-    them exactly).
+    Returns the serial scan loop's ``(state, counters)`` with the aggregate
+    state unread, so the parent can merge the partials exactly.
     """
     query, chunk_indices = task
-    store = get_worker_store()
-    states, groups, counters = _partial_execute(store, query, chunk_indices)
-    return states, groups, counters
-
-
-def _partial_execute(store, query: Query, chunk_indices):
-    """Like :func:`execute` but returning unmerged partial states."""
-    from .operators import (_apply_filters, _iter_source_chunks, _make_states,
-                            _update_groups, _update_states)
-
-    columns = query.required_columns()
-    states = _make_states(query)
-    groups: Dict[object, Dict[str, AggregateState]] = {}
-    counters = {"rows_scanned": 0, "rows_matched": 0, "chunks_scanned": 0, "chunks_skipped": 0}
-    for block, skipped in _iter_source_chunks(store, columns, query.predicates, chunk_indices):
-        if skipped:
-            counters["chunks_skipped"] += 1
-            continue
-        counters["chunks_scanned"] += 1
-        counters["rows_scanned"] += block.n_rows
-        block = _apply_filters(block, query.predicates)
-        counters["rows_matched"] += block.n_rows
-        if block.n_rows == 0:
-            continue
-        if query.group_column is None:
-            _update_states(states, block, query)
-        else:
-            _update_groups(groups, block, query)
-    return states, groups, counters
+    return _fold_aggregates(get_worker_store(), query, chunk_indices)
 
 
 class ParallelExecutor:
@@ -158,38 +127,11 @@ class ParallelExecutor:
             tasks.append((query, indices))
 
         partials = self.map(_worker_partials, tasks, store_directory=store.directory)
-        return _merge_partials(query, partials)
-
-
-def _merge_partials(query: Query, partials) -> QueryResult:
-    result = QueryResult()
-    merged_states: Optional[Dict[str, AggregateState]] = None
-    merged_groups: Dict[object, Dict[str, AggregateState]] = {}
-    for states, groups, counters in partials:
-        result.rows_scanned += counters["rows_scanned"]
-        result.rows_matched += counters["rows_matched"]
-        result.chunks_scanned += counters["chunks_scanned"]
-        result.chunks_skipped += counters["chunks_skipped"]
-        if query.group_column is None:
-            if merged_states is None:
-                merged_states = states
-            else:
-                for label in merged_states:
-                    merged_states[label].merge(states[label])
-        else:
-            for key, group in groups.items():
-                target = merged_groups.get(key)
-                if target is None:
-                    merged_groups[key] = group
-                else:
-                    for label in target:
-                        target[label].merge(group[label])
-    if query.group_column is None:
-        merged_states = merged_states or {}
-        result.aggregates = {label: state.result() for label, state in merged_states.items()}
-    else:
-        result.groups = {
-            key: {label: state.result() for label, state in group.items()}
-            for key, group in sorted(merged_groups.items(), key=lambda item: str(item[0]))
-        }
-    return result
+        state, result = partials[0]
+        for other_state, counters in partials[1:]:
+            state.merge(other_state)
+            result.rows_scanned += counters.rows_scanned
+            result.rows_matched += counters.rows_matched
+            result.chunks_scanned += counters.chunks_scanned
+            result.chunks_skipped += counters.chunks_skipped
+        return _aggregate_result(query, state, result)

@@ -158,6 +158,48 @@ class TestGroupBy:
         assert result.groups["u007"]["s"] == 7.0
 
 
+    def test_numeric_keys_ascend_numerically_with_none_last(self, tmp_path):
+        """Not in string order (0, 1, 10, 11, 2, ...), serial or parallel."""
+        from repro.engine import ParallelExecutor
+
+        jobs = [Job(job_id="h%03d" % index, submit_time_s=index * 1800.0, duration_s=1.0,
+                    input_bytes=1.0, shuffle_bytes=0.0, output_bytes=1.0,
+                    map_task_seconds=1.0, reduce_task_seconds=0.0,
+                    map_tasks=None if index % 5 == 0 else index % 13)
+                for index in range(60)]
+        store = ChunkedTraceStore.write(tmp_path / "store", Trace(jobs), chunk_rows=16)
+        hours = execute(store, Query().group_by("submit_hour").count("n"))
+        assert list(hours.groups) == [float(hour) for hour in range(30)]
+        query = Query().group_by("map_tasks").count("n")
+        expected = [float(value) for value in range(13)] + [None]
+        assert list(execute(store, query).groups) == expected
+        assert list(ParallelExecutor(processes=2).run(store, query).groups) == expected
+
+    def test_string_keys_stay_lexicographic(self, source):
+        groups = execute(source, Query().group_by("job_id").count("n")).groups
+        assert list(groups) == sorted(groups) and len(groups) == 200
+
+
+class TestNumericAggregateOverStringColumn:
+    """A typed error naming the column and the op, never a numpy TypeError."""
+
+    @pytest.mark.parametrize("query", [
+        Query().aggregate(n=("count", "framework")),
+        Query().aggregate(s=("sum", "framework")),
+        Query().aggregate(p=("p50", "job_id")),
+        Query().group_by("framework").aggregate(m=("max", "job_id")),
+        Query().group_by("submit_hour").aggregate(m=("mean", "framework")),
+    ])
+    def test_raises_analysis_error(self, source, query):
+        (_label, op, column), = query.aggregates
+        with pytest.raises(AnalysisError) as excinfo:
+            execute(source, query)
+        assert repr(column) in str(excinfo.value) and repr(op) in str(excinfo.value)
+
+    def test_rows_op_still_counts_rows_whatever_the_column(self, source):
+        assert execute(source, Query().count("n")).aggregates == {"n": 200}
+
+
 class TestTopKAndLimit:
     def test_top_k_largest_matches_sort(self, trace, source):
         query = Query().top("duration_s", 7).project(["job_id", "duration_s"])

@@ -55,6 +55,25 @@ class TestBasicEndpoints:
             client.post("/v1/stores/fb/characterize", {"bogus_field": 1})
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("spec", [
+        {"agg": ["count:job_id"]}, {"agg": ["sum:workload"]},
+        {"group_by": "workload", "agg": ["max:job_id"]}])
+    def test_numeric_aggregate_over_string_column_is_400(self, client, spec):
+        with pytest.raises(ServiceError) as excinfo:
+            client.query("fb", **spec)
+        assert excinfo.value.status == 400
+        assert excinfo.value.body["type"] == "AnalysisError"
+        assert repr(spec["agg"][0].split(":")[1]) in excinfo.value.body["error"]
+
+    def test_group_by_body_keys_are_serialized_in_string_order(self, client):
+        """Numeric keys read out in numeric order now; the canonical JSON body
+        sorts keys as strings regardless, so cached bodies did not move."""
+        body = client.query("fb", group_by="submit_hour", agg=["count"]).text
+        groups = dict(json.loads(body, object_pairs_hook=list))["groups"]
+        keys = [key for key, _value in groups]
+        assert len(keys) > 11 and keys == sorted(keys)
+        assert keys != sorted(keys, key=float)
+
     def test_malformed_content_length_is_400(self, service):
         import socket
 

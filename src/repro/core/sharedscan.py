@@ -28,27 +28,25 @@ persists every resumable consumer's fold state (JSON + ``.npz``) together
 with the store's chunk watermark, and after appending chunks
 (:func:`repro.engine.store.append_store` / ``repro engine ingest``)
 ``resume_from=`` folds only the new chunks into the restored states —
-bit-identical to a cold full rescan.  Consumers that cannot resume (the
-Table-2 row sample, whose seeded indices are drawn over the total row count;
-the ordered re-access walk when appended data interleaves in time) fall back
-to a full rescan, recorded with reasons on
+bit-identical to a cold full rescan.  The protocol lives in the one resume
+driver, :func:`repro.engine.pipeline.run_resumable_scan`; consumers that
+cannot resume (the Table-2 row sample, whose seeded indices are drawn over
+the total row count; the ordered re-access walk when appended data
+interleaves in time) fall back to a full rescan, recorded with reasons on
 :attr:`CharacterizationAnalyses.resume`.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..engine.pipeline import (
-    Checkpoint,
     ChunkConsumer,
     GatherConsumer,
-    PipelineResult,
-    ScanPipeline,
     SummaryConsumer,
+    run_resumable_scan,
 )
 from ..engine.source import TraceSource
 from ..errors import AnalysisError
@@ -281,8 +279,9 @@ def _scan_streaming(source: TraceSource, needed: List[str],
     if "features" in needed:
         consumers.append(FeatureMatrixConsumer())
 
-    scan = _execute_scan(source, consumers, executor, analyses,
-                         resume_from, checkpoint_to)
+    scan, analyses.resume, analyses.checkpoint_path = run_resumable_scan(
+        source, consumers, executor=executor, resume_from=resume_from,
+        checkpoint_to=checkpoint_to, meta={"workload": source.name})
     analyses.chunks_scanned = scan.chunks_scanned
     analyses.rows_scanned = scan.rows_scanned
 
@@ -324,92 +323,6 @@ def _scan_streaming(source: TraceSource, needed: List[str],
         adopt("cluster_sample", "cluster_sample")
     if "features" in needed:
         adopt("features", "features")
-
-
-def _merge_scan_results(target: PipelineResult, part: PipelineResult) -> None:
-    target.results.update(part.results)
-    target.errors.update(part.errors)
-    target.final_states.update(part.final_states)
-    target.chunks_scanned += part.chunks_scanned
-    target.rows_scanned += part.rows_scanned
-
-
-def _execute_scan(source: TraceSource, consumers: List[ChunkConsumer], executor,
-                  analyses: CharacterizationAnalyses, resume_from,
-                  checkpoint_to: Optional[str]) -> PipelineResult:
-    """Run the shared scan, resuming from a checkpoint when one is given.
-
-    With ``resume_from``, consumers split into a **resumed** lane (restored
-    states folding only the appended chunks) and a **rescan** lane (full scan
-    from chunk 0) — both over the same store handle, results merged.  The
-    split and the per-consumer reasons are recorded on
-    ``analyses.resume`` so callers can report what actually happened.
-    """
-    checkpoint: Optional[Checkpoint] = None
-    if resume_from is not None:
-        checkpoint = (Checkpoint.load(os.fspath(resume_from))
-                      if not isinstance(resume_from, Checkpoint) else resume_from)
-        checkpoint.validate(source.backing)
-
-    resumed: List[ChunkConsumer] = []
-    rescan: List[ChunkConsumer] = []
-    reasons: Dict[str, str] = {}
-    initial_states: Dict[str, object] = {}
-    if checkpoint is None:
-        rescan = list(consumers)
-    else:
-        store = source.backing
-        for consumer in consumers:
-            if not consumer.resumable:
-                rescan.append(consumer)
-                reasons[consumer.name] = ("not resumable: result is defined over "
-                                          "the total row count")
-            elif consumer.name not in checkpoint.consumers:
-                rescan.append(consumer)
-                reasons[consumer.name] = "no state in the checkpoint"
-            elif consumer.ordered and not store.sorted_by_submit_time:
-                rescan.append(consumer)
-                reasons[consumer.name] = ("ordered fold cannot resume: appended "
-                                          "data interleaves in time (store is no "
-                                          "longer sorted by submit time)")
-            else:
-                try:
-                    initial_states[consumer.name] = consumer.restore(
-                        checkpoint.consumers[consumer.name])
-                    resumed.append(consumer)
-                except AnalysisError as exc:
-                    rescan.append(consumer)
-                    reasons[consumer.name] = "checkpoint state unreadable: %s" % exc
-
-    merged = PipelineResult()
-    if resumed:
-        pipeline = ScanPipeline(source, executor=executor)
-        for consumer in resumed:
-            pipeline.add(consumer)
-        floor = (checkpoint.last_submit_time
-                 if checkpoint.last_submit_time is not None else -np.inf)
-        _merge_scan_results(merged, pipeline.run(
-            start_chunk=checkpoint.chunk_watermark,
-            initial_states=initial_states, order_floor=floor))
-    if rescan:
-        pipeline = ScanPipeline(source, executor=executor)
-        for consumer in rescan:
-            pipeline.add(consumer)
-        _merge_scan_results(merged, pipeline.run())
-
-    if checkpoint is not None:
-        analyses.resume = {
-            "chunk_watermark": checkpoint.chunk_watermark,
-            "new_chunks": checkpoint.new_chunks(source.backing),
-            "resumed": [consumer.name for consumer in resumed],
-            "rescanned": reasons,
-        }
-    if checkpoint_to:
-        fresh = Checkpoint.capture(source.backing, consumers, merged.final_states,
-                                   merged.errors, meta={"workload": source.name})
-        fresh.save(os.fspath(checkpoint_to))
-        analyses.checkpoint_path = os.fspath(checkpoint_to)
-    return merged
 
 
 def _adopt_path_stats(analyses: CharacterizationAnalyses, scan, needed: List[str],

@@ -34,11 +34,12 @@ at read time with the codec name.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import struct
 import zlib
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -57,6 +58,7 @@ __all__ = [
     "read_block_header",
     "delta_encode_floats",
     "delta_decode_floats",
+    "durable_replace",
 ]
 
 BLOCK_MAGIC = b"RBK1"
@@ -279,6 +281,37 @@ def read_block_header(path: str) -> Dict:
 
 
 # ---------------------------------------------------------------------------
+# Durable replace
+# ---------------------------------------------------------------------------
+def durable_replace(files: Iterable[Tuple[str, bytes]]) -> None:
+    """Replace files crash-safely; the one write → fsync → rename in ``src/``.
+
+    ``files`` yields ``(path, payload)`` in commit order (a generator is
+    consumed one payload at a time).  Every payload is written to
+    ``<path>.tmp`` and fsynced **before the first rename**, then renamed over
+    its target in the order given, so a writer that lists data files before
+    the file naming them never exposes the name over data that is not
+    durable.  ``os.replace`` is atomic on POSIX: a reader or a crash sees each
+    path whole-old or whole-new.  On any error the temporaries are removed.
+    """
+    pending: List[Tuple[str, str]] = []
+    try:
+        for path, payload in files:
+            pending.append((path + ".tmp", path))
+            with open(pending[-1][0], "wb") as handle:
+                handle.write(payload)
+                handle.flush()
+                os.fsync(handle.fileno())
+        for temporary, path in pending:
+            os.replace(temporary, path)
+    except BaseException:
+        for temporary, _ in pending:
+            with contextlib.suppress(OSError):
+                os.unlink(temporary)
+        raise
+
+
+# ---------------------------------------------------------------------------
 # Dictionary encoding
 # ---------------------------------------------------------------------------
 class StringDictionary:
@@ -394,20 +427,14 @@ class StoreDictionary:
                     for name, values in document.get("columns", {}).items()})
 
     def save(self, directory: str) -> None:
-        """Write the sidecar crash-safely (temp file, fsync, atomic rename)."""
-        path = os.path.join(directory, DICTIONARY_NAME)
-        temporary = path + ".tmp"
+        """Write the sidecar crash-safely (see :func:`durable_replace`)."""
         document = {
             "dictionary_version": self.VERSION,
             "columns": {name: table.values
                         for name, table in sorted(self.columns.items())},
         }
-        with open(temporary, "w", encoding="utf-8") as handle:
-            json.dump(document, handle)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temporary, path)
+        durable_replace([(os.path.join(directory, DICTIONARY_NAME),
+                          (json.dumps(document) + "\n").encode("utf-8"))])
 
     def sidecar_bytes(self, directory: str) -> int:
         path = os.path.join(directory, DICTIONARY_NAME)

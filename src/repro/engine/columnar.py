@@ -70,6 +70,38 @@ def _nan_to_zero(array: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(array), 0.0, array)
 
 
+def _in_submit_order(times: np.ndarray, previous_end: float) -> bool:
+    """Whether one chunk's (non-empty) submit times keep the stream sorted:
+    non-decreasing, and not starting before ``previous_end`` (the last submit
+    time of the chunks before it).  The one sortedness test — the store's
+    ``sorted_by_submit_time`` flag and :class:`_OrderCheck` both ask it."""
+    return not (times[0] < previous_end or np.any(times[:-1] > times[1:]))
+
+
+class _OrderCheck:
+    """Raises when chunks stream out of submit-time order (the pipeline's
+    ordered lane, :meth:`TraceSource.iter_chunks_sorted`).  ``floor`` seeds a
+    resumed scan with the last submit time its checkpointed prefix saw, so an
+    appended chunk that dips below it is caught like any out-of-order chunk."""
+
+    __slots__ = ("previous_end", "source_name")
+
+    def __init__(self, source_name: str, floor: float = -np.inf):
+        self.previous_end = floor
+        self.source_name = source_name
+
+    def check(self, block: ColumnBlock) -> None:
+        if block.n_rows == 0:
+            return
+        times = block.column("submit_time_s")
+        if not _in_submit_order(times, self.previous_end):
+            raise AnalysisError(
+                "source %r is not sorted by submit time; rewrite the store from a "
+                "Trace/ColumnarTrace (or a sorted job iterable) before running "
+                "order-sensitive analyses" % (self.source_name,))
+        self.previous_end = float(times[-1])
+
+
 class ColumnBlock:
     """A batch of job rows in column-major layout.
 

@@ -19,13 +19,14 @@ member degrades only that member to a scan (the planner's lenient path).
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import AnalysisError, TraceFormatError
 from .catalog import CatalogEntry, StoreCatalog
 from .parallel import get_worker_store
-from .pipeline import PipelineResult, run_resumable_scan
+from .pipeline import PipelineResult, run_resumable_scan, scan_with_rolling_checkpoint
 from .planner import execute_planned
 from .source import TraceSource
 
@@ -62,10 +63,10 @@ def _scan_member(task: Tuple) -> MemberScan:
     """Scan one member store; runs in a worker process (or inline, serially).
 
     The task carries only picklable payloads: the member name and directory,
-    a module-level consumer factory, and the member's checkpoint path.  A
-    checkpoint that no longer validates (the member was rewritten rather than
-    appended to) falls back to a cold full scan instead of failing the whole
-    federation.
+    a module-level consumer factory, and the member's checkpoint path, which
+    rolls under :func:`~repro.engine.pipeline.scan_with_rolling_checkpoint`:
+    a member that was rewritten rather than appended to scans cold instead of
+    failing the whole federation.
     """
     name, directory, factory, checkpoint_dir = task
     store = get_worker_store(directory)
@@ -73,19 +74,10 @@ def _scan_member(task: Tuple) -> MemberScan:
     consumers = factory(source, name)
     checkpoint_path = (None if checkpoint_dir is None
                        else _member_checkpoint_path(checkpoint_dir, name))
-    resume_from = (checkpoint_path
-                   if checkpoint_path is not None and os.path.exists(checkpoint_path)
-                   else None)
-    try:
-        merged, report, saved = run_resumable_scan(
-            source, consumers, resume_from=resume_from,
-            checkpoint_to=checkpoint_path, meta={"member": name})
-    except AnalysisError:
-        if resume_from is None:
-            raise
-        merged, report, saved = run_resumable_scan(
-            source, consumers, resume_from=None,
-            checkpoint_to=checkpoint_path, meta={"member": name})
+    merged, report, saved = scan_with_rolling_checkpoint(
+        functools.partial(run_resumable_scan, source, consumers,
+                          meta={"member": name}),
+        checkpoint_path)
     return MemberScan(name, merged, resume=report, checkpoint_path=saved)
 
 

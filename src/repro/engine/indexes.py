@@ -27,10 +27,10 @@ touching only the chunks (often only the *rows*) that actually match:
 
 **Sidecar layout.**  ``index.json`` (the index manifest) plus one
 ``index.<column>.npz`` per indexed column, all living inside the store
-directory.  The array files are written first, then ``index.json`` is
-committed with the same temp-file + fsync + ``os.replace`` dance as the store
-manifest — a crash mid-build leaves either no index or a stale one, never a
-torn one.
+directory.  They commit through the store's own seam,
+:func:`~repro.engine.codecs.durable_replace`: every temporary is fsynced,
+then the array files are renamed into place and ``index.json`` last — a crash
+mid-build leaves either no index or a stale one, never a torn one.
 
 **Staleness contract.**  The index manifest pins ``store_uid``,
 ``manifest_sequence`` and ``n_chunks``.  :func:`load_indexes` refuses a
@@ -49,6 +49,7 @@ indexed without ever re-reading old data.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -56,6 +57,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import TraceFormatError
+from .codecs import durable_replace
 from .columnar import NUMERIC_COLUMNS
 
 __all__ = [
@@ -86,15 +88,6 @@ class StaleIndexError(TraceFormatError):
 
 def _index_file(column: str) -> str:
     return "index.%s.npz" % (column,)
-
-
-def _atomic_write_bytes(path: str, payload: bytes) -> None:
-    temporary = path + ".tmp"
-    with open(temporary, "wb") as handle:
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temporary, path)
 
 
 # ---------------------------------------------------------------------------
@@ -435,27 +428,28 @@ class StoreIndexes:
 
     # -- persistence -------------------------------------------------------
     def save(self, directory: Optional[str] = None) -> None:
-        """Commit crash-safely: array files first, then the pinned manifest."""
+        """Commit crash-safely: array files first, then the pinned manifest
+        (one ``durable_replace``; the generator holds one column at a time)."""
         directory = directory or self.directory
-        import io
 
-        for name in self.columns:
-            index = self.column(name)
-            buffer = io.BytesIO()
-            np.savez(buffer, **index.arrays())
-            _atomic_write_bytes(os.path.join(directory, _index_file(name)),
-                                buffer.getvalue())
-        manifest = {
-            "index_format_version": INDEX_FORMAT_VERSION,
-            "store_uid": self.store_uid,
-            "manifest_sequence": self.manifest_sequence,
-            "n_chunks": self.n_chunks,
-            "n_rows": self.n_rows,
-            "columns": {name: dict(self.column_meta[name], **self.column(name).stats())
-                        for name in self.columns},
-        }
-        payload = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
-        _atomic_write_bytes(os.path.join(directory, INDEX_MANIFEST_NAME), payload)
+        def files():
+            for name in self.columns:
+                buffer = io.BytesIO()
+                np.savez(buffer, **self.column(name).arrays())
+                yield os.path.join(directory, _index_file(name)), buffer.getvalue()
+            manifest = {
+                "index_format_version": INDEX_FORMAT_VERSION,
+                "store_uid": self.store_uid,
+                "manifest_sequence": self.manifest_sequence,
+                "n_chunks": self.n_chunks,
+                "n_rows": self.n_rows,
+                "columns": {name: dict(self.column_meta[name], **self.column(name).stats())
+                            for name in self.columns},
+            }
+            payload = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
+            yield os.path.join(directory, INDEX_MANIFEST_NAME), payload
+
+        durable_replace(files())
 
     def sizes(self) -> Dict[str, int]:
         """On-disk sidecar bytes per indexed column (``engine info --sizes``)."""

@@ -52,6 +52,7 @@ count and therefore changes whenever the store grows.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import uuid
@@ -61,7 +62,8 @@ import numpy as np
 
 from ..errors import AnalysisError
 from .aggregates import MaxState, MinState, SumState
-from .columnar import ColumnBlock, ColumnarTrace
+from .codecs import durable_replace
+from .columnar import ColumnBlock, ColumnarTrace, _OrderCheck
 from .source import TraceSource
 
 __all__ = ["ScanChunk", "ChunkConsumer", "PipelineResult", "ScanPipeline",
@@ -233,35 +235,6 @@ class PipelineResult:
     def get(self, name: str, default=None):
         """The result of one consumer, or ``default`` if it errored/is absent."""
         return self.results.get(name, default)
-
-
-_UNSORTED_MESSAGE = (
-    "source %r is not sorted by submit time; rewrite the store from a "
-    "Trace/ColumnarTrace (or a sorted job iterable) before running "
-    "order-sensitive analyses")
-
-
-class _OrderCheck:
-    """Verifies non-decreasing submit times as chunks stream.
-
-    ``floor`` seeds the check when resuming: the last submit time the
-    checkpointed prefix saw, so an appended chunk that dips below it is
-    caught exactly like an out-of-order chunk in a cold scan.
-    """
-
-    __slots__ = ("previous_end", "source_name")
-
-    def __init__(self, source_name: str, floor: float = -np.inf):
-        self.previous_end = floor
-        self.source_name = source_name
-
-    def check(self, block: ColumnBlock) -> None:
-        if block.n_rows == 0:
-            return
-        times = block.column("submit_time_s")
-        if times[0] < self.previous_end or np.any(times[:-1] > times[1:]):
-            raise AnalysisError(_UNSORTED_MESSAGE % (self.source_name,))
-        self.previous_end = float(times[-1])
 
 
 def _fold_lane(source_name: str, blocks, consumers: List[ChunkConsumer],
@@ -673,12 +646,13 @@ class Checkpoint:
     def save(self, path: str) -> None:
         """Write ``<path>`` (JSON) and ``<path>.npz`` (array payload fields).
 
-        Both files are written to temporaries and atomically renamed into
-        place (arrays first), and both carry the same freshly minted save
-        token; :meth:`load` refuses a pair whose tokens disagree.  So
-        rolling a checkpoint forward over an existing one can never leave a
-        *silently* mismatched JSON/npz pair: a crash between the two renames
-        is detected at load time instead of double-counting chunks.
+        Both files go through :func:`~repro.engine.codecs.durable_replace`
+        (both temporaries durable, then arrays renamed before the JSON), and
+        both carry the same freshly minted save token; :meth:`load` refuses
+        a pair whose tokens disagree.  So rolling a checkpoint forward over
+        an existing one can never leave a *silently* mismatched JSON/npz
+        pair: a crash between the two renames is detected at load time
+        instead of double-counting chunks.
         """
         save_token = uuid.uuid4().hex
         arrays: Dict[str, np.ndarray] = {
@@ -707,25 +681,14 @@ class Checkpoint:
             "meta": self.meta,
             "consumers": consumer_docs,
         }
-        array_path = path + ".npz"
-        array_temporary = array_path + ".tmp"
-        # np.savez appends ".npz" to paths without the suffix: write to a
-        # real file handle so the temporary name is exactly what we rename.
-        with open(array_temporary, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
-            handle.flush()
-            os.fsync(handle.fileno())
-        temporary = path + ".tmp"
-        with open(temporary, "w", encoding="utf-8") as handle:
-            # No sort_keys: dictionary payloads (e.g. the naming consumer's
-            # word totals) rely on insertion order surviving the round trip —
-            # stable sorts downstream break ties by it.
-            json.dump(document, handle, indent=2, default=_json_default)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(array_temporary, array_path)
-        os.replace(temporary, path)
+        buffer = io.BytesIO()
+        np.savez_compressed(buffer, **arrays)
+        # No sort_keys: dictionary payloads (e.g. the naming consumer's word
+        # totals) rely on insertion order surviving the round trip — stable
+        # sorts downstream break ties by it.
+        text = json.dumps(document, indent=2, default=_json_default) + "\n"
+        durable_replace([(path + ".npz", buffer.getvalue()),
+                         (path, text.encode("utf-8"))])
 
     @classmethod
     def load(cls, path: str) -> "Checkpoint":
@@ -867,6 +830,24 @@ def run_resumable_scan(source, consumers: Sequence[ChunkConsumer], executor=None
         fresh.save(os.fspath(checkpoint_to))
         saved_path = os.fspath(checkpoint_to)
     return merged, resume_report, saved_path
+
+
+def scan_with_rolling_checkpoint(scan, checkpoint_path: Optional[str]):
+    """Run ``scan`` under the rolling-checkpoint policy; returns its result.
+
+    ``scan(resume_from=, checkpoint_to=)`` is any scan built on
+    :func:`run_resumable_scan`.  The policy, stated once for the daemon's
+    admission lanes and the federation's member scans: resume when the
+    checkpoint file exists; if it no longer validates (store rewritten, file
+    torn) scan cold instead of failing; either way save a fresh checkpoint
+    over it.  Without a ``checkpoint_path``: scan cold, save nothing.
+    """
+    if checkpoint_path is None or not os.path.isfile(checkpoint_path):
+        return scan(resume_from=None, checkpoint_to=checkpoint_path)
+    try:
+        return scan(resume_from=checkpoint_path, checkpoint_to=checkpoint_path)
+    except AnalysisError:
+        return scan(resume_from=None, checkpoint_to=checkpoint_path)
 
 
 # ---------------------------------------------------------------------------

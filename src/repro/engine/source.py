@@ -49,7 +49,7 @@ import numpy as np
 from ..errors import AnalysisError
 from ..traces.schema import Job, NUMERIC_DIMENSIONS
 from ..traces.trace import Trace, TraceSummary
-from .columnar import DEFAULT_CHUNK_ROWS, ColumnBlock, ColumnarTrace
+from .columnar import DEFAULT_CHUNK_ROWS, ColumnBlock, ColumnarTrace, _OrderCheck
 from .operators import Query, QueryResult, execute
 from .store import ChunkedTraceStore
 
@@ -204,18 +204,9 @@ class TraceSource:
         wanted = list(columns)
         if "submit_time_s" not in wanted:
             wanted.append("submit_time_s")
-        previous_end = -np.inf
+        order = _OrderCheck(self.name)
         for block in self.iter_chunks(columns=wanted, chunk_rows=chunk_rows):
-            if block.n_rows == 0:
-                yield block
-                continue
-            times = block.column("submit_time_s")
-            if times[0] < previous_end or np.any(times[:-1] > times[1:]):
-                raise AnalysisError(
-                    "source %r is not sorted by submit time; rewrite the store "
-                    "from a Trace/ColumnarTrace (or a sorted job iterable) before "
-                    "running order-sensitive analyses" % (self.name,))
-            previous_end = float(times[-1])
+            order.check(block)
             yield block
 
     def query(self, query: Query, executor=None) -> QueryResult:

@@ -60,12 +60,14 @@ the requested columns) at a time.
 
 **Appending.**  v2 and v3 stores are *appendable*: :meth:`ChunkedTraceStore.open_append`
 (the ``repro engine ingest`` CLI) adds new chunks — with zone maps — to an
-existing store without rewriting the old ones.  The append is crash-safe: new
-chunk files land on disk first, then the updated manifest is written to a
-temporary file, fsynced, and atomically swapped over ``manifest.json`` with
-``os.replace``.  A reader (or a crash) mid-append therefore always sees a
-coherent store — either the old manifest or the new one, never a torn state;
-orphaned chunk files from an interrupted append are simply unreferenced.
+existing store without rewriting the old ones.  Writes and appends commit
+through one sequence (:func:`_commit_chunks`): chunk files, then the
+dictionary, then the manifest, the last two replaced durably and atomically
+(:func:`~repro.engine.codecs.durable_replace`).  A reader (or a crash)
+mid-append therefore always sees a coherent store — either the old manifest
+or the new one, never a torn state; an append that raises unlinks the files
+it wrote, and files orphaned by a hard crash are never read, because which
+columns a chunk has is decided from the manifest, not from which files exist.
 Every committed append bumps the manifest's ``manifest_sequence`` counter, so
 downstream consumers (the characterization :class:`~repro.engine.pipeline.Checkpoint`)
 can tell "the store grew" apart from "the store was rewritten".
@@ -73,6 +75,8 @@ can tell "the store grew" apart from "the store was rewritten".
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import os
 import uuid
@@ -89,6 +93,7 @@ from .codecs import (
     DICTIONARY_NAME,
     StoreDictionary,
     available_codecs,
+    durable_replace,
     pack_block,
     read_block_header,
     unpack_block,
@@ -97,12 +102,12 @@ from .columnar import (
     ALL_COLUMNS,
     DEFAULT_CHUNK_ROWS,
     NUMERIC_COLUMNS,
-    STRING_COLUMNS,
     ColumnBlock,
     ColumnarTrace,
     _append_job,
     _block_to_jobs,
     _column_blocks,
+    _in_submit_order,
 )
 
 __all__ = ["ChunkedTraceStore", "StoreAppender", "write_store", "append_store",
@@ -548,88 +553,19 @@ class ChunkedTraceStore:
             name = name or source.name
             machines = machines if machines is not None else source.machines
         os.makedirs(directory, exist_ok=True)
-        return cls._write_blocks(directory, _source_blocks(source, chunk_rows),
-                                 chunk_rows, name or "trace", machines, sorted_hint,
-                                 format_version, codec=codec, codec_level=codec_level,
-                                 manifest_sequence=sequence)
-
-    @classmethod
-    def _write_blocks(cls, directory, blocks: Iterable[ColumnBlock], chunk_rows: int,
-                      name: str, machines: Optional[int], sorted_hint: bool,
-                      format_version: int, codec: Optional[str] = None,
-                      codec_level: Optional[int] = None,
-                      manifest_sequence: int = 0) -> "ChunkedTraceStore":
-        dictionary = StoreDictionary() if format_version == 3 else None
-        string_encodings: Dict[str, str] = {}
-        chunk_metas: List[_ChunkMeta] = []
-        column_names: Optional[List[str]] = None
-        # Sources without a sortedness guarantee (raw job iterables) are
-        # *verified* while streaming through, so an actually-sorted iterable
-        # still earns the manifest flag the ordered analyses and the
-        # checkpoint-resume eligibility check read.
-        verified_sorted = True
-        previous_end = -np.inf
-        for index, block in enumerate(blocks):
-            if block.n_rows == 0 and index > 0:
-                continue
-            # materialized() decodes any dictionary-backed columns of a v3
-            # source block — a plain dict(block.columns) would silently drop
-            # the code-backed string columns during store→store conversion.
-            columns = block.materialized()
-            times = columns.get("submit_time_s")
-            if times is not None and times.size:
-                if times[0] < previous_end or np.any(times[:-1] > times[1:]):
-                    verified_sorted = False
-                previous_end = max(previous_end, float(times[-1]))
-            if column_names is None:
-                column_names = sorted(columns)
-            elif sorted(columns) != column_names:
-                # A later chunk surfaced a string column earlier chunks lacked
-                # (or vice versa): pad to the union so every chunk file has the
-                # same member set.
-                union = sorted(set(column_names) | set(columns))
-                column_names = union
-                for col in union:
-                    if col not in columns:
-                        columns[col] = _empty_column(col, block.n_rows)
-            file_name = _write_chunk(str(directory), index, columns, format_version,
-                                     codec=codec, codec_level=codec_level,
-                                     dictionary=dictionary,
-                                     string_encodings=string_encodings)
-            chunk_metas.append(_ChunkMeta(file=file_name, rows=block.n_rows,
-                                          zones=_zone_maps(columns)))
-        if column_names is None:
-            column_names = sorted(NUMERIC_COLUMNS + ("job_id",))
-            empty = {col: _empty_column(col, 0) for col in column_names}
-            file_name = _write_chunk(str(directory), 0, empty, format_version,
-                                     codec=codec, codec_level=codec_level,
-                                     dictionary=dictionary,
-                                     string_encodings=string_encodings)
-            chunk_metas.append(_ChunkMeta(file=file_name, rows=0, zones={}))
-        _backfill_missing_columns(str(directory), chunk_metas, column_names,
-                                  format_version, codec=codec,
-                                  codec_level=codec_level, dictionary=dictionary,
-                                  string_encodings=string_encodings)
-        manifest = {
-            "format_version": format_version,
-            "manifest_sequence": int(manifest_sequence),
-            "store_uid": uuid.uuid4().hex,
-            "name": name,
-            "machines": machines,
-            "n_jobs": sum(meta.rows for meta in chunk_metas),
-            "chunk_rows": chunk_rows,
-            "sorted_by_submit_time": sorted_hint or verified_sorted,
-            "columns": column_names,
-            "chunks": [meta.to_json() for meta in chunk_metas],
-        }
-        if format_version == 3:
-            manifest["codec"] = codec
-            manifest["codec_level"] = codec_level
-            manifest["string_encodings"] = string_encodings
-            # Chunk blocks are on disk; commit the dictionary *before* the
-            # manifest swap so any committed manifest reads correctly.
-            dictionary.save(str(directory))
-        _swap_manifest(str(directory), manifest)
+        # Zero-row blocks are only written while the store has no chunk, so
+        # the trailing one lands exactly when the source was empty.
+        empty = ColumnBlock({column: _empty_column(column, 0)
+                             for column in NUMERIC_COLUMNS + ("job_id",)})
+        header = {"format_version": format_version, "manifest_sequence": int(sequence),
+                  "store_uid": uuid.uuid4().hex, "name": name or "trace",
+                  "machines": machines, "chunk_rows": chunk_rows}
+        _commit_chunks(str(directory),
+                       itertools.chain(_source_blocks(source, chunk_rows), [empty]),
+                       header, codec, codec_level,
+                       StoreDictionary() if format_version == 3 else None, {},
+                       chunks=[], columns=None, sorted_hint=sorted_hint,
+                       verified_sorted=True, discard_on_failure=False)
         return cls(directory)
 
     # -- appender ----------------------------------------------------------
@@ -646,30 +582,122 @@ class ChunkedTraceStore:
 
 
 def _swap_manifest(directory: str, manifest: Dict) -> None:
-    """Write the manifest crash-safely: temp file, fsync, atomic rename.
+    """Commit point of every write and append: replace ``manifest.json`` durably."""
+    payload = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    durable_replace([(os.path.join(directory, MANIFEST_NAME), payload.encode("utf-8"))])
 
-    ``os.replace`` is atomic on POSIX, so a concurrent reader (or a crash at
-    any point) sees either the previous manifest or the new one — never a
-    partially written file.
+
+def _commit_chunks(directory: str, blocks: Iterable[ColumnBlock], header: Dict,
+                   codec: Optional[str], codec_level: Optional[int],
+                   dictionary: Optional[StoreDictionary],
+                   string_encodings: Dict[str, str], chunks: List[_ChunkMeta],
+                   columns: Optional[List[str]], sorted_hint: bool,
+                   verified_sorted: bool, discard_on_failure: bool) -> bool:
+    """The one commit sequence behind ``write`` and ``append``; returns
+    whether a manifest was committed.
+
+    Per block (a zero-row one only while the store has no chunk at all):
+    decode, verify submit-time order, pad to the column set known so far,
+    write the chunk files and zone maps.  Then fill the columns some chunks
+    lack, save the v3 dictionary, swap the manifest — in that order, so a
+    manifest on disk only names chunk files and codes that are already
+    there.  No new chunk, no commit.  ``write`` starts from ``chunks=[]`` /
+    ``columns=None``, ``append`` from the open store's state; ``header`` is
+    the manifest entries the two set differently.  The flag written is
+    ``sorted_hint or verified_sorted``, the latter falling at the first chunk
+    out of order against the latest submit time seen (seeded from the
+    committed chunks' zones).
+
+    Which columns a chunk has is what this call *knows* — ``columns`` for
+    committed chunks, what it wrote itself for new ones — never which files
+    exist: a stale file in a reused directory is overwritten, not adopted.
+
+    With ``discard_on_failure`` (appends) a failure before the swap unlinks
+    every file this call wrote and re-raises: the committed manifest cannot
+    name them (new indices are past its end, filled columns not in its
+    list).  A failed *write* deletes nothing — a reused directory's old
+    manifest may still name those files.
+
+    Byte-order corner: padding is inline, as the fresh writer's always was,
+    so a multi-chunk v3 *append* whose earlier chunk lacks a dictionary
+    column that a later chunk of the same call brings new values for codes
+    ``""`` before those values, where appends used to code it after — same
+    decoded values, different code order.
     """
-    manifest_path = os.path.join(directory, MANIFEST_NAME)
-    temporary = manifest_path + ".tmp"
-    with open(temporary, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temporary, manifest_path)
+    format_version = header["format_version"]
+    layout = (format_version, codec, codec_level, dictionary, string_encodings)
+    chunks = list(chunks)
+    n_committed = len(chunks)
+    known = [frozenset(columns or ())] * n_committed
+    previous_end = max([meta.zones["submit_time_s"][1] for meta in chunks
+                        if "submit_time_s" in meta.zones], default=-np.inf)
+    written: List[str] = []
+    try:
+        for block in blocks:
+            if block.n_rows == 0 and chunks:
+                continue
+            # materialized() decodes any dictionary-backed columns of a v3
+            # source block — a plain dict(block.columns) would silently drop
+            # the code-backed string columns during store→store conversion.
+            data = block.materialized()
+            times = data.get("submit_time_s")
+            if times is not None and times.size:
+                if not _in_submit_order(times, previous_end):
+                    verified_sorted = False
+                previous_end = max(previous_end, float(times[-1]))
+            if columns is None:
+                columns = sorted(data)
+            elif sorted(data) != columns:
+                # Widen to the union and pad this chunk; the ones before it
+                # are filled after the loop.
+                columns = sorted(set(columns) | set(data))
+                for column in columns:
+                    if column not in data:
+                        data[column] = _empty_column(column, block.n_rows)
+            file_name = "chunk-%05d%s" % (len(chunks), ".npz" if format_version == 1 else "")
+            _write_chunk(directory, file_name, data, written, *layout)
+            known.append(frozenset(data))
+            chunks.append(_ChunkMeta(file=file_name, rows=block.n_rows,
+                                     zones=_zone_maps(data)))
+        if len(chunks) == n_committed:
+            return False
+        for meta, have in zip(chunks, known):
+            missing = [column for column in columns if column not in have]
+            if not missing:
+                continue
+            data = {}
+            if format_version == 1:  # one archive per chunk: rewrite it whole
+                with np.load(os.path.join(directory, meta.file), allow_pickle=False) as archive:
+                    data = {name: archive[name] for name in archive.files}
+            data.update((column, _empty_column(column, meta.rows)) for column in missing)
+            _write_chunk(directory, meta.file, data, written, *layout)
+        manifest = dict(header, n_jobs=sum(meta.rows for meta in chunks),
+                        sorted_by_submit_time=sorted_hint or verified_sorted,
+                        columns=columns, chunks=[meta.to_json() for meta in chunks])
+        if format_version == 3:
+            manifest.update(codec=codec, codec_level=codec_level,
+                            string_encodings=string_encodings)
+            # Extra (not-yet-referenced) dictionary entries are harmless if
+            # we crash between the two renames; missing ones would not be.
+            dictionary.save(directory)
+        _swap_manifest(directory, manifest)
+    except BaseException:
+        if discard_on_failure:
+            for path in written:
+                with contextlib.suppress(OSError):
+                    os.unlink(path)
+        raise
+    return True
 
 
 class StoreAppender:
     """Appends chunks to an existing v2/v3 store (see :meth:`ChunkedTraceStore.open_append`).
 
     One :meth:`append` call writes the new chunk files (with zone maps), keeps
-    the column set coherent (new columns are backfilled into old chunks, old
-    columns are filled into new chunks), re-derives the
-    ``sorted_by_submit_time`` flag across the append boundary, bumps
-    ``manifest_sequence``, and commits with an atomic manifest swap.
+    the column set coherent (new columns are filled into old chunks, old
+    columns into new chunks), re-derives the ``sorted_by_submit_time`` flag
+    across the append boundary, bumps ``manifest_sequence``, and commits with
+    an atomic manifest swap — or, if it raises, unlinks what it wrote.
 
     For v3, new chunks reuse the store's codec and per-column string
     encodings, and unseen string values are *appended* to the dictionary —
@@ -703,79 +731,22 @@ class StoreAppender:
         stays untouched.
         """
         store = self.store
-        chunks_before_append = store.n_chunks
         rows_per_chunk = (store.chunk_rows_target if chunk_rows is None
                           else int(chunk_rows))
         if rows_per_chunk <= 0:
             raise TraceFormatError("chunk_rows must be positive, got %r" % (chunk_rows,))
-        blocks = _source_blocks(source, rows_per_chunk)
-
-        # The append stays sorted only if the old store was sorted, every new
-        # chunk is internally sorted, and the first new time does not precede
-        # the last old one (times are verified, not trusted from hints).
-        still_sorted = store.sorted_by_submit_time
-        previous_end = -np.inf
-        for index in range(store.n_chunks):
-            zone = store.chunk_zone(index, "submit_time_s")
-            if zone is not None:
-                previous_end = max(previous_end, zone[1])
-
-        string_encodings = dict(store.string_encodings)
-        new_metas: List[_ChunkMeta] = []
-        new_columns: set = set()
-        next_index = store.n_chunks
-        for block in blocks:
-            if block.n_rows == 0:
-                continue
-            columns = block.materialized()
-            times = columns.get("submit_time_s")
-            if times is not None and times.size:
-                if times[0] < previous_end or np.any(times[:-1] > times[1:]):
-                    still_sorted = False
-                previous_end = max(previous_end, float(times[-1]))
-            file_name = _write_chunk(store.directory, next_index, columns,
-                                     format_version=store.format_version,
-                                     codec=store.codec,
-                                     codec_level=store.codec_level,
-                                     dictionary=store._dictionary,
-                                     string_encodings=string_encodings)
-            new_columns.update(columns)
-            new_metas.append(_ChunkMeta(file=file_name, rows=block.n_rows,
-                                        zones=_zone_maps(columns)))
-            next_index += 1
-        if not new_metas:
+        header = {"format_version": store.format_version,
+                  "manifest_sequence": store.manifest_sequence + 1,
+                  "store_uid": store.store_uid or uuid.uuid4().hex, "name": store.name,
+                  "machines": store.machines, "chunk_rows": store.chunk_rows_target}
+        if not _commit_chunks(store.directory, _source_blocks(source, rows_per_chunk),
+                              header, store.codec, store.codec_level,
+                              store._dictionary, dict(store.string_encodings),
+                              chunks=store._chunks, columns=store.columns,
+                              sorted_hint=False,
+                              verified_sorted=store.sorted_by_submit_time,
+                              discard_on_failure=True):
             return store
-
-        all_metas = store._chunks + new_metas
-        column_names = sorted(set(store.columns) | new_columns)
-        # Fill the gaps both ways: old chunks missing a newly appeared column,
-        # new chunks missing a column only the old data recorded.
-        _backfill_missing_columns(store.directory, all_metas, column_names,
-                                  store.format_version, codec=store.codec,
-                                  codec_level=store.codec_level,
-                                  dictionary=store._dictionary,
-                                  string_encodings=string_encodings)
-
-        manifest = {
-            "format_version": store.format_version,
-            "manifest_sequence": store.manifest_sequence + 1,
-            "store_uid": store.store_uid or uuid.uuid4().hex,
-            "name": store.name,
-            "machines": store.machines,
-            "n_jobs": sum(meta.rows for meta in all_metas),
-            "chunk_rows": store.chunk_rows_target,
-            "sorted_by_submit_time": still_sorted,
-            "columns": column_names,
-            "chunks": [meta.to_json() for meta in all_metas],
-        }
-        if store.format_version == 3:
-            manifest["codec"] = store.codec
-            manifest["codec_level"] = store.codec_level
-            manifest["string_encodings"] = string_encodings
-            # Grown dictionary commits before the manifest swap; extra
-            # (not-yet-referenced) entries are harmless if we crash here.
-            store._dictionary.save(store.directory)
-        _swap_manifest(store.directory, manifest)
         self.store = ChunkedTraceStore(store.directory)
         # Extend any index sidecar over the appended chunks only (old chunks
         # are never re-read).  Runs after the manifest swap: a crash in
@@ -783,7 +754,7 @@ class StoreAppender:
         # the staleness check detects — never a silently wrong index.
         from .indexes import extend_indexes
 
-        extend_indexes(self.store, previous_chunks=chunks_before_append)
+        extend_indexes(self.store, previous_chunks=store.n_chunks)
         return self.store
 
 
@@ -853,73 +824,35 @@ def _encode_v3_column(name: str, array: np.ndarray, codec: Optional[str],
     return pack_block(array, "raw", codec, codec_level)
 
 
-def _write_chunk(directory: str, index: int, columns: Dict[str, np.ndarray],
-                 format_version: int, codec: Optional[str] = None,
-                 codec_level: Optional[int] = None,
-                 dictionary: Optional[StoreDictionary] = None,
-                 string_encodings: Optional[Dict[str, str]] = None) -> str:
-    """Write one chunk's columns; returns the manifest ``file`` entry."""
+def _write_chunk(directory: str, file_name: str, columns: Dict[str, np.ndarray],
+                 written: List[str], format_version: int, codec: Optional[str],
+                 codec_level: Optional[int], dictionary: Optional[StoreDictionary],
+                 string_encodings: Dict[str, str]) -> None:
+    """Write ``columns`` of the chunk whose manifest ``file`` entry is
+    ``file_name``: v1 the whole ``.npz``, v2/v3 one file per column given (so
+    the same call fills columns into an existing chunk).  Every path is
+    recorded in ``written`` *before* it is opened."""
     if format_version == 1:
-        file_name = "chunk-%05d.npz" % index
-        np.savez_compressed(os.path.join(directory, file_name), **columns)
-        return file_name
-    prefix = "chunk-%05d" % index
-    if format_version == 3:
-        for name, array in columns.items():
+        written.append(os.path.join(directory, file_name))
+        np.savez_compressed(written[-1], **columns)
+        return
+    suffix = "bin" if format_version == 3 else "npy"
+    for name, array in columns.items():
+        path = os.path.join(directory, "%s.%s.%s" % (file_name, name, suffix))
+        written.append(path)
+        if format_version == 3:
             block = _encode_v3_column(name, np.asarray(array), codec, codec_level,
                                       dictionary, string_encodings)
-            with open(os.path.join(directory, "%s.%s.bin" % (prefix, name)),
-                      "wb") as handle:
+            with open(path, "wb") as handle:
                 handle.write(block)
-        return prefix
-    for name, array in columns.items():
-        np.save(os.path.join(directory, "%s.%s.npy" % (prefix, name)),
-                np.ascontiguousarray(array))
-    return prefix
+        else:
+            np.save(path, np.ascontiguousarray(array))
 
 
 def _empty_column(name: str, rows: int) -> np.ndarray:
     if name in NUMERIC_COLUMNS:
         return np.full(rows, np.nan, dtype=float)
     return np.full(rows, "", dtype=np.str_)
-
-
-def _backfill_missing_columns(directory: str, chunk_metas: List[_ChunkMeta],
-                              column_names: List[str], format_version: int,
-                              codec: Optional[str] = None,
-                              codec_level: Optional[int] = None,
-                              dictionary: Optional[StoreDictionary] = None,
-                              string_encodings: Optional[Dict[str, str]] = None) -> None:
-    """Rewrite early chunks that predate a column first seen in a later chunk."""
-    if format_version == 3:
-        for meta in chunk_metas:
-            for col in column_names:
-                path = os.path.join(directory, "%s.%s.bin" % (meta.file, col))
-                if not os.path.isfile(path):
-                    block = _encode_v3_column(col, _empty_column(col, meta.rows),
-                                              codec, codec_level, dictionary,
-                                              string_encodings)
-                    with open(path, "wb") as handle:
-                        handle.write(block)
-        return
-    if format_version == 2:
-        for meta in chunk_metas:
-            for col in column_names:
-                path = os.path.join(directory, "%s.%s.npy" % (meta.file, col))
-                if not os.path.isfile(path):
-                    np.save(path, _empty_column(col, meta.rows))
-        return
-    for meta in chunk_metas:
-        path = os.path.join(directory, meta.file)
-        with np.load(path, allow_pickle=False) as archive:
-            present = set(archive.files)
-            missing = [col for col in column_names if col not in present]
-            if not missing:
-                continue
-            data = {nm: archive[nm] for nm in archive.files}
-        for col in missing:
-            data[col] = _empty_column(col, meta.rows)
-        np.savez_compressed(path, **data)
 
 
 def _job_blocks(jobs: Iterable[Job], chunk_rows: int) -> Iterator[ColumnBlock]:

@@ -20,19 +20,23 @@ Scans run in a worker pool (the event loop stays responsive) and are
 a later scan of the same store resumes its resumable consumers from the
 checkpoint and folds only the appended chunks — the incremental
 characterization path of PR 5, now applied automatically between requests.
+Both lanes roll their checkpoints under the one policy of
+:func:`repro.engine.pipeline.scan_with_rolling_checkpoint`; this module adds
+the per-store lock around it, and the metrics.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import os
 import threading
 from typing import Dict, Optional, Sequence, Set, Tuple
 
 from ..core.profile import WorkloadProfile, profile_source
 from ..core.sharedscan import CharacterizationAnalyses, run_characterization_scan
+from ..engine.pipeline import scan_with_rolling_checkpoint
 from ..engine.store import ChunkedTraceStore
-from ..errors import AnalysisError
 from .metrics import ServiceMetrics
 
 __all__ = ["SharedScanAdmission"]
@@ -153,34 +157,29 @@ class SharedScanAdmission:
         return os.path.join(self.checkpoint_dir,
                             "%s-seed%d.checkpoint.json" % (name, int(seed)))
 
-    def _scan(self, name: str, store: ChunkedTraceStore,
-              experiments: Sequence[str], seed: int) -> CharacterizationAnalyses:
+    def _metered(self, name: str, checkpoint: Optional[str], scan):
+        """Run ``scan`` under the rolling-checkpoint policy — one at a time
+        per store — and count it; the result carries the scan's counters."""
         self.metrics.increment("repro_scans_started_total", store=name)
-        checkpoint = self._checkpoint_path(name, seed)
         if checkpoint is None:
-            bundle = run_characterization_scan(store, experiments=experiments,
-                                               seed=seed)
+            result = scan()
         else:
             with self._lock:
                 lock = self._checkpoint_locks.setdefault(name, threading.Lock())
             with lock:
-                resume = checkpoint if os.path.isfile(checkpoint) else None
-                try:
-                    bundle = run_characterization_scan(
-                        store, experiments=experiments, seed=seed,
-                        resume_from=resume, checkpoint_to=checkpoint)
-                except AnalysisError:
-                    if resume is None:
-                        raise
-                    # Unreadable or mismatched checkpoint (store rewritten,
-                    # torn file): fall back to a full scan and re-checkpoint.
-                    bundle = run_characterization_scan(
-                        store, experiments=experiments, seed=seed,
-                        checkpoint_to=checkpoint)
-        if bundle.resume is not None and bundle.resume.get("resumed"):
+                result = scan_with_rolling_checkpoint(scan, checkpoint)
+        if result.resume is not None and result.resume.get("resumed"):
             self.metrics.increment("repro_scans_resumed_total", store=name)
-        self.metrics.increment("repro_chunks_scanned_total", bundle.chunks_scanned)
-        self.metrics.increment("repro_rows_scanned_total", bundle.rows_scanned)
+        self.metrics.increment("repro_chunks_scanned_total", result.chunks_scanned)
+        self.metrics.increment("repro_rows_scanned_total", result.rows_scanned)
+        return result
+
+    def _scan(self, name: str, store: ChunkedTraceStore,
+              experiments: Sequence[str], seed: int) -> CharacterizationAnalyses:
+        bundle = self._metered(
+            name, self._checkpoint_path(name, seed),
+            functools.partial(run_characterization_scan, store,
+                              experiments=experiments, seed=seed))
         if store.n_chunks:
             info = store.info()
             self.metrics.increment(
@@ -201,29 +200,6 @@ class SharedScanAdmission:
 
     def _profile(self, name: str, store: ChunkedTraceStore,
                  threshold: float) -> WorkloadProfile:
-        self.metrics.increment("repro_scans_started_total", store=name)
-        checkpoint = self._profile_checkpoint_path(name, threshold)
-        if checkpoint is None:
-            profile = profile_source(store, threshold, name=name)
-        else:
-            with self._lock:
-                lock = self._checkpoint_locks.setdefault(name, threading.Lock())
-            with lock:
-                resume = checkpoint if os.path.isfile(checkpoint) else None
-                try:
-                    profile = profile_source(store, threshold, name=name,
-                                             resume_from=resume,
-                                             checkpoint_to=checkpoint)
-                except AnalysisError:
-                    if resume is None:
-                        raise
-                    # Unreadable or mismatched checkpoint: full scan,
-                    # re-checkpoint.
-                    profile = profile_source(store, threshold, name=name,
-                                             checkpoint_to=checkpoint)
-        if profile.resume is not None and profile.resume.get("resumed"):
-            self.metrics.increment("repro_scans_resumed_total", store=name)
-        self.metrics.increment("repro_chunks_scanned_total",
-                               profile.chunks_scanned)
-        self.metrics.increment("repro_rows_scanned_total", profile.rows_scanned)
-        return profile
+        return self._metered(
+            name, self._profile_checkpoint_path(name, threshold),
+            functools.partial(profile_source, store, threshold, name=name))

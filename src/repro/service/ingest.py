@@ -37,6 +37,7 @@ import os
 import threading
 from typing import Dict, Optional
 
+from ..engine.codecs import durable_replace
 from ..engine.store import append_store
 from ..errors import ReproError
 from ..traces.io import RecordSource, parse_json_lines
@@ -72,10 +73,9 @@ class FeedTailer:
             return 0
 
     def _save_offset(self) -> None:
-        temporary = self.offset_path + ".tmp"
-        with open(temporary, "w", encoding="utf-8") as handle:
-            json.dump({"offset": self.offset, "feed": self.feed_path}, handle)
-        os.replace(temporary, self.offset_path)
+        # Durable: a torn offset file reads as 0 and re-ingests the whole feed.
+        document = {"offset": self.offset, "feed": self.feed_path}
+        durable_replace([(self.offset_path, json.dumps(document).encode("utf-8"))])
 
     def poll(self) -> int:
         """Read complete new lines, append their jobs, persist the offset.

@@ -463,7 +463,16 @@ class TraceAnalyticsService:
             return 200, payload, "application/json", cache_state
         if parts[:2] == ["v1", "stores"] and len(parts) == 2 and method == "GET":
             self.catalog.refresh()
-            return 200, canonical_json({"stores": self.catalog.info()}), \
+            stores = []
+            for entry in self.catalog.members():
+                # One unopenable member is reported in place; it must not
+                # take the listing of the healthy ones down with it.
+                try:
+                    stores.append(entry.info())
+                except ReproError as exc:
+                    stores.append({"catalog_name": entry.name, "error": str(exc),
+                                   "type": type(exc).__name__})
+            return 200, canonical_json({"stores": stores}), \
                 "application/json", "-"
         if parts[:2] == ["v1", "stores"] and len(parts) in (3, 4):
             name = parts[2]

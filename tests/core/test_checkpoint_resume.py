@@ -297,3 +297,65 @@ class TestAllKeysCovered:
                     "cluster_sample"}
         assert expected <= handled
         assert set(_ALL_KEYS) >= {"summary", "data_sizes"}  # sanity
+
+
+class TestOneResumeDriver:
+    """``run_characterization_scan`` resumes through ``run_resumable_scan`` and
+    nothing else: the same consumers over the same checkpoint give the same
+    resume report and the same checkpoint bytes either way."""
+
+    @pytest.mark.parametrize("processes", [None, 2], ids=["serial", "parallel2"])
+    def test_same_report_and_checkpoint_as_the_generic_driver(
+            self, grown_store, tmp_path, monkeypatch, processes):
+        import json
+        import shutil
+
+        from repro.core import sharedscan
+        from repro.engine import TraceSource, run_resumable_scan
+
+        store, checkpoint_path = grown_store
+        paths = {}
+        for side in ("characterization", "generic"):
+            paths[side] = str(tmp_path / ("%s.ck.json" % side))
+            shutil.copy(checkpoint_path, paths[side])
+            shutil.copy(checkpoint_path + ".npz", paths[side] + ".npz")
+        executor = ParallelExecutor(processes=processes) if processes else None
+
+        seen = {}
+
+        def spy(source, consumers, **kwargs):
+            seen["consumers"], seen["kwargs"] = list(consumers), kwargs
+            return run_resumable_scan(source, consumers, **kwargs)
+
+        monkeypatch.setattr(sharedscan, "run_resumable_scan", spy)
+        bundle = run_characterization_scan(
+            store, cluster_sample_cap=SAMPLE_CAP, executor=executor,
+            resume_from=paths["characterization"],
+            checkpoint_to=paths["characterization"])
+        assert seen["kwargs"]["executor"] is executor
+        assert bundle.checkpoint_path == paths["characterization"]
+
+        merged, report, saved = run_resumable_scan(
+            TraceSource.wrap(store), seen["consumers"], executor=executor,
+            resume_from=paths["generic"], checkpoint_to=paths["generic"],
+            meta={"workload": store.name})
+        assert saved == paths["generic"]
+        assert report == bundle.resume
+        assert report["new_chunks"] == store.n_chunks - report["chunk_watermark"] > 0
+        assert "summary" in report["resumed"]
+        assert "not resumable" in report["rescanned"]["cluster_sample"]
+        assert merged.rows_scanned == bundle.rows_scanned
+
+        def stable_bytes(path):
+            """The checkpoint JSON with its per-save random token blanked."""
+            with open(path, "rb") as handle:
+                data = handle.read()
+            return data.replace(json.loads(data)["save_token"].encode(), b"<token>")
+
+        assert stable_bytes(paths["characterization"]) == stable_bytes(paths["generic"])
+        with np.load(paths["characterization"] + ".npz") as mine, \
+                np.load(paths["generic"] + ".npz") as reference:
+            assert sorted(mine.files) == sorted(reference.files)
+            for member in mine.files:
+                if member != "__save_token__":
+                    assert np.array_equal(mine[member], reference[member]), member

@@ -483,6 +483,33 @@ class TestFederationEdgeCases:
         with open(broken, "r", encoding="utf-8") as handle:
             assert "chunk_watermark" in handle.read()
 
+    def test_checkpoint_of_a_rewritten_member_is_replaced(self, tmp_path):
+        """The rolling-checkpoint policy, seen from a federation member: the
+        checkpoint no longer validates (new ``store_uid``), so that member —
+        and only that member — scans cold, and the file rolls forward."""
+        catalog_dir = three_member_catalog(tmp_path, 3)
+        checkpoint_dir = str(tmp_path / "checkpoints")
+        compare_catalog(catalog_dir, checkpoint_dir=checkpoint_dir)
+        rewritten = ChunkedTraceStore.write(
+            os.path.join(catalog_dir, "cc-b"),
+            varied_jobs("ccb2", 90, seed=31, query_share=0.3), chunk_rows=64,
+            format_version=3)
+        append_store(os.path.join(catalog_dir, "fb@2010"),
+                     varied_jobs("fb10x", 40, seed=21, query_share=0.6))
+        cold = compare_catalog(catalog_dir)
+        rolled = compare_catalog(catalog_dir, checkpoint_dir=checkpoint_dir)
+        assert report_digest(rolled) == report_digest(cold)
+        assert rolled.profiles["cc-b"].resume is None
+        assert rolled.profiles["cc-b"].rows_scanned == 90
+        assert rolled.profiles["fb@2010"].resume["resumed"]
+        with open(os.path.join(checkpoint_dir, "cc-b.checkpoint.json"),
+                  "r", encoding="utf-8") as handle:
+            assert json.load(handle)["store_uid"] == rewritten.store_uid
+        # ... and the replaced checkpoint resumes the next scan.
+        again = compare_catalog(catalog_dir, checkpoint_dir=checkpoint_dir)
+        assert again.profiles["cc-b"].resume["resumed"]
+        assert again.profiles["cc-b"].rows_scanned == 0
+
     def test_unknown_member_and_duplicate_member_errors(self, tmp_path):
         catalog_dir = three_member_catalog(tmp_path, 2)
         with pytest.raises(TraceFormatError, match="no store named"):

@@ -231,3 +231,114 @@ class TestIngestCli:
         out = capsys.readouterr().out
         assert "per-column on-disk bytes" in out
         assert "submit_time_s" in out
+
+
+def path_jobs(lo, hi, prefix, name=None):
+    """Jobs ``lo..hi``; ``prefix`` None leaves ``input_path`` unrecorded."""
+    return [Job(job_id="a%05d" % index, submit_time_s=5.0 * index, duration_s=30.0,
+                input_bytes=1e6 * (index + 1), shuffle_bytes=0.0, output_bytes=1e3,
+                map_task_seconds=20.0, reduce_task_seconds=0.0, name=name,
+                input_path=prefix and "%s/%d" % (prefix, index - lo))
+            for index in range(lo, hi)]
+
+
+def chunk_column(store, index, column):
+    return store.read_chunk(index, columns=[column]).column(column).tolist()
+
+
+class TestReusedDirectory:
+    """Which columns a chunk has comes from the manifest and from what the
+    call wrote — a file an earlier store left at that name is not data."""
+
+    @pytest.mark.parametrize("format_version", [2, 3])
+    def test_rewrite_fills_over_a_stale_column_file(self, tmp_path, format_version):
+        directory = tmp_path / "reused.store"
+        ChunkedTraceStore.write(directory, path_jobs(0, 4, "/old"), chunk_rows=4,
+                                format_version=format_version)
+        store = ChunkedTraceStore.write(
+            directory, path_jobs(0, 4, None) + path_jobs(4, 8, "/new"),
+            chunk_rows=4, format_version=format_version)
+        assert chunk_column(store, 0, "input_path") == ["", "", "", ""]
+        assert chunk_column(store, 1, "input_path") == ["/new/%d" % i for i in range(4)]
+
+    @pytest.mark.parametrize("format_version", [2, 3])
+    def test_append_fills_over_a_stale_column_file(self, tmp_path, format_version):
+        """Chunk 1 of an earlier, longer store is still lying in the directory."""
+        directory = tmp_path / "reused.store"
+        ChunkedTraceStore.write(directory, path_jobs(0, 8, "/old"), chunk_rows=4,
+                                format_version=format_version)
+        ChunkedTraceStore.write(directory, path_jobs(0, 4, "/kept"), chunk_rows=4,
+                                format_version=format_version)
+        store = append_store(directory, path_jobs(4, 8, None))
+        assert chunk_column(store, 0, "input_path") == ["/kept/%d" % i for i in range(4)]
+        assert chunk_column(store, 1, "input_path") == ["", "", "", ""]
+
+
+def named_chunk_jobs(chunk, rows=16):
+    """One chunk's worth of jobs; chunks 2 and 5 record no names, and every
+    named chunk brings a value the chunks before it did not have."""
+    name = None if chunk in (2, 5) else "w"
+    jobs = path_jobs(chunk * rows, (chunk + 1) * rows, "/in", name=name)
+    if name:
+        for offset, job in enumerate(jobs):
+            job.name = "w%d" % (offset % 5 + chunk)
+    return jobs
+
+
+def directory_bytes(directory):
+    """Every file but the manifest as bytes, and the manifest minus what a
+    write and a write + append must differ in."""
+    files = {}
+    for file_name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, file_name), "rb") as handle:
+            files[file_name] = handle.read()
+    manifest = json.loads(files.pop(MANIFEST_NAME))
+    manifest.pop("store_uid")
+    manifest.pop("manifest_sequence")
+    return files, manifest
+
+
+class TestWriteEqualsWriteThenAppend:
+    """The standing guard on the one commit sequence: started from nothing or
+    from an open store, the same chunks make the same bytes."""
+
+    @pytest.mark.parametrize("format_version", [2, 3])
+    @pytest.mark.parametrize("k", [1, 4, 7])
+    def test_same_chunks_same_bytes(self, tmp_path, format_version, k):
+        chunks = [named_chunk_jobs(chunk) for chunk in range(8)]
+        whole = ChunkedTraceStore.write(
+            tmp_path / "whole", [job for chunk in chunks for job in chunk],
+            chunk_rows=16, format_version=format_version)
+        ChunkedTraceStore.write(
+            tmp_path / "grown", [job for chunk in chunks[:k] for job in chunk],
+            chunk_rows=16, format_version=format_version)
+        grown = append_store(tmp_path / "grown",
+                             [job for chunk in chunks[k:] for job in chunk])
+        assert grown.n_chunks == whole.n_chunks == 8
+        assert grown.manifest_sequence == 1 and whole.manifest_sequence == 0
+        if format_version == 3:
+            assert whole.string_encodings["name"] == "dict"
+        whole_files, whole_manifest = directory_bytes(whole.directory)
+        grown_files, grown_manifest = directory_bytes(grown.directory)
+        assert sorted(grown_files) == sorted(whole_files)
+        for file_name in whole_files:
+            assert grown_files[file_name] == whole_files[file_name], file_name
+        assert grown_manifest == whole_manifest
+
+    def test_inline_padding_corner_is_pinned_by_values(self, tmp_path):
+        """The one byte-order corner of the merge (see ``_commit_chunks``): a
+        v3 append pads a chunk that lacks a dictionary column *before* a later
+        chunk of the same call brings new values, so the ``""`` code may come
+        earlier than it used to.  Decoded values are what is promised."""
+        chunks = [named_chunk_jobs(chunk) for chunk in range(4)]  # chunk 2: no names
+        ChunkedTraceStore.write(tmp_path / "store", chunks[0], chunk_rows=16,
+                                format_version=3)
+        store = append_store(tmp_path / "store",
+                             [job for chunk in chunks[1:] for job in chunk])
+        expected = [job.name or "" for chunk in chunks for job in chunk]
+        decoded = [name for index in range(store.n_chunks)
+                   for name in chunk_column(store, index, "name")]
+        assert decoded == expected
+        table = store.string_table("name")
+        assert sorted(table.values) == sorted(set(expected))
+        assert len(table.values) == len(set(table.values))

@@ -312,3 +312,79 @@ class TestErrorsNameTheLine:
         with pytest.raises(TraceFormatError, match="line 20: record must be a JSON object"):
             append_store(store.directory, iter_trace(path))
         assert store_files(store.directory)[MANIFEST_NAME] == before
+
+
+class TestFailedAppendLeavesNothingBehind:
+    """An append that raises before the manifest swap unlinks what it wrote:
+    the directory is the one it found, and no later append can read a value
+    that was never committed for its rows."""
+
+    def orphans(self, count, first):
+        jobs = make_jobs(count, first=first)
+        for index, job in enumerate(jobs):
+            job.input_path = "/orphan/%d" % index
+        return jobs
+
+    @pytest.mark.parametrize("format_version", [2, 3])
+    def test_bad_line_after_chunks_were_written(self, tmp_path, batch_records,
+                                                format_version):
+        from repro.engine import Query, execute
+
+        store = ChunkedTraceStore.write(tmp_path / "store", make_jobs(4), chunk_rows=4,
+                                        format_version=format_version)
+        before = store_files(store.directory)
+        path = tmp_path / "bad.jsonl"
+        TestErrorsNameTheLine().write_lines(path, self.orphans(40, first=4),
+                                            {30: "{broken"})
+        with pytest.raises(TraceFormatError, match="line 30: not valid JSON"):
+            append_store(store.directory, iter_trace(path), chunk_rows=4)
+        assert store_files(store.directory) == before
+        unrecorded = make_jobs(4, first=4)
+        for job in unrecorded:
+            job.input_path = None
+        grown = append_store(store.directory, unrecorded)
+        assert grown.read_chunk(1, columns=["input_path"]).column("input_path").tolist() \
+            == ["", "", "", ""]
+        query = Query().filter("input_path", "==", "/orphan/0").count()
+        assert execute(grown, query).aggregates["count"] == 0
+
+    @pytest.mark.parametrize("fails_at", ["dictionary.json", MANIFEST_NAME])
+    def test_failure_in_a_durable_save(self, tmp_path, monkeypatch, fails_at):
+        """The rename of the dictionary (or of the manifest itself) fails: the
+        chunk files *and* the temporaries of the save are gone again."""
+        store = ChunkedTraceStore.write(tmp_path / "store", make_jobs(40, name="select"),
+                                        chunk_rows=32, format_version=3)
+        assert store.string_encodings["name"] == "dict"
+        before = store_files(store.directory)
+        real_replace = os.replace
+
+        def full_disk(source, target):
+            if os.path.basename(target) == fails_at:
+                raise OSError(28, "No space left on device")
+            real_replace(source, target)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", full_disk)
+            with pytest.raises(OSError, match="No space left"):
+                append_store(store.directory, make_jobs(40, first=40, name="insert"))
+        after = store_files(store.directory)
+        if fails_at == MANIFEST_NAME:
+            # the grown dictionary was committed first: extra codes, harmless
+            assert len(after.pop("dictionary.json")) > len(before.pop("dictionary.json"))
+        assert after == before
+        grown = append_store(store.directory, make_jobs(40, first=40, name="insert"))
+        assert [job.name for job in grown.iter_jobs()] == [
+            job.name for job in make_jobs(40, name="select")
+            + make_jobs(40, first=40, name="insert")]
+
+    def test_failed_write_deletes_nothing(self, tmp_path, batch_records):
+        """A reused directory's committed manifest may still name the files a
+        failed *write* overwrote; only appends clean up."""
+        store = ChunkedTraceStore.write(tmp_path / "store", make_jobs(64), chunk_rows=8)
+        listing = sorted(os.listdir(store.directory))
+        path = tmp_path / "bad.jsonl"
+        TestErrorsNameTheLine().write_lines(path, make_jobs(64), {60: "{broken"})
+        with pytest.raises(TraceFormatError, match="line 60"):
+            ChunkedTraceStore.write(store.directory, iter_trace(path), chunk_rows=8)
+        assert sorted(os.listdir(store.directory)) == listing
+        assert ChunkedTraceStore(store.directory).n_jobs == 64

@@ -198,3 +198,92 @@ class TestDaemonFeedLoop:
                         break
                     time.sleep(0.05)
                 assert feeds[0]["appended_jobs"] == 2
+
+
+class TestDurableWriters:
+    """Every durable file goes through the one write → fsync → rename seam
+    (``repro.engine.codecs.durable_replace``).  The feed offset used to rename
+    an un-flushed, un-fsynced temporary: a crash could leave an empty offset
+    file, which reads as 0 and re-ingests the whole feed."""
+
+    WRITERS = ("manifest", "dictionary", "indexes", "checkpoint", "feed_offset")
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_every_temporary_is_fsynced_before_its_rename(self, writer, tmp_path,
+                                                          monkeypatch,
+                                                          cc_service_trace):
+        from repro.core import run_characterization_scan
+        from repro.engine import (Checkpoint, StoreDictionary, append_store,
+                                  build_indexes)
+
+        jobs = cc_service_trace.jobs
+        directory = str(tmp_path / "store")
+        store = ChunkedTraceStore.write(directory, jobs[:200], chunk_rows=64,
+                                        format_version=3)
+        checkpoint_path = str(tmp_path / "scan.ck.json")
+        feed = tmp_path / "feed.jsonl"
+        feed.write_bytes(_feed_line(jobs[200]))
+        tailer = FeedTailer("s", str(feed), directory, str(tmp_path))
+        manifest_path = os.path.join(directory, "manifest.json")
+        # (what to run, the final paths it must rename into place, in order)
+        action, finals = {
+            "manifest": (lambda: append_store(directory, jobs[201:230]),
+                         [os.path.join(directory, "dictionary.json"), manifest_path]),
+            "dictionary": (lambda: StoreDictionary.load(directory).save(directory),
+                           [os.path.join(directory, "dictionary.json")]),
+            "indexes": (lambda: build_indexes(store).save(),
+                        [os.path.join(directory, "index.%s.npz" % column)
+                         for column in build_indexes(store).columns]
+                        + [os.path.join(directory, "index.json")]),
+            "checkpoint": (lambda: run_characterization_scan(
+                               store, experiments=["table1"],
+                               checkpoint_to=checkpoint_path),
+                           [checkpoint_path + ".npz", checkpoint_path]),
+            "feed_offset": (tailer.poll,
+                            [os.path.join(directory, "dictionary.json"), manifest_path,
+                             tailer.offset_path]),
+        }[writer]
+        if writer == "feed_offset":
+            action()  # the recorded poll rolls an existing offset file forward
+            with open(feed, "ab") as handle:
+                handle.write(_feed_line(jobs[231]))
+        elif writer != "manifest":
+            action()  # so that every final path exists and has an inode to lose
+        inodes_before = {path: os.stat(path).st_ino for path in finals}
+
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def replace(source, target):
+            events.append(("replace", os.stat(source).st_ino, os.fspath(target)))
+            real_replace(source, target)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fsync", fsync)
+            patch.setattr(os, "replace", replace)
+            action()
+
+        renames = [event for event in events if event[0] == "replace"]
+        assert [target for _kind, _inode, target in renames] == finals
+        fsynced = set()
+        for event in events:
+            if event[0] == "fsync":
+                fsynced.add(event[1])
+            else:
+                assert event[1] in fsynced, "renamed before fsync: %s" % event[2]
+        if writer in ("checkpoint", "indexes"):
+            # one seam call: every temporary is durable before the first rename
+            first_rename = events.index(renames[0])
+            assert len([e for e in events[:first_rename] if e[0] == "fsync"]) == len(finals)
+        for _kind, inode, target in renames:
+            # the final path is the fsynced temporary, not an in-place rewrite
+            assert os.stat(target).st_ino == inode != inodes_before[target]
+        if writer == "checkpoint":
+            assert Checkpoint.load(checkpoint_path).chunk_watermark == store.n_chunks
+        if writer == "feed_offset":
+            assert json.load(open(tailer.offset_path))["offset"] == tailer.offset \
+                == feed.stat().st_size

@@ -116,6 +116,32 @@ class TestBasicEndpoints:
         assert excinfo.value.body["error"].startswith("jobs[2]: ")
         assert client.store_info("fb")["n_jobs"] == before
 
+    def test_broken_member_is_listed_in_place_not_a_500(self, client, catalog_dir):
+        """One unopenable member must not take the whole listing down."""
+        manifest_path = os.path.join(catalog_dir, "cc", "manifest.json")
+        with open(manifest_path, "r", encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        manifest["format_version"] = 9
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        response = client.get("/v1/stores")
+        assert response.status == 200
+        broken, healthy = response.json()["stores"]
+        assert sorted(broken) == ["catalog_name", "error", "type"]
+        assert broken["catalog_name"] == "cc"
+        assert broken["type"] == "TraceFormatError"
+        assert "unsupported format version 9" in broken["error"]
+        assert healthy["catalog_name"] == "fb" and healthy["n_jobs"] > 0
+        assert client.healthz()["stores"] == ["cc", "fb"]
+        # The broken member itself keeps refusing with a 400 ...
+        with pytest.raises(ServiceError) as excinfo:
+            client.store_info("cc")
+        assert excinfo.value.status == 400
+        assert excinfo.value.body["type"] == "TraceFormatError"
+        # ... and the healthy one keeps serving.
+        assert client.query("fb", agg=["count"]).json()["aggregates"]["count"] \
+            == healthy["n_jobs"]
+
     def test_metrics_endpoint_is_prometheus_text(self, client):
         client.healthz()
         text = client.metrics_text()
@@ -290,6 +316,50 @@ class TestCatalogCompare:
         # A cached replay starts no further scans.
         assert client.catalog_compare(suite_size=2).cache == "hit"
         assert client.metric("repro_scans_started_total") == started
+
+
+class TestRollingCheckpoints:
+    """The one rolling-checkpoint policy, seen through the daemon's two scan
+    lanes: a checkpoint of a *rewritten* store no longer validates, so the
+    scan runs cold instead of failing and the checkpoint is replaced."""
+
+    @pytest.mark.parametrize("lane", ["characterize", "profile"])
+    def test_checkpoint_of_a_rewritten_store_is_replaced(self, client, catalog_dir,
+                                                         cc_service_trace, lane):
+        from repro.engine import ChunkedTraceStore
+
+        def scanned():
+            """What the lane's scan computed for ``fb`` (and, beside it, ``cc``)."""
+            if lane == "characterize":
+                responses = [client.characterize(name, experiments=["figure1"])
+                             for name in ("fb", "cc")]
+                return responses[0], [response.json()["results"][0]["rows"][0][1:]
+                                      for response in responses]
+            response = client.catalog_compare()
+            jobs = {m["name"]: m["n_jobs"] for m in response.json()["members"]}
+            return response, [jobs["fb"], jobs["cc"]]
+
+        _response, (fb_before, cc_before) = scanned()
+        assert fb_before != cc_before
+        checkpoints = os.path.join(catalog_dir, ".service", "checkpoints")
+        (file_name,) = [name for name in os.listdir(checkpoints)
+                        if name.startswith("fb-") and name.endswith(".checkpoint.json")]
+        assert ("profile" in file_name) == (lane == "profile")
+        path = os.path.join(checkpoints, file_name)
+        with open(path, "r", encoding="utf-8") as handle:
+            old_uid = json.load(handle)["store_uid"]
+
+        rewritten = ChunkedTraceStore.write(os.path.join(catalog_dir, "fb"),
+                                            cc_service_trace, chunk_rows=512)
+        assert rewritten.store_uid != old_uid
+        again, (fb_after, cc_after) = scanned()
+        assert again.status == 200 and again.cache == "miss"
+        # ``cc`` holds the same trace: the cold scan of the new ``fb`` agrees.
+        assert fb_after == cc_after == cc_before
+        # ``fb`` never resumed: both of its scans ran cold.
+        assert 'repro_scans_resumed_total{store="fb"}' not in client.metrics_text()
+        with open(path, "r", encoding="utf-8") as handle:
+            assert json.load(handle)["store_uid"] == rewritten.store_uid
 
 
 class TestSharedScanAdmission:

@@ -41,7 +41,8 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.engine import ChunkedTraceStore, Query, build_indexes, execute
+from repro.engine import (ChunkedTraceStore, Query, build_indexes,
+                          clear_block_cache, execute)
 from repro.traces import Job, Trace
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
@@ -93,9 +94,12 @@ def synthetic_jobs(n_jobs: int, seed: int = 2012):
 
 
 def timed(fn, repeat=3):
+    """Best wall of ``repeat`` runs, each from an empty decoded-block cache:
+    the index-vs-scan ratios compare a cold decode on both sides."""
     best = float("inf")
     value = None
     for _ in range(repeat):
+        clear_block_cache()
         start = time.perf_counter()
         value = fn()
         best = min(best, time.perf_counter() - start)

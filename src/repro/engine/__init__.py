@@ -13,6 +13,9 @@ list of :class:`~repro.traces.schema.Job` objects can hold:
 * :mod:`repro.engine.codecs` — the v3 block codec registry (stdlib
   ``zlib``/``lzma``, optional ``zstd``/``lz4``), bit-exact delta coding, and
   the append-only :class:`StoreDictionary` string tables;
+* :mod:`repro.engine.blockcache` — the byte-budgeted LRU of decoded v3
+  column blocks behind ``read_chunk``: index-backed plans admit, whole-store
+  passes only read through;
 * :mod:`repro.engine.operators` — lazy ``scan → filter → project →
   group-by/aggregate → top-k/limit`` pipelines with column pruning, zone-map
   chunk skipping, and limit short-circuiting;
@@ -72,6 +75,7 @@ from .aggregates import (
     make_aggregate,
     parse_aggregate_spec,
 )
+from .blockcache import block_cache_stats, clear_block_cache
 from .catalog import CATALOG_METADATA_NAME, CatalogEntry, StoreCatalog
 from .federation import FederatedSource, MemberScan
 from .codecs import (
@@ -143,6 +147,8 @@ __all__ = [
     "DEFAULT_FORMAT_VERSION",
     "SUPPORTED_FORMAT_VERSIONS",
     "DEFAULT_CODEC",
+    "block_cache_stats",
+    "clear_block_cache",
     "StoreDictionary",
     "StringDictionary",
     "available_codecs",

@@ -237,7 +237,8 @@ def unpack_block(data: bytes, path: str = "<block>") -> Tuple[Dict, np.ndarray]:
 
     ``dict`` blocks return the **uint32 code array** — attaching the store
     dictionary (and decoding to strings lazily) is the reader's job; that is
-    the code-native decode path.
+    the code-native decode path.  The array is read-only whatever the
+    encoding: the block cache hands the same one to every reader.
     """
     header, payload = _split_block(data, path)
     codec = _get_codec(header.get("codec", DEFAULT_CODEC))
@@ -259,6 +260,7 @@ def unpack_block(data: bytes, path: str = "<block>") -> Tuple[Dict, np.ndarray]:
     if array.shape[0] != rows:
         raise TraceFormatError("%s: block decodes to %d rows, header says %d"
                                % (path, array.shape[0], rows))
+    array.flags.writeable = False  # frombuffer already is; the delta rebuild is not
     return header, array
 
 

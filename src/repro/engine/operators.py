@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -265,10 +266,14 @@ def _python_value(value):
 # Execution
 # ---------------------------------------------------------------------------
 def _iter_source_chunks(source, columns, predicates,
-                        chunk_indices: Optional[Sequence[int]] = None):
+                        chunk_indices: Optional[Sequence[int]] = None,
+                        admit: bool = False):
     """Yield ``(block or None, skipped)`` per chunk, applying zone pruning."""
     zone_aware = hasattr(source, "chunk_zone")
     if zone_aware:
+        # Only a store knows ``admit``; any other zone-aware source is asked
+        # for ``read_chunk(index, columns=...)`` and nothing more.
+        read_chunk = partial(source.read_chunk, admit=True) if admit else source.read_chunk
         indices = list(chunk_indices) if chunk_indices is not None else list(range(source.n_chunks))
         for index in indices:
             # chunk_zone answers None for columns without a recorded zone
@@ -281,14 +286,14 @@ def _iter_source_chunks(source, columns, predicates,
             if not admitted:
                 yield None, True
                 continue
-            yield source.read_chunk(index, columns=columns), False
+            yield read_chunk(index, columns=columns), False
     else:
         for block in source.iter_chunks(columns=columns):
             yield block, False
 
 
 def execute(source, query: Query, chunk_indices: Optional[Sequence[int]] = None,
-            use_planner: bool = True) -> QueryResult:
+            use_planner: bool = True, admit: bool = False) -> QueryResult:
     """Run ``query`` against ``source``, streaming one chunk at a time.
 
     ``source`` is anything with ``iter_chunks(columns=...)`` — a
@@ -301,7 +306,9 @@ def execute(source, query: Query, chunk_indices: Optional[Sequence[int]] = None,
     sidecar (when one exists and is fresh) and attaches its :class:`Plan` to
     the result.  ``use_planner=False`` forces the raw scan path — the
     planner itself, the parallel executor's per-worker chunk subsets, and
-    benchmarks comparing access paths use it.
+    benchmarks comparing access paths use it.  ``admit`` is the planner's:
+    its index-skip scan inserts the blocks it misses into the decoded-block
+    cache (:mod:`repro.engine.blockcache`); every other scan reads through.
     """
     query.validate()
     if (use_planner and chunk_indices is None
@@ -310,15 +317,16 @@ def execute(source, query: Query, chunk_indices: Optional[Sequence[int]] = None,
 
         return execute_planned(source, query)
     if query.is_aggregate_only():
-        return _aggregate_result(query, *_fold_aggregates(source, query, chunk_indices))
+        return _aggregate_result(query, *_fold_aggregates(source, query, chunk_indices, admit))
     columns = query.required_columns()
     result = QueryResult()
     if query.top_k_column is not None:
-        return _execute_top_k(source, query, columns, chunk_indices, result)
-    return _execute_collect(source, query, columns, chunk_indices, result)
+        return _execute_top_k(source, query, columns, chunk_indices, result, admit)
+    return _execute_collect(source, query, columns, chunk_indices, result, admit)
 
 
-def _fold_aggregates(source, query: Query, chunk_indices: Optional[Sequence[int]] = None):
+def _fold_aggregates(source, query: Query, chunk_indices: Optional[Sequence[int]] = None,
+                     admit: bool = False):
     """Scan and fold an aggregate-shaped query: ``(state, result)``, unread.
 
     The state is still mergeable: :func:`execute` reads it out directly, a
@@ -329,7 +337,7 @@ def _fold_aggregates(source, query: Query, chunk_indices: Optional[Sequence[int]
              else GroupedAggregates(query.aggregates, query.group_column))
     result = QueryResult()
     for block, skipped in _iter_source_chunks(source, query.required_columns(),
-                                              query.predicates, chunk_indices):
+                                              query.predicates, chunk_indices, admit):
         if skipped:
             result.chunks_skipped += 1
             continue
@@ -361,12 +369,14 @@ def _apply_filters(block: ColumnBlock, predicates: Tuple[Predicate, ...]) -> Col
     return block.select(mask)
 
 
-def _execute_top_k(source, query: Query, columns, chunk_indices, result: QueryResult) -> QueryResult:
+def _execute_top_k(source, query: Query, columns, chunk_indices, result: QueryResult,
+                   admit: bool) -> QueryResult:
     """Heap-merge per-chunk top-k candidates; only k rows live at a time."""
     heap: List[Tuple[float, int, ColumnBlock]] = []  # (keyed value, tiebreak, 1-row block)
     sign = 1.0 if query.top_k_largest else -1.0
     tiebreak = 0
-    for block, skipped in _iter_source_chunks(source, columns, query.predicates, chunk_indices):
+    for block, skipped in _iter_source_chunks(source, columns, query.predicates,
+                                              chunk_indices, admit):
         if skipped:
             result.chunks_skipped += 1
             continue
@@ -407,12 +417,14 @@ def _execute_top_k(source, query: Query, columns, chunk_indices, result: QueryRe
     return result
 
 
-def _execute_collect(source, query: Query, columns, chunk_indices, result: QueryResult) -> QueryResult:
+def _execute_collect(source, query: Query, columns, chunk_indices, result: QueryResult,
+                     admit: bool) -> QueryResult:
     """Materialize filtered/projected rows, short-circuiting on ``limit``."""
     limit = query.row_limit
     collected: List[ColumnBlock] = []
     n_collected = 0
-    for block, skipped in _iter_source_chunks(source, columns, query.predicates, chunk_indices):
+    for block, skipped in _iter_source_chunks(source, columns, query.predicates,
+                                              chunk_indices, admit):
         if skipped:
             result.chunks_skipped += 1
             continue

@@ -21,6 +21,10 @@ driver predicate, chunks touched vs total, rows examined) which rides the
 :class:`~repro.engine.operators.QueryResult`, the ``engine query --explain``
 CLI and the service daemon's query responses.
 
+The paths that decode chunks *because an index named them* (index-probe,
+index-topk, index-skip) read with ``admit=True``: what they miss enters the
+decoded-block cache (:mod:`~repro.engine.blockcache`); scans only read through.
+
 The planner *never* consults a stale sidecar: staleness is checked against
 the store's ``manifest_sequence`` first, and a stale index only downgrades
 the plan to the scan path (flagged on the plan so callers can warn) — results
@@ -367,7 +371,7 @@ def execute_planned(store, query: Query, use_index: bool = True) -> QueryResult:
         result = _gather_top_k(store, query, payload["index"], payload["selection"])
     elif mode == "index-skip":
         result = execute(store, query, chunk_indices=payload["chunk_indices"],
-                         use_planner=False)
+                         use_planner=False, admit=True)
         result.chunks_skipped += store.n_chunks - len(payload["chunk_indices"])
     else:
         result = execute(store, query, use_planner=False)
@@ -388,7 +392,7 @@ def _gather_positions(store, query: Query, chunks: np.ndarray,
         boundaries = np.searchsorted(chunks, unique_chunks, side="left")
         boundaries = np.append(boundaries, chunks.shape[0])
         for position, chunk in enumerate(unique_chunks):
-            block = store.read_chunk(int(chunk), columns=columns)
+            block = store.read_chunk(int(chunk), columns=columns, admit=True)
             taken = block.take(rows[boundaries[position]:boundaries[position + 1]])
             if query.projection:
                 taken = taken.project(query.projection)
@@ -421,7 +425,7 @@ def _gather_top_k(store, query: Query, index: SortedColumnIndex,
     columns = query.required_columns()
     cache: Dict[int, ColumnBlock] = {}
     for chunk in np.unique(chunks):
-        cache[int(chunk)] = store.read_chunk(int(chunk), columns=columns)
+        cache[int(chunk)] = store.read_chunk(int(chunk), columns=columns, admit=True)
         result.chunks_scanned += 1
         result.chunks_skipped -= 1
     pieces = [cache[int(chunk)].slice(int(row), int(row) + 1)

@@ -38,6 +38,10 @@ chunk of rows, in one of three manifest-versioned layouts:
   High-cardinality columns (``job_id``) skip the dictionary and store
   compressed fixed-width text instead; the choice is made per column on
   first appearance and recorded in the manifest's ``string_encodings``.
+  Every v3 column read goes through the decoded-block cache
+  (:mod:`repro.engine.blockcache`): keyed by the file's identity, so it needs
+  no invalidation (committed chunk files never change, appends add files),
+  filled only by the planner's index-backed reads.
 
 * **format v1** (legacy, still fully readable) — one compressed ``.npz`` file
   per chunk whose members are the columns.  Compact on disk, but every read
@@ -88,6 +92,7 @@ from ..errors import TraceFormatError
 from ..traces.io import RecordSource, _batches
 from ..traces.schema import Job
 from ..traces.trace import Trace
+from .blockcache import read_block
 from .codecs import (
     DEFAULT_CODEC,
     DICTIONARY_NAME,
@@ -96,7 +101,6 @@ from .codecs import (
     durable_replace,
     pack_block,
     read_block_header,
-    unpack_block,
 )
 from .columnar import (
     ALL_COLUMNS,
@@ -380,7 +384,8 @@ class ChunkedTraceStore:
         return sizes
 
     # -- lazy readers ------------------------------------------------------
-    def read_chunk(self, index: int, columns: Optional[Sequence[str]] = None) -> ColumnBlock:
+    def read_chunk(self, index: int, columns: Optional[Sequence[str]] = None,
+                   admit: bool = False) -> ColumnBlock:
         """Load one chunk, materializing only the requested columns.
 
         v2 column files are opened with ``mmap_mode="r"``: the returned arrays
@@ -391,7 +396,10 @@ class ChunkedTraceStore:
         columns come back as **uint32 codes** attached to the block's
         ``codes``/``dictionaries`` side-channel — strings materialize lazily
         through :meth:`ColumnBlock.column`, and code-native consumers never
-        pay for the decode at all.
+        pay for the decode at all.  Each column comes through
+        :func:`~repro.engine.blockcache.read_block`: only ``admit=True`` (the
+        planner's index-backed paths) inserts what it misses, and the arrays
+        are read-only and shared — the block and its dicts are this call's own.
         """
         meta = self._chunks[index]
         wanted = self._storage_columns(columns)
@@ -402,12 +410,11 @@ class ChunkedTraceStore:
             for name in wanted:
                 path = os.path.join(self.directory, "%s.%s.bin" % (meta.file, name))
                 try:
-                    with open(path, "rb") as handle:
-                        header, array = unpack_block(handle.read(), path)
+                    encoding, array = read_block(self.store_uid, path, admit)
                 except IOError as exc:
                     raise TraceFormatError("%s: cannot read chunk column %s: %s"
                                            % (self.directory, os.path.basename(path), exc))
-                if header.get("encoding") == "dict":
+                if encoding == "dict":
                     table = self._dictionary.get(name) if self._dictionary else None
                     if table is None:
                         raise TraceFormatError(

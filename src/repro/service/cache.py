@@ -14,19 +14,18 @@ against the old manifest are unaffected: they hold the old store handle (old
 chunks are never rewritten) and their results are simply recorded under the
 old sequence, where no future request will look them up.
 
-The cache is a plain LRU bounded by entry count and total bytes; all methods
-are thread-safe (responses are built in worker threads).
+The cache is a plain LRU bounded by entry count and total bytes — the engine's
+:class:`~repro.engine.blockcache.ByteLRU`, which the decoded-block cache also
+uses; all methods are thread-safe (responses are built in worker threads).
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
+
+from ..engine.blockcache import ByteLRU
 
 __all__ = ["ResultCache"]
-
-Key = Tuple[str, int, str]
 
 
 class ResultCache:
@@ -36,51 +35,20 @@ class ResultCache:
                  max_bytes: int = 256 * 1024 * 1024):
         if max_entries <= 0:
             raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self._entries: "OrderedDict[Key, bytes]" = OrderedDict()
-        self._total_bytes = 0
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.invalidated = 0
-        self.evicted = 0
+        self._lru = ByteLRU(max_bytes, max_entries)
 
     def get(self, store_uid: Optional[str], manifest_sequence: int,
             fingerprint: str) -> Optional[bytes]:
         """The cached response bytes, or ``None`` (and a recorded miss)."""
-        if store_uid is None:
-            # Pre-ingest stores have no uid: identity across appends is
-            # undefined, so their responses are never cached.
-            with self._lock:
-                self.misses += 1
-            return None
-        key = (store_uid, int(manifest_sequence), fingerprint)
-        with self._lock:
-            payload = self._entries.get(key)
-            if payload is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return payload
+        return self._lru.get((store_uid, int(manifest_sequence), fingerprint))
 
     def put(self, store_uid: Optional[str], manifest_sequence: int,
             fingerprint: str, payload: bytes) -> None:
-        if store_uid is None or len(payload) > self.max_bytes:
-            return
-        key = (store_uid, int(manifest_sequence), fingerprint)
-        with self._lock:
-            previous = self._entries.pop(key, None)
-            if previous is not None:
-                self._total_bytes -= len(previous)
-            self._entries[key] = payload
-            self._total_bytes += len(payload)
-            while (len(self._entries) > self.max_entries
-                   or self._total_bytes > self.max_bytes):
-                _, dropped = self._entries.popitem(last=False)
-                self._total_bytes -= len(dropped)
-                self.evicted += 1
+        # Pre-ingest stores have no uid: identity across appends is
+        # undefined, so their responses are never cached (and always miss).
+        if store_uid is not None:
+            self._lru.put((store_uid, int(manifest_sequence), fingerprint),
+                          payload, len(payload))
 
     def invalidate_store(self, store_uid: str, current_sequence: int) -> int:
         """Drop every entry of ``store_uid`` not at ``current_sequence``.
@@ -88,25 +56,11 @@ class ResultCache:
         Returns the number of entries dropped.  Entries keyed by other store
         uids are never touched.
         """
-        with self._lock:
-            stale = [key for key in self._entries
-                     if key[0] == store_uid and key[1] != int(current_sequence)]
-            for key in stale:
-                self._total_bytes -= len(self._entries.pop(key))
-            self.invalidated += len(stale)
-            return len(stale)
+        return self._lru.invalidate(
+            lambda key: key[0] == store_uid and key[1] != int(current_sequence))
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._lru)
 
     def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "bytes": self._total_bytes,
-                "hits": self.hits,
-                "misses": self.misses,
-                "invalidated": self.invalidated,
-                "evicted": self.evicted,
-            }
+        return self._lru.stats()

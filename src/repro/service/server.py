@@ -69,6 +69,7 @@ from .. import __version__
 from ..bench.rendering import ExperimentResult
 from ..bench.suite import run_suite
 from ..core.federation import compare_catalog
+from ..engine.blockcache import block_cache_stats
 from ..engine.catalog import StoreCatalog
 from ..engine.operators import execute
 from ..engine.store import ChunkedTraceStore, append_store
@@ -428,12 +429,18 @@ class TraceAnalyticsService:
                                         "stores": self.catalog.names()}), \
                 "application/json", "-"
         if path == "/metrics" and method == "GET":
-            cache = self.cache.stats()
+            cache, blocks = self.cache.stats(), block_cache_stats()
             text = self.metrics.render(extra_gauges={
                 "repro_cache_entries": cache["entries"],
                 "repro_cache_bytes": cache["bytes"],
                 "repro_cache_hits_total": cache["hits"],
                 "repro_cache_misses_total": cache["misses"],
+                # Not ``repro_cache_``: that prefix means the result cache.
+                "repro_block_cache_entries": blocks["entries"],
+                "repro_block_cache_bytes": blocks["bytes"],
+                "repro_block_cache_hits_total": blocks["hits"],
+                "repro_block_cache_misses_total": blocks["misses"],
+                "repro_block_cache_evictions_total": blocks["evicted"],
             })
             return 200, text.encode("utf-8"), "text/plain; version=0.0.4", "-"
         if path == "/v1/notifications" and method == "GET":

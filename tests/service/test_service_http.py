@@ -484,3 +484,30 @@ class TestPlannerIntegration:
         info = client.store_info("fb")
         assert info["indexes"]["fresh"] is True
         assert info["indexes"]["on_disk_bytes"] > 0
+
+    def test_block_cache_serves_what_the_result_cache_misses(self, catalog_dir,
+                                                             fb_service_trace):
+        """Same key, another ``limit``: two result-cache misses, but the second
+        finds the decoded blocks the first one admitted."""
+        from repro.engine import ChunkedTraceStore, build_indexes
+
+        store = ChunkedTraceStore.write(os.path.join(catalog_dir, "fb3"), fb_service_trace,
+                                        chunk_rows=128, format_version=3)
+        build_indexes(store).save()
+        where = ["input_bytes == %r" % fb_service_trace.jobs[7].input_bytes]
+        with open(os.devnull, "w") as sink, \
+                ServiceThread(catalog_dir, log_stream=sink) as thread:
+            client = ServiceClient(port=thread.port)
+            first = client.query("fb3", where=where, limit=5)
+            hits = client.metric("repro_block_cache_hits_total")
+            second = client.query("fb3", where=where, limit=6)
+            assert (first.cache, second.cache) == ("miss", "miss")
+            assert first.json()["stats"]["plan"]["access_path"] == "index-probe"
+            assert first.json()["rows"] == second.json()["rows"] != []
+            assert client.metric("repro_block_cache_hits_total") > hits
+            assert 0 < client.metric("repro_block_cache_bytes") <= 64 * 1024 * 1024
+            assert client.metric("repro_block_cache_entries") >= len(store.columns)
+            for name in ("repro_block_cache_misses_total", "repro_block_cache_evictions_total"):
+                assert client.metric(name) >= 0
+            # the result cache's own names still mean the result cache
+            assert client.metric("repro_cache_entries") == 2

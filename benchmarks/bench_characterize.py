@@ -51,12 +51,14 @@ seeded with the first 90% of the jobs and characterized once with
 subprocesses — a **cold full rescan** and an **incremental resume** from the
 checkpoint (both without the replay-simulated Figure-7 utilization column, so
 the comparison measures the scan pipeline, not the simulator).  Enforced:
-every experiment's rows **bit-identical** between the two (the resumable
-consumers restore exact states — sketch bins, path statistics, per-hour
-aggregates — and the non-resumable Table-2 sample re-gathers either way), and
-the incremental wall clock below ``--max-incremental-ratio`` (default 0.35×)
-of the cold rescan.  ``--incremental-only`` runs just this lane (the CI docs
-job uses it with ``--smoke``).
+every experiment's rows **bit-identical** between the two (the consumers
+restore exact states — sketch bins, path statistics, per-hour aggregates, the
+Table-2 bottom-k sample), **every consumer resumed** (a non-empty
+``rescanned`` report fails the lane: the appended 10% follows the base in
+submit time, so nothing has a reason to rescan), and the incremental wall
+clock below ``--max-incremental-ratio`` (default 0.35×) of the cold rescan.
+``--incremental-only`` runs just this lane (the CI docs job uses it with
+``--smoke``).
 
 **Format lane** (the v3 decode contract): the same trace is also written as
 a format-v3 store (compressed blocks + dictionary strings), and the full
@@ -307,6 +309,9 @@ def _run_incremental_lane(n_jobs: int, chunk_rows: int, store_dir: str,
     resume = incremental.get("resume") or {}
     if not resume.get("resumed"):
         failures.append("incremental child resumed no consumers: %r" % (resume,))
+    if resume.get("rescanned"):
+        failures.append("incremental child rescanned consumers instead of "
+                        "resuming them: %r" % (resume["rescanned"],))
 
     ratio = (incremental["wall_s"] / cold["wall_s"]
              if cold["wall_s"] else float("inf"))

@@ -6,22 +6,20 @@ human labels, using the automatic k selection rule of §6.2.  The headline
 shape criterion is that small jobs form more than 90% of every workload.
 
 Traces may be given in any :class:`~repro.engine.source.TraceSource`-wrappable
-representation.  The seeded sub-sample is gathered by global row index through
-chunked scans, so the same rows — and therefore the identical clustering —
-are selected whether the workload arrives as a job list, a columnar trace, or
-an out-of-core store.
+representation.  Above the job cap the seeded sample is the one fold the
+shared scan runs too (:class:`~repro.core.clustering.ClusterSampleConsumer`,
+a bottom-k over per-row hash keys), so the same rows — and therefore the
+identical clustering — are selected whether the workload arrives as a job
+list, a columnar trace, or an out-of-core store, scanned cold or resumed.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..core.clustering import cluster_jobs
-from ..core.sharedscan import (
-    DEFAULT_CLUSTER_SAMPLE_CAP,
-    CharacterizationAnalyses,
-    cluster_sample_indices,
-)
+from ..core.clustering import ClusterSampleConsumer, cluster_jobs
+from ..core.sharedscan import DEFAULT_CLUSTER_SAMPLE_CAP, CharacterizationAnalyses
+from ..engine.pipeline import fold_consumer
 from ..engine.source import TraceSource
 from .rendering import ExperimentResult
 
@@ -39,11 +37,12 @@ def table2(traces: Dict[str, object], max_k: int = 10, seed: int = 0,
         seed: k-means seed.
         max_jobs_per_workload: optional cap on the jobs clustered per workload
             to bound benchmark runtime.  The cap is applied as a seeded uniform
-            random subsample — a submission-order prefix would bias the job-type
-            mix (job classes are not spread evenly over the trace timeline).
+            sample (bottom-k by row hash) — a submission-order prefix would
+            bias the job-type mix (job classes are not spread evenly over the
+            trace timeline).
         analyses: optional shared-scan results built with the same ``seed``
-            and cap; their pre-gathered subsample replaces the dedicated
-            gather scan (identical rows, hence identical clusters).
+            and cap; their pre-drawn sample replaces the dedicated sample
+            scan (identical rows, hence identical clusters).
     """
     result = ExperimentResult(
         experiment_id="table2",
@@ -61,9 +60,9 @@ def table2(traces: Dict[str, object], max_k: int = 10, seed: int = 0,
             if sample is not None:
                 clustered = sample
         else:
-            picked = cluster_sample_indices(len(source), max_jobs_per_workload, seed)
-            if picked is not None:
-                clustered = source.gather(picked)
+            sample = ClusterSampleConsumer.for_source(source, max_jobs_per_workload, seed)
+            if sample is not None:
+                clustered = fold_consumer(source, sample)
         clustering = cluster_jobs(clustered, max_k=max_k, seed=seed)
         for cluster in clustering.clusters:
             result.rows.append([name] + cluster.as_row())

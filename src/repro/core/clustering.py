@@ -26,9 +26,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..engine.aggregates import HistogramSketch
+from ..engine.columnar import ColumnarTrace
 from ..engine.pipeline import ChunkConsumer, ScanChunk
 from ..engine.source import TraceSource
-from ..errors import ClusteringError
+from ..errors import AnalysisError, ClusteringError
 from ..traces.schema import FEATURE_DIMENSIONS, NUMERIC_DIMENSIONS
 from ..units import GB, HOUR, MINUTE, format_bytes, format_duration
 from .kmeans import (
@@ -41,8 +42,9 @@ from .kmeans import (
     select_k,
 )
 
-__all__ = ["JobCluster", "ClusteringResult", "FeatureMatrixConsumer", "cluster_jobs",
-           "label_centroid", "small_job_fraction"]
+__all__ = ["JobCluster", "ClusteringResult", "FeatureMatrixConsumer",
+           "ClusterSampleConsumer", "cluster_jobs", "label_centroid",
+           "small_job_fraction"]
 
 
 class FeatureMatrixConsumer(ChunkConsumer):
@@ -89,6 +91,100 @@ class FeatureMatrixConsumer(ChunkConsumer):
         if not state:
             return np.zeros((0, len(NUMERIC_DIMENSIONS)))
         return np.vstack([batch for _index, batch in sorted(state, key=lambda p: p[0])])
+
+
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _splitmix64(values: np.ndarray) -> np.ndarray:
+    """splitmix64 over a ``uint64`` array: a bijection with full avalanche."""
+    with np.errstate(over="ignore"):
+        z = values + _GOLDEN
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+
+class ClusterSampleConsumer(ChunkConsumer):
+    """Shared-scan fold drawing the Table-2 job sample: a seeded bottom-k.
+
+    Global row ``r`` gets the key ``splitmix64(r XOR splitmix64(seed))``;
+    the sample is the ``cap`` rows with the smallest keys.  Both steps are
+    bijections on ``uint64``, so keys never tie and the sample is a function
+    of (seed, cap, row count) alone — cold, resumed, serial, parallel and any
+    chunking draw the same rows.  The state keeps those rows' keys, row
+    numbers and six raw :data:`NUMERIC_DIMENSIONS` columns (all
+    :func:`cluster_jobs` reads); ``merge`` keeps the ``cap`` smallest of the
+    union, so an appended chunk extends the sample without a rescan.  A
+    snapshot pins (seed, cap): restoring under another pair raises
+    :class:`AnalysisError`, and the resume driver rescans instead.
+    """
+
+    columns = tuple(NUMERIC_DIMENSIONS)
+    resumable = True
+
+    def __init__(self, cap: int, seed: int, name: str = "cluster_sample",
+                 trace_name: str = "trace", machines: Optional[int] = None):
+        self.cap = int(cap)
+        self.seed = int(seed)
+        self.name = name
+        self.trace_name = trace_name
+        self.machines = machines
+        seed_word = np.array([self.seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+        self._seed_key = _splitmix64(seed_word)[0]
+
+    @classmethod
+    def for_source(cls, source, cap: Optional[int],
+                   seed: int) -> Optional["ClusterSampleConsumer"]:
+        """The sample fold for ``source``, or ``None`` when it holds at most
+        ``cap`` jobs (or ``cap`` is ``None``): Table 2 then clusters them all."""
+        if cap is None or len(source) <= cap:
+            return None
+        return cls(cap, seed, trace_name=source.name, machines=source.machines)
+
+    def make_state(self):
+        state = {"key": np.zeros(0, dtype=np.uint64), "row": np.zeros(0, dtype=np.int64)}
+        state.update((dim, np.zeros(0)) for dim in NUMERIC_DIMENSIONS)
+        return state
+
+    def _keys(self, rows: np.ndarray) -> np.ndarray:
+        return _splitmix64(rows.astype(np.uint64) ^ self._seed_key)
+
+    def fold(self, state, chunk: ScanChunk):
+        rows = np.arange(chunk.start_row, chunk.start_row + chunk.n_rows, dtype=np.int64)
+        keys = self._keys(rows)
+        picked = (keys < state["key"].max() if state["key"].size >= self.cap
+                  else np.ones(keys.size, dtype=bool))
+        batch = {"key": keys[picked], "row": rows[picked]}
+        batch.update((dim, chunk.column(dim)[picked]) for dim in NUMERIC_DIMENSIONS)
+        return self.merge(state, batch)
+
+    def merge(self, a, b):
+        merged = {field: np.concatenate([a[field], b[field]]) for field in a}
+        if merged["key"].size > self.cap:
+            smallest = np.argpartition(merged["key"], self.cap - 1)[:self.cap]
+            merged = {field: values[smallest] for field, values in merged.items()}
+        return merged
+
+    def finalize(self, state):
+        order = np.argsort(state["row"])
+        return ColumnarTrace({dim: state[dim][order] for dim in NUMERIC_DIMENSIONS},
+                             name=self.trace_name, machines=self.machines)
+
+    def snapshot(self, state) -> Dict[str, object]:
+        # Keys are a function of the row numbers; restore recomputes them.
+        payload = {field: values for field, values in state.items() if field != "key"}
+        return dict(payload, seed=self.seed, cap=self.cap)
+
+    def restore(self, payload):
+        if (payload["seed"], payload["cap"]) != (self.seed, self.cap):
+            raise AnalysisError(
+                "checkpointed sample was drawn with seed %s, cap %s; this scan "
+                "asks for seed %d, cap %d" % (payload["seed"], payload["cap"],
+                                              self.seed, self.cap))
+        state = {field: np.array(payload[field], dtype=values.dtype)
+                 for field, values in self.make_state().items() if field != "key"}
+        return dict(state, key=self._keys(state["row"]))
 
 
 @dataclass

@@ -29,23 +29,23 @@ with the store's chunk watermark, and after appending chunks
 (:func:`repro.engine.store.append_store` / ``repro engine ingest``)
 ``resume_from=`` folds only the new chunks into the restored states —
 bit-identical to a cold full rescan.  The protocol lives in the one resume
-driver, :func:`repro.engine.pipeline.run_resumable_scan`; consumers that
-cannot resume (the Table-2 row sample, whose seeded indices are drawn over
-the total row count; the ordered re-access walk when appended data
-interleaves in time) fall back to a full rescan, recorded with reasons on
-:attr:`CharacterizationAnalyses.resume`.
+driver, :func:`repro.engine.pipeline.run_resumable_scan`.  Every consumer
+resumes, the Table-2 job sample included: it is a seeded bottom-k over
+per-row hash keys (:class:`~repro.core.clustering.ClusterSampleConsumer`),
+so an appended chunk only offers new candidates.  What still falls back to a
+full rescan — the ordered re-access walk when appended data interleaves in
+time, a sample checkpointed under another seed or cap — is recorded with
+reasons on :attr:`CharacterizationAnalyses.resume`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..engine.pipeline import (
     ChunkConsumer,
-    GatherConsumer,
     SummaryConsumer,
+    fold_consumer,
     run_resumable_scan,
 )
 from ..engine.source import TraceSource
@@ -58,7 +58,7 @@ from .access import (
     profile_from_path_stats,
     rank_frequencies_from_path_stats,
 )
-from .clustering import FeatureMatrixConsumer
+from .clustering import ClusterSampleConsumer, FeatureMatrixConsumer
 from .datasizes import DataSizeConsumer, analyze_data_sizes
 from .naming import NamingConsumer, analyze_naming
 from .temporal import (
@@ -69,8 +69,7 @@ from .temporal import (
 )
 
 __all__ = ["CharacterizationAnalyses", "run_characterization_scan",
-           "cluster_sample_indices", "DEFAULT_CLUSTER_SAMPLE_CAP",
-           "EXPERIMENT_NEEDS"]
+           "DEFAULT_CLUSTER_SAMPLE_CAP", "EXPERIMENT_NEEDS"]
 
 #: Default cap on jobs clustered per workload (the Table-2 seeded subsample).
 DEFAULT_CLUSTER_SAMPLE_CAP = 20000
@@ -165,22 +164,6 @@ def _needed_keys(experiments: Optional[Iterable[str]],
     return needed
 
 
-def cluster_sample_indices(n_jobs: int, cap: Optional[int],
-                           seed: int) -> Optional[np.ndarray]:
-    """The Table-2 seeded subsample: sorted global row indices, or None.
-
-    The single source of the sampling rule — :func:`repro.bench.table2.table2`
-    calls this too, so the shared scan and the standalone gather select
-    identical rows (and therefore produce the identical clustering).  A
-    submission-order prefix would bias the job-type mix; the seeded uniform
-    choice does not.
-    """
-    if cap is None or n_jobs <= cap:
-        return None
-    rng = np.random.default_rng(seed)
-    return np.sort(rng.choice(n_jobs, size=cap, replace=False))
-
-
 def run_characterization_scan(trace, experiments: Optional[Sequence[str]] = None,
                               seed: int = 0,
                               cluster_sample_cap: Optional[int] = DEFAULT_CLUSTER_SAMPLE_CAP,
@@ -267,15 +250,13 @@ def _scan_streaming(source: TraceSource, needed: List[str],
             analyses.set_error("naming", AnalysisError(
                 "trace %r records no job names; naming analysis unavailable"
                 % (source.name,)))
-    sample_indices = None
+    sample = None
     if "cluster_sample" in needed:
-        sample_indices = cluster_sample_indices(len(source), cluster_sample_cap, seed)
-        if sample_indices is None:
+        sample = ClusterSampleConsumer.for_source(source, cluster_sample_cap, seed)
+        if sample is None:
             analyses.set("cluster_sample", None)  # cluster the full source
         else:
-            consumers.append(GatherConsumer(sample_indices, name="cluster_sample",
-                                            trace_name=source.name,
-                                            machines=source.machines))
+            consumers.append(sample)
     if "features" in needed:
         consumers.append(FeatureMatrixConsumer())
 
@@ -319,7 +300,7 @@ def _scan_streaming(source: TraceSource, needed: List[str],
         _adopt_hourly(analyses, scan)
     if "naming" in needed and not analyses.has("naming"):
         adopt("naming", "naming")
-    if sample_indices is not None:
+    if sample is not None:
         adopt("cluster_sample", "cluster_sample")
     if "features" in needed:
         adopt("features", "features")
@@ -418,10 +399,10 @@ def _scan_materialized(source: TraceSource, needed: List[str],
     if "naming" in needed:
         _attempt(analyses, "naming", analyze_naming, source)
     if "cluster_sample" in needed:
-        indices = cluster_sample_indices(len(source), cluster_sample_cap, seed)
-        if indices is None:
+        sample = ClusterSampleConsumer.for_source(source, cluster_sample_cap, seed)
+        if sample is None:
             analyses.set("cluster_sample", None)
         else:
-            _attempt(analyses, "cluster_sample", source.gather, indices)
+            _attempt(analyses, "cluster_sample", fold_consumer, source, sample)
     if "features" in needed:
         _attempt(analyses, "features", source.feature_matrix)

@@ -108,7 +108,6 @@ from .planner import Plan, execute_planned, plan_query
 from .pipeline import (
     Checkpoint,
     ChunkConsumer,
-    GatherConsumer,
     PipelineResult,
     ScanChunk,
     ScanPipeline,
@@ -137,7 +136,6 @@ __all__ = [
     "ColumnBlock",
     "Checkpoint",
     "ChunkConsumer",
-    "GatherConsumer",
     "PipelineResult",
     "ScanChunk",
     "ScanPipeline",

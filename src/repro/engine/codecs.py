@@ -295,6 +295,8 @@ def durable_replace(files: Iterable[Tuple[str, bytes]]) -> None:
     the file naming them never exposes the name over data that is not
     durable.  ``os.replace`` is atomic on POSIX: a reader or a crash sees each
     path whole-old or whole-new.  On any error the temporaries are removed.
+    A payload is dropped once it is durable, so a generator's next payload
+    is never built while this one is still held here.
     """
     pending: List[Tuple[str, str]] = []
     try:
@@ -304,6 +306,7 @@ def durable_replace(files: Iterable[Tuple[str, bytes]]) -> None:
                 handle.write(payload)
                 handle.flush()
                 os.fsync(handle.fileno())
+            del payload
         for temporary, path in pending:
             os.replace(temporary, path)
     except BaseException:

@@ -45,9 +45,10 @@ because the restored state is exactly the state the cold scan had after chunk
 Ordered consumers additionally need the appended data to *follow* the old
 data in submit time (the store's ``sorted_by_submit_time`` flag survives the
 append); otherwise they must fall back to a full rescan.  Consumers that
-cannot resume at all keep the default ``resumable = False`` — e.g.
-:class:`GatherConsumer`, whose row sample is defined over the total row
-count and therefore changes whenever the store grows.
+cannot resume at all keep the default ``resumable = False`` and always
+rescan.  Checkpoint arrays are stored raw (``np.savez``, no deflate): a
+resume then pays a memcpy and one fsync for its state, not a recompression
+of state it mostly did not change.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ import io
 import json
 import os
 import uuid
+import zipfile
+import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,11 +66,11 @@ import numpy as np
 from ..errors import AnalysisError
 from .aggregates import MaxState, MinState, SumState
 from .codecs import durable_replace
-from .columnar import ColumnBlock, ColumnarTrace, _OrderCheck
+from .columnar import ColumnBlock, _OrderCheck
 from .source import TraceSource
 
 __all__ = ["ScanChunk", "ChunkConsumer", "PipelineResult", "ScanPipeline",
-           "Checkpoint", "SummaryConsumer", "GatherConsumer", "fold_consumer",
+           "Checkpoint", "SummaryConsumer", "fold_consumer",
            "find_store_checkpoints"]
 
 
@@ -78,7 +81,7 @@ class ScanChunk:
         block: the decoded :class:`ColumnBlock` (shared by every consumer).
         index: chunk index within the scan (0-based).
         start_row: global row offset of the chunk's first row — what
-            row-addressed consumers (:class:`GatherConsumer`) key on.
+            row-addressed consumers (the Table-2 job sample) key on.
     """
 
     __slots__ = ("block", "index", "start_row", "_unique_cache")
@@ -160,15 +163,14 @@ class ChunkConsumer:
     #: Result key within the pipeline; subclasses override (often per-instance).
     name: str = "consumer"
     #: Columns the fold reads; the pipeline decodes the union over consumers.
-    #: ``None`` means "every stored column" (e.g. a row gather).
+    #: ``None`` means "every stored column".
     columns: Optional[Tuple[str, ...]] = ()
     #: True when fold correctness depends on submit-time chunk order.
     ordered: bool = False
     #: Capability flag: True when :meth:`snapshot`/:meth:`restore` are
     #: implemented, i.e. the fold state can be checkpointed and the scan
-    #: resumed over appended chunks only.  Consumers whose result depends on
-    #: the *total* row count (row sampling) stay False and fall back to a
-    #: full rescan.
+    #: resumed over appended chunks only.  Consumers left False fall back to
+    #: a full rescan.
     resumable: bool = False
 
     def make_state(self):
@@ -681,23 +683,34 @@ class Checkpoint:
             "meta": self.meta,
             "consumers": consumer_docs,
         }
+        # Raw members (no deflate): zip still stores each member's CRC-32,
+        # which ``load`` verifies on read.
         buffer = io.BytesIO()
-        np.savez_compressed(buffer, **arrays)
+        np.savez(buffer, **arrays)
         # No sort_keys: dictionary payloads (e.g. the naming consumer's word
         # totals) rely on insertion order surviving the round trip — stable
         # sorts downstream break ties by it.
         text = json.dumps(document, indent=2, default=_json_default) + "\n"
-        durable_replace([(path + ".npz", buffer.getvalue()),
+        durable_replace([(path + ".npz", buffer.getbuffer()),
                          (path, text.encode("utf-8"))])
 
     @classmethod
     def load(cls, path: str) -> "Checkpoint":
-        """Read a checkpoint written by :meth:`save`."""
+        """Read a checkpoint written by :meth:`save`.
+
+        Raises:
+            AnalysisError: for every unreadable pair — a missing, truncated
+                or bit-flipped file, JSON that is not a checkpoint document,
+                or JSON/npz halves from different saves — so a caller's
+                cold-scan fallback always applies.
+        """
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 document = json.load(handle)
-        except (IOError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise AnalysisError("cannot read checkpoint %s: %s" % (path, exc))
+        if not isinstance(document, dict):
+            raise AnalysisError("cannot read checkpoint %s: not a JSON object" % (path,))
         if document.get("checkpoint_version") != cls.CHECKPOINT_VERSION:
             raise AnalysisError("unsupported checkpoint version %r in %s"
                                 % (document.get("checkpoint_version"), path))
@@ -717,18 +730,23 @@ class Checkpoint:
                     for field in doc.get("arrays", []):
                         payload[field] = np.array(archive["%s::%s" % (name, field)])
                     consumers[name] = payload
-        except (IOError, KeyError, ValueError) as exc:
+        except (OSError, KeyError, ValueError, EOFError, zipfile.BadZipFile,
+                zlib.error) as exc:
             raise AnalysisError("cannot read checkpoint arrays %s: %s"
                                 % (array_path, exc))
-        return cls(store_directory=document["store_directory"],
-                   chunk_watermark=document["chunk_watermark"],
-                   row_watermark=document["row_watermark"],
-                   manifest_sequence=document.get("manifest_sequence", 0),
-                   sorted_by_submit_time=document.get("sorted_by_submit_time", False),
-                   last_submit_time=document.get("last_submit_time"),
-                   consumers=consumers,
-                   meta=document.get("meta") or {},
-                   store_uid=document.get("store_uid"))
+        try:
+            return cls(store_directory=document["store_directory"],
+                       chunk_watermark=document["chunk_watermark"],
+                       row_watermark=document["row_watermark"],
+                       manifest_sequence=document.get("manifest_sequence", 0),
+                       sorted_by_submit_time=document.get("sorted_by_submit_time", False),
+                       last_submit_time=document.get("last_submit_time"),
+                       consumers=consumers,
+                       meta=document.get("meta") or {},
+                       store_uid=document.get("store_uid"))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise AnalysisError("cannot read checkpoint %s: missing or malformed "
+                                "field %s" % (path, exc))
 
 
 def _merge_pipeline_results(target: PipelineResult, part: PipelineResult) -> None:
@@ -780,8 +798,8 @@ def run_resumable_scan(source, consumers: Sequence[ChunkConsumer], executor=None
         for consumer in consumers:
             if not consumer.resumable:
                 rescan.append(consumer)
-                reasons[consumer.name] = ("not resumable: result is defined over "
-                                          "the total row count")
+                reasons[consumer.name] = ("not resumable: the consumer keeps no "
+                                          "checkpointable state")
             elif consumer.name not in checkpoint.consumers:
                 rescan.append(consumer)
                 reasons[consumer.name] = "no state in the checkpoint"
@@ -923,62 +941,6 @@ class SummaryConsumer(ChunkConsumer):
             bytes_moved=float(state["bytes"].result()),
             total_task_seconds=float(state["task_seconds"].result()),
         )
-
-
-class GatherConsumer(ChunkConsumer):
-    """Collect the rows at sorted global indices (the Table-2 subsample).
-
-    The shared-scan equivalent of :meth:`TraceSource.gather`: each chunk
-    contributes the selected rows inside its global row range; partials are
-    re-assembled in chunk order, so the gathered :class:`ColumnarTrace` is
-    identical to a standalone gather for every chunking and worker count.
-
-    Deliberately **not resumable**: the gathered indices (the Table-2 seeded
-    subsample) are drawn over the *total* row count, so appending chunks
-    changes which rows are selected — a checkpointed gather state would be
-    wrong, not just stale.  Resumed scans give this consumer a full rescan.
-    """
-
-    def __init__(self, indices: Sequence[int], name: str = "gather",
-                 trace_name: str = "trace", machines: Optional[int] = None,
-                 columns: Optional[Tuple[str, ...]] = None):
-        self.name = name
-        self.trace_name = trace_name
-        self.machines = machines
-        self.columns = columns
-        self.indices = np.asarray(indices, dtype=np.int64)
-        if self.indices.size and np.any(self.indices[:-1] > self.indices[1:]):
-            raise AnalysisError("gather expects sorted indices")
-
-    def make_state(self):
-        return {"picked": [], "rows_seen_past": 0}
-
-    def fold(self, state, chunk: ScanChunk):
-        end = chunk.start_row + chunk.n_rows
-        lo = int(np.searchsorted(self.indices, chunk.start_row, side="left"))
-        hi = int(np.searchsorted(self.indices, end, side="left"))
-        if hi > lo:
-            local = self.indices[lo:hi] - chunk.start_row
-            state["picked"].append((chunk.index, chunk.block.take(local)))
-        state["rows_seen_past"] = max(state["rows_seen_past"], end)
-        return state
-
-    def merge(self, a, b):
-        a["picked"].extend(b["picked"])
-        a["rows_seen_past"] = max(a["rows_seen_past"], b["rows_seen_past"])
-        return a
-
-    def finalize(self, state):
-        total_rows = state["rows_seen_past"]
-        if self.indices.size and int(self.indices[-1]) >= total_rows:
-            raise AnalysisError("gather index %d out of range (%d rows)"
-                                % (int(self.indices[-1]), total_rows))
-        blocks = [block for _index, block in sorted(state["picked"], key=lambda p: p[0])]
-        gathered = ColumnarTrace.__new__(ColumnarTrace)
-        gathered.block = ColumnBlock.concat(blocks) if blocks else ColumnBlock({})
-        gathered.name = self.trace_name
-        gathered.machines = self.machines
-        return gathered
 
 
 def find_store_checkpoints(store, extra_directories: Sequence[str] = ()) -> List[str]:

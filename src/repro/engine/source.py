@@ -263,9 +263,9 @@ class TraceSource:
                columns: Optional[Sequence[str]] = None) -> ColumnarTrace:
         """Materialize the rows at the given **sorted** global indices.
 
-        Used for seeded sub-sampling (the Table-2 job cap): the selected rows
-        come back as a small in-memory :class:`ColumnarTrace`, identical for
-        every representation of the same trace.
+        The selected rows come back as a small in-memory
+        :class:`ColumnarTrace`, identical for every representation of the
+        same trace.
         """
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size and np.any(indices[:-1] > indices[1:]):

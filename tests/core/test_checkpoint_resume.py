@@ -4,9 +4,9 @@ The acceptance contract of the incremental pipeline: after appending chunks
 to a store, ``run_characterization_scan(resume_from=checkpoint)`` must
 reproduce every analysis — and every suite table/figure row — **bit-identical**
 to a cold full rescan of the grown store, while folding only the appended
-chunks for the resumable consumers.  Non-resumable consumers (the Table-2
-row sample) and ordered consumers facing time-interleaved appends fall back
-to a full rescan, and the bundle says so.
+chunks for the resumable consumers — every consumer, the Table-2 job sample
+included.  Ordered consumers facing time-interleaved appends fall back to a
+full rescan, and the bundle says so.
 """
 
 import os
@@ -39,13 +39,14 @@ def grown_store(split_trace, tmp_path_factory):
     checkpoint_path = str(tmp_path_factory.mktemp("ckresume-ck") / "scan.ck.json")
     ChunkedTraceStore.write(directory, base, chunk_rows=1024, name=base.name)
     run_characterization_scan(ChunkedTraceStore(directory),
+                              cluster_sample_cap=SAMPLE_CAP,
                               checkpoint_to=checkpoint_path)
     store = append_store(directory, fresh)
     return store, checkpoint_path
 
 
-#: Sample cap below CC-e's job count, so the Table-2 gather consumer exists
-#: and its non-resumable full-rescan fallback is exercised.
+#: Sample cap below the seeded 80 % of CC-e, so the Table-2 sample consumer
+#: is checkpointed and resumed.
 SAMPLE_CAP = 500
 
 
@@ -173,8 +174,8 @@ class TestResumeReporting:
         for name in ("summary", "data_sizes", "path_stats_input", "hourly",
                      "naming", "reaccess"):
             assert name in resume["resumed"], name
-        assert "cluster_sample" in resume["rescanned"]
-        assert "not resumable" in resume["rescanned"]["cluster_sample"]
+        assert "cluster_sample" in resume["resumed"]
+        assert resume["rescanned"] == {}
 
     def test_cold_scan_has_no_resume_info(self, bundles):
         assert bundles["cold"].resume is None
@@ -343,7 +344,7 @@ class TestOneResumeDriver:
         assert report == bundle.resume
         assert report["new_chunks"] == store.n_chunks - report["chunk_watermark"] > 0
         assert "summary" in report["resumed"]
-        assert "not resumable" in report["rescanned"]["cluster_sample"]
+        assert "cluster_sample" in report["resumed"]
         assert merged.rows_scanned == bundle.rows_scanned
 
         def stable_bytes(path):
@@ -359,3 +360,73 @@ class TestOneResumeDriver:
             for member in mine.files:
                 if member != "__save_token__":
                     assert np.array_equal(mine[member], reference[member]), member
+
+
+class TestCorruptCheckpoint:
+    """Every unreadable checkpoint is an ``AnalysisError`` — never a bare
+    ``BadZipFile`` / ``EOFError`` / ``KeyError`` — so the rolling policy
+    scans cold and writes a fresh checkpoint instead of failing the caller."""
+
+    @staticmethod
+    def _flip_inside_member(npz_path):
+        """Flip one byte in the middle of the largest raw array member."""
+        import zipfile
+
+        with zipfile.ZipFile(npz_path) as archive:
+            member = max(archive.infolist(), key=lambda info: info.file_size)
+            assert member.compress_type == zipfile.ZIP_STORED  # raw, not deflated
+        with open(npz_path, "r+b") as handle:
+            handle.seek(member.header_offset + 26)
+            name_length, extra_length = np.frombuffer(handle.read(4), dtype="<u2")
+            data_start = member.header_offset + 30 + int(name_length) + int(extra_length)
+            handle.seek(data_start + member.file_size // 2)
+            byte = handle.read(1)
+            handle.seek(-1, os.SEEK_CUR)
+            handle.write(bytes([byte[0] ^ 0x10]))
+
+    @staticmethod
+    def _rewrite_json(path, edit):
+        import json
+
+        with open(path) as handle:
+            document = json.load(handle)
+        with open(path, "w") as handle:
+            json.dump(edit(document), handle)
+
+    @pytest.mark.parametrize("damage", ["truncated_npz", "bit_flip_in_array", "empty_npz",
+                                        "json_not_an_object", "json_without_watermark"])
+    def test_typed_error_then_cold_scan_and_fresh_checkpoint(self, grown_store, tmp_path,
+                                                             damage):
+        import shutil
+        from functools import partial
+
+        from repro.engine.pipeline import scan_with_rolling_checkpoint
+
+        store, checkpoint_path = grown_store
+        path = str(tmp_path / "damaged.ck.json")
+        shutil.copy(checkpoint_path, path)
+        shutil.copy(checkpoint_path + ".npz", path + ".npz")
+        if damage == "truncated_npz":
+            size = os.path.getsize(path + ".npz")
+            with open(path + ".npz", "r+b") as handle:
+                handle.truncate(size // 2)
+        elif damage == "bit_flip_in_array":
+            self._flip_inside_member(path + ".npz")
+        elif damage == "empty_npz":
+            open(path + ".npz", "wb").close()
+        elif damage == "json_not_an_object":
+            self._rewrite_json(path, lambda document: [document])
+        else:
+            self._rewrite_json(path, lambda document: {
+                key: value for key, value in document.items() if key != "chunk_watermark"})
+
+        with pytest.raises(AnalysisError, match="cannot read checkpoint"):
+            Checkpoint.load(path)
+
+        bundle = scan_with_rolling_checkpoint(
+            partial(run_characterization_scan, store, cluster_sample_cap=SAMPLE_CAP), path)
+        assert bundle.resume is None  # the fallback was a cold scan
+        assert bundle.value("summary") == run_characterization_scan(store).value("summary")
+        fresh = Checkpoint.load(path)
+        assert fresh.chunk_watermark == store.n_chunks
+        assert "cluster_sample" in fresh.consumers

@@ -6,11 +6,9 @@ import pytest
 from repro.engine import (
     ChunkConsumer,
     ChunkedTraceStore,
-    GatherConsumer,
     ParallelExecutor,
     ScanPipeline,
     SummaryConsumer,
-    TraceSource,
     fold_consumer,
 )
 from repro.errors import AnalysisError
@@ -101,10 +99,13 @@ class TestSerialPipeline:
         assert set(pipeline.columns()) == {"input_bytes", "submit_time_s"}
 
     def test_all_columns_consumer_forces_full_decode(self, store):
+        class EveryColumn(SumInputBytes):
+            columns = None
+
         pipeline = ScanPipeline(store)
         pipeline.add(SumInputBytes())
-        pipeline.add(GatherConsumer([0, 10], name="g", trace_name=store.name))
-        assert pipeline.columns() is None  # gather wants every stored column
+        pipeline.add(EveryColumn(name="every"))
+        assert pipeline.columns() is None  # one consumer wants every stored column
 
     def test_duplicate_names_rejected(self, store):
         pipeline = ScanPipeline(store)
@@ -173,8 +174,6 @@ class TestParallelPipeline:
             pipeline.add(SumInputBytes())
             pipeline.add(SummaryConsumer(trace_name=store.name))
             pipeline.add(FirstRowTimes())
-            pipeline.add(GatherConsumer(np.array([3, 333, 999]), name="g",
-                                        trace_name=store.name))
             return pipeline.run()
 
         serial = build(None)
@@ -182,8 +181,6 @@ class TestParallelPipeline:
         assert parallel.value("sum_bytes") == serial.value("sum_bytes")
         assert parallel.value("summary") == serial.value("summary")
         assert parallel.value("first_rows") == serial.value("first_rows")
-        assert np.array_equal(parallel.value("g").block.column("input_bytes"),
-                              serial.value("g").block.column("input_bytes"))
         assert parallel.chunks_scanned == store.n_chunks
 
     def test_parallel_error_isolated(self, store):
@@ -194,24 +191,6 @@ class TestParallelPipeline:
         assert result.value("sum_bytes")["total"] == sum(range(1, 1001))
         with pytest.raises(AnalysisError, match="boom"):
             result.value("exploding")
-
-
-class TestGatherConsumer:
-    def test_matches_source_gather(self, store):
-        indices = np.array([0, 1, 99, 100, 101, 555, 999])
-        gathered = fold_consumer(store, GatherConsumer(indices, trace_name=store.name))
-        reference = TraceSource.wrap(store).gather(indices)
-        for column in ("submit_time_s", "input_bytes", "job_id"):
-            assert np.array_equal(gathered.block.column(column),
-                                  reference.block.column(column))
-
-    def test_out_of_range_index(self, store):
-        with pytest.raises(AnalysisError, match="out of range"):
-            fold_consumer(store, GatherConsumer([5000], trace_name=store.name))
-
-    def test_unsorted_indices_rejected(self):
-        with pytest.raises(AnalysisError, match="sorted"):
-            GatherConsumer([5, 3])
 
 
 class TestWorkerStoreReuse:

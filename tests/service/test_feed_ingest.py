@@ -287,3 +287,27 @@ class TestDurableWriters:
         if writer == "feed_offset":
             assert json.load(open(tailer.offset_path))["offset"] == tailer.offset \
                 == feed.stat().st_size
+
+    def test_each_payload_is_released_before_the_next_is_built(self, tmp_path):
+        """``StoreIndexes.save`` hands the seam a generator of column payloads;
+        the seam must drop payload k before asking for k + 1, or two columns'
+        serialised bytes are alive at once."""
+        import sys
+
+        from repro.engine.codecs import durable_replace
+
+        held = []
+
+        def files():
+            for k in range(4):
+                if held:
+                    # references beyond this list and getrefcount's argument
+                    # (counted outside the assert, whose rewriting adds one)
+                    elsewhere = sys.getrefcount(held[-1]) - 2
+                    held.pop()
+                    assert elsewhere == 0, "payload %d still held" % (k - 1)
+                held.append(bytes(1 << 16) + bytes([k]))
+                yield str(tmp_path / ("f%d" % k)), held[-1]
+
+        durable_replace(files())
+        assert sorted(os.listdir(tmp_path)) == ["f0", "f1", "f2", "f3"]

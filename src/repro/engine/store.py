@@ -712,8 +712,16 @@ class StoreAppender:
     predate the append stay valid.
 
     A secondary-index sidecar (:mod:`repro.engine.indexes`), when present and
-    fresh, is *extended* over the appended chunks after the commit — the
-    already-indexed chunks are never re-read.
+    fresh, is *extended* over the appended chunks after the commit: each
+    indexed column gains one immutable sorted run covering only the new
+    chunks, written with ``index.json`` last, and the already-indexed chunks
+    and base files are never re-read or rewritten — the append costs what
+    its chunks cost.  Readers merge base + runs linearly on first access.
+    The append that would give a column more than
+    :data:`~repro.engine.indexes.INDEX_MAX_RUNS` runs compacts it into a new
+    base instead, so one append in ``INDEX_MAX_RUNS`` pays a compaction that
+    reads every run and rewrites the whole sidecar.  A crash between the manifest swap and ``index.json`` leaves a
+    sidecar pinned to the previous sequence: stale and refused, never wrong.
     """
 
     def __init__(self, store: ChunkedTraceStore):
@@ -755,8 +763,8 @@ class StoreAppender:
                               discard_on_failure=True):
             return store
         self.store = ChunkedTraceStore(store.directory)
-        # Extend any index sidecar over the appended chunks only (old chunks
-        # are never re-read).  Runs after the manifest swap: a crash in
+        # Add one index run over the appended chunks only (old chunks and
+        # base files are never re-read).  Runs after the manifest swap: a crash in
         # between leaves the sidecar pinned to the previous sequence, which
         # the staleness check detects — never a silently wrong index.
         from .indexes import extend_indexes

@@ -264,6 +264,49 @@ def test_filtered_to_empty_chunks_and_keys_first_seen_late(store):
     assert_groups_match(result.groups, oracle_result(groups))
 
 
+def _sequential(values):
+    total = 0.0
+    for value in values:
+        total += float(value)
+    return total
+
+
+def test_group_sum_order_is_row_order_per_chunk_then_chunk_order(tmp_path):
+    """The documented summation order, pinned exactly: a group's ``sum`` adds
+    each chunk's finite values one at a time in row order, then adds the chunk
+    totals in chunk order.  The values span 14 decades, so a pairwise sum, one
+    sequential pass over all rows, the chunk totals in reverse, or pairwise
+    chunk totals each land on another float — a change of order fails here."""
+    rng = np.random.default_rng(0)
+    n_rows, chunk_rows = 640, 64
+    values = rng.uniform(0.0, 1.0, n_rows) * 10.0 ** rng.integers(-3, 12, n_rows)
+    values[rng.random(n_rows) < 0.05] = np.nan
+    names = np.array(["a", "b", "c"])[rng.integers(0, 3, n_rows)]
+    columns = {"job_id": np.array(["s%04d" % row for row in range(n_rows)]),
+               "submit_time_s": np.arange(n_rows, dtype=np.float64),
+               "input_bytes": values, "name": names}
+    store = write_store(tmp_path / "store", ColumnarTrace(columns, name="sums"),
+                        chunk_rows=chunk_rows, format_version=3)
+    query = Query().group_by("name").aggregate(total=("sum", "input_bytes"),
+                                               avg=("mean", "input_bytes"))
+    groups = execute(store, query).groups
+    orders_differ = [False] * 4
+    for name in ("a", "b", "c"):
+        chunks = [values[start:start + chunk_rows][names[start:start + chunk_rows] == name]
+                  for start in range(0, n_rows, chunk_rows)]
+        chunks = [chunk[np.isfinite(chunk)] for chunk in chunks]
+        expected = _sequential(_sequential(chunk) for chunk in chunks)
+        assert groups[name]["total"] == expected
+        assert groups[name]["avg"] == expected / sum(chunk.size for chunk in chunks)
+        others = (float(np.sum(np.concatenate(chunks))),
+                  _sequential(np.concatenate(chunks)),
+                  _sequential(_sequential(chunk) for chunk in reversed(chunks)),
+                  _sequential(float(np.sum(chunk)) for chunk in chunks))
+        orders_differ = [seen or other != expected
+                         for seen, other in zip(orders_differ, others)]
+    assert all(orders_differ)  # the fixture tells every other order apart
+
+
 # ---------------------------------------------------------------------------
 # The hourly fold is the same state: checkpoints written before the kernel
 # ---------------------------------------------------------------------------

@@ -206,7 +206,8 @@ class TestDurableWriters:
     an un-flushed, un-fsynced temporary: a crash could leave an empty offset
     file, which reads as 0 and re-ingests the whole feed."""
 
-    WRITERS = ("manifest", "dictionary", "indexes", "checkpoint", "feed_offset")
+    WRITERS = ("manifest", "dictionary", "indexes", "index_run", "checkpoint",
+               "feed_offset")
 
     @pytest.mark.parametrize("writer", WRITERS)
     def test_every_temporary_is_fsynced_before_its_rename(self, writer, tmp_path,
@@ -225,6 +226,9 @@ class TestDurableWriters:
         feed.write_bytes(_feed_line(jobs[200]))
         tailer = FeedTailer("s", str(feed), directory, str(tmp_path))
         manifest_path = os.path.join(directory, "manifest.json")
+        run_files = [os.path.join(directory, "index.%s.run-%d.npz"
+                                  % (column, store.manifest_sequence + 1))
+                     for column in build_indexes(store).columns]
         # (what to run, the final paths it must rename into place, in order)
         action, finals = {
             "manifest": (lambda: append_store(directory, jobs[201:230]),
@@ -235,6 +239,10 @@ class TestDurableWriters:
                         [os.path.join(directory, "index.%s.npz" % column)
                          for column in build_indexes(store).columns]
                         + [os.path.join(directory, "index.json")]),
+            # an append into an indexed store: the commit, then one run per column
+            "index_run": (lambda: append_store(directory, jobs[201:230]),
+                          [os.path.join(directory, "dictionary.json"), manifest_path]
+                          + run_files + [os.path.join(directory, "index.json")]),
             "checkpoint": (lambda: run_characterization_scan(
                                store, experiments=["table1"],
                                checkpoint_to=checkpoint_path),
@@ -247,9 +255,12 @@ class TestDurableWriters:
             action()  # the recorded poll rolls an existing offset file forward
             with open(feed, "ab") as handle:
                 handle.write(_feed_line(jobs[231]))
+        elif writer == "index_run":
+            build_indexes(store).save()  # the runs themselves are new files
         elif writer != "manifest":
             action()  # so that every final path exists and has an inode to lose
-        inodes_before = {path: os.stat(path).st_ino for path in finals}
+        inodes_before = {path: os.stat(path).st_ino if os.path.exists(path) else None
+                         for path in finals}
 
         events = []
         real_fsync, real_replace = os.fsync, os.replace
@@ -279,6 +290,11 @@ class TestDurableWriters:
             # one seam call: every temporary is durable before the first rename
             first_rename = events.index(renames[0])
             assert len([e for e in events[:first_rename] if e[0] == "fsync"]) == len(finals)
+        if writer == "index_run":
+            # the runs + index.json are one seam call after the store's commit
+            first_run = events.index(renames[2])
+            since_commit = events[events.index(renames[1]) + 1:first_run]
+            assert len([e for e in since_commit if e[0] == "fsync"]) == len(run_files) + 1
         for _kind, inode, target in renames:
             # the final path is the fsynced temporary, not an in-place rewrite
             assert os.stat(target).st_ino == inode != inodes_before[target]

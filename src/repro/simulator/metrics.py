@@ -17,6 +17,14 @@ Since the streaming-replay refactor, every summary is maintained
   into total busy slot-seconds and per-hour slot-second bins (the Figure-7
   utilization column) without retaining the samples.
 
+Both buffer their samples and fold them a block at a time with NumPy, in a
+way that performs the per-sample float operations in the per-sample order
+(4096-sample blocks for the pairwise sums, a sequential
+``np.add.accumulate`` for the busy total, an index-ordered ``np.add.at`` for
+the hourly bins), so the fold granularity never shows in a result.  The
+replay engine hands its samples over once per look-ahead refill instead of
+once per event.
+
 This means a replay of millions of jobs needs O(1) metric memory.  Retaining
 the raw per-job :class:`JobOutcome` list and the utilization samples is now an
 *option* (``keep_outcomes``, on by default for :class:`WorkloadReplayer`, off
@@ -143,6 +151,16 @@ class MetricAccumulator:
         if len(self._pending) >= ACCUMULATOR_BATCH:
             self.flush()
 
+    def _extend(self, values: List[float]) -> None:
+        """Fold scalars exactly as one :meth:`add` each would: the blocks
+        handed to the states end at the same samples, so the per-block
+        pairwise sums (and every digest bit) are unchanged."""
+        pending = self._pending
+        pending.extend(values)
+        while len(pending) >= ACCUMULATOR_BATCH:
+            self._update_array(np.array(pending[:ACCUMULATOR_BATCH], dtype=float))
+            del pending[:ACCUMULATOR_BATCH]
+
     def update(self, values: np.ndarray) -> None:
         """Fold a batch of samples (flushes buffered scalars first)."""
         self.flush()
@@ -212,89 +230,191 @@ class MetricAccumulator:
 class UtilizationAccumulator:
     """Incremental time-weighted integral of the active-slot step function.
 
-    ``observe(now, slots)`` closes the segment since the previous observation
-    (charging the *previous* slot count over it, step-function semantics) and
-    accumulates both the total busy slot-seconds and per-hour slot-second
-    bins.  The bins grow with the simulated horizon (one float per hour), not
-    with the number of observations, so a replay of millions of task events
-    keeps O(hours) utilization state.
+    Each observation ``(now, slots)`` closes the segment since the previous
+    one (charging the *previous* slot count over it, step-function semantics)
+    into both the total busy slot-seconds and per-hour slot-second bins.  The
+    bins grow with the simulated horizon (one float per hour), not with the
+    number of observations, so a replay of millions of task events keeps
+    O(hours) utilization state.
+
+    Observations are buffered (:data:`ACCUMULATOR_BATCH` at a time, like
+    :class:`MetricAccumulator`) and folded in one vectorized pass; the pass
+    performs the same float operations in the same order as closing one
+    segment per observation, so every read-out is bit-identical to it:
+
+    * ``busy_slot_seconds`` is the last element of a sequential
+      ``np.add.accumulate`` over ``[busy, slots * (end - start), ...]``;
+    * hourly bins take their pieces through ``np.add.at``, which applies in
+      index order; a segment that crosses an hour boundary is split into the
+      same per-hour pieces as a scalar walk would cut.
+
+    Zero-length segments (several observations at one instant) add nothing.
+    Idle (zero-slot) segments still extend the hourly bins so the step
+    reconstruction in :meth:`SimulationMetrics.utilization_steps` covers the
+    full span.  Every read-out folds the buffer first.
     """
 
-    __slots__ = ("first_time_s", "last_time_s", "last_slots",
-                 "busy_slot_seconds", "hourly_slot_seconds", "n_observations")
+    __slots__ = ("_first", "_last", "_last_slots", "_busy", "_hourly",
+                 "_observations", "_pending_times", "_pending_slots")
 
     def __init__(self):
-        self.first_time_s: Optional[float] = None
-        self.last_time_s: Optional[float] = None
-        self.last_slots = 0.0
-        self.busy_slot_seconds = 0.0
-        self.hourly_slot_seconds: List[float] = []
-        self.n_observations = 0
+        self._first: Optional[float] = None
+        self._last: Optional[float] = None
+        self._last_slots = 0.0
+        self._busy = 0.0
+        self._hourly = np.zeros(0, dtype=float)
+        self._observations = 0
+        self._pending_times: List[float] = []
+        self._pending_slots: List[float] = []
 
+    # -- folding -----------------------------------------------------------
     def observe(self, now_s: float, active_slots: float) -> None:
         """Record the active-slot count at ``now_s`` (monotone non-decreasing)."""
-        self.n_observations += 1
-        if self.last_time_s is None:
-            self.first_time_s = now_s
-            self.last_time_s = now_s
-            self.last_slots = float(active_slots)
-            return
-        if now_s < self.last_time_s:
+        times = self._pending_times
+        last = times[-1] if times else self._last
+        if last is not None and now_s < last:
             raise SimulationError(
                 "utilization observations must be time-ordered "
-                "(%.3f after %.3f)" % (now_s, self.last_time_s))
-        start, end, value = self.last_time_s, now_s, self.last_slots
-        if end > start:
-            # Idle (zero-slot) segments still extend the hourly bins so the
-            # step reconstruction in utilization_steps() covers the full span.
-            self.busy_slot_seconds += value * (end - start)
-            hour = int(start // _SECONDS_PER_HOUR)
-            while start < end:
-                hour_end = min(end, (hour + 1) * _SECONDS_PER_HOUR)
-                if hour >= len(self.hourly_slot_seconds):
-                    self.hourly_slot_seconds.extend(
-                        [0.0] * (hour + 1 - len(self.hourly_slot_seconds)))
-                self.hourly_slot_seconds[hour] += value * (hour_end - start)
-                start = hour_end
-                hour += 1
-        self.last_time_s = now_s
-        self.last_slots = float(active_slots)
+                "(%.3f after %.3f)" % (now_s, last))
+        times.append(now_s)
+        self._pending_slots.append(active_slots)
+        if len(times) >= ACCUMULATOR_BATCH:
+            self.flush()
+
+    def flush(self) -> None:
+        """Fold any buffered observations into the integral."""
+        if self._pending_times:
+            times, slots = self._pending_times, self._pending_slots
+            self._pending_times, self._pending_slots = [], []
+            self._fold(times, slots)
+
+    def _fold(self, times: List[float], slots: List[float]) -> None:
+        """Fold time-ordered observations that follow every one folded so far."""
+        self._observations += len(times)
+        if self._last is None:
+            # The first observation opens the step function: a zero-length
+            # segment from itself to itself, skipped below.
+            self._first = self._last = times[0]
+            self._last_slots = float(slots[0])
+        edges = np.array([self._last] + times, dtype=float)
+        values = np.array([self._last_slots] + slots[:-1], dtype=float)
+        self._last = times[-1]
+        self._last_slots = float(slots[-1])
+        starts, ends = edges[:-1], edges[1:]
+        live = ends > starts
+        if not live.all():
+            starts, ends, values = starts[live], ends[live], values[live]
+        if not starts.size:
+            return
+        charges = values * (ends - starts)
+        self._busy = float(np.add.accumulate(
+            np.concatenate(([self._busy], charges)))[-1])
+        hours = np.floor_divide(starts, _SECONDS_PER_HOUR).astype(np.int64)
+        crossing = ends > (hours + 1) * _SECONDS_PER_HOUR
+        if crossing.any():
+            hours, charges = _split_at_hours(starts, ends, values, hours,
+                                             charges, crossing)
+        top = int(hours.max()) + 1
+        if top > self._hourly.size:
+            self._hourly = np.concatenate(
+                (self._hourly, np.zeros(top - self._hourly.size)))
+        np.add.at(self._hourly, hours, charges)
+
+    def merge(self, other: "UtilizationAccumulator") -> None:
+        """Combine with an accumulator covering a disjoint simulated period."""
+        self.flush()
+        other.flush()
+        self._busy += other._busy
+        self._observations += other._observations
+        if other._hourly.size > self._hourly.size:
+            self._hourly = np.concatenate(
+                (self._hourly, np.zeros(other._hourly.size - self._hourly.size)))
+        self._hourly[:other._hourly.size] += other._hourly
+        if other._first is not None:
+            self._first = (other._first if self._first is None
+                           else min(self._first, other._first))
+        if other._last is not None:
+            self._last = (other._last if self._last is None
+                          else max(self._last, other._last))
+
+    # -- read-outs ---------------------------------------------------------
+    @property
+    def first_time_s(self) -> Optional[float]:
+        self.flush()
+        return self._first
+
+    @property
+    def last_time_s(self) -> Optional[float]:
+        self.flush()
+        return self._last
+
+    @property
+    def last_slots(self) -> float:
+        self.flush()
+        return self._last_slots
+
+    @property
+    def busy_slot_seconds(self) -> float:
+        self.flush()
+        return self._busy
+
+    @property
+    def hourly_slot_seconds(self) -> List[float]:
+        """Slot-seconds per simulated hour (a copy)."""
+        self.flush()
+        return self._hourly.tolist()
+
+    @property
+    def n_observations(self) -> int:
+        self.flush()
+        return self._observations
 
     @property
     def span_s(self) -> float:
         """Time between the first and last observation."""
-        if self.first_time_s is None or self.last_time_s is None:
+        self.flush()
+        if self._first is None or self._last is None:
             return 0.0
-        return self.last_time_s - self.first_time_s
-
-    def merge(self, other: "UtilizationAccumulator") -> None:
-        """Combine with an accumulator covering a disjoint simulated period."""
-        self.busy_slot_seconds += other.busy_slot_seconds
-        self.n_observations += other.n_observations
-        if len(other.hourly_slot_seconds) > len(self.hourly_slot_seconds):
-            self.hourly_slot_seconds.extend(
-                [0.0] * (len(other.hourly_slot_seconds) - len(self.hourly_slot_seconds)))
-        for hour, value in enumerate(other.hourly_slot_seconds):
-            self.hourly_slot_seconds[hour] += value
-        if other.first_time_s is not None:
-            self.first_time_s = (other.first_time_s if self.first_time_s is None
-                                 else min(self.first_time_s, other.first_time_s))
-        if other.last_time_s is not None:
-            self.last_time_s = (other.last_time_s if self.last_time_s is None
-                                else max(self.last_time_s, other.last_time_s))
+        return self._last - self._first
 
     def hourly_active_slots(self) -> np.ndarray:
         """Average active slots per hour — the Figure-7 utilization column."""
-        if not self.hourly_slot_seconds:
+        self.flush()
+        if not self._hourly.size:
             return np.zeros(1, dtype=float)
-        return np.array(self.hourly_slot_seconds, dtype=float) / _SECONDS_PER_HOUR
+        return self._hourly / _SECONDS_PER_HOUR
 
     def mean_utilization(self, total_slots: int) -> float:
         """Mean fraction of ``total_slots`` busy over the observed span."""
         span = self.span_s
         if total_slots <= 0 or span <= 0:
             return 0.0
-        return self.busy_slot_seconds / (span * total_slots)
+        return self._busy / (span * total_slots)
+
+
+def _split_at_hours(starts, ends, values, hours, charges, crossing):
+    """Replace each hour-crossing segment's single (hour, charge) entry by the
+    per-hour pieces a scalar walk cuts it into, keeping segment order."""
+    hour_parts, charge_parts, done = [], [], 0
+    for index in np.flatnonzero(crossing).tolist():
+        hour_parts.append(hours[done:index])
+        charge_parts.append(charges[done:index])
+        start, end = float(starts[index]), float(ends[index])
+        value = float(values[index])
+        hour = int(start // _SECONDS_PER_HOUR)
+        piece_hours, piece_charges = [], []
+        while start < end:
+            hour_end = min(end, (hour + 1) * _SECONDS_PER_HOUR)
+            piece_hours.append(hour)
+            piece_charges.append(value * (hour_end - start))
+            start = hour_end
+            hour += 1
+        hour_parts.append(np.array(piece_hours, dtype=np.int64))
+        charge_parts.append(np.array(piece_charges, dtype=float))
+        done = index + 1
+    hour_parts.append(hours[done:])
+    charge_parts.append(charges[done:])
+    return np.concatenate(hour_parts), np.concatenate(charge_parts)
 
 
 class SimulationMetrics:
@@ -361,6 +481,7 @@ class SimulationMetrics:
         """Flush buffered accumulator state (called at the end of a replay)."""
         self.wait.flush()
         self.completion.flush()
+        self.utilization.flush()
 
     # -- merging -----------------------------------------------------------
     def merge(self, other: "SimulationMetrics") -> None:

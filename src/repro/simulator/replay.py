@@ -75,7 +75,7 @@ from ..traces.trace import Trace
 from .cache import CachePolicy, NoCache
 from .cluster import ClusterConfig, SlotLedger
 from .hdfs import Hdfs, HdfsConfig
-from .metrics import JobOutcome, SimulationMetrics
+from .metrics import ACCUMULATOR_BATCH, JobOutcome, SimulationMetrics
 from .scheduler import FifoScheduler, Scheduler
 from .tasks import (DEFAULT_SECONDS_PER_TASK, MAX_TASKS_PER_STAGE, SimJob,
                     split_job)
@@ -193,12 +193,22 @@ class _ReplayEngine:
       one task at a time in legacy order (fair/capacity picks are sensitive
       to their running counters, so the per-task interleaving matters).
 
-    Utilization is observed once per simulated instant with activity (the
+    Utilization is sampled once per simulated instant with activity (the
     final busy count), instead of once per task transition as the legacy loop
     does.  All intermediate legacy observations at one instant close
     zero-length segments, which add exactly nothing to any accumulator bin,
     so ``busy_slot_seconds`` and the hourly bins are bit-identical; only the
     retained raw-sample *list* is shorter (its step function is unchanged).
+
+    The metric side never feeds back into scheduling, so it is not paid per
+    event: the engine appends each ``(time, busy slots)`` sample and, in fast
+    mode without retained outcomes, each finished job's wait and completion
+    to plain lists, and :meth:`_fold_metrics` folds them into the
+    accumulators in one vectorized pass at a look-ahead refill (once
+    :data:`~repro.simulator.metrics.ACCUMULATOR_BATCH` samples are waiting)
+    and at :meth:`finish`.  The folds repeat the per-sample float operations
+    in the same order, so every digest bit is unchanged.  Output writes under
+    the fast I/O path only add to the HDFS byte counter, like input reads.
     """
 
     def __init__(self, replayer: "WorkloadReplayer"):
@@ -243,6 +253,13 @@ class _ReplayEngine:
         # its map stage completes, so plain FIFO list order would not do).
         self._map_ready: deque = deque()
         self._reduce_ready: List[tuple] = []
+        # Metric samples awaiting the per-chunk fold (_fold_metrics):
+        # (time, busy slots) observations, and the wait/completion of each
+        # fast-mode job finished without a retained outcome.
+        self._obs_times: List[float] = []
+        self._obs_slots: List[int] = []
+        self._waits: List[float] = []
+        self._completions: List[float] = []
         # Job source (exactly one of the two is attached).
         self._jobs_iter: Optional[Iterator[Job]] = None
         self._pending_job: Optional[Job] = None
@@ -303,6 +320,8 @@ class _ReplayEngine:
         marking the source exhausted — the sharded driver advances the
         boundary and calls back in.
         """
+        if len(self._obs_times) >= ACCUMULATOR_BATCH:
+            self._fold_metrics()
         head = self._buf_head
         if head and head == len(self._buf_times):
             del self._buf_times[:]
@@ -460,6 +479,15 @@ class _ReplayEngine:
     def _write_output(self, output_path, output_bytes) -> None:
         if not output_path or not (output_bytes or 0.0):
             return
+        if self._fast_io:
+            # Hdfs.create's counter update, minus the HdfsFile that a
+            # retain_files=False namespace drops anyway; NoCache holds
+            # nothing to invalidate.
+            size = float(output_bytes)
+            if size < 0:
+                raise SimulationError("file size must be non-negative")
+            self.hdfs.bytes_written += size
+            return
         self.hdfs.create(output_path, float(output_bytes), self.now, overwrite=True)
         self.cache.invalidate(output_path)
 
@@ -572,11 +600,15 @@ class _ReplayEngine:
         wait = start - submit
         if wait < 0.0:
             wait = 0.0
-        self.metrics.record_job(JobOutcome(
-            job_id=record.job_id, submit_time_s=submit, start_time_s=start,
-            finish_time_s=now, wait_time_s=wait, completion_time_s=now - submit,
-            total_bytes=record.total_bytes,
-            n_tasks=record.n_map + record.n_reduce))
+        if self.metrics.keep_outcomes:
+            self.metrics.record_job(JobOutcome(
+                job_id=record.job_id, submit_time_s=submit, start_time_s=start,
+                finish_time_s=now, wait_time_s=wait, completion_time_s=now - submit,
+                total_bytes=record.total_bytes,
+                n_tasks=record.n_map + record.n_reduce))
+        else:
+            self._waits.append(wait)
+            self._completions.append(now - submit)
 
     def _finish_obj(self, sim_job: SimJob) -> None:
         sim_job.finish_time_s = self.now
@@ -630,7 +662,8 @@ class _ReplayEngine:
                     self._finish_obj(sim_job)
                 self._dispatch_obj("map")
                 self._dispatch_obj("reduce")
-        self.metrics.record_utilization(time_s, slots.busy_map + slots.busy_reduce)
+        self._obs_times.append(time_s)
+        self._obs_slots.append(slots.busy_map + slots.busy_reduce)
 
     def _admit_next(self, until_s: float = _INF) -> None:
         head = self._buf_head
@@ -646,8 +679,8 @@ class _ReplayEngine:
             dispatched = dispatched_map or dispatched_reduce
         slots = self.slots
         if dispatched:
-            self.metrics.record_utilization(self.now,
-                                            slots.busy_map + slots.busy_reduce)
+            self._obs_times.append(self.now)
+            self._obs_slots.append(slots.busy_map + slots.busy_reduce)
         elif (slots.busy_map == slots.map_capacity
               and slots.busy_reduce == slots.reduce_capacity):
             self._bulk_admit(until_s)
@@ -692,7 +725,8 @@ class _ReplayEngine:
         if not self._primed:
             self._primed = True
             self._refill()
-            self.metrics.record_utilization(0.0, 0)
+            self._obs_times.append(0.0)
+            self._obs_slots.append(0)
         else:
             self._refill()
 
@@ -751,9 +785,33 @@ class _ReplayEngine:
         metrics = self.metrics
         metrics.horizon_s = self.now
         metrics.cache_stats = self.cache.stats
-        metrics.record_utilization(self.now, self.slots.total_busy_slots())
+        self._obs_times.append(self.now)
+        self._obs_slots.append(self.slots.total_busy_slots())
+        self._fold_metrics()
         metrics.finalize()
         return metrics
+
+    def _fold_metrics(self) -> None:
+        """Fold the buffered samples into the metrics in one pass per kind.
+
+        Nothing here feeds back into scheduling, so folding per look-ahead
+        refill instead of per event changes no event; the folds themselves
+        reproduce the per-sample float operations (see
+        :class:`~repro.simulator.metrics.UtilizationAccumulator` and
+        ``MetricAccumulator._extend``), so the digest is unchanged too.
+        """
+        metrics = self.metrics
+        times, slots = self._obs_times, self._obs_slots
+        metrics.utilization._fold(times, slots)
+        if metrics.keep_outcomes:
+            metrics.utilization_samples.extend(zip(times, slots))
+        times.clear()
+        slots.clear()
+        metrics.finished_jobs += len(self._completions)
+        metrics.wait._extend(self._waits)
+        metrics.completion._extend(self._completions)
+        self._waits.clear()
+        self._completions.clear()
 
 
 class WorkloadReplayer:

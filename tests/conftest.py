@@ -6,6 +6,7 @@ so the full suite stays fast while still exercising realistic job mixtures.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.traces import Job, Trace, load_workload
@@ -65,3 +66,49 @@ def tiny_trace() -> Trace:
             input_path="/data/a", output_path="/out/e", workload="tiny"),
     ]
     return Trace(jobs, name="tiny", machines=10)
+
+
+@pytest.fixture(scope="session")
+def replay_trace_15k() -> Trace:
+    """15 000 light jobs for replay tests that must cross several look-ahead
+    refills and metric-fold blocks (4096 each) yet still run the legacy loop
+    in seconds: 1-4 map tasks of 5-25 s, 40 % with a reduce stage, 0.2 %
+    with 300-1000 maps and 50-150 reduces, 1 % zero-compute, 20 % without
+    recorded task counts, 5 % submit-time ties, and 0.2 % idle gaps of 2.5 h.
+    A two-node cluster queues behind the large jobs (bulk admission); the
+    default cluster barely does."""
+    n = 15000
+    rng = np.random.default_rng(27)
+    gaps = rng.exponential(9.0, n)
+    gaps[rng.random(n) < 0.002] += 2.5 * 3600.0
+    gaps[rng.random(n) < 0.05] = 0.0
+    submits = np.round(np.cumsum(gaps), 3)
+    map_tasks = rng.integers(1, 5, n)
+    map_seconds = map_tasks * rng.uniform(5.0, 25.0, n)
+    reduce_tasks = np.where(rng.random(n) < 0.4, rng.integers(1, 3, n), 0)
+    reduce_seconds = reduce_tasks * rng.uniform(5.0, 30.0, n)
+    big = rng.random(n) < 0.002
+    map_tasks[big] = rng.integers(300, 1000, big.sum())
+    map_seconds[big] = map_tasks[big] * 8.0
+    reduce_tasks[big] = rng.integers(50, 150, big.sum())
+    reduce_seconds[big] = reduce_tasks[big] * 8.0
+    zero = rng.random(n) < 0.01
+    map_seconds[zero] = 0.0
+    reduce_seconds[zero] = 0.0
+    unrecorded = rng.random(n) < 0.2
+    inputs = rng.lognormal(20.0, 2.0, n)
+    outputs = np.where(rng.random(n) < 0.2, 0.0, rng.lognormal(18.0, 2.0, n))
+    paths = rng.zipf(1.5, n) % 300
+    jobs = [
+        Job(job_id="r%05d" % i, submit_time_s=float(submits[i]),
+            duration_s=float(map_seconds[i] + reduce_seconds[i]),
+            input_bytes=float(inputs[i]), shuffle_bytes=0.0,
+            output_bytes=float(outputs[i]),
+            map_task_seconds=float(map_seconds[i]),
+            reduce_task_seconds=float(reduce_seconds[i]),
+            map_tasks=None if unrecorded[i] else int(map_tasks[i]),
+            reduce_tasks=None if unrecorded[i] else int(reduce_tasks[i]),
+            input_path="/data/%d" % paths[i], output_path="/out/%d" % (i % 500))
+        for i in range(n)
+    ]
+    return Trace(jobs, name="replay-15k")

@@ -10,7 +10,9 @@ busy-slot seconds, and cache statistics.
 
 Grids cover scheduler × cache × lookahead (the three axes that change event
 interleaving), shard boundaries dropped mid-burst and exactly on an arrival
-tie, and duplicate-submit-time tie-breaking.
+tie, and duplicate-submit-time tie-breaking.  One 15 000-job case runs past
+several look-ahead refills and metric-fold blocks, where the engine folds
+its buffered metric samples.
 """
 
 import numpy as np
@@ -31,6 +33,8 @@ from repro.simulator import (
     WorkloadReplayer,
     legacy_replay_jobs,
 )
+from repro.simulator.metrics import ACCUMULATOR_BATCH
+from repro.simulator.replay import DEFAULT_LOOKAHEAD, _ReplayEngine
 from repro.traces import Job, Trace, load_workload
 from repro.units import GB
 
@@ -130,6 +134,88 @@ class TestVectorizedMatchesLegacy:
         with pytest.raises(SimulationError) as old_err:
             legacy_replay_jobs(WorkloadReplayer(), jobs)
         assert str(new_err.value) == str(old_err.value)
+
+
+# ---------------------------------------------------------------------------
+# past one look-ahead window: the per-chunk metric fold
+# ---------------------------------------------------------------------------
+CLUSTERS = {
+    "default": ClusterConfig(),
+    "two-node": ClusterConfig(n_nodes=2),
+}
+
+
+class TestPastOneLookahead:
+    """The engine folds buffered utilization samples and job waits and
+    completions at look-ahead refills and at the end of the replay.  A
+    15 000-job replay crosses at least three refills and three
+    4096-sample accumulator blocks; on the two-node cluster jobs queue and
+    are bulk-admitted.  Every lane must keep every digest bit."""
+
+    @pytest.fixture(scope="class")
+    def big_store(self, replay_trace_15k, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("equiv-15k") / "r15k.store"
+        return ChunkedTraceStore.write(directory, replay_trace_15k, chunk_rows=3000)
+
+    @pytest.fixture(scope="class", params=sorted(CLUSTERS))
+    def cluster(self, request):
+        return CLUSTERS[request.param]
+
+    @pytest.fixture(scope="class")
+    def streamed(self, big_store, cluster):
+        """The store replay, counting metric folds and bulk admissions."""
+        counts = {"folds": 0, "bulk_admitted": 0}
+        fold, bulk_admit = _ReplayEngine._fold_metrics, _ReplayEngine._bulk_admit
+
+        def counting_fold(engine):
+            counts["folds"] += 1
+            fold(engine)
+
+        def counting_bulk_admit(engine, until_s=float("inf")):
+            head = engine._buf_head
+            bulk_admit(engine, until_s)
+            counts["bulk_admitted"] += engine._buf_head - head
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_ReplayEngine, "_fold_metrics", counting_fold)
+            patch.setattr(_ReplayEngine, "_bulk_admit", counting_bulk_admit)
+            metrics = StreamingReplayer(cluster_config=cluster).replay_store(big_store)
+        return metrics, counts
+
+    def test_crosses_the_fold_boundaries(self, replay_trace_15k, cluster, streamed):
+        metrics, counts = streamed
+        assert len(replay_trace_15k.jobs) >= 3 * max(DEFAULT_LOOKAHEAD, ACCUMULATOR_BATCH) + 1
+        assert metrics.finished_jobs == len(replay_trace_15k.jobs)
+        assert counts["folds"] >= 4  # three at refills, one at the end
+        if cluster.n_nodes == 2:
+            assert counts["bulk_admitted"] > 0
+            assert metrics.wait.maximum > 0.0
+
+    def test_vectorized_matches_legacy(self, replay_trace_15k, cluster, streamed):
+        old = legacy_replay_jobs(StreamingReplayer(cluster_config=cluster),
+                                 replay_trace_15k.jobs)
+        assert streamed[0].digest() == old.digest()
+
+    def test_streaming_matches_retained_outcomes(self, replay_trace_15k, cluster,
+                                                 streamed):
+        kept = WorkloadReplayer(cluster_config=cluster,
+                                keep_outcomes=True).replay(replay_trace_15k)
+        assert len(kept.outcomes) == len(replay_trace_15k.jobs)
+        assert streamed[0].digest() == kept.digest()
+
+    def test_exact_sharding_matches_serial(self, big_store, cluster, streamed):
+        sharded = ShardedReplayer(cluster_config=cluster, shards=4, mode="exact")
+        assert sharded.replay_store(big_store).digest() == streamed[0].digest()
+
+    def test_lru_cache_matches_legacy(self, replay_trace_15k, big_store, cluster):
+        """A cache policy takes the fast mode without the fast I/O path."""
+        new = StreamingReplayer(cluster_config=cluster,
+                                cache=LruCache(capacity_bytes=GB)).replay_store(big_store)
+        old = legacy_replay_jobs(
+            StreamingReplayer(cluster_config=cluster, cache=LruCache(capacity_bytes=GB)),
+            replay_trace_15k.jobs)
+        assert new.cache_stats.hits > 0
+        assert new.digest() == old.digest()
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,13 @@ differences here are:
 * when every slot of both kinds is busy, no arrival can dispatch until the
   next completion, so all buffered arrivals before that completion are
   admitted in one :func:`bisect.bisect_left` batch instead of one loop
-  iteration per job.
+  iteration per job;
+* most jobs of these workloads never wait for a slot, and while none does
+  each job's schedule is fixed by its own columns: each look-ahead window's
+  leading uncontended stretch is scheduled with NumPy (one sort of its
+  admits and completions into the loop's event order, busy slots by
+  ``cumsum``) and committed in bulk; the heap loop takes over at the first
+  dispatch that would find too few free slots.
 
 Usage — the streamed run reproduces the materialized run exactly::
 
@@ -64,7 +70,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -87,6 +93,13 @@ __all__ = ["WorkloadReplayer", "StreamingReplayer", "replay", "replay_store"]
 DEFAULT_LOOKAHEAD = 4096
 
 _INF = float("inf")
+
+#: Stretch attempts (see ``_ReplayEngine._stretch``): a window of fewer rows
+#: goes straight to the heap loop — an attempt's fixed NumPy cost (~0.5 ms)
+#: is what the heap loop spends on ~64 uncontended jobs — and an attempt
+#: starts with a span of _FIRST_SPAN rows.
+_MIN_STRETCH = 64
+_FIRST_SPAN = 256
 
 _ORDER_ERROR = (
     "job %s submitted at %.3f after a job submitted at %.3f: "
@@ -170,6 +183,159 @@ def _nan_to_zero(array: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(array), 0.0, array)
 
 
+#: Window columns in ``_PreparedJob`` constructor order.
+_RECORD_COLUMNS = ("job_id", "raw", "n_map", "map_dur", "n_red", "red_dur",
+                   "input_path", "input_bytes", "output_path", "output_bytes",
+                   "total_bytes")
+
+#: Window columns in the order ``_prep_job`` appends its row tuples.
+_JOB_ROW_COLUMNS = ("eff", "raw", "n_map", "map_dur", "n_red", "red_dur",
+                    "job_id", "input_path", "input_bytes", "output_path",
+                    "output_bytes", "writes", "total_bytes")
+_JOB_ROW_DTYPES = {"eff": float, "raw": float, "n_map": np.int64,
+                   "map_dur": float, "n_red": np.int64, "red_dur": float,
+                   "input_bytes": float, "output_bytes": float, "writes": bool}
+
+
+def _object_column(values) -> np.ndarray:
+    column = np.empty(len(values), dtype=object)
+    column[:] = values
+    return column
+
+
+def _path_column(column: Optional[np.ndarray], lo: int, hi: int) -> np.ndarray:
+    if column is None:  # never recorded: every job reads None
+        return np.full(hi - lo, None, dtype=object)
+    return column[lo:hi]
+
+
+def _truthy(column: np.ndarray) -> np.ndarray:
+    """``bool(value)`` per element (fixed-width strings compare, ~60x faster)."""
+    if column.dtype.kind == "U":
+        return column != ""
+    return column.astype(bool)
+
+
+def _job_rows_part(rows: List[tuple]) -> dict:
+    """Window columns from ``_prep_job`` row tuples; ids, paths and total
+    bytes stay the job's own Python objects."""
+    part = {}
+    for name, values in zip(_JOB_ROW_COLUMNS, zip(*rows)):
+        dtype = _JOB_ROW_DTYPES.get(name)
+        part[name] = (np.array(values, dtype=dtype) if dtype is not None
+                      else _object_column(values))
+    return part
+
+
+def _fold_sum(total: float, values: np.ndarray) -> float:
+    """``total`` plus ``values`` added one at a time, left to right."""
+    if not values.size:
+        return total
+    return float(np.add.accumulate(np.concatenate(([total], values)))[-1])
+
+
+def _stretch_events(window: dict, n: int, queued: list) -> Tuple[dict, dict]:
+    """Per-job facts and the events of one stretch attempt.
+
+    Jobs are the window's first ``n`` rows followed by the jobs of the
+    ``queued`` heap entries (in seq order).  Events are, in this order: the
+    admits A, the stage-1 completions C1, the stage-2 completions C2 (jobs
+    with maps and reduces), the queued entries Q, and the reduce stages QC
+    that queued map entries dispatch.  Each event carries its time ``t``, its
+    dispatcher's time ``ptime`` (+inf for admits, -inf for Q, whose seqs rank
+    below every new one) and a ``pcode`` that orders dispatchers at equal
+    times (Q by seq, then C1, then A, each by job), its slot deltas, its job,
+    whether it finishes that job, and the event it dispatches (``child``).
+    """
+    m = len(queued)
+    s = window["eff"][:n]
+    n_map = window["n_map"][:n]
+    n_red = window["n_red"][:n]
+    red_dur = window["red_dur"][:n]
+    has_map = n_map > 0
+    two = has_map & (n_red > 0)
+    c1 = s + np.where(has_map, window["map_dur"][:n], red_dur)
+    c2 = c1[two] + red_dur[two]
+    records = [entry[2] for entry in queued]
+    q_time = np.array([entry[0] for entry in queued], dtype=float)
+    q_map = np.array([entry[3] == "map" for entry in queued], dtype=bool)
+    q_payload = np.array([entry[4] for entry in queued], dtype=np.int64)
+    q_red = np.where(q_map, np.array([r.n_reduce for r in records], dtype=np.int64), 0)
+    q_child = q_red > 0
+    q_c = q_time[q_child] + np.array([r.reduce_duration_s for r in records],
+                                     dtype=float)[q_child]
+    q_writes = np.array([bool(r.output_path) and bool(r.output_bytes or 0.0)
+                         for r in records], dtype=bool)
+    q_out = np.array([float(r.output_bytes or 0.0) for r in records], dtype=float)
+
+    writes = np.concatenate((window["writes"][:n], q_writes))
+    output_bytes = np.concatenate((window["output_bytes"][:n], q_out))
+    bad = np.concatenate((~(c1 > s) | ~np.isfinite(c1), ~np.isfinite(q_time)))
+    bad[:n][two] |= ~(c2 > c1[two]) | ~np.isfinite(c2)
+    bad[n:][q_child] |= ~(q_c > q_time[q_child]) | ~np.isfinite(q_c)
+    bad |= writes & (output_bytes < 0.0)
+    jobs = {
+        "raw": np.concatenate((window["raw"][:n],
+                               np.array([r.submit_time_s for r in records], dtype=float))),
+        "start": np.concatenate((s, np.array([r.start_time_s for r in records],
+                                             dtype=float))),
+        "input_bytes": np.concatenate((window["input_bytes"][:n], np.zeros(m))),
+        "output_bytes": output_bytes,
+        "writes": writes,
+        "bad": bad,
+    }
+
+    index = np.arange(n)
+    two_index = index[two]
+    q_index = np.arange(m)
+    q_kids = q_index[q_child]
+    width = n + m
+    n_two = two_index.size
+    q_first = 2 * n + n_two
+    child = np.full(q_first + m + q_kids.size, -1, dtype=np.int64)
+    child[:n] = n + index
+    child[n + two_index] = 2 * n + np.arange(n_two)
+    child[q_first + q_kids] = q_first + m + np.arange(q_kids.size)
+    events = {
+        "t": np.concatenate((s, c1, c2, q_time, q_c)),
+        "ptime": np.concatenate((np.full(n, _INF), s, c1[two], np.full(m, -_INF),
+                                 q_time[q_child])),
+        "pcode": np.concatenate((index, 2 * width + index, width + two_index,
+                                 q_index, q_kids)),
+        "d_map": np.concatenate((n_map, -n_map, np.zeros(n_two, dtype=np.int64),
+                                 np.where(q_map, -q_payload, 0),
+                                 np.zeros(q_kids.size, dtype=np.int64))),
+        "d_red": np.concatenate((np.where(has_map, 0, n_red),
+                                 np.where(has_map, n_red, -n_red), -n_red[two],
+                                 np.where(q_map, q_red, -q_payload), -q_red[q_child])),
+        "job": np.concatenate((index, index, two_index, n + q_index, n + q_kids)),
+        "finishes": np.concatenate((np.zeros(n, dtype=bool), ~two,
+                                    np.ones(n_two, dtype=bool), ~q_child,
+                                    np.ones(q_kids.size, dtype=bool))),
+        "child": child,
+        "q_first": q_first,
+    }
+    return jobs, events
+
+
+def _event_order(t: np.ndarray, ptime: np.ndarray, pcode: np.ndarray) -> np.ndarray:
+    """Event indices in the heap loop's processing order: by ``(t, ptime,
+    pcode)``.  One sort by time; only events that tie on time are
+    re-sorted by the full key."""
+    order = np.argsort(t)
+    sorted_t = t[order]
+    tied = sorted_t[1:] == sorted_t[:-1]
+    if tied.any():
+        group = np.zeros(order.shape[0], dtype=bool)
+        group[1:] = tied
+        group[:-1] |= tied
+        where = np.flatnonzero(group)
+        members = order[where]
+        order[where] = members[np.lexsort((pcode[members], ptime[members],
+                                           t[members]))]
+    return order
+
+
 class _ReplayEngine:
     """The replay event loop: tuple heap, batched admission, vectorized prep.
 
@@ -209,6 +375,13 @@ class _ReplayEngine:
     and at :meth:`finish`.  The folds repeat the per-sample float operations
     in the same order, so every digest bit is unchanged.  Output writes under
     the fast I/O path only add to the HDFS byte counter, like input reads.
+
+    In fast mode a refill buffers its jobs as column arrays (a window) and
+    :meth:`_open_window` first offers the window to :meth:`_stretch`, which
+    schedules its leading uncontended stretch with NumPy and commits it
+    exactly as the heap loop would have processed it (fast I/O only); the
+    rest of the window becomes :class:`_PreparedJob` records for the heap
+    loop, which stays the exact fallback for contention.
     """
 
     def __init__(self, replayer: "WorkloadReplayer"):
@@ -247,6 +420,12 @@ class _ReplayEngine:
         self._buf_times: List[float] = []
         self._buf_jobs: List[object] = []
         self._buf_head = 0
+        # Fast-mode submissions pulled by the current refill and not yet
+        # buffered as records: column parts (store rows) or row tuples
+        # (``Job`` objects), _window_rows jobs in all; see _open_window.
+        self._window_parts: List[dict] = []
+        self._job_rows: List[tuple] = []
+        self._window_rows = 0
         self._budget = replayer.max_simulated_jobs
         # Fast-mode FIFO structures: map-ready jobs in admission order, and a
         # reduce-ready min-heap keyed by admission order (a job enters it when
@@ -329,7 +508,7 @@ class _ReplayEngine:
             self._buf_head = head = 0
         boundary = self.feed_boundary
         while not self._exhausted:
-            buffered = len(self._buf_times) - head
+            buffered = len(self._buf_times) - head + self._window_rows
             need = self.lookahead - buffered
             if need <= 0:
                 return
@@ -390,18 +569,22 @@ class _ReplayEngine:
             if n_map == 0 and n_reduce == 0:
                 # Zero-compute jobs still occupy a slot for a moment (split_job).
                 n_map, map_duration = 1, 1.0
-            entry: object = _PreparedJob(
-                job.job_id, submit, n_map, map_duration, n_reduce,
-                reduce_duration, job.input_path, float(job.input_bytes or 0.0),
-                job.output_path, job.output_bytes, job.total_bytes)
-        else:
-            sim_job = split_job(job)
-            if self.transform is not None:
-                self.transform(sim_job)
-            entry = sim_job
+            output_bytes = job.output_bytes or 0.0
+            self._job_rows.append((
+                max(0.0, submit), submit, n_map, map_duration, n_reduce,
+                reduce_duration, job.job_id, job.input_path,
+                float(job.input_bytes or 0.0), job.output_path,
+                float(output_bytes), bool(job.output_path) and bool(output_bytes),
+                job.total_bytes))
+            self._window_rows += 1
+            self.metrics.record_submission()
+            return
+        sim_job = split_job(job)
+        if self.transform is not None:
+            self.transform(sim_job)
         self.metrics.record_submission()
         self._buf_times.append(max(0.0, submit))
-        self._buf_jobs.append(entry)
+        self._buf_jobs.append(sim_job)
 
     def _prep_rows(self, lo: int, hi: int) -> None:
         """Vectorized decomposition of store rows ``[lo, hi)`` (fast mode)."""
@@ -430,34 +613,51 @@ class _ReplayEngine:
         if empty.any():
             n_map = np.where(empty, 1, n_map)
             map_duration = np.where(empty, 1.0, map_duration)
-        # Python-land lists: .tolist() converts to native float/int/str once,
-        # instead of one NumPy-scalar box per attribute access later.
-        effective = np.maximum(submits, 0.0).tolist()
-        raw_submit = submits.tolist()
-        job_ids = cols["job_id"][lo:hi].tolist()
-        n_map = n_map.tolist()
-        map_duration = map_duration.tolist()
-        n_reduce = n_reduce.tolist()
-        reduce_duration = reduce_duration.tolist()
-        input_bytes = cols["input_bytes"][lo:hi].tolist()
-        output_bytes = cols["output_bytes"][lo:hi].tolist()
-        total_bytes = cols["total_bytes"][lo:hi].tolist()
-        input_paths = cols["input_path"]
-        input_paths = (input_paths[lo:hi].tolist() if input_paths is not None else None)
-        output_paths = cols["output_path"]
-        output_paths = (output_paths[lo:hi].tolist() if output_paths is not None else None)
-        buf_times = self._buf_times
-        buf_jobs = self._buf_jobs
-        for index in range(hi - lo):
-            buf_times.append(effective[index])
-            buf_jobs.append(_PreparedJob(
-                job_ids[index], raw_submit[index], n_map[index],
-                map_duration[index], n_reduce[index], reduce_duration[index],
-                input_paths[index] if input_paths is not None else None,
-                input_bytes[index],
-                output_paths[index] if output_paths is not None else None,
-                output_bytes[index], total_bytes[index]))
+        output_paths = _path_column(cols["output_path"], lo, hi)
+        output_bytes = cols["output_bytes"][lo:hi]
+        self._window_parts.append({
+            "eff": np.maximum(submits, 0.0), "raw": submits,
+            "n_map": n_map, "map_dur": map_duration,
+            "n_red": n_reduce, "red_dur": reduce_duration,
+            "job_id": cols["job_id"][lo:hi],
+            "input_path": _path_column(cols["input_path"], lo, hi),
+            "input_bytes": cols["input_bytes"][lo:hi],
+            "output_path": output_paths, "output_bytes": output_bytes,
+            "writes": _truthy(output_paths) & (output_bytes != 0.0),
+            "total_bytes": cols["total_bytes"][lo:hi],
+        })
+        self._window_rows += hi - lo
         self.metrics.jobs_submitted += hi - lo
+
+    def _take_window(self) -> dict:
+        """Concatenate the columns buffered since the last refill into one
+        window (``_prep_job`` rows become arrays here) and clear the parts."""
+        parts = self._window_parts
+        if self._job_rows:
+            parts.append(_job_rows_part(self._job_rows))
+            self._job_rows = []
+        self._window_parts = []
+        self._window_rows = 0
+        if len(parts) == 1:
+            return parts[0]
+        return {name: np.concatenate([part[name] for part in parts])
+                for name in parts[0]}
+
+    def _records(self, window: dict, rows: np.ndarray) -> List[_PreparedJob]:
+        """``_PreparedJob`` records for window ``rows`` (native Python
+        scalars via ``tolist``, as the heap loop reads them)."""
+        columns = [window[name][rows].tolist() for name in _RECORD_COLUMNS]
+        return [_PreparedJob(*values) for values in zip(*columns)]
+
+    def _open_window(self, until_s: float = _INF, attempt: bool = True) -> None:
+        """Run one stretch attempt over a freshly refilled window, then hand
+        whatever it did not commit to the heap loop as buffered records."""
+        window = self._take_window()
+        committed = self._stretch(window, until_s) if attempt else 0
+        rows = np.arange(committed, window["eff"].shape[0])
+        if rows.size:
+            self._buf_times.extend(window["eff"][rows].tolist())
+            self._buf_jobs.extend(self._records(window, rows))
 
     # -- storage side effects ---------------------------------------------
     def _serve_input(self, job_id: str, input_path, size: float) -> None:
@@ -716,8 +916,190 @@ class _ReplayEngine:
             if cut < len(times):
                 return
             self._refill()
+            if self._window_rows:
+                self._open_window(attempt=False)
             if self._buf_head >= len(self._buf_times):
                 return
+
+    # -- uncontended stretches ---------------------------------------------
+    def _stretch(self, window: dict, until_s: float) -> int:
+        """Schedule the window's leading uncontended stretch with NumPy.
+
+        Allowed only when no job waits for a slot and every queued heap entry
+        runs a whole stage of its job.  Then, until some dispatch finds too
+        few free slots, each job's schedule follows from its own columns (see
+        :meth:`_stretch_span`).  The window's jobs before ``until_s`` go in
+        two spans, its first :data:`_FIRST_SPAN` rows and, if those are all
+        admitted, the rest, so a window that contends early pays for a short
+        sort only.  Returns the number of window jobs admitted; the heap loop
+        takes over from there.
+        """
+        if (not self._fast_io or self._map_ready or self._reduce_ready
+                or window["eff"].shape[0] < _MIN_STRETCH):
+            return 0
+        for _time, _seq, record, kind, payload in self._heap:
+            if kind == "map":
+                whole = payload == record.n_map == record.maps_remaining
+            else:
+                whole = payload == record.n_reduce == record.reduces_remaining
+            if not whole:
+                return 0
+        eff = window["eff"]
+        limit = eff.shape[0] if until_s == _INF else int(
+            np.searchsorted(eff, until_s, side="left"))
+        admitted, span = 0, _FIRST_SPAN
+        while admitted < limit:
+            end = min(limit, admitted + span)
+            part = {name: column[admitted:end] for name, column in window.items()}
+            admitted += self._stretch_span(part, end - admitted)
+            if admitted < end:
+                break
+            span = limit
+        return admitted
+
+    def _stretch_span(self, window: dict, n: int) -> int:
+        """Commit the uncontended prefix of the events that admitting window
+        rows ``[0, n)`` sets off.
+
+        Stage 1 of a job ends at ``c1 = s + d1`` (``d1`` the map duration, or
+        the reduce duration of a reduce-only job) and stage 2 at
+        ``c1 + reduce duration`` — the heap loop's own float adds.  Admits,
+        those completions, the queued heap entries and the reduce stages
+        queued map entries dispatch are put in the loop's processing order
+        (see :func:`_event_order`), busy slots follow by ``cumsum``, and the
+        prefix before the first event that would exceed a capacity is
+        committed by :meth:`_commit`.  The prefix also stops at a job whose
+        completion would land on its dispatch instant, whose output size is
+        negative or whose times are not finite (the heap loop handles those),
+        and after the last admit.  Returns the number of jobs admitted.
+        """
+        queued = sorted(self._heap, key=lambda entry: entry[1])
+        jobs, events = _stretch_events(window, n, queued)
+        order = _event_order(events["t"], events["ptime"], events["pcode"])
+        n_events = order.shape[0]
+        rank = np.empty(n_events, dtype=np.int64)
+        rank[order] = np.arange(n_events)
+        slots = self.slots
+        busy_map = slots.busy_map + np.cumsum(events["d_map"][order])
+        busy_red = slots.busy_reduce + np.cumsum(events["d_red"][order])
+        stop = (busy_map > slots.map_capacity) | (busy_red > slots.reduce_capacity)
+        stop |= jobs["bad"][events["job"][order]]
+        stop[rank[n - 1] + 1:] = True
+        cut = int(np.argmax(stop)) if stop.any() else n_events
+        if cut == 0:
+            return 0
+        return self._commit(window, n, queued, jobs, events, order[:cut],
+                            rank >= cut, busy_map[:cut], busy_red[:cut])
+
+    def _commit(self, window: dict, n: int, queued: list, jobs: dict, events: dict,
+                done: np.ndarray, pending: np.ndarray, busy_map: np.ndarray,
+                busy_red: np.ndarray) -> int:
+        """Apply a stretch's committed events ``done`` (processing order, with
+        the busy slots after each) to the engine exactly as the heap loop
+        would; ``pending`` flags the events left for later.  Returns the
+        number of jobs admitted."""
+        metrics = self.metrics
+        times = events["t"][done]
+        self._obs_times.extend(times.tolist())
+        self._obs_slots.extend((busy_map + busy_red).tolist())
+        self.now = float(times[-1])
+        self.slots.busy_map = int(busy_map[-1])
+        self.slots.busy_reduce = int(busy_red[-1])
+        job = events["job"][done]
+        is_admit = done < n
+        admitted = int(np.count_nonzero(is_admit))
+        finishing = events["finishes"][done]
+        f_job = job[finishing]
+
+        # Storage counters in event order: each admit reads its input (+in,
+        # -in on bytes_written), each finishing writer adds its output.
+        in_bytes = window["input_bytes"][:admitted]
+        writer = finishing & jobs["writes"][job]
+        size = np.where(is_admit, jobs["input_bytes"][job], jobs["output_bytes"][job])
+        ops = np.stack((size, -size), axis=1).ravel()[
+            np.stack((is_admit | writer, is_admit), axis=1).ravel()]
+        hdfs = self.hdfs
+        hdfs.bytes_written = _fold_sum(hdfs.bytes_written, ops)
+        hdfs.bytes_read = _fold_sum(hdfs.bytes_read, in_bytes)
+        stats = self.cache.stats
+        stats.misses += admitted
+        stats.bytes_from_disk = _fold_sum(stats.bytes_from_disk, in_bytes)
+        stats.admissions_rejected += admitted
+
+        # Finished jobs, in finish order.
+        if f_job.size:
+            f_time = times[finishing]
+            submit = jobs["raw"][f_job]
+            start = jobs["start"][f_job]
+            wait = start - submit
+            wait = np.where(wait < 0.0, 0.0, wait)
+            completion = f_time - submit
+            if metrics.keep_outcomes:
+                rows = f_job.tolist()
+                records = [entry[2] for entry in queued]
+                ids = window["job_id"][:n].tolist() + [r.job_id for r in records]
+                totals = (window["total_bytes"][:n].tolist()
+                          + [r.total_bytes for r in records])
+                n_tasks = (window["n_map"][:n] + window["n_red"][:n]).tolist() + [
+                    r.n_map + r.n_reduce for r in records]
+                metrics.outcomes.extend(
+                    JobOutcome(job_id=ids[row], submit_time_s=sub,
+                               start_time_s=begin, finish_time_s=end,
+                               wait_time_s=waited, completion_time_s=took,
+                               total_bytes=totals[row], n_tasks=n_tasks[row])
+                    for row, sub, begin, end, waited, took in zip(
+                        rows, submit.tolist(), start.tolist(), f_time.tolist(),
+                        wait.tolist(), completion.tolist()))
+                metrics.finished_jobs += len(rows)
+                metrics.wait._extend(wait.tolist())
+                metrics.completion._extend(completion.tolist())
+            else:
+                self._waits.extend(wait.tolist())
+                self._completions.extend(completion.tolist())
+
+        # One seq per dispatching event, in processing order.
+        child = events["child"][done]
+        dispatching = child >= 0
+        seqs = self._seq + np.cumsum(dispatching) - 1
+        self._seq += int(np.count_nonzero(dispatching))
+        base_order = self._order
+        self._order += admitted
+        self._active += admitted - int(f_job.size)
+
+        # Still in flight: the children of committed dispatchers that are not
+        # committed themselves, plus the queued entries not reached.
+        flying = dispatching.copy()
+        flying[dispatching] = pending[child[dispatching]]
+        kids = child[flying]
+        kid_seqs = seqs[flying].tolist()
+        kid_times = events["t"][kids].tolist()
+        kid_jobs = job[flying]
+        stage_two = (done[flying] >= n).tolist()  # dispatched by a completion
+        heap = self._heap
+        q_first = events["q_first"]
+        kept = [entry for index, entry in enumerate(queued)
+                if pending[q_first + index]]
+        in_window = kid_jobs[kid_jobs < n]
+        records = iter(self._records(window, in_window))
+        starts = iter(window["eff"][in_window].tolist())
+        for index, time_s, seq, second in zip(kid_jobs.tolist(), kid_times,
+                                              kid_seqs, stage_two):
+            if index < n:
+                record = next(records)
+                record.start_time_s = next(starts)
+                record.order = base_order + index
+                record.maps_queued = 0
+            else:
+                record = queued[index - n][2]
+            if second or not record.n_map:
+                record.maps_remaining = 0
+                record.reduces_queued = 0
+                kept.append((time_s, seq, record, "reduce", record.n_reduce))
+            else:
+                kept.append((time_s, seq, record, "map", record.n_map))
+        heap[:] = kept
+        heapify(heap)
+        return admitted
 
     # -- driving -----------------------------------------------------------
     def prime(self) -> None:
@@ -749,6 +1131,9 @@ class _ReplayEngine:
         while True:
             if self._buf_head >= len(self._buf_times):
                 self._refill()
+                if self._window_rows:
+                    self._open_window(until_s)
+                    continue
                 if self._buf_head >= len(self._buf_times):
                     while heap and heap[0][0] <= until_s:
                         self._pop_completion()

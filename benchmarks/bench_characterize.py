@@ -6,15 +6,15 @@ Run directly (not collected by pytest — the workload is deliberately large)::
 
 The benchmark writes a synthetic FB-2010-shaped trace of ``--jobs`` jobs
 (with hashed file paths and framework-style job names, so every figure
-pipeline has data) to chunked columnar stores in **both** on-disk formats,
-then reproduces **Table 1, Figures 1-10 and Table 2** in fresh subprocesses
-(for clean peak-RSS numbers) along four paths:
+pipeline has data) to a chunked columnar store, then reproduces **Table 1,
+Figures 1-10 and Table 2** in fresh subprocesses (for clean peak-RSS
+numbers) along four paths:
 
 1. **per-analysis**  — every experiment issues its own streaming scans over
-   the legacy compressed v1 store (the pre-shared-scan behaviour: the store
-   is re-opened and re-decompressed once per analysis);
-2. **shared**        — one :class:`ScanPipeline` decodes the mmap-backed v2
-   store exactly once for the whole suite;
+   the store (the pre-shared-scan behaviour: the store is re-opened and
+   re-decompressed once per analysis);
+2. **shared**        — one :class:`ScanPipeline` decodes the store exactly
+   once for the whole suite;
 3. **shared-pN**     — the same shared scan fanned over ``--processes N``
    worker processes (skipped unless ``--processes`` is given);
 4. **materialized**  — the store is fully converted to an in-memory job-list
@@ -44,7 +44,7 @@ because both children share ~2 s of fixed non-scan cost (the Figure-7
 utilization replay, Table-2 clustering, report rendering) that compresses
 the ratio, and single-core container timings jitter by ±20%.
 
-**Incremental lane** (the checkpointed-ingest contract): a second v2 store is
+**Incremental lane** (the checkpointed-ingest contract): a second store is
 seeded with the first 90% of the jobs and characterized once with
 ``checkpoint_to=`` (the "yesterday" run); the remaining 10% are then
 *appended* via the store appender, and the suite is re-run twice in fresh
@@ -59,16 +59,6 @@ submit time, so nothing has a reason to rescan), and the incremental wall
 clock below ``--max-incremental-ratio`` (default 0.35×) of the cold rescan.
 ``--incremental-only`` runs just this lane (the CI docs job uses it with
 ``--smoke``).
-
-**Format lane** (the v3 decode contract): the same trace is also written as
-a format-v3 store (compressed blocks + dictionary strings), and the full
-shared-scan suite is re-run in fresh subprocesses once per format (v1, v2,
-v3).  Enforced: every experiment's rows **bit-identical** across all three
-formats, the v3 store at most **1.3x** the v1 (.npz) footprint, and the v3
-shared-scan wall clock at most **1.2x** the v2 (mmap) wall clock — the
-code-native dictionary fold is what keeps compressed storage from costing
-scan time.  The wall bar shares the ``--smoke``/``--skip-speed-check``
-gating of the speedup bar; the disk bar and row equality always hold.
 
 ``--output`` (default: ``BENCH_characterize.json`` at the repo root, so the
 perf trajectory is tracked across PRs) writes the measured numbers as JSON —
@@ -364,54 +354,30 @@ def run_benchmark(n_jobs: int, chunk_rows: int, keep_store: str = "",
     }
 
     if not incremental_only:
-        v1_path = os.path.join(store_dir, "store-v1")
-        v2_path = os.path.join(store_dir, "store-v2")
+        store_path = os.path.join(store_dir, "store")
 
         start = time.perf_counter()
-        v1_store = ChunkedTraceStore.write(v1_path, synthetic_characterize_jobs(n_jobs),
-                                           chunk_rows=chunk_rows, name="FB-2010",
-                                           format_version=1)
-        v1_mb = v1_store.info()["on_disk_bytes"] / 1e6
-        print("wrote v1 (.npz) store   (%d chunks, %7.1f MB) in %.1f s"
-              % (v1_store.n_chunks, v1_mb, time.perf_counter() - start))
-        start = time.perf_counter()
-        # Re-run the deterministic generator rather than materializing the v1
-        # store: identical jobs, chunk-bounded memory during setup.
-        v2_store = ChunkedTraceStore.write(v2_path, synthetic_characterize_jobs(n_jobs),
-                                           chunk_rows=chunk_rows, name="FB-2010",
-                                           format_version=2)
-        v2_mb = v2_store.info()["on_disk_bytes"] / 1e6
-        print("wrote v2 (.npy) store   (%d chunks, %7.1f MB) in %.1f s"
-              % (v2_store.n_chunks, v2_mb, time.perf_counter() - start))
-        start = time.perf_counter()
-        v3_path = os.path.join(store_dir, "store-v3")
-        v3_store = ChunkedTraceStore.write(v3_path, synthetic_characterize_jobs(n_jobs),
-                                           chunk_rows=chunk_rows, name="FB-2010",
-                                           format_version=3)
-        v3_mb = v3_store.info()["on_disk_bytes"] / 1e6
-        print("wrote v3 (block) store  (%d chunks, %7.1f MB) in %.1f s\n"
-              % (v3_store.n_chunks, v3_mb, time.perf_counter() - start))
+        store = ChunkedTraceStore.write(store_path, synthetic_characterize_jobs(n_jobs),
+                                        chunk_rows=chunk_rows, name="FB-2010")
+        disk_mb = store.info()["on_disk_bytes"] / 1e6
+        print("wrote store  (%d chunks, %7.1f MB) in %.1f s\n"
+              % (store.n_chunks, disk_mb, time.perf_counter() - start))
 
-        print("characterizing per-analysis (one scan per experiment, v1 store)...")
-        streamed = _run_child(v1_path, "per-analysis")
-        print("characterizing shared scan (one decoded pass, v2 store)...")
-        shared = _run_child(v2_path, "shared")
+        print("characterizing per-analysis (one scan per experiment)...")
+        streamed = _run_child(store_path, "per-analysis")
+        print("characterizing shared scan (one decoded pass)...")
+        shared = _run_child(store_path, "shared")
         shared_parallel = None
         if processes:
             print("characterizing shared scan with %d worker processes..." % processes)
-            shared_parallel = _run_child(v2_path, "shared", processes=processes)
+            shared_parallel = _run_child(store_path, "shared", processes=processes)
         print("characterizing materialized (store -> Trace -> suite)...")
-        full = _run_child(v1_path, "materialized")
-        print("format decode lanes: shared scan on the v1 and v3 stores...")
-        shared_v1 = _run_child(v1_path, "shared")
-        shared_v3 = _run_child(v3_path, "shared")
+        full = _run_child(store_path, "materialized")
 
         named = [("per-analysis", streamed), ("shared", shared)]
         if shared_parallel is not None:
             named.append(("shared-p%d" % processes, shared_parallel))
         named.append(("materialized", full))
-        named.append(("shared-v1", shared_v1))
-        named.append(("shared-v3", shared_v3))
         header = "%-14s %12s %12s" % ("path", "wall s", "peak RSS MB")
         print("\n" + header)
         print("-" * len(header))
@@ -423,43 +389,18 @@ def run_benchmark(n_jobs: int, chunk_rows: int, keep_store: str = "",
             failures += _check_shared_equals_streamed(shared_parallel, shared,
                                                       "shared-p%d" % processes)
         failures += _check_equivalence(streamed, full)
-        # The v3 decode contract: every characterization row identical no
-        # matter which on-disk format fed the shared scan.
-        failures += _check_shared_equals_streamed(shared_v1, shared, "shared-v1")
-        failures += _check_shared_equals_streamed(shared_v3, shared, "shared-v3")
 
         ratio = shared["rss_mb"] / full["rss_mb"] if full["rss_mb"] else float("inf")
         speedup = streamed["wall_s"] / shared["wall_s"] if shared["wall_s"] else float("inf")
-        disk_ratio = v3_mb / v1_mb if v1_mb else float("inf")
-        wall_ratio = (shared_v3["wall_s"] / shared["wall_s"]
-                      if shared["wall_s"] else float("inf"))
         print("\nshared/materialized peak-RSS ratio:  %.3f (target <= 1/3)" % ratio)
         print("shared-scan speedup vs per-analysis: %.2fx (target >= %.1fx)"
               % (speedup, min_speedup))
-        print("v3/v1 on-disk ratio:                 %.3f (target <= 1.3)" % disk_ratio)
-        print("v3/v2 shared-scan wall ratio:        %.3f (target <= 1.2)" % wall_ratio)
         if check_rss and ratio > 1.0 / 3.0:
             failures.append("peak RSS ratio %.3f exceeds 1/3" % ratio)
         if check_speedup and speedup < min_speedup:
             failures.append("shared-scan speedup %.2fx below %.1fx" % (speedup, min_speedup))
-        if disk_ratio > 1.3:
-            failures.append("v3 store %.1f MB exceeds 1.3x the v1 footprint "
-                            "(%.1f MB)" % (v3_mb, v1_mb))
-        if check_speedup and wall_ratio > 1.2:
-            failures.append("v3 shared-scan wall %.1f s exceeds 1.2x the v2 "
-                            "wall (%.1f s)" % (shared_v3["wall_s"], shared["wall_s"]))
 
-        payload["store_disk_mb"] = {"v1": v1_mb, "v2": v2_mb, "v3": v3_mb}
-        payload["formats"] = {
-            "v1": {"disk_mb": v1_mb, "wall_s": shared_v1["wall_s"],
-                   "rss_mb": shared_v1["rss_mb"]},
-            "v2": {"disk_mb": v2_mb, "wall_s": shared["wall_s"],
-                   "rss_mb": shared["rss_mb"]},
-            "v3": {"disk_mb": v3_mb, "wall_s": shared_v3["wall_s"],
-                   "rss_mb": shared_v3["rss_mb"]},
-            "v3_vs_v1_disk_ratio": disk_ratio,
-            "v3_vs_v2_wall_ratio": wall_ratio,
-        }
+        payload["store_disk_mb"] = disk_mb
         payload["paths"] = {
             name.replace("-", "_"): {"wall_s": result["wall_s"],
                                      "rss_mb": result["rss_mb"]}

@@ -34,8 +34,8 @@ dimension as one contiguous NumPy column instead:
   :class:`~repro.engine.ColumnarTrace` whose Trace-compatible accessors
   (``dimension``, ``feature_matrix``, Table-1 reductions) run at array speed;
 * :meth:`repro.engine.ChunkedTraceStore.write` spills any trace — or any lazy
-  job iterator from :func:`repro.traces.iter_trace` — to a chunked ``.npz``
-  on-disk store with per-chunk zone maps, so conversion and every later scan
+  job iterator from :func:`repro.traces.iter_trace` — to a chunked,
+  block-compressed on-disk store with per-chunk zone maps, so conversion and every later scan
   are bounded by chunk size, not trace size;
 * :class:`repro.engine.Query` describes lazy ``scan → filter → project →
   group-by/aggregate → top-k/limit`` pipelines; ``execute`` streams them one

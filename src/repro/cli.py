@@ -21,9 +21,10 @@ main workflows:
   reproduces Table 1, Figures 1-10 and Table 2 directly from chunked
   columnar store(s) without materializing jobs;
 * ``engine`` — columnar trace engine: convert a trace (or re-encode an
-  existing store) to the chunked on-disk columnar store, **append** fresh
-  jobs to a v2 store (``ingest``, crash-safe), inspect a store (``info
-  --sizes`` breaks the disk footprint down per column; ``info --json``
+  existing store, which is also how a legacy v1/v2 store migrates to v3) to
+  the chunked on-disk columnar store, **append** fresh jobs to a store
+  (``ingest``, crash-safe), inspect a store (``info --sizes`` breaks the
+  disk footprint down per column; ``info --json``
   emits the machine-readable metadata the service catalog consumes), build
   secondary-index sidecars (``index build``/``status``/``drop``), and run
   filtered/grouped aggregate and top-k queries over it — planned through
@@ -211,27 +212,23 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="generate and convert a paper workload")
     convert_source.add_argument("--trace", help="trace file (.csv/.jsonl[.gz]); streamed lazily")
     convert_source.add_argument("--store", help="existing store directory "
-                                                "(v1<->v2<->v3 re-encoding, streamed "
-                                                "chunk by chunk)")
+                                                "(re-encoding, streamed chunk by "
+                                                "chunk; migrates a legacy v1/v2 "
+                                                "store to v3)")
     convert.add_argument("--scale", type=float, default=None)
     convert.add_argument("--seed", type=int, default=0)
     convert.add_argument("--output", required=True, help="store directory to create")
     convert.add_argument("--chunk-rows", type=int, default=65536,
                          help="rows per on-disk chunk (bounds conversion memory)")
-    convert.add_argument("--format", choices=["v1", "v2", "v3"], default="v2",
-                         help="store layout: v2 (default) raw per-column .npy "
-                              "read via mmap; v3 per-column compressed blocks "
-                              "with dictionary-encoded strings; v1 legacy "
-                              "compressed .npz")
     convert.add_argument("--codec", default=None,
-                         help="v3 block codec (default zlib; lzma always "
+                         help="block codec (default zlib; lzma always "
                               "available, zstd/lz4 when installed)")
     convert.add_argument("--level", type=int, default=None,
-                         help="v3 codec compression level (codec default if "
+                         help="codec compression level (codec default if "
                               "omitted)")
 
     ingest = engine_actions.add_parser(
-        "ingest", help="append fresh jobs to an existing v2/v3 store "
+        "ingest", help="append fresh jobs to an existing store "
                        "(crash-safe manifest swap; zone maps extended)")
     ingest.add_argument("--store", required=True, help="store directory to append to")
     ingest_source = ingest.add_mutually_exclusive_group(required=True)
@@ -244,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="rows per appended chunk (default: the store's "
                              "own chunk_rows)")
     ingest.add_argument("--codec", default=None,
-                        help="create the store as v3 with this codec when "
+                        help="create the store with this codec when "
                              "--store does not exist yet (appends always reuse "
                              "the store's own codec)")
     ingest.add_argument("--level", type=int, default=None,
@@ -254,8 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     info.add_argument("--store", required=True, help="store directory")
     info.add_argument("--sizes", action="store_true",
                       help="also print the per-column on-disk size breakdown "
-                           "(v1: compressed member sizes; v2: raw .npy sizes; "
-                           "v3: compressed vs uncompressed bytes and ratio)")
+                           "(compressed vs uncompressed bytes and ratio)")
     info.add_argument("--json", action="store_true",
                       help="emit machine-readable JSON (store uid, manifest "
                            "sequence, columns, sizes) instead of the table")
@@ -613,14 +609,13 @@ def _build_engine_query(args) -> Query:
 
 def _run_engine(parser, args) -> int:
     if args.engine_command == "convert":
-        if (args.codec is not None or args.level is not None) and args.format != "v3":
-            parser.error("--codec/--level require --format v3")
         if args.workload:
             source = load_workload(args.workload, seed=args.seed, scale=args.scale)
         elif args.store:
             from .engine.pipeline import find_store_checkpoints
+            from .engine.store import _conversion_source
 
-            source = ChunkedTraceStore(args.store)  # store->store re-encode
+            source = _conversion_source(args.store)  # store->store re-encode
             checkpoints = find_store_checkpoints(source)
             if checkpoints:
                 raise ReproError(
@@ -633,12 +628,9 @@ def _run_engine(parser, args) -> int:
             source = iter_trace(args.trace)  # lazy: bounded by --chunk-rows
         store = ChunkedTraceStore.write(args.output, source, chunk_rows=args.chunk_rows,
                                         name=args.workload or None,
-                                        format_version=int(args.format.lstrip("v")),
                                         codec=args.codec, codec_level=args.level)
-        codec_note = ", codec %s" % (store.codec,) if store.format_version == 3 else ""
-        print("wrote %d jobs in %d chunks to %s (format v%d%s)"
-              % (store.n_jobs, store.n_chunks, args.output, store.format_version,
-                 codec_note))
+        print("wrote %d jobs in %d chunks to %s (format v3, codec %s)"
+              % (store.n_jobs, store.n_chunks, args.output, store.codec))
         return 0
 
     if args.engine_command == "ingest":
@@ -657,9 +649,9 @@ def _run_engine(parser, args) -> int:
         if args.codec is not None:
             store = ChunkedTraceStore.write(
                 args.store, source, chunk_rows=args.chunk_rows or 65536,
-                name=args.workload or None, format_version=3,
+                name=args.workload or None,
                 codec=args.codec, codec_level=args.level)
-            print("created %s as a v3 store (codec %s): %d jobs in %d chunks"
+            print("created %s (codec %s): %d jobs in %d chunks"
                   % (args.store, store.codec, store.n_jobs, store.n_chunks))
             return 0
         appender = ChunkedTraceStore.open_append(args.store)
@@ -682,9 +674,7 @@ def _run_engine(parser, args) -> int:
         if args.json:
             if args.sizes:
                 info["column_sizes"] = store.column_sizes()
-                raw_sizes = store.column_raw_sizes()
-                if raw_sizes is not None:
-                    info["column_raw_sizes"] = raw_sizes
+                info["column_raw_sizes"] = store.column_raw_sizes()
             print(json_module.dumps(info, indent=2, sort_keys=True))
             return 0
         for key in ("directory", "name", "store_uid", "machines",
@@ -696,25 +686,17 @@ def _run_engine(parser, args) -> int:
         if args.sizes:
             sizes = store.column_sizes()
             total = sum(sizes.values()) or 1
-            if store.format_version == 3:
-                raw_sizes = store.column_raw_sizes() or {}
-                print("\nper-column on-disk bytes (format v3, codec %s):"
-                      % (store.codec,))
-                print("  %-20s %12s %12s %7s" % ("column", "compressed",
-                                                 "uncompressed", "ratio"))
-                for column, size in sorted(sizes.items(), key=lambda item: -item[1]):
-                    raw = raw_sizes.get(column, 0)
-                    print("  %-20s %12d %12d %6.1fx"
-                          % (column, size, raw, raw / size if size else 0.0))
-                raw_total = sum(raw_sizes.values())
+            raw_sizes = store.column_raw_sizes()
+            print("\nper-column on-disk bytes (format v3, codec %s):" % (store.codec,))
+            print("  %-20s %12s %12s %7s" % ("column", "compressed",
+                                             "uncompressed", "ratio"))
+            for column, size in sorted(sizes.items(), key=lambda item: -item[1]):
+                raw = raw_sizes.get(column, 0)
                 print("  %-20s %12d %12d %6.1fx"
-                      % ("(total)", total, raw_total, raw_total / total))
-            else:
-                print("\nper-column on-disk bytes (format v%d%s):"
-                      % (store.format_version,
-                         ", compressed" if store.format_version == 1 else ", raw .npy"))
-                for column, size in sorted(sizes.items(), key=lambda item: -item[1]):
-                    print("  %-20s %12d  (%5.1f%%)" % (column, size, 100.0 * size / total))
+                      % (column, size, raw, raw / size if size else 0.0))
+            raw_total = sum(raw_sizes.values())
+            print("  %-20s %12d %12d %6.1fx"
+                  % ("(total)", total, raw_total, raw_total / total))
             index_info = info.get("indexes")
             if index_info is not None:
                 state = ("fresh" if index_info["fresh"]

@@ -6,10 +6,11 @@ list of :class:`~repro.traces.schema.Job` objects can hold:
 * :mod:`repro.engine.columnar` — :class:`ColumnarTrace`, one contiguous NumPy
   array per job dimension, with Trace-compatible analytical accessors;
 * :mod:`repro.engine.store` — :class:`ChunkedTraceStore`, a chunked columnar
-  on-disk format (v2: raw per-column ``.npy`` read via mmap; v3: per-column
-  compressed blocks with dictionary-encoded strings, read code-natively; v1:
-  compressed ``.npz``) with a JSON manifest and per-chunk zone maps, written
-  and read without ever materializing the full job list;
+  on-disk format (format v3: per-column compressed blocks with
+  dictionary-encoded strings, read code-natively) with a JSON manifest and
+  per-chunk zone maps, written and read without ever materializing the full
+  job list; legacy v1/v2 stores migrate through ``repro engine convert
+  --store``;
 * :mod:`repro.engine.codecs` — the v3 block codec registry (stdlib
   ``zlib``/``lzma``, optional ``zstd``/``lz4``), bit-exact delta coding, and
   the append-only :class:`StoreDictionary` string tables;
@@ -117,8 +118,6 @@ from .pipeline import (
 )
 from .source import TraceSource
 from .store import (
-    DEFAULT_FORMAT_VERSION,
-    SUPPORTED_FORMAT_VERSIONS,
     ChunkedTraceStore,
     StoreAppender,
     append_store,
@@ -142,8 +141,6 @@ __all__ = [
     "SummaryConsumer",
     "fold_consumer",
     "get_worker_store",
-    "DEFAULT_FORMAT_VERSION",
-    "SUPPORTED_FORMAT_VERSIONS",
     "DEFAULT_CODEC",
     "block_cache_stats",
     "clear_block_cache",

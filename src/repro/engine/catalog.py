@@ -14,8 +14,8 @@ Entries are discovered lazily and re-discovered on :meth:`refresh`, so stores
 dropped into (or deleted from) the catalog directory while the daemon runs are
 picked up without a restart.  :meth:`CatalogEntry.open` returns a fresh
 :class:`ChunkedTraceStore` handle whenever the manifest changed on disk
-(detected via mtime + size), and the *previous* handle keeps working — v2/v3
-appends never rewrite committed chunk files, and a v3 append only ever
+(detected via mtime + size), and the *previous* handle keeps working —
+appends never rewrite committed chunk files, and an append only ever
 *extends* the dictionary sidecar (codes already on disk keep their meaning),
 so an in-flight scan on an old handle completes against the manifest it
 opened with while new requests see the grown store.

@@ -1,8 +1,7 @@
 """Block codecs and dictionary encoding for store format v3.
 
-Format v3 (see :mod:`repro.engine.store`) keeps the chunk-addressable
-one-file-per-column-per-chunk layout of v2, but each file is a **compressed
-block** instead of a raw ``.npy``::
+Format v3 (see :mod:`repro.engine.store`) stores one file per column per
+chunk, and each file is a **compressed block**::
 
     magic "RBK1" | uint32 header length | JSON header | compressed payload
 
@@ -190,7 +189,7 @@ def pack_block(array: np.ndarray, encoding: str, codec_name: str,
 
     ``raw_bytes`` overrides the recorded uncompressed size — dictionary
     columns pass the *string* array's size so the reported compression ratio
-    measures against what a v2 store would put on disk, not the codes.
+    measures against the uncompressed strings, not the codes.
     """
     if encoding not in _ENCODINGS:
         raise TraceFormatError("unknown block encoding %r" % (encoding,))
@@ -425,11 +424,18 @@ class StoreDictionary:
                                    % (path, exc))
         except json.JSONDecodeError as exc:
             raise TraceFormatError("%s: invalid store dictionary: %s" % (path, exc))
+        if not isinstance(document, dict):
+            raise TraceFormatError("%s: invalid store dictionary: expected an object"
+                                   % (path,))
         if document.get("dictionary_version") != cls.VERSION:
             raise TraceFormatError("%s: unsupported dictionary version %r"
                                    % (path, document.get("dictionary_version")))
-        return cls({name: StringDictionary(values)
-                    for name, values in document.get("columns", {}).items()})
+        columns = document.get("columns", {})
+        if not (isinstance(columns, dict)
+                and all(isinstance(values, list) for values in columns.values())):
+            raise TraceFormatError("%s: invalid store dictionary: 'columns' must map "
+                                   "column names to value lists" % (path,))
+        return cls({name: StringDictionary(values) for name, values in columns.items()})
 
     def save(self, directory: str) -> None:
         """Write the sidecar crash-safely (see :func:`durable_replace`)."""

@@ -24,8 +24,8 @@ keeps the handle); per-worker partial states are merged in chunk order at the
 end.  Consumers whose fold is order-sensitive declare ``ordered=True`` and
 run in a single sequential lane that sees every chunk in submit-time order —
 in-process during a serial run, as one dedicated worker task during a
-parallel run (format-v2 stores mmap their columns, so the ordered lane's
-reads share pages with the fanned-out lanes instead of re-decoding).
+parallel run (it decompresses the blocks it reads itself, like every lane:
+whole-store passes read through the decoded-block cache without filling it).
 
 ``AnalysisError`` raised by one consumer (e.g. "trace records no job names")
 is isolated: the failing consumer is dropped from the rest of the scan and

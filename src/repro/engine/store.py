@@ -1,51 +1,40 @@
 """Chunked on-disk columnar trace store.
 
-A store is a directory holding a JSON manifest plus the column data of each
-chunk of rows, in one of three manifest-versioned layouts:
+A store is a directory holding a JSON manifest, a dictionary sidecar and one
+*compressed block* (``.bin``) per column per chunk of rows (manifest
+``format_version`` 3)::
 
-* **format v2** (default) — one raw ``.npy`` file per column per chunk::
+    store/
+      manifest.json
+      dictionary.json
+      chunk-00000.submit_time_s.bin
+      chunk-00000.input_bytes.bin
+      ...
 
-      store/
-        manifest.json
-        chunk-00000.submit_time_s.npy
-        chunk-00000.input_bytes.npy
-        ...
+Numeric columns compress through a pluggable codec registry (stdlib
+``zlib``/``lzma``; ``zstd``/``lz4`` auto-register when importable) with
+``submit_time_s`` delta-encoded via exact uint64 bit differences.
+Low-cardinality string columns are **dictionary-encoded**: chunks store
+``uint32`` codes and the per-store value tables live in the
+``dictionary.json`` sidecar.  The dictionary only ever grows (appends add
+codes, never renumber), so open handles and resume checkpoints survive an
+append.  ``read_chunk`` returns the codes *as codes* (see
+:meth:`~repro.engine.columnar.ColumnBlock.codes_for`) — scan consumers fold
+over integers and strings materialize lazily only when truly needed.
+High-cardinality columns (``job_id``) skip the dictionary and store
+compressed fixed-width text instead; the choice is made per column on first
+appearance and recorded in the manifest's ``string_encodings``.  Every column
+read goes through the decoded-block cache (:mod:`repro.engine.blockcache`):
+keyed by the file's identity, so it needs no invalidation (committed chunk
+files never change, appends add files), filled only by the planner's
+index-backed reads.
 
-  Raw ``.npy`` columns are read with ``numpy.load(..., mmap_mode="r")``, so a
-  scan touches only the pages it actually reads and concurrent readers (the
-  shared-scan pipeline's worker processes) share one copy of the data in the
-  OS page cache instead of each decompressing its own.
-
-* **format v3** — one *compressed block* (``.bin``) per column per chunk,
-  same chunk addressing as v2 but roughly v1's disk footprint::
-
-      store/
-        manifest.json
-        dictionary.json
-        chunk-00000.submit_time_s.bin
-        ...
-
-  Numeric columns compress through a pluggable codec registry (stdlib
-  ``zlib``/``lzma``; ``zstd``/``lz4`` auto-register when importable) with
-  ``submit_time_s`` delta-encoded via exact uint64 bit differences.
-  Low-cardinality string columns are **dictionary-encoded**: chunks store
-  ``uint32`` codes and the per-store value tables live in the
-  ``dictionary.json`` sidecar.  The dictionary only ever grows (appends add
-  codes, never renumber), so open handles and resume checkpoints survive an
-  append.  ``read_chunk`` returns the codes *as codes* (see
-  :meth:`~repro.engine.columnar.ColumnBlock.codes_for`) — scan consumers
-  fold over integers and strings materialize lazily only when truly needed.
-  High-cardinality columns (``job_id``) skip the dictionary and store
-  compressed fixed-width text instead; the choice is made per column on
-  first appearance and recorded in the manifest's ``string_encodings``.
-  Every v3 column read goes through the decoded-block cache
-  (:mod:`repro.engine.blockcache`): keyed by the file's identity, so it needs
-  no invalidation (committed chunk files never change, appends add files),
-  filled only by the planner's index-backed reads.
-
-* **format v1** (legacy, still fully readable) — one compressed ``.npz`` file
-  per chunk whose members are the columns.  Compact on disk, but every read
-  decompresses the chunk privately.
+**Legacy stores.**  Manifests of format v1 (one compressed ``.npz`` per
+chunk) and v2 (one raw ``.npy`` per column per chunk) no longer open: v3 is
+smaller on disk than v1 and scans faster than v2, so it is the only layout.
+``repro engine convert --store OLD --output NEW`` migrates such a store; the
+private :class:`_LegacyStore` reader behind it is the only code that knows
+the old layouts.
 
 The manifest records the column set, per-chunk row counts and per-chunk
 min/max **zone maps** for every numeric column, so a filtered scan can skip
@@ -62,11 +51,11 @@ altogether and decodes batches of parsed records straight into columns
 equally lazy: :meth:`ChunkedTraceStore.iter_chunks` loads one chunk (and only
 the requested columns) at a time.
 
-**Appending.**  v2 and v3 stores are *appendable*: :meth:`ChunkedTraceStore.open_append`
-(the ``repro engine ingest`` CLI) adds new chunks — with zone maps — to an
-existing store without rewriting the old ones.  Writes and appends commit
-through one sequence (:func:`_commit_chunks`): chunk files, then the
-dictionary, then the manifest, the last two replaced durably and atomically
+**Appending.**  :meth:`ChunkedTraceStore.open_append` (the ``repro engine
+ingest`` CLI) adds new chunks — with zone maps — to an existing store without
+rewriting the old ones.  Writes and appends commit through one sequence
+(:func:`_commit_chunks`): chunk files, then the dictionary, then the
+manifest, the last two replaced durably and atomically
 (:func:`~repro.engine.codecs.durable_replace`).  A reader (or a crash)
 mid-append therefore always sees a coherent store — either the old manifest
 or the new one, never a torn state; an append that raises unlinks the files
@@ -84,7 +73,7 @@ import itertools
 import json
 import os
 import uuid
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,29 +103,27 @@ from .columnar import (
     _in_submit_order,
 )
 
-__all__ = ["ChunkedTraceStore", "StoreAppender", "write_store", "append_store",
-           "SUPPORTED_FORMAT_VERSIONS", "DEFAULT_FORMAT_VERSION"]
+__all__ = ["ChunkedTraceStore", "StoreAppender", "write_store", "append_store"]
 
 MANIFEST_NAME = "manifest.json"
-#: Manifest versions this reader understands.
-SUPPORTED_FORMAT_VERSIONS = (1, 2, 3)
-#: The version new stores are written with (raw per-column ``.npy``).
-DEFAULT_FORMAT_VERSION = 2
+#: The manifest ``format_version`` of every store this module writes and opens.
+_FORMAT_VERSION = 3
+#: Manifest versions that only ``repro engine convert --store`` still reads.
+_LEGACY_VERSIONS = (1, 2)
 
-#: v3: dictionary-encode a string column when its first non-empty chunk has at
+#: Dictionary-encode a string column when its first non-empty chunk has at
 #: most this many distinct values (or 1/4 of the rows, whichever is larger) —
 #: otherwise (``job_id``-like, unique per row) store compressed raw text.
 DICTIONARY_MAX_DISTINCT = 1024
 
 
 class _ChunkMeta:
-    """Manifest entry for one chunk: file name/prefix, row count, zone maps."""
+    """Manifest entry for one chunk: file prefix, row count, zone maps."""
 
     __slots__ = ("file", "rows", "zones")
 
     def __init__(self, file: str, rows: int, zones: Dict[str, List[float]]):
-        #: v1: the ``.npz`` file name; v2: the per-chunk file prefix
-        #: (column files are ``<prefix>.<column>.npy``).
+        #: Per-chunk file prefix (column files are ``<prefix>.<column>.bin``).
         self.file = file
         self.rows = rows
         #: column -> [min, max] over finite values (absent if none are finite).
@@ -147,8 +134,30 @@ class _ChunkMeta:
 
     @classmethod
     def from_json(cls, data: Dict) -> "_ChunkMeta":
-        return cls(file=data["file"], rows=int(data["rows"]),
+        return cls(file=str(data["file"]), rows=int(data["rows"]),
                    zones={k: [float(v[0]), float(v[1])] for k, v in data.get("zones", {}).items()})
+
+
+def _load_manifest(directory: str) -> Tuple[Dict, List[_ChunkMeta]]:
+    """Parse ``manifest.json``; any damage to its shape is a :class:`TraceFormatError`."""
+    path = os.path.join(directory, MANIFEST_NAME)
+    if not os.path.isfile(path):
+        raise TraceFormatError("%s: not a chunked trace store (no %s)"
+                               % (directory, MANIFEST_NAME))
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            manifest = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise TraceFormatError("%s: invalid manifest: %s" % (path, exc))
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("chunks"), list)
+            and isinstance(manifest.get("columns"), list)):
+        raise TraceFormatError("%s: invalid manifest: expected an object with "
+                               "'chunks' and 'columns' lists" % (path,))
+    try:
+        chunks = [_ChunkMeta.from_json(entry) for entry in manifest["chunks"]]
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
+        raise TraceFormatError("%s: invalid chunk entry in manifest: %r" % (path, exc))
+    return manifest, chunks
 
 
 def _zone_maps(columns: Dict[str, np.ndarray]) -> Dict[str, List[float]]:
@@ -163,31 +172,46 @@ def _zone_maps(columns: Dict[str, np.ndarray]) -> Dict[str, List[float]]:
     return zones
 
 
+def _only_v3(version) -> None:
+    """Refuse a requested layout other than v3 (``format_version`` survives
+    as a write argument only for callers that pin it)."""
+    if version != _FORMAT_VERSION:
+        raise TraceFormatError(
+            "store format v%s is no longer written: every store is format v3 "
+            "(migrate a legacy store with: repro engine convert --store OLD "
+            "--output NEW)" % (version,))
+
+
 class ChunkedTraceStore:
     """Handle on an on-disk chunked columnar trace.
 
     Open an existing store with ``ChunkedTraceStore(directory)``; create one
-    with :meth:`write`.  The handle itself holds only the manifest — chunk
-    data is read lazily, one chunk at a time (v2 column files are
-    memory-mapped, so repeated readers share the OS page cache).
+    with :meth:`write`.  The handle itself holds only the manifest and the
+    string dictionary — chunk data is read lazily, one chunk at a time.
+
+    Raises:
+        TraceFormatError: when the manifest or dictionary is missing or
+            damaged, or the store is a legacy format v1/v2 one (the message
+            names the ``repro engine convert --store`` command that migrates
+            it).
     """
+
+    #: Manifest versions this class opens; the legacy reader widens it.
+    _OPENS = (_FORMAT_VERSION,)
 
     def __init__(self, directory):
         self.directory = str(directory)
-        manifest_path = os.path.join(self.directory, MANIFEST_NAME)
-        if not os.path.isfile(manifest_path):
-            raise TraceFormatError("%s: not a chunked trace store (no %s)"
-                                   % (self.directory, MANIFEST_NAME))
-        with open(manifest_path, "r", encoding="utf-8") as handle:
-            try:
-                manifest = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise TraceFormatError("%s: invalid manifest: %s" % (manifest_path, exc))
-        if manifest.get("format_version") not in SUPPORTED_FORMAT_VERSIONS:
-            raise TraceFormatError("%s: unsupported format version %r (supported: %s)"
-                                   % (manifest_path, manifest.get("format_version"),
-                                      ", ".join(str(v) for v in SUPPORTED_FORMAT_VERSIONS)))
-        self.format_version: int = int(manifest["format_version"])
+        manifest, self._chunks = _load_manifest(self.directory)
+        version = manifest.get("format_version")
+        if version not in self._OPENS:
+            if version in _LEGACY_VERSIONS:
+                raise TraceFormatError(
+                    "%s is a legacy format-v%d store, which no longer opens; "
+                    "migrate it to format v3 with: repro engine convert "
+                    "--store %s --output NEW" % (self.directory, version, self.directory))
+            raise TraceFormatError("%s: unsupported format version %r (supported: %d)"
+                                   % (os.path.join(self.directory, MANIFEST_NAME),
+                                      version, _FORMAT_VERSION))
         self.name: str = manifest.get("name", "trace")
         self.machines: Optional[int] = manifest.get("machines")
         self.columns: List[str] = list(manifest["columns"])
@@ -200,23 +224,20 @@ class ChunkedTraceStore:
         #: how a checkpoint tells "this store, grown" apart from "a different
         #: (or rewritten) store of the same shape".  None for pre-ingest stores.
         self.store_uid: Optional[str] = manifest.get("store_uid")
-        #: v3 block codec name and level (None for v1/v2 stores).
-        self.codec: Optional[str] = manifest.get("codec")
+        #: Block codec name and level (level ``None``: the codec's default).
+        self.codec: str = manifest.get("codec") or DEFAULT_CODEC
         self.codec_level: Optional[int] = manifest.get("codec_level")
-        #: v3 per-string-column encoding choice ("dict" or "raw"), fixed at
+        #: Per-string-column encoding choice ("dict" or "raw"), fixed at
         #: first appearance so appends stay consistent with existing chunks.
         self.string_encodings: Dict[str, str] = dict(manifest.get("string_encodings", {}))
-        self._chunks: List[_ChunkMeta] = [_ChunkMeta.from_json(c) for c in manifest["chunks"]]
-        self._dictionary: Optional[StoreDictionary] = None
-        if self.format_version == 3:
-            if os.path.isfile(os.path.join(self.directory, DICTIONARY_NAME)):
-                self._dictionary = StoreDictionary.load(self.directory)
-            elif any(enc == "dict" for enc in self.string_encodings.values()):
-                raise TraceFormatError(
-                    "%s: manifest declares dictionary-encoded columns but the "
-                    "%s sidecar is missing" % (self.directory, DICTIONARY_NAME))
-            else:
-                self._dictionary = StoreDictionary()
+        if os.path.isfile(os.path.join(self.directory, DICTIONARY_NAME)):
+            self._dictionary = StoreDictionary.load(self.directory)
+        elif any(enc == "dict" for enc in self.string_encodings.values()):
+            raise TraceFormatError(
+                "%s: manifest declares dictionary-encoded columns but the "
+                "%s sidecar is missing" % (self.directory, DICTIONARY_NAME))
+        else:
+            self._dictionary = StoreDictionary()
 
     # -- metadata ----------------------------------------------------------
     @property
@@ -231,8 +252,8 @@ class ChunkedTraceStore:
         return len(self._chunks)
 
     def __repr__(self) -> str:
-        return "ChunkedTraceStore(%r, n_jobs=%d, n_chunks=%d, format=v%d)" % (
-            self.directory, self.n_jobs, self.n_chunks, self.format_version)
+        return "ChunkedTraceStore(%r, n_jobs=%d, n_chunks=%d)" % (
+            self.directory, self.n_jobs, self.n_chunks)
 
     def chunk_rows(self) -> List[int]:
         return [chunk.rows for chunk in self._chunks]
@@ -258,13 +279,13 @@ class ChunkedTraceStore:
         return None
 
     def string_table(self, name: str):
-        """The dictionary table backing a v3 dict-encoded column, else ``None``.
+        """The dictionary table backing a dict-encoded column, else ``None``.
 
         The planner uses it to resolve a string literal to its code without
-        decoding any chunk; raw-encoded and v1/v2 string columns answer
-        ``None`` (no stable code space).
+        decoding any chunk; raw-encoded string columns answer ``None`` (no
+        stable code space).
         """
-        if self._dictionary is None or self.string_encodings.get(name) != "dict":
+        if self.string_encodings.get(name) != "dict":
             return None
         return self._dictionary.get(name)
 
@@ -278,27 +299,13 @@ class ChunkedTraceStore:
         except TraceFormatError:
             return False
 
-    def _chunk_files(self, meta: _ChunkMeta) -> List[str]:
-        """All on-disk files belonging to one chunk."""
-        if self.format_version == 1:
-            return [meta.file]
-        suffix = "bin" if self.format_version == 3 else "npy"
-        return ["%s.%s.%s" % (meta.file, column, suffix) for column in self.columns]
+    def _column_path(self, meta: _ChunkMeta, column: str) -> str:
+        return os.path.join(self.directory, "%s.%s.bin" % (meta.file, column))
 
     def info(self) -> Dict:
         """Manifest-level summary (for ``repro engine info``)."""
-        total_bytes = 0
-        for chunk in self._chunks:
-            for file_name in self._chunk_files(chunk):
-                path = os.path.join(self.directory, file_name)
-                if os.path.isfile(path):
-                    total_bytes += os.path.getsize(path)
-        dictionary_bytes = 0
-        if self.format_version == 3:
-            sidecar = os.path.join(self.directory, DICTIONARY_NAME)
-            if os.path.isfile(sidecar):
-                dictionary_bytes = os.path.getsize(sidecar)
-            total_bytes += dictionary_bytes
+        dictionary_bytes = self._dictionary.sidecar_bytes(self.directory)
+        total_bytes = dictionary_bytes + sum(self.column_sizes().values())
         submit_zones = [chunk.zones.get("submit_time_s") for chunk in self._chunks]
         submit_zones = [zone for zone in submit_zones if zone]
         summary = {
@@ -306,7 +313,7 @@ class ChunkedTraceStore:
             "name": self.name,
             "store_uid": self.store_uid,
             "machines": self.machines,
-            "format_version": self.format_version,
+            "format_version": _FORMAT_VERSION,
             "manifest_sequence": self.manifest_sequence,
             "sorted_by_submit_time": self.sorted_by_submit_time,
             "n_jobs": self.n_jobs,
@@ -315,137 +322,86 @@ class ChunkedTraceStore:
             "on_disk_bytes": int(total_bytes),
             "submit_time_range": [min(z[0] for z in submit_zones),
                                   max(z[1] for z in submit_zones)] if submit_zones else None,
+            "codec": self.codec,
+            "codec_level": self.codec_level,
+            "string_encodings": dict(self.string_encodings),
+            "dictionary_bytes": int(dictionary_bytes),
         }
-        if self.format_version == 3:
-            summary["codec"] = self.codec
-            summary["codec_level"] = self.codec_level
-            summary["string_encodings"] = dict(self.string_encodings)
-            summary["dictionary_bytes"] = int(dictionary_bytes)
         from .indexes import load_indexes
 
         indexes = load_indexes(self)
         summary["indexes"] = indexes.info(self) if indexes is not None else None
         return summary
 
-    def column_sizes(self) -> Dict[str, int]:
-        """On-disk bytes per stored column (``repro engine info --sizes``).
-
-        v2 stores sum the per-column ``.npy`` file sizes; v3 sums the
-        compressed ``.bin`` block files.  v1 ``.npz`` chunks are zip archives,
-        so the per-member *compressed* sizes are read from the zip directory —
-        which is what makes the disk trade-off between the formats
-        (compression vs. mmap-ability) observable per column.
-        """
-        sizes: Dict[str, int] = {column: 0 for column in self.columns}
-        if self.format_version in (2, 3):
-            suffix = "bin" if self.format_version == 3 else "npy"
-            for chunk in self._chunks:
-                for column in self.columns:
-                    path = os.path.join(self.directory,
-                                        "%s.%s.%s" % (chunk.file, column, suffix))
-                    if os.path.isfile(path):
-                        sizes[column] += os.path.getsize(path)
-            return sizes
-        import zipfile
-
-        for chunk in self._chunks:
-            path = os.path.join(self.directory, chunk.file)
-            try:
-                with zipfile.ZipFile(path) as archive:
-                    for member in archive.infolist():
-                        column = member.filename[:-4] if member.filename.endswith(".npy") \
-                            else member.filename
-                        if column in sizes:
-                            sizes[column] += member.compress_size
-            except (IOError, zipfile.BadZipFile) as exc:
-                raise TraceFormatError("%s: cannot read chunk %s: %s"
-                                       % (self.directory, chunk.file, exc))
-        return sizes
-
-    def column_raw_sizes(self) -> Optional[Dict[str, int]]:
-        """Per-column *uncompressed* bytes, from v3 block headers.
-
-        Each v3 block records the logical (pre-compression) size of its
-        column — for dictionary columns, the size of the *string* array a v2
-        store would have written, not the uint32 codes.  Only headers are
-        read; nothing is decompressed.  Returns ``None`` for v1/v2 stores,
-        whose ``engine info --sizes`` output is unchanged.
-        """
-        if self.format_version != 3:
-            return None
+    def _column_totals(self, measure) -> Dict[str, int]:
+        """``measure(path)`` summed per stored column over every chunk file."""
         sizes: Dict[str, int] = {column: 0 for column in self.columns}
         for chunk in self._chunks:
             for column in self.columns:
-                path = os.path.join(self.directory,
-                                    "%s.%s.bin" % (chunk.file, column))
+                path = self._column_path(chunk, column)
                 if os.path.isfile(path):
-                    header = read_block_header(path)
-                    sizes[column] += int(header.get("raw_bytes", 0))
+                    sizes[column] += measure(path)
         return sizes
+
+    def column_sizes(self) -> Dict[str, int]:
+        """On-disk (compressed) bytes per stored column (``repro engine info --sizes``)."""
+        return self._column_totals(os.path.getsize)
+
+    def column_raw_sizes(self) -> Dict[str, int]:
+        """Per-column *uncompressed* bytes, from the block headers.
+
+        Each block records the logical (pre-compression) size of its column —
+        for dictionary columns, the size of the *string* array, not the uint32
+        codes.  Only headers are read; nothing is decompressed.
+        """
+        return self._column_totals(
+            lambda path: int(read_block_header(path).get("raw_bytes", 0)))
 
     # -- lazy readers ------------------------------------------------------
     def read_chunk(self, index: int, columns: Optional[Sequence[str]] = None,
                    admit: bool = False) -> ColumnBlock:
         """Load one chunk, materializing only the requested columns.
 
-        v2 column files are opened with ``mmap_mode="r"``: the returned arrays
-        are read-only memory maps whose pages load on first touch and are
-        shared between every process scanning the same store.
-
-        v3 blocks are decompressed per column; dictionary-encoded string
-        columns come back as **uint32 codes** attached to the block's
+        Blocks are decompressed per column; dictionary-encoded string columns
+        come back as **uint32 codes** attached to the block's
         ``codes``/``dictionaries`` side-channel — strings materialize lazily
         through :meth:`ColumnBlock.column`, and code-native consumers never
         pay for the decode at all.  Each column comes through
         :func:`~repro.engine.blockcache.read_block`: only ``admit=True`` (the
         planner's index-backed paths) inserts what it misses, and the arrays
         are read-only and shared — the block and its dicts are this call's own.
+
+        Raises:
+            TraceFormatError: when a column file is missing or damaged, or
+                decodes to a length other than the manifest's row count.
         """
         meta = self._chunks[index]
-        wanted = self._storage_columns(columns)
-        if self.format_version == 3:
-            data: Dict[str, np.ndarray] = {}
-            codes: Dict[str, np.ndarray] = {}
-            dictionaries = {}
-            for name in wanted:
-                path = os.path.join(self.directory, "%s.%s.bin" % (meta.file, name))
-                try:
-                    encoding, array = read_block(self.store_uid, path, admit)
-                except IOError as exc:
-                    raise TraceFormatError("%s: cannot read chunk column %s: %s"
-                                           % (self.directory, os.path.basename(path), exc))
-                if encoding == "dict":
-                    table = self._dictionary.get(name) if self._dictionary else None
-                    if table is None:
-                        raise TraceFormatError(
-                            "%s: chunk column %s is dictionary-encoded but the "
-                            "store dictionary has no table for %r"
-                            % (self.directory, os.path.basename(path), name))
-                    codes[name] = array
-                    dictionaries[name] = table
-                else:
-                    data[name] = array
-            return ColumnBlock(data, codes, dictionaries)
-        if self.format_version == 1:
-            path = os.path.join(self.directory, meta.file)
+        data: Dict[str, np.ndarray] = {}
+        codes: Dict[str, np.ndarray] = {}
+        dictionaries = {}
+        for name in self._storage_columns(columns):
+            path = self._column_path(meta, name)
             try:
-                with np.load(path, allow_pickle=False) as archive:
-                    data = {name: archive[name] for name in wanted}
-            except (IOError, KeyError, ValueError) as exc:
-                raise TraceFormatError("%s: cannot read chunk %s: %s"
-                                       % (self.directory, meta.file, exc))
-            return ColumnBlock(data)
-        data = {}
-        for name in wanted:
-            path = os.path.join(self.directory, "%s.%s.npy" % (meta.file, name))
-            try:
-                # Zero-row columns cannot be mmapped (there is nothing to map).
-                data[name] = np.load(path, allow_pickle=False,
-                                     mmap_mode="r" if meta.rows else None)
-            except (IOError, ValueError) as exc:
+                encoding, array = read_block(self.store_uid, path, admit)
+            except IOError as exc:
                 raise TraceFormatError("%s: cannot read chunk column %s: %s"
                                        % (self.directory, os.path.basename(path), exc))
-        return ColumnBlock(data)
+            if len(array) != meta.rows:
+                raise TraceFormatError(
+                    "%s: chunk column %s holds %d rows but the manifest says %d"
+                    % (self.directory, os.path.basename(path), len(array), meta.rows))
+            if encoding == "dict":
+                table = self._dictionary.get(name)
+                if table is None:
+                    raise TraceFormatError(
+                        "%s: chunk column %s is dictionary-encoded but the "
+                        "store dictionary has no table for %r"
+                        % (self.directory, os.path.basename(path), name))
+                codes[name] = array
+                dictionaries[name] = table
+            else:
+                data[name] = array
+        return ColumnBlock(data, codes, dictionaries)
 
     def _storage_columns(self, columns: Optional[Sequence[str]]) -> List[str]:
         """Resolve a requested column list to stored columns (expanding derived)."""
@@ -507,7 +463,7 @@ class ChunkedTraceStore:
     @classmethod
     def write(cls, directory, source, chunk_rows: int = DEFAULT_CHUNK_ROWS,
               name: Optional[str] = None, machines: Optional[int] = None,
-              format_version: int = DEFAULT_FORMAT_VERSION,
+              format_version: int = _FORMAT_VERSION,
               codec: Optional[str] = None,
               codec_level: Optional[int] = None) -> "ChunkedTraceStore":
         """Write a store from a :class:`Trace`, :class:`ColumnarTrace`, or job iterable.
@@ -516,36 +472,26 @@ class ChunkedTraceStore:
         buffered before being flushed to disk, so arbitrarily large traces can
         be converted with bounded memory.  The :class:`~repro.traces.io.RecordSource`
         of :func:`~repro.traces.io.iter_trace` streams the same way without
-        building a ``Job`` per row.  ``format_version`` selects the
-        on-disk layout: 2 (default) writes raw per-column ``.npy`` files read
-        back via mmap; 3 writes compressed per-column blocks with
-        dictionary-encoded strings (``codec``/``codec_level`` pick the block
-        codec, default ``zlib``); 1 writes the legacy compressed ``.npz``
-        chunks.
+        building a ``Job`` per row.  ``codec``/``codec_level`` pick the block
+        codec (default ``zlib``); ``format_version`` is accepted for callers
+        that pin it and must be 3.
 
         A :class:`ChunkedTraceStore` source converts store→store (the
-        ``engine convert --store`` v1↔v2↔v3 path): chunks stream through one
-        at a time at the source's chunk boundaries, and the
-        sorted-by-submit-time flag *and* ``manifest_sequence`` carry over from
-        the source manifest (the converted store still mints a fresh
-        ``store_uid``, so checkpoints of the source can never resume against
-        it — :meth:`Checkpoint.validate` rejects the uid mismatch).
+        ``engine convert --store`` path, which is also how a legacy v1/v2
+        store migrates): chunks stream through one at a time at the source's
+        chunk boundaries, and the sorted-by-submit-time flag *and*
+        ``manifest_sequence`` carry over from the source manifest (the
+        converted store still mints a fresh ``store_uid``, so checkpoints of
+        the source can never resume against it — :meth:`Checkpoint.validate`
+        rejects the uid mismatch).
         """
         if chunk_rows <= 0:
             raise TraceFormatError("chunk_rows must be positive, got %r" % (chunk_rows,))
-        if format_version not in SUPPORTED_FORMAT_VERSIONS:
-            raise TraceFormatError("unsupported store format version %r (supported: %s)"
-                                   % (format_version,
-                                      ", ".join(str(v) for v in SUPPORTED_FORMAT_VERSIONS)))
-        if format_version != 3 and (codec is not None or codec_level is not None):
-            raise TraceFormatError(
-                "codec/codec_level only apply to format v3 (got format v%d)"
-                % (format_version,))
-        if format_version == 3:
-            codec = codec or DEFAULT_CODEC
-            if codec not in available_codecs():
-                raise TraceFormatError("unknown codec %r (available: %s)"
-                                       % (codec, ", ".join(available_codecs())))
+        _only_v3(format_version)
+        codec = codec or DEFAULT_CODEC
+        if codec not in available_codecs():
+            raise TraceFormatError("unknown codec %r (available: %s)"
+                                   % (codec, ", ".join(available_codecs())))
         sorted_hint, sequence = False, 0
         if isinstance(source, ChunkedTraceStore):
             if os.path.abspath(str(directory)) == os.path.abspath(source.directory):
@@ -564,13 +510,11 @@ class ChunkedTraceStore:
         # the trailing one lands exactly when the source was empty.
         empty = ColumnBlock({column: _empty_column(column, 0)
                              for column in NUMERIC_COLUMNS + ("job_id",)})
-        header = {"format_version": format_version, "manifest_sequence": int(sequence),
-                  "store_uid": uuid.uuid4().hex, "name": name or "trace",
-                  "machines": machines, "chunk_rows": chunk_rows}
+        header = {"manifest_sequence": int(sequence), "store_uid": uuid.uuid4().hex,
+                  "name": name or "trace", "machines": machines, "chunk_rows": chunk_rows}
         _commit_chunks(str(directory),
                        itertools.chain(_source_blocks(source, chunk_rows), [empty]),
-                       header, codec, codec_level,
-                       StoreDictionary() if format_version == 3 else None, {},
+                       header, codec, codec_level, StoreDictionary(), {},
                        chunks=[], columns=None, sorted_hint=sorted_hint,
                        verified_sorted=True, discard_on_failure=False)
         return cls(directory)
@@ -578,14 +522,49 @@ class ChunkedTraceStore:
     # -- appender ----------------------------------------------------------
     @classmethod
     def open_append(cls, directory) -> "StoreAppender":
-        """Open an existing v2/v3 store for appending (``repro engine ingest``).
+        """Open an existing store for appending (``repro engine ingest``).
 
         Raises:
-            TraceFormatError: for a v1 store — compressed ``.npz`` chunks are
-                immutable archives; convert to v2 or v3 first with
-                ``repro engine convert --store <dir> --output <new> --format v2``.
+            TraceFormatError: as :class:`ChunkedTraceStore` does — a legacy
+                v1/v2 store must be migrated first with ``repro engine
+                convert --store <dir> --output <new-dir>``.
         """
         return StoreAppender(cls(directory))
+
+
+class _LegacyStore(ChunkedTraceStore):
+    """Read-only handle on a format-v1/v2 store, for ``engine convert --store``.
+
+    The one reader of the retired layouts: a v1 chunk is a compressed
+    ``.npz`` archive whose members are the columns (manifest ``file`` ends in
+    ``.npz``), a v2 chunk one raw ``<file>.<column>.npy`` per column.  The
+    metadata the writer carries over (name, machines, sorted flag,
+    ``manifest_sequence``, ``chunk_rows``) parses exactly as for v3.
+    """
+
+    _OPENS = _LEGACY_VERSIONS
+
+    def read_chunk(self, index: int, columns: Optional[Sequence[str]] = None,
+                   admit: bool = False) -> ColumnBlock:
+        meta = self._chunks[index]
+        path = os.path.join(self.directory, meta.file)
+        wanted = self._storage_columns(columns)
+        try:
+            if meta.file.endswith(".npz"):
+                with np.load(path, allow_pickle=False) as archive:
+                    return ColumnBlock({name: archive[name] for name in wanted})
+            return ColumnBlock({name: np.load("%s.%s.npy" % (path, name), allow_pickle=False)
+                                for name in wanted})
+        except (IOError, KeyError, ValueError) as exc:
+            raise TraceFormatError("%s: cannot read legacy chunk %s: %s"
+                                   % (self.directory, meta.file, exc))
+
+
+def _conversion_source(directory) -> ChunkedTraceStore:
+    """The store ``engine convert --store`` reads: v3 as itself, v1/v2 through
+    :class:`_LegacyStore`."""
+    version = _load_manifest(str(directory))[0].get("format_version")
+    return (_LegacyStore if version in _LEGACY_VERSIONS else ChunkedTraceStore)(directory)
 
 
 def _swap_manifest(directory: str, manifest: Dict) -> None:
@@ -595,8 +574,8 @@ def _swap_manifest(directory: str, manifest: Dict) -> None:
 
 
 def _commit_chunks(directory: str, blocks: Iterable[ColumnBlock], header: Dict,
-                   codec: Optional[str], codec_level: Optional[int],
-                   dictionary: Optional[StoreDictionary],
+                   codec: str, codec_level: Optional[int],
+                   dictionary: StoreDictionary,
                    string_encodings: Dict[str, str], chunks: List[_ChunkMeta],
                    columns: Optional[List[str]], sorted_hint: bool,
                    verified_sorted: bool, discard_on_failure: bool) -> bool:
@@ -606,7 +585,7 @@ def _commit_chunks(directory: str, blocks: Iterable[ColumnBlock], header: Dict,
     Per block (a zero-row one only while the store has no chunk at all):
     decode, verify submit-time order, pad to the column set known so far,
     write the chunk files and zone maps.  Then fill the columns some chunks
-    lack, save the v3 dictionary, swap the manifest — in that order, so a
+    lack, save the dictionary, swap the manifest — in that order, so a
     manifest on disk only names chunk files and codes that are already
     there.  No new chunk, no commit.  ``write`` starts from ``chunks=[]`` /
     ``columns=None``, ``append`` from the open store's state; ``header`` is
@@ -626,13 +605,12 @@ def _commit_chunks(directory: str, blocks: Iterable[ColumnBlock], header: Dict,
     manifest may still name those files.
 
     Byte-order corner: padding is inline, as the fresh writer's always was,
-    so a multi-chunk v3 *append* whose earlier chunk lacks a dictionary
-    column that a later chunk of the same call brings new values for codes
-    ``""`` before those values, where appends used to code it after — same
-    decoded values, different code order.
+    so a multi-chunk *append* whose earlier chunk lacks a dictionary column
+    that a later chunk of the same call brings new values for codes ``""``
+    before those values, where appends used to code it after — same decoded
+    values, different code order.
     """
-    format_version = header["format_version"]
-    layout = (format_version, codec, codec_level, dictionary, string_encodings)
+    layout = (codec, codec_level, dictionary, string_encodings)
     chunks = list(chunks)
     n_committed = len(chunks)
     known = [frozenset(columns or ())] * n_committed
@@ -643,7 +621,7 @@ def _commit_chunks(directory: str, blocks: Iterable[ColumnBlock], header: Dict,
         for block in blocks:
             if block.n_rows == 0 and chunks:
                 continue
-            # materialized() decodes any dictionary-backed columns of a v3
+            # materialized() decodes any dictionary-backed columns of a store
             # source block — a plain dict(block.columns) would silently drop
             # the code-backed string columns during store→store conversion.
             data = block.materialized()
@@ -661,7 +639,7 @@ def _commit_chunks(directory: str, blocks: Iterable[ColumnBlock], header: Dict,
                 for column in columns:
                     if column not in data:
                         data[column] = _empty_column(column, block.n_rows)
-            file_name = "chunk-%05d%s" % (len(chunks), ".npz" if format_version == 1 else "")
+            file_name = "chunk-%05d" % len(chunks)
             _write_chunk(directory, file_name, data, written, *layout)
             known.append(frozenset(data))
             chunks.append(_ChunkMeta(file=file_name, rows=block.n_rows,
@@ -670,23 +648,19 @@ def _commit_chunks(directory: str, blocks: Iterable[ColumnBlock], header: Dict,
             return False
         for meta, have in zip(chunks, known):
             missing = [column for column in columns if column not in have]
-            if not missing:
-                continue
-            data = {}
-            if format_version == 1:  # one archive per chunk: rewrite it whole
-                with np.load(os.path.join(directory, meta.file), allow_pickle=False) as archive:
-                    data = {name: archive[name] for name in archive.files}
-            data.update((column, _empty_column(column, meta.rows)) for column in missing)
-            _write_chunk(directory, meta.file, data, written, *layout)
-        manifest = dict(header, n_jobs=sum(meta.rows for meta in chunks),
+            if missing:
+                _write_chunk(directory, meta.file,
+                             {column: _empty_column(column, meta.rows) for column in missing},
+                             written, *layout)
+        manifest = dict(header, format_version=_FORMAT_VERSION,
+                        n_jobs=sum(meta.rows for meta in chunks),
                         sorted_by_submit_time=sorted_hint or verified_sorted,
-                        columns=columns, chunks=[meta.to_json() for meta in chunks])
-        if format_version == 3:
-            manifest.update(codec=codec, codec_level=codec_level,
-                            string_encodings=string_encodings)
-            # Extra (not-yet-referenced) dictionary entries are harmless if
-            # we crash between the two renames; missing ones would not be.
-            dictionary.save(directory)
+                        columns=columns, chunks=[meta.to_json() for meta in chunks],
+                        codec=codec, codec_level=codec_level,
+                        string_encodings=string_encodings)
+        # Extra (not-yet-referenced) dictionary entries are harmless if we
+        # crash between the two renames; missing ones would not be.
+        dictionary.save(directory)
         _swap_manifest(directory, manifest)
     except BaseException:
         if discard_on_failure:
@@ -698,7 +672,7 @@ def _commit_chunks(directory: str, blocks: Iterable[ColumnBlock], header: Dict,
 
 
 class StoreAppender:
-    """Appends chunks to an existing v2/v3 store (see :meth:`ChunkedTraceStore.open_append`).
+    """Appends chunks to an existing store (see :meth:`ChunkedTraceStore.open_append`).
 
     One :meth:`append` call writes the new chunk files (with zone maps), keeps
     the column set coherent (new columns are filled into old chunks, old
@@ -706,10 +680,10 @@ class StoreAppender:
     across the append boundary, bumps ``manifest_sequence``, and commits with
     an atomic manifest swap — or, if it raises, unlinks what it wrote.
 
-    For v3, new chunks reuse the store's codec and per-column string
-    encodings, and unseen string values are *appended* to the dictionary —
-    codes already on disk never change, so readers and checkpoints that
-    predate the append stay valid.
+    New chunks reuse the store's codec and per-column string encodings, and
+    unseen string values are *appended* to the dictionary — codes already on
+    disk never change, so readers and checkpoints that predate the append
+    stay valid.
 
     A secondary-index sidecar (:mod:`repro.engine.indexes`), when present and
     fresh, is *extended* over the appended chunks after the commit: each
@@ -725,12 +699,6 @@ class StoreAppender:
     """
 
     def __init__(self, store: ChunkedTraceStore):
-        if store.format_version not in (2, 3):
-            raise TraceFormatError(
-                "%s is a format-v1 (compressed .npz) store; appending requires "
-                "format v2 or v3 — convert it first: repro engine convert --store %s "
-                "--output <new-dir> --format v2"
-                % (store.directory, store.directory))
         self.store = store
 
     def append(self, source, chunk_rows: Optional[int] = None) -> ChunkedTraceStore:
@@ -750,8 +718,7 @@ class StoreAppender:
                           else int(chunk_rows))
         if rows_per_chunk <= 0:
             raise TraceFormatError("chunk_rows must be positive, got %r" % (chunk_rows,))
-        header = {"format_version": store.format_version,
-                  "manifest_sequence": store.manifest_sequence + 1,
+        header = {"manifest_sequence": store.manifest_sequence + 1,
                   "store_uid": store.store_uid or uuid.uuid4().hex, "name": store.name,
                   "machines": store.machines, "chunk_rows": store.chunk_rows_target}
         if not _commit_chunks(store.directory, _source_blocks(source, rows_per_chunk),
@@ -794,7 +761,7 @@ def _source_blocks(source, chunk_rows: int) -> Iterator[ColumnBlock]:
 
 
 def append_store(directory, source, chunk_rows: Optional[int] = None) -> ChunkedTraceStore:
-    """Functional alias: append ``source`` to the v2 store at ``directory``."""
+    """Functional alias: append ``source`` to the store at ``directory``."""
     return ChunkedTraceStore.open_append(directory).append(source, chunk_rows=chunk_rows)
 
 
@@ -814,13 +781,10 @@ def _choose_string_encoding(array: np.ndarray) -> str:
     return "dict" if distinct <= limit else "raw"
 
 
-def _encode_v3_column(name: str, array: np.ndarray, codec: Optional[str],
-                      codec_level: Optional[int],
-                      dictionary: StoreDictionary,
-                      string_encodings: Dict[str, str]) -> bytes:
-    """Encode one column of one chunk as a v3 block."""
-    codec = codec or DEFAULT_CODEC
-    array = np.asarray(array)
+def _encode_column(name: str, array: np.ndarray, codec: str,
+                   codec_level: Optional[int], dictionary: StoreDictionary,
+                   string_encodings: Dict[str, str]) -> bytes:
+    """Encode one column of one chunk as a compressed block."""
     if array.dtype.kind in "US":
         encoding = string_encodings.get(name)
         if encoding is None:
@@ -840,28 +804,19 @@ def _encode_v3_column(name: str, array: np.ndarray, codec: Optional[str],
 
 
 def _write_chunk(directory: str, file_name: str, columns: Dict[str, np.ndarray],
-                 written: List[str], format_version: int, codec: Optional[str],
-                 codec_level: Optional[int], dictionary: Optional[StoreDictionary],
-                 string_encodings: Dict[str, str]) -> None:
-    """Write ``columns`` of the chunk whose manifest ``file`` entry is
-    ``file_name``: v1 the whole ``.npz``, v2/v3 one file per column given (so
-    the same call fills columns into an existing chunk).  Every path is
-    recorded in ``written`` *before* it is opened."""
-    if format_version == 1:
-        written.append(os.path.join(directory, file_name))
-        np.savez_compressed(written[-1], **columns)
-        return
-    suffix = "bin" if format_version == 3 else "npy"
+                 written: List[str], codec: str, codec_level: Optional[int],
+                 dictionary: StoreDictionary, string_encodings: Dict[str, str]) -> None:
+    """Write one ``.bin`` block per column given for the chunk whose manifest
+    ``file`` entry is ``file_name`` (so the same call fills columns into an
+    existing chunk).  Every path is recorded in ``written`` *before* it is
+    opened."""
     for name, array in columns.items():
-        path = os.path.join(directory, "%s.%s.%s" % (file_name, name, suffix))
+        path = os.path.join(directory, "%s.%s.bin" % (file_name, name))
         written.append(path)
-        if format_version == 3:
-            block = _encode_v3_column(name, np.asarray(array), codec, codec_level,
-                                      dictionary, string_encodings)
-            with open(path, "wb") as handle:
-                handle.write(block)
-        else:
-            np.save(path, np.ascontiguousarray(array))
+        block = _encode_column(name, np.asarray(array), codec, codec_level,
+                               dictionary, string_encodings)
+        with open(path, "wb") as handle:
+            handle.write(block)
 
 
 def _empty_column(name: str, rows: int) -> np.ndarray:
@@ -883,7 +838,7 @@ def _job_blocks(jobs: Iterable[Job], chunk_rows: int) -> Iterator[ColumnBlock]:
 
 def write_store(directory, source, chunk_rows: int = DEFAULT_CHUNK_ROWS,
                 name: Optional[str] = None, machines: Optional[int] = None,
-                format_version: int = DEFAULT_FORMAT_VERSION,
+                format_version: int = _FORMAT_VERSION,
                 codec: Optional[str] = None,
                 codec_level: Optional[int] = None) -> ChunkedTraceStore:
     """Functional alias for :meth:`ChunkedTraceStore.write`."""

@@ -6,10 +6,22 @@ so the full suite stays fast while still exercising realistic job mixtures.
 
 from __future__ import annotations
 
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
+from repro.cli import main
+from repro.engine import ChunkedTraceStore, ColumnarTrace
+from repro.engine.columnar import _in_submit_order
+from repro.engine.store import MANIFEST_NAME, _empty_column, _source_blocks
 from repro.traces import Job, Trace, load_workload
+
+#: How a v3 store under test came to be: written directly ("v3"), or laid out
+#: in a retired format and migrated with ``repro engine convert --store``.
+STORE_ORIGINS = ("v3", "v1", "v2")
 
 
 @pytest.fixture(scope="session")
@@ -112,3 +124,94 @@ def replay_trace_15k() -> Trace:
         for i in range(n)
     ]
     return Trace(jobs, name="replay-15k")
+
+
+def _legacy_zones(chunk):
+    zones = {}
+    for name, array in chunk.items():
+        if array.dtype.kind == "f" and np.isfinite(array).any():
+            finite = array[np.isfinite(array)]
+            zones[name] = [float(finite.min()), float(finite.max())]
+    return zones
+
+
+def _write_legacy_store(directory, version, chunks, **manifest_fields):
+    """Lay ``chunks`` (column dicts) out as a format-``version`` store, the way
+    the retired writers did: v1 one compressed ``.npz`` archive per chunk, v2
+    one raw ``.npy`` per column per chunk, each with its JSON manifest."""
+    os.makedirs(directory)
+    entries = []
+    for index, chunk in enumerate(chunks):
+        prefix = "chunk-%05d" % index
+        if version == 1:
+            file_name = prefix + ".npz"
+            np.savez_compressed(os.path.join(directory, file_name), **chunk)
+        else:
+            file_name = prefix
+            for name, array in chunk.items():
+                np.save(os.path.join(directory, "%s.%s.npy" % (prefix, name)), array)
+        entries.append({"file": file_name, "rows": len(chunk["submit_time_s"]),
+                        "zones": _legacy_zones(chunk)})
+    manifest = dict({"manifest_sequence": 0, "store_uid": None, "name": "trace",
+                     "machines": None, "sorted_by_submit_time": False},
+                    **manifest_fields)
+    manifest.update(format_version=version, n_jobs=sum(e["rows"] for e in entries),
+                    columns=sorted(chunks[0]) if chunks else [], chunks=entries)
+    with open(os.path.join(directory, MANIFEST_NAME), "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle)
+    return manifest
+
+
+def _write_store_as(origin, directory, source, chunk_rows, name=None):
+    """Write ``source`` (a trace, columnar trace or job list) as a v3 store.
+
+    ``origin`` "v3" writes it directly; "v1"/"v2" lay the same chunks out in
+    that legacy format and migrate them through ``repro engine convert
+    --store``, so a test parametrized over :data:`STORE_ORIGINS` checks that
+    a migrated store answers exactly as a freshly written one.
+    """
+    if origin == "v3":
+        return ChunkedTraceStore.write(directory, source, chunk_rows=chunk_rows, name=name)
+    chunks, previous_end, in_order = [], -np.inf, True
+    for block in _source_blocks(source, chunk_rows):
+        if block.n_rows == 0:
+            continue
+        chunk = block.materialized()
+        times = chunk["submit_time_s"]
+        in_order = in_order and _in_submit_order(times, previous_end)
+        previous_end = max(previous_end, float(times[-1]))
+        chunks.append(chunk)
+    columns = set().union(*chunks)  # a column first seen late pads the chunks before it
+    for chunk in chunks:
+        rows = chunk["submit_time_s"].size
+        chunk.update((column, _empty_column(column, rows)) for column in columns - set(chunk))
+    sorted_flag = in_order or isinstance(source, (Trace, ColumnarTrace))
+    with tempfile.TemporaryDirectory() as scratch:
+        legacy = os.path.join(scratch, "legacy.store")
+        _write_legacy_store(legacy, int(origin[1:]), chunks, chunk_rows=chunk_rows,
+                            sorted_by_submit_time=bool(sorted_flag),
+                            name=name or getattr(source, "name", None) or "trace",
+                            machines=getattr(source, "machines", None))
+        assert main(["engine", "convert", "--store", legacy, "--output", str(directory)]) == 0
+    return ChunkedTraceStore(directory)
+
+
+@pytest.fixture(scope="session", params=STORE_ORIGINS,
+                ids=["v3", "from-v1", "from-v2"])
+def store_origin(request):
+    """Each :data:`STORE_ORIGINS` entry in turn, for :func:`write_store_as`."""
+    return request.param
+
+
+@pytest.fixture(scope="session")
+def write_legacy_store():
+    """``write_legacy_store(directory, version, chunks, **manifest_fields)``:
+    hand-write a format v1/v2 store (see :func:`_write_legacy_store`)."""
+    return _write_legacy_store
+
+
+@pytest.fixture(scope="session")
+def write_store_as():
+    """``write_store_as(origin, directory, source, chunk_rows, name=None)``:
+    a v3 store written directly or migrated from a legacy layout."""
+    return _write_store_as

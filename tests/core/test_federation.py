@@ -3,8 +3,8 @@
 Pins the federation contracts of the seven-cluster comparison:
 
 * a federated N-store scan produces exactly the same per-member statistics
-  as scanning each store alone, across on-disk formats v1/v2/v3 and serial
-  vs parallel execution;
+  as scanning each store alone, serial vs parallel execution, on stores
+  written as v3 or migrated from the legacy v1/v2 layouts;
 * store-backed evolution comparison is bit-for-bit the materialized path;
 * the comparison metrics (`cdf_distance`, `workload_distance`) and the
   greedy suite selection satisfy their metric/invariance properties
@@ -16,6 +16,7 @@ Pins the federation contracts of the seven-cluster comparison:
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 
@@ -102,23 +103,23 @@ def constant_jobs(name, n_jobs, input_bytes, shuffle_bytes, output_bytes,
     return jobs
 
 
-def build_catalog(root, members, chunk_rows=64):
-    """Write ``{name: (jobs, format_version)}`` as stores under ``root``."""
+def build_catalog(root, members, chunk_rows=64, write=ChunkedTraceStore.write):
+    """Write ``{name: jobs}`` as stores under ``root`` through ``write`` (the
+    v3 writer, or a ``write_store_as`` that migrates from a legacy layout)."""
     catalog_dir = os.path.join(str(root), "catalog")
     os.makedirs(catalog_dir, exist_ok=True)
-    for name, (jobs, version) in members.items():
-        ChunkedTraceStore.write(os.path.join(catalog_dir, name), jobs,
-                                chunk_rows=chunk_rows, format_version=version,
-                                name=name.split("@")[0])
+    for name, jobs in members.items():
+        write(os.path.join(catalog_dir, name), jobs,
+              chunk_rows=chunk_rows, name=name.split("@")[0])
     return catalog_dir
 
 
-def three_member_catalog(root, format_version):
+def three_member_catalog(root, write=ChunkedTraceStore.write):
     return build_catalog(root, {
-        "fb@2009": (varied_jobs("fb09", 150, seed=1, query_share=0.2), format_version),
-        "fb@2010": (varied_jobs("fb10", 200, seed=2, query_share=0.6), format_version),
-        "cc-b": (varied_jobs("ccb", 120, seed=3, query_share=0.8), format_version),
-    })
+        "fb@2009": varied_jobs("fb09", 150, seed=1, query_share=0.2),
+        "fb@2010": varied_jobs("fb10", 200, seed=2, query_share=0.6),
+        "cc-b": varied_jobs("ccb", 120, seed=3, query_share=0.8),
+    }, write=write)
 
 
 def report_digest(report):
@@ -126,15 +127,15 @@ def report_digest(report):
 
 
 # ---------------------------------------------------------------------------
-# the equivalence battery: federated == per-store, all formats, serial/parallel
+# the equivalence battery: federated == per-store, serial/parallel
 # ---------------------------------------------------------------------------
 class TestFederatedEquivalence:
-    @pytest.mark.parametrize("format_version", [1, 2, 3])
     @pytest.mark.parametrize("processes", [0, 2])
-    def test_federated_scan_matches_per_store_scans(self, tmp_path,
-                                                    format_version, processes):
+    def test_federated_scan_matches_per_store_scans(self, tmp_path, processes,
+                                                    store_origin, write_store_as):
         """Every member's federated profile == profiling that store alone."""
-        catalog_dir = three_member_catalog(tmp_path, format_version)
+        catalog_dir = three_member_catalog(
+            tmp_path, functools.partial(write_store_as, store_origin))
         executor = ParallelExecutor(processes=processes) if processes else None
         report = compare_catalog(catalog_dir, executor=executor)
 
@@ -160,28 +161,29 @@ class TestFederatedEquivalence:
                 assert report.distances[(a, b)] == expected
                 assert report.distances[(b, a)] == expected
 
-    @pytest.mark.parametrize("format_version", [1, 2, 3])
-    def test_parallel_report_bit_identical_to_serial(self, tmp_path,
-                                                     format_version):
-        catalog_dir = three_member_catalog(tmp_path, format_version)
+    def test_parallel_report_bit_identical_to_serial(self, tmp_path, store_origin,
+                                                     write_store_as):
+        catalog_dir = three_member_catalog(
+            tmp_path, functools.partial(write_store_as, store_origin))
         serial = compare_catalog(catalog_dir, suite_size=2)
         parallel = compare_catalog(catalog_dir, suite_size=2,
                                    executor=ParallelExecutor(processes=2))
         assert report_digest(parallel) == report_digest(serial)
 
-    def test_mixed_format_catalog_compares(self, tmp_path):
-        """One catalog mixing v1, v2 and v3 members federates fine."""
-        catalog_dir = build_catalog(tmp_path, {
-            "a": (varied_jobs("a", 90, seed=4), 1),
-            "b": (varied_jobs("b", 90, seed=5), 2),
-            "c": (varied_jobs("c", 90, seed=6), 3),
-        })
+    def test_mixed_origin_catalog_compares(self, tmp_path, write_store_as):
+        """One catalog whose members were written as v3 or migrated from v1
+        and v2 federates fine."""
+        catalog_dir = os.path.join(str(tmp_path), "catalog")
+        os.makedirs(catalog_dir)
+        for name, origin, seed in (("a", "v1", 4), ("b", "v2", 5), ("c", "v3", 6)):
+            write_store_as(origin, os.path.join(catalog_dir, name),
+                           varied_jobs(name, 90, seed=seed), chunk_rows=64, name=name)
         report = compare_catalog(catalog_dir, suite_size=2)
         assert report.member_names() == ["a", "b", "c"]
         assert len(report.pairs) == 3
         assert set(report.suite.assignment) == {"a", "b", "c"}
         # Same jobs re-profiled store-alone give the same features no matter
-        # which format held them.
+        # which layout they came from.
         for name in ("a", "b", "c"):
             store = ChunkedTraceStore(os.path.join(catalog_dir, name))
             assert features_from_profile(profile_source(store, name=name)) == \
@@ -189,7 +191,7 @@ class TestFederatedEquivalence:
 
     def test_federated_scan_api_per_member_states(self, tmp_path):
         """FederatedSource.scan: fresh consumer states per member."""
-        catalog_dir = three_member_catalog(tmp_path, 2)
+        catalog_dir = three_member_catalog(tmp_path)
         federated = FederatedSource.from_catalog(catalog_dir)
         scans = federated.scan(_member_profile_consumers)
         assert set(scans) == {"cc-b", "fb@2009", "fb@2010"}
@@ -201,7 +203,7 @@ class TestFederatedEquivalence:
             assert scan.result.rows_scanned == len(store)
 
     def test_member_subset_and_focus_pairs(self, tmp_path):
-        catalog_dir = three_member_catalog(tmp_path, 3)
+        catalog_dir = three_member_catalog(tmp_path)
         report = compare_catalog(catalog_dir, members=["fb@2010", "cc-b"],
                                  pairs=[("cc-b", "fb@2010")])
         assert report.member_names() == ["fb@2010", "cc-b"]
@@ -217,7 +219,7 @@ class TestFederatedEquivalence:
             compare_catalog(catalog_dir, pairs=[("cc-b", "nope")])
 
     def test_drift_chains_follow_epoch_order(self, tmp_path):
-        catalog_dir = three_member_catalog(tmp_path, 2)
+        catalog_dir = three_member_catalog(tmp_path)
         report = compare_catalog(catalog_dir)
         assert list(report.drift) == ["fb"]
         (evolution,) = report.drift["fb"]
@@ -239,11 +241,9 @@ class TestEvolutionStoreNative:
         materialized = compare_evolution(Trace(before_jobs, name="fb-2009"),
                                          Trace(after_jobs, name="fb-2010"))
         before_store = ChunkedTraceStore.write(
-            str(tmp_path / "before"), before_jobs, chunk_rows=32,
-            format_version=3, name="fb-2009")
+            str(tmp_path / "before"), before_jobs, chunk_rows=32, name="fb-2009")
         after_store = ChunkedTraceStore.write(
-            str(tmp_path / "after"), after_jobs, chunk_rows=32,
-            format_version=3, name="fb-2010")
+            str(tmp_path / "after"), after_jobs, chunk_rows=32, name="fb-2010")
         store_backed = compare_evolution(before_store, after_store)
 
         for dimension, shift in materialized.shifts.items():
@@ -364,7 +364,7 @@ class TestComparisonMetricProperties:
 # ---------------------------------------------------------------------------
 class TestCatalogMetadata:
     def test_member_names_split_into_cluster_and_epoch(self, tmp_path):
-        catalog_dir = three_member_catalog(tmp_path, 2)
+        catalog_dir = three_member_catalog(tmp_path)
         catalog = StoreCatalog(catalog_dir)
         assert catalog.clusters() == ["cc-b", "fb"]
         assert [entry.name for entry in catalog.epochs("fb")] == \
@@ -374,7 +374,7 @@ class TestCatalogMetadata:
         assert catalog.entry("cc-b").epoch is None
 
     def test_catalog_json_overrides_metadata(self, tmp_path):
-        catalog_dir = three_member_catalog(tmp_path, 2)
+        catalog_dir = three_member_catalog(tmp_path)
         with open(os.path.join(catalog_dir, CATALOG_METADATA_NAME), "w",
                   encoding="utf-8") as handle:
             json.dump({"members": {"cc-b": {"cluster": "cloudera",
@@ -385,7 +385,7 @@ class TestCatalogMetadata:
         assert "cloudera" in catalog.clusters()
 
     def test_invalid_catalog_json_is_loud(self, tmp_path):
-        catalog_dir = three_member_catalog(tmp_path, 2)
+        catalog_dir = three_member_catalog(tmp_path)
         with open(os.path.join(catalog_dir, CATALOG_METADATA_NAME), "w",
                   encoding="utf-8") as handle:
             handle.write("{broken")
@@ -402,15 +402,15 @@ class TestFederationEdgeCases:
 
     def test_single_member_refuses_comparison(self, tmp_path):
         catalog_dir = build_catalog(tmp_path,
-                                    {"only": (varied_jobs("o", 40, seed=9), 2)})
+                                    {"only": varied_jobs("o", 40, seed=9)})
         with pytest.raises(AnalysisError, match="has 1"):
             compare_catalog(catalog_dir)
 
     def test_member_without_name_column_gets_zero_framework_share(self, tmp_path):
         """Mismatched member columns: one store has no job names at all."""
         catalog_dir = build_catalog(tmp_path, {
-            "named": (varied_jobs("n", 80, seed=7), 2),
-            "bare": (constant_jobs("b", 80, 2 * GB, 300 * MB, 50 * MB), 2),
+            "named": varied_jobs("n", 80, seed=7),
+            "bare": constant_jobs("b", 80, 2 * GB, 300 * MB, 50 * MB),
         })
         report = compare_catalog(catalog_dir)
         assert report.profiles["bare"].naming is None
@@ -418,7 +418,7 @@ class TestFederationEdgeCases:
         assert report.features["named"].values["framework_share"] > 0.0
 
     def test_stale_index_sidecar_degrades_member_to_scan(self, tmp_path):
-        catalog_dir = three_member_catalog(tmp_path, 2)
+        catalog_dir = three_member_catalog(tmp_path)
         indexed = os.path.join(catalog_dir, "cc-b")
         build_indexes(ChunkedTraceStore(indexed), columns=["input_bytes"]).save()
         # Tamper with the sidecar's staleness pin: it no longer matches the
@@ -442,7 +442,7 @@ class TestFederationEdgeCases:
         assert results["fb@2009"].plan.stale_index is False
 
     def test_append_between_scans_keeps_old_handle_semantics(self, tmp_path):
-        catalog_dir = three_member_catalog(tmp_path, 2)
+        catalog_dir = three_member_catalog(tmp_path)
         federated = FederatedSource.from_catalog(catalog_dir)
         entry = federated.entry("cc-b")
         old_handle = entry.open()
@@ -454,7 +454,7 @@ class TestFederationEdgeCases:
         assert len(entry.open()) == n_before + 25
 
     def test_per_member_checkpoints_resume_and_match_cold(self, tmp_path):
-        catalog_dir = three_member_catalog(tmp_path, 3)
+        catalog_dir = three_member_catalog(tmp_path)
         checkpoint_dir = str(tmp_path / "checkpoints")
         compare_catalog(catalog_dir, checkpoint_dir=checkpoint_dir)
         for name in ("cc-b", "fb@2009", "fb@2010"):
@@ -471,7 +471,7 @@ class TestFederationEdgeCases:
         assert fb_2010.rows_scanned == 40
 
     def test_corrupt_checkpoint_falls_back_to_cold_scan(self, tmp_path):
-        catalog_dir = three_member_catalog(tmp_path, 2)
+        catalog_dir = three_member_catalog(tmp_path)
         checkpoint_dir = str(tmp_path / "checkpoints")
         baseline = compare_catalog(catalog_dir, checkpoint_dir=checkpoint_dir)
         broken = os.path.join(checkpoint_dir, "cc-b.checkpoint.json")
@@ -487,13 +487,12 @@ class TestFederationEdgeCases:
         """The rolling-checkpoint policy, seen from a federation member: the
         checkpoint no longer validates (new ``store_uid``), so that member —
         and only that member — scans cold, and the file rolls forward."""
-        catalog_dir = three_member_catalog(tmp_path, 3)
+        catalog_dir = three_member_catalog(tmp_path)
         checkpoint_dir = str(tmp_path / "checkpoints")
         compare_catalog(catalog_dir, checkpoint_dir=checkpoint_dir)
         rewritten = ChunkedTraceStore.write(
             os.path.join(catalog_dir, "cc-b"),
-            varied_jobs("ccb2", 90, seed=31, query_share=0.3), chunk_rows=64,
-            format_version=3)
+            varied_jobs("ccb2", 90, seed=31, query_share=0.3), chunk_rows=64)
         append_store(os.path.join(catalog_dir, "fb@2010"),
                      varied_jobs("fb10x", 40, seed=21, query_share=0.6))
         cold = compare_catalog(catalog_dir)
@@ -511,7 +510,7 @@ class TestFederationEdgeCases:
         assert again.profiles["cc-b"].rows_scanned == 0
 
     def test_unknown_member_and_duplicate_member_errors(self, tmp_path):
-        catalog_dir = three_member_catalog(tmp_path, 2)
+        catalog_dir = three_member_catalog(tmp_path)
         with pytest.raises(TraceFormatError, match="no store named"):
             FederatedSource.from_catalog(catalog_dir, names=["nope"])
         entry = StoreCatalog(catalog_dir).entry("cc-b")
@@ -520,7 +519,7 @@ class TestFederationEdgeCases:
 
     def test_consumer_threshold_dependence_invalidates_checkpoint(self, tmp_path):
         """A checkpoint folded at one threshold never serves another."""
-        catalog_dir = three_member_catalog(tmp_path, 2)
+        catalog_dir = three_member_catalog(tmp_path)
         checkpoint_dir = str(tmp_path / "checkpoints")
         compare_catalog(catalog_dir, checkpoint_dir=checkpoint_dir,
                         small_job_threshold_bytes=10 * GB)

@@ -62,8 +62,7 @@ JOBS = make_jobs(640, seed=1)
 
 
 def make_store(directory, jobs=JOBS):
-    store = write_store(directory, Trace(jobs, name="bc"), chunk_rows=CHUNK_ROWS,
-                        format_version=3)
+    store = write_store(directory, Trace(jobs, name="bc"), chunk_rows=CHUNK_ROWS)
     build_indexes(store).save()
     return ChunkedTraceStore(str(directory))
 

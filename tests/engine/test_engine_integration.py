@@ -135,8 +135,7 @@ class TestIndexCli:
         write_jsonl(trace, trace_path)
         store_dir = str(root / "store")
         assert main(["engine", "convert", "--trace", str(trace_path),
-                     "--output", store_dir, "--chunk-rows", "64",
-                     "--format", "v3"]) == 0
+                     "--output", store_dir, "--chunk-rows", "64"]) == 0
         assert main(["engine", "index", "build", "--store", store_dir]) == 0
         return store_dir
 

@@ -229,7 +229,7 @@ def _columns(n_rows=600, seed=5):
 def store(tmp_path_factory):
     directory = tmp_path_factory.mktemp("grouped") / "store"
     return write_store(directory, ColumnarTrace(_columns(), name="grouped"),
-                       chunk_rows=64, format_version=3)
+                       chunk_rows=64)
 
 
 def _query(group_column):
@@ -286,7 +286,7 @@ def test_group_sum_order_is_row_order_per_chunk_then_chunk_order(tmp_path):
                "submit_time_s": np.arange(n_rows, dtype=np.float64),
                "input_bytes": values, "name": names}
     store = write_store(tmp_path / "store", ColumnarTrace(columns, name="sums"),
-                        chunk_rows=chunk_rows, format_version=3)
+                        chunk_rows=chunk_rows)
     query = Query().group_by("name").aggregate(total=("sum", "input_bytes"),
                                                avg=("mean", "input_bytes"))
     groups = execute(store, query).groups
@@ -336,7 +336,7 @@ def _fixture_columns(n_rows=40):
 def _write_fixture_store(directory, n_rows):
     columns = {name: values[:n_rows] for name, values in _fixture_columns().items()}
     return write_store(directory, ColumnarTrace(columns, name="fixture"),
-                       chunk_rows=FIXTURE_CHUNK_ROWS, format_version=3)
+                       chunk_rows=FIXTURE_CHUNK_ROWS)
 
 
 def write_parent_fixture(directory):

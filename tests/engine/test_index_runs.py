@@ -27,7 +27,6 @@ from repro.engine import (
     drop_indexes,
     execute,
     load_indexes,
-    write_store,
 )
 from repro.engine.indexes import INDEX_MAX_RUNS
 from repro.errors import TraceFormatError
@@ -64,13 +63,14 @@ def _run_files(directory):
     return sorted(glob.glob(os.path.join(directory, "index.*.run-*.npz")))
 
 
-@pytest.fixture(scope="module", params=[3, 2], ids=["v3", "v2"])
-def steps(request, tmp_path_factory):
-    """Copies of one indexed store after 0, 1, ... STEPS-1 appends."""
-    root = tmp_path_factory.mktemp("runs-v%d" % request.param)
+@pytest.fixture(scope="module")
+def steps(tmp_path_factory, store_origin, write_store_as):
+    """Copies of one indexed store after 0, 1, ... STEPS-1 appends; the base
+    is written directly or migrated from a legacy layout."""
+    root = tmp_path_factory.mktemp("runs")
     live = str(root / "live")
-    write_store(live, ColumnarTrace(_columns(BASE_ROWS, 0, 0), name="runs"),
-                chunk_rows=64, format_version=request.param)
+    write_store_as(store_origin, live, ColumnarTrace(_columns(BASE_ROWS, 0, 0), name="runs"),
+                   chunk_rows=64)
     build_indexes(ChunkedTraceStore(live)).save()
     copies = []
     for step in range(STEPS):
@@ -116,10 +116,9 @@ def _queries(store):
         Query().top("input_bytes", 13, largest=False),
         Query().filter("input_bytes", "==", float(TIED[0])).project(["job_id"]).limit(7),
         Query().filter("map_tasks", ">", 6.0).project(["job_id", "map_tasks"]).limit(5),
+        Query().filter("framework", "==", "pig").count(),
+        Query().filter("framework", "==", "spark").project(["job_id"]).limit(9),
     ]
-    if store.format_version == 3:
-        queries += [Query().filter("framework", "==", "pig").count(),
-                    Query().filter("framework", "==", "spark").project(["job_id"]).limit(9)]
     return queries
 
 

@@ -44,10 +44,9 @@ def make_jobs(n, seed=0, offset=0):
     return jobs
 
 
-def make_store(directory, n=300, seed=0, chunk_rows=64, format_version=3):
+def make_store(directory, n=300, seed=0, chunk_rows=64):
     trace = Trace(make_jobs(n, seed=seed), name="ixtest")
-    return ChunkedTraceStore.write(directory, trace, chunk_rows=chunk_rows,
-                                   format_version=format_version)
+    return ChunkedTraceStore.write(directory, trace, chunk_rows=chunk_rows)
 
 
 def assert_indexes_equal(left, right):
@@ -258,16 +257,14 @@ class TestIndexProperties:
 # The sidecar: save/load, staleness, append extension
 # ---------------------------------------------------------------------------
 class TestStoreIndexes:
-    def test_indexable_columns_by_format(self, tmp_path):
-        v3 = make_store(tmp_path / "v3", format_version=3)
-        kinds = indexable_columns(v3)
+    def test_indexable_columns_by_encoding(self, tmp_path):
+        store = make_store(tmp_path / "s")
+        kinds = indexable_columns(store)
         assert kinds["input_bytes"] == "sorted"
         assert kinds["framework"] == "inverted"
         assert "total_bytes" not in kinds  # derived columns are not indexed
-        v2 = make_store(tmp_path / "v2", format_version=2)
-        kinds_v2 = indexable_columns(v2)
-        assert kinds_v2["input_bytes"] == "sorted"
-        assert "framework" not in kinds_v2  # no dictionary in v2
+        assert store.string_encodings["job_id"] == "raw"
+        assert "job_id" not in kinds  # no dictionary, no inverted index
 
     def test_save_load_roundtrip(self, tmp_path):
         store = make_store(tmp_path / "s")

@@ -169,21 +169,12 @@ class TestManifestSafety:
             ChunkedTraceStore.open_append(base_store.directory).append(
                 Trace(make_jobs(100, 110, t0=10000.0), name="t"), chunk_rows=0)
 
-    def test_append_to_v1_raises_with_convert_hint(self, tmp_path):
-        directory = tmp_path / "v1.store"
-        ChunkedTraceStore.write(directory, Trace(make_jobs(0, 20), name="t"),
-                                chunk_rows=8, format_version=1)
-        with pytest.raises(TraceFormatError, match="engine convert"):
-            ChunkedTraceStore.open_append(directory)
-
 
 class TestStoreToStoreConvert:
-    def test_v2_to_v1_roundtrip_preserves_rows_and_flag(self, base_store, tmp_path):
-        v1 = ChunkedTraceStore.write(tmp_path / "as-v1", base_store, format_version=1)
-        assert v1.format_version == 1
-        assert v1.sorted_by_submit_time == base_store.sorted_by_submit_time
-        back = ChunkedTraceStore.write(tmp_path / "back-v2", v1, format_version=2)
-        assert back.format_version == 2
+    def test_store_to_store_roundtrip_preserves_rows_and_flag(self, base_store, tmp_path):
+        copy = ChunkedTraceStore.write(tmp_path / "copy", base_store)
+        assert copy.sorted_by_submit_time == base_store.sorted_by_submit_time
+        back = ChunkedTraceStore.write(tmp_path / "back", copy)
         for column in ("submit_time_s", "input_bytes", "job_id"):
             mine = np.concatenate([np.asarray(b.column(column))
                                    for b in back.iter_chunks(columns=[column])])
@@ -197,14 +188,13 @@ class TestStoreToStoreConvert:
 
 
 class TestColumnSizes:
-    def test_sizes_cover_every_column_both_formats(self, base_store, tmp_path):
-        v1 = ChunkedTraceStore.write(tmp_path / "sized-v1", base_store, format_version=1)
-        for store in (base_store, v1):
-            sizes = store.column_sizes()
-            assert sorted(sizes) == sorted(store.columns)
-            assert all(size > 0 for size in sizes.values())
-        # compressed members must not exceed the raw layout in total
-        assert sum(v1.column_sizes().values()) <= sum(base_store.column_sizes().values())
+    def test_sizes_cover_every_column(self, base_store):
+        sizes = base_store.column_sizes()
+        raw_sizes = base_store.column_raw_sizes()
+        assert sorted(sizes) == sorted(raw_sizes) == sorted(base_store.columns)
+        assert all(size > 0 for size in sizes.values())
+        # compressed blocks must not exceed the uncompressed columns in total
+        assert sum(sizes.values()) <= sum(raw_sizes.values())
 
 
 class TestIngestCli:
@@ -250,25 +240,19 @@ class TestReusedDirectory:
     """Which columns a chunk has comes from the manifest and from what the
     call wrote — a file an earlier store left at that name is not data."""
 
-    @pytest.mark.parametrize("format_version", [2, 3])
-    def test_rewrite_fills_over_a_stale_column_file(self, tmp_path, format_version):
+    def test_rewrite_fills_over_a_stale_column_file(self, tmp_path):
         directory = tmp_path / "reused.store"
-        ChunkedTraceStore.write(directory, path_jobs(0, 4, "/old"), chunk_rows=4,
-                                format_version=format_version)
+        ChunkedTraceStore.write(directory, path_jobs(0, 4, "/old"), chunk_rows=4)
         store = ChunkedTraceStore.write(
-            directory, path_jobs(0, 4, None) + path_jobs(4, 8, "/new"),
-            chunk_rows=4, format_version=format_version)
+            directory, path_jobs(0, 4, None) + path_jobs(4, 8, "/new"), chunk_rows=4)
         assert chunk_column(store, 0, "input_path") == ["", "", "", ""]
         assert chunk_column(store, 1, "input_path") == ["/new/%d" % i for i in range(4)]
 
-    @pytest.mark.parametrize("format_version", [2, 3])
-    def test_append_fills_over_a_stale_column_file(self, tmp_path, format_version):
+    def test_append_fills_over_a_stale_column_file(self, tmp_path):
         """Chunk 1 of an earlier, longer store is still lying in the directory."""
         directory = tmp_path / "reused.store"
-        ChunkedTraceStore.write(directory, path_jobs(0, 8, "/old"), chunk_rows=4,
-                                format_version=format_version)
-        ChunkedTraceStore.write(directory, path_jobs(0, 4, "/kept"), chunk_rows=4,
-                                format_version=format_version)
+        ChunkedTraceStore.write(directory, path_jobs(0, 8, "/old"), chunk_rows=4)
+        ChunkedTraceStore.write(directory, path_jobs(0, 4, "/kept"), chunk_rows=4)
         store = append_store(directory, path_jobs(4, 8, None))
         assert chunk_column(store, 0, "input_path") == ["/kept/%d" % i for i in range(4)]
         assert chunk_column(store, 1, "input_path") == ["", "", "", ""]
@@ -302,22 +286,18 @@ class TestWriteEqualsWriteThenAppend:
     """The standing guard on the one commit sequence: started from nothing or
     from an open store, the same chunks make the same bytes."""
 
-    @pytest.mark.parametrize("format_version", [2, 3])
     @pytest.mark.parametrize("k", [1, 4, 7])
-    def test_same_chunks_same_bytes(self, tmp_path, format_version, k):
+    def test_same_chunks_same_bytes(self, tmp_path, k):
         chunks = [named_chunk_jobs(chunk) for chunk in range(8)]
         whole = ChunkedTraceStore.write(
-            tmp_path / "whole", [job for chunk in chunks for job in chunk],
-            chunk_rows=16, format_version=format_version)
+            tmp_path / "whole", [job for chunk in chunks for job in chunk], chunk_rows=16)
         ChunkedTraceStore.write(
-            tmp_path / "grown", [job for chunk in chunks[:k] for job in chunk],
-            chunk_rows=16, format_version=format_version)
+            tmp_path / "grown", [job for chunk in chunks[:k] for job in chunk], chunk_rows=16)
         grown = append_store(tmp_path / "grown",
                              [job for chunk in chunks[k:] for job in chunk])
         assert grown.n_chunks == whole.n_chunks == 8
         assert grown.manifest_sequence == 1 and whole.manifest_sequence == 0
-        if format_version == 3:
-            assert whole.string_encodings["name"] == "dict"
+        assert whole.string_encodings["name"] == "dict"
         whole_files, whole_manifest = directory_bytes(whole.directory)
         grown_files, grown_manifest = directory_bytes(grown.directory)
         assert sorted(grown_files) == sorted(whole_files)
@@ -327,12 +307,11 @@ class TestWriteEqualsWriteThenAppend:
 
     def test_inline_padding_corner_is_pinned_by_values(self, tmp_path):
         """The one byte-order corner of the merge (see ``_commit_chunks``): a
-        v3 append pads a chunk that lacks a dictionary column *before* a later
+        append pads a chunk that lacks a dictionary column *before* a later
         chunk of the same call brings new values, so the ``""`` code may come
         earlier than it used to.  Decoded values are what is promised."""
         chunks = [named_chunk_jobs(chunk) for chunk in range(4)]  # chunk 2: no names
-        ChunkedTraceStore.write(tmp_path / "store", chunks[0], chunk_rows=16,
-                                format_version=3)
+        ChunkedTraceStore.write(tmp_path / "store", chunks[0], chunk_rows=16)
         store = append_store(tmp_path / "store",
                              [job for chunk in chunks[1:] for job in chunk])
         expected = [job.name or "" for chunk in chunks for job in chunk]

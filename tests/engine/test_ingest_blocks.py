@@ -194,20 +194,17 @@ def batch_records(request, monkeypatch):
 
 
 class TestStoresAreByteIdentical:
-    @pytest.mark.parametrize("format_version", [2, 3])
     @pytest.mark.parametrize("count", [0, 32, 33, 150])
-    def test_every_source_writes_the_same_bytes(self, tmp_path, batch_records,
-                                                format_version, count):
+    def test_every_source_writes_the_same_bytes(self, tmp_path, batch_records, count):
         jobs = make_jobs(count, name="select")
         expected = store_files(ChunkedTraceStore.write(
-            tmp_path / "from-jobs", list(jobs), chunk_rows=32,
-            format_version=format_version).directory)
+            tmp_path / "from-jobs", list(jobs), chunk_rows=32).directory)
         assert len([f for f in expected if "job_id" in f]) == max(1, -(-count // 32))
         for file_name in ("t.jsonl", "t.jsonl.gz", "t.csv", "t.csv.gz"):
             write_trace(Trace(jobs), tmp_path / file_name)
             store = ChunkedTraceStore.write(
                 tmp_path / (file_name + ".store"), iter_trace(tmp_path / file_name),
-                chunk_rows=32, format_version=format_version)
+                chunk_rows=32)
             assert store.n_jobs == count
             assert store_files(store.directory) == expected, file_name
 
@@ -223,28 +220,22 @@ class TestStoresAreByteIdentical:
                                        chunk_rows=16)
         assert store_files(gaps.directory) == store_files(plain.directory)
 
-    @pytest.mark.parametrize("format_version", [2, 3])
-    def test_string_column_first_seen_in_a_later_chunk(self, tmp_path, batch_records,
-                                                       format_version):
+    def test_string_column_first_seen_in_a_later_chunk(self, tmp_path, batch_records):
         """``name`` is absent from the first chunks: they are backfilled, as before."""
         jobs = make_jobs(70) + make_jobs(30, first=70, name="insert")
         write_trace(Trace(jobs), tmp_path / "t.jsonl")
         from_file = ChunkedTraceStore.write(tmp_path / "file", iter_trace(tmp_path / "t.jsonl"),
-                                            chunk_rows=32, format_version=format_version)
-        from_jobs = ChunkedTraceStore.write(tmp_path / "jobs", list(jobs), chunk_rows=32,
-                                            format_version=format_version)
+                                            chunk_rows=32)
+        from_jobs = ChunkedTraceStore.write(tmp_path / "jobs", list(jobs), chunk_rows=32)
         assert "name" in from_file.columns
         assert store_files(from_file.directory) == store_files(from_jobs.directory)
         assert [job.name for job in from_file.iter_jobs()] == [job.name for job in jobs]
 
-    @pytest.mark.parametrize("format_version", [2, 3])
-    def test_append_from_a_file_matches_append_of_jobs(self, tmp_path, batch_records,
-                                                       format_version):
+    def test_append_from_a_file_matches_append_of_jobs(self, tmp_path, batch_records):
         base, extra = make_jobs(50), make_jobs(45, first=50, name="late")
         write_trace(Trace(extra), tmp_path / "extra.csv.gz")
         for directory in ("file", "jobs"):
-            ChunkedTraceStore.write(tmp_path / directory, list(base), chunk_rows=32,
-                                    format_version=format_version)
+            ChunkedTraceStore.write(tmp_path / directory, list(base), chunk_rows=32)
         by_file = append_store(tmp_path / "file", iter_trace(tmp_path / "extra.csv.gz"))
         by_jobs = append_store(tmp_path / "jobs", list(extra))
         assert by_file.n_jobs == 95 and by_file.manifest_sequence == 1
@@ -325,13 +316,10 @@ class TestFailedAppendLeavesNothingBehind:
             job.input_path = "/orphan/%d" % index
         return jobs
 
-    @pytest.mark.parametrize("format_version", [2, 3])
-    def test_bad_line_after_chunks_were_written(self, tmp_path, batch_records,
-                                                format_version):
+    def test_bad_line_after_chunks_were_written(self, tmp_path, batch_records):
         from repro.engine import Query, execute
 
-        store = ChunkedTraceStore.write(tmp_path / "store", make_jobs(4), chunk_rows=4,
-                                        format_version=format_version)
+        store = ChunkedTraceStore.write(tmp_path / "store", make_jobs(4), chunk_rows=4)
         before = store_files(store.directory)
         path = tmp_path / "bad.jsonl"
         TestErrorsNameTheLine().write_lines(path, self.orphans(40, first=4),
@@ -353,7 +341,7 @@ class TestFailedAppendLeavesNothingBehind:
         """The rename of the dictionary (or of the manifest itself) fails: the
         chunk files *and* the temporaries of the save are gone again."""
         store = ChunkedTraceStore.write(tmp_path / "store", make_jobs(40, name="select"),
-                                        chunk_rows=32, format_version=3)
+                                        chunk_rows=32)
         assert store.string_encodings["name"] == "dict"
         before = store_files(store.directory)
         real_replace = os.replace

@@ -37,12 +37,12 @@ def make_jobs(n, seed=0):
     return jobs
 
 
-@pytest.fixture(scope="module", params=[2, 3])
-def store(request, tmp_path_factory):
-    directory = tmp_path_factory.mktemp("plstore") / ("v%d" % request.param)
+@pytest.fixture(scope="module")
+def store(tmp_path_factory, store_origin, write_store_as):
+    """Indexed, written directly or migrated from a legacy layout."""
+    directory = tmp_path_factory.mktemp("plstore") / "store"
     trace = Trace(make_jobs(640, seed=1), name="plan")
-    handle = ChunkedTraceStore.write(directory, trace, chunk_rows=64,
-                                     format_version=request.param)
+    handle = write_store_as(store_origin, directory, trace, chunk_rows=64)
     build_indexes(handle).save()
     return ChunkedTraceStore(directory)
 
@@ -134,8 +134,6 @@ class TestAccessPaths:
 
 class TestLimitEarlyTermination:
     def test_clustered_limit_touches_few_chunks(self, store):
-        if store.format_version != 3:
-            pytest.skip("inverted index needs the v3 dictionary")
         # phase007 occupies rows 672..768 -> 2-3 of 10 chunks
         query = (Query().filter("workload", "==", "phase003")
                  .limit(5).project(["job_id", "workload"]))

@@ -1,13 +1,23 @@
-"""Store format v2 (raw per-column .npy) and v1/v2 interoperability tests."""
+"""Store layout, zone-map skipping, and typed errors on damaged metadata."""
 
+import json
 import os
 
 import numpy as np
 import pytest
 
-from repro.engine import ChunkedTraceStore, Predicate, TraceSource, execute, Query
+from repro.engine import (
+    ChunkedTraceStore,
+    Predicate,
+    TraceSource,
+    build_indexes,
+    execute,
+    Query,
+)
+from repro.engine.codecs import DICTIONARY_NAME
+from repro.engine.store import MANIFEST_NAME
 from repro.errors import TraceFormatError
-from repro.traces import Job, Trace
+from repro.traces import Job, Trace, load_workload
 
 
 def _jobs(n):
@@ -20,41 +30,32 @@ def _jobs(n):
 
 
 @pytest.fixture(scope="module")
-def both_formats(tmp_path_factory):
-    base = tmp_path_factory.mktemp("formats")
-    v1 = ChunkedTraceStore.write(base / "v1.store", _jobs(500), chunk_rows=64,
-                                 format_version=1)
-    v2 = ChunkedTraceStore.write(base / "v2.store", _jobs(500), chunk_rows=64,
-                                 format_version=2)
-    return v1, v2
+def store(tmp_path_factory):
+    base = tmp_path_factory.mktemp("layout")
+    return ChunkedTraceStore.write(base / "s.store", _jobs(500), chunk_rows=64)
 
 
-class TestFormatV2:
-    def test_default_write_is_v2(self, tmp_path):
+class TestStoreLayout:
+    def test_default_write_is_v3(self, tmp_path):
         store = ChunkedTraceStore.write(tmp_path / "s", _jobs(10), chunk_rows=4)
-        assert store.format_version == 2
-        assert store.info()["format_version"] == 2
+        assert store.info()["format_version"] == 3
         files = os.listdir(tmp_path / "s")
-        assert any(name.endswith(".submit_time_s.npy") for name in files)
-        assert not any(name.endswith(".npz") for name in files)
+        assert any(name.endswith(".submit_time_s.bin") for name in files)
+        assert not any(name.endswith((".npy", ".npz")) for name in files)
 
-    def test_v2_reads_are_memory_mapped(self, both_formats):
-        _v1, v2 = both_formats
-        block = v2.read_chunk(0, columns=["input_bytes"])
-        assert isinstance(block.column("input_bytes"), np.memmap)
-
-    def test_unsupported_version_rejected(self, tmp_path):
-        with pytest.raises(TraceFormatError, match="format version"):
-            ChunkedTraceStore.write(tmp_path / "s", _jobs(4), format_version=99)
+    @pytest.mark.parametrize("version", [1, 2, 99])
+    def test_unsupported_version_rejected(self, tmp_path, version):
+        with pytest.raises(TraceFormatError, match="format v%d" % version):
+            ChunkedTraceStore.write(tmp_path / "s", _jobs(4), format_version=version)
+        assert not os.path.exists(tmp_path / "s" / MANIFEST_NAME)
 
     def test_empty_store_roundtrip(self, tmp_path):
-        store = ChunkedTraceStore.write(tmp_path / "empty", iter([]), chunk_rows=8)
+        ChunkedTraceStore.write(tmp_path / "empty", iter([]), chunk_rows=8)
         reopened = ChunkedTraceStore(tmp_path / "empty")
         assert reopened.n_jobs == 0
         assert list(reopened.iter_jobs()) == []
-        assert store.format_version == 2
 
-    def test_v2_backfills_late_columns(self, tmp_path):
+    def test_backfills_late_columns(self, tmp_path):
         """A string column first seen mid-stream is padded into earlier chunks."""
         jobs = [Job(job_id="a", submit_time_s=0.0, duration_s=1.0, input_bytes=1.0,
                     shuffle_bytes=0.0, output_bytes=1.0, map_task_seconds=1.0,
@@ -70,60 +71,9 @@ class TestFormatV2:
         assert second.column("name")[0] == "late name"
 
 
-class TestV1V2Equivalence:
-    def test_manifest_versions(self, both_formats):
-        v1, v2 = both_formats
-        assert (v1.format_version, v2.format_version) == (1, 2)
-        assert v1.columns == v2.columns
-        assert v1.chunk_rows() == v2.chunk_rows()
-
-    def test_chunks_identical(self, both_formats):
-        v1, v2 = both_formats
-        for index in range(v1.n_chunks):
-            a = v1.read_chunk(index)
-            b = v2.read_chunk(index)
-            assert sorted(a.columns) == sorted(b.columns)
-            for name in a.columns:
-                left = np.asarray(a.column(name))
-                right = np.asarray(b.column(name))
-                equal_nan = left.dtype.kind == "f"
-                assert np.array_equal(left, right, equal_nan=equal_nan), name
-
-    def test_zone_maps_identical(self, both_formats):
-        v1, v2 = both_formats
-        for index in range(v1.n_chunks):
-            for column in ("submit_time_s", "input_bytes"):
-                assert v1.chunk_zone(index, column) == v2.chunk_zone(index, column)
-
-    def test_round_trip_jobs_identical(self, both_formats):
-        v1, v2 = both_formats
-        jobs_v1 = [job.to_dict() for job in v1.iter_jobs()]
-        jobs_v2 = [job.to_dict() for job in v2.iter_jobs()]
-        assert jobs_v1 == jobs_v2
-
-    def test_query_results_identical(self, both_formats):
-        v1, v2 = both_formats
-        query = (Query().filter("input_bytes", ">", 2e8)
-                 .aggregate(n=("count", "input_bytes"), total=("sum", "input_bytes")))
-        a = execute(v1, query)
-        b = execute(v2, query)
-        assert a.aggregates == b.aggregates
-        assert a.chunks_skipped == b.chunks_skipped
-
-    def test_v2_to_v1_rewrite_round_trip(self, both_formats, tmp_path):
-        """repro engine convert --format v1 semantics: v2 -> v1 -> same data."""
-        _v1, v2 = both_formats
-        back = ChunkedTraceStore.write(tmp_path / "back", v2.load_columnar(),
-                                       chunk_rows=64, format_version=1)
-        assert back.format_version == 1
-        assert [j.to_dict() for j in back.iter_jobs()] == \
-            [j.to_dict() for j in v2.iter_jobs()]
-
-
 class TestZoneMapSkippingThroughTraceSource:
-    def test_submit_hour_predicate_skips_chunks(self, both_formats, monkeypatch):
+    def test_submit_hour_predicate_skips_chunks(self, store, monkeypatch):
         """Derived submit_hour predicates prune chunks via submit_time_s zones."""
-        _v1, store = both_formats
         reads = []
         original = ChunkedTraceStore.read_chunk
 
@@ -140,16 +90,13 @@ class TestZoneMapSkippingThroughTraceSource:
         assert rows == 72  # submit < 7200 s -> indices 0..71
         assert 0 < len(reads) < store.n_chunks  # later chunks were never read
 
-    def test_submit_hour_zone_derived(self, both_formats):
-        v1, v2 = both_formats
-        for store in (v1, v2):
-            zone = store.chunk_zone(0, "submit_hour")
-            time_zone = store.chunk_zone(0, "submit_time_s")
-            assert zone == [np.floor(time_zone[0] / 3600.0),
-                            np.floor(time_zone[1] / 3600.0)]
+    def test_submit_hour_zone_derived(self, store):
+        zone = store.chunk_zone(0, "submit_hour")
+        time_zone = store.chunk_zone(0, "submit_time_s")
+        assert zone == [np.floor(time_zone[0] / 3600.0),
+                        np.floor(time_zone[1] / 3600.0)]
 
-    def test_predicate_rows_match_unfiltered_scan(self, both_formats):
-        _v1, store = both_formats
+    def test_predicate_rows_match_unfiltered_scan(self, store):
         source = TraceSource.wrap(store)
         predicate = Predicate("input_bytes", ">=", 4.9e8)
         filtered = np.concatenate([
@@ -161,8 +108,7 @@ class TestZoneMapSkippingThroughTraceSource:
             for block in source.iter_chunks(columns=["input_bytes"])])
         assert np.array_equal(filtered, full[full >= 4.9e8])
 
-    def test_materialized_source_applies_row_filter(self, both_formats):
-        _v1, store = both_formats
+    def test_materialized_source_applies_row_filter(self, store):
         source = TraceSource.wrap(store.load_columnar())
         predicate = Predicate("submit_hour", "<", 1.0)
         rows = sum(block.n_rows
@@ -172,19 +118,82 @@ class TestZoneMapSkippingThroughTraceSource:
 
 
 class TestConvertCli:
-    def test_convert_format_flags(self, tmp_path):
+    def test_convert_writes_v3_and_has_no_format_flag(self, tmp_path):
         from repro.cli import main
         from repro.traces.io import write_trace
 
         trace = Trace(list(_jobs(30)), name="cli")
         path = tmp_path / "trace.jsonl"
         write_trace(trace, str(path))
-        v1_dir = tmp_path / "v1.store"
-        v2_dir = tmp_path / "v2.store"
+        directory = tmp_path / "out.store"
         assert main(["engine", "convert", "--trace", str(path),
-                     "--output", str(v1_dir), "--format", "v1"]) == 0
-        assert main(["engine", "convert", "--trace", str(path),
-                     "--output", str(v2_dir), "--format", "v2"]) == 0
-        assert ChunkedTraceStore(v1_dir).format_version == 1
-        assert ChunkedTraceStore(v2_dir).format_version == 2
-        assert main(["engine", "info", "--store", str(v2_dir)]) == 0
+                     "--output", str(directory)]) == 0
+        assert ChunkedTraceStore(directory).info()["format_version"] == 3
+        assert main(["engine", "info", "--store", str(directory)]) == 0
+        with pytest.raises(SystemExit):
+            main(["engine", "convert", "--trace", str(path),
+                  "--output", str(tmp_path / "v2.store"), "--format", "v2"])
+
+
+def _rewrite_json(path, edit):
+    with open(path, "r", encoding="utf-8") as handle:
+        document = json.load(handle)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(edit(document), handle)
+
+
+def _without(key):
+    def edit(document):
+        del document[key]
+        return document
+    return edit
+
+
+def _chunk_without_file(manifest):
+    del manifest["chunks"][0]["file"]
+    return manifest
+
+
+class TestDamagedMetadata:
+    """Metadata that parses but has the wrong shape is a typed error, never a
+    bare ``AttributeError``/``KeyError`` from deep inside the constructor."""
+
+    @pytest.mark.parametrize("file_name, edit", [
+        (MANIFEST_NAME, lambda manifest: [manifest]),
+        (MANIFEST_NAME, _without("chunks")),
+        (MANIFEST_NAME, _without("columns")),
+        (MANIFEST_NAME, _chunk_without_file),
+        (DICTIONARY_NAME, lambda dictionary: [dictionary]),
+    ], ids=["manifest-is-a-list", "no-chunks", "no-columns", "chunk-without-file",
+            "dictionary-is-a-list"])
+    def test_open_raises_typed_error(self, tmp_path, file_name, edit):
+        directory = tmp_path / "s"
+        ChunkedTraceStore.write(directory, _jobs(20), chunk_rows=8)
+        _rewrite_json(directory / file_name, edit)
+        with pytest.raises(TraceFormatError):
+            ChunkedTraceStore(directory)
+
+    def test_manifest_row_count_is_checked_on_read(self, tmp_path):
+        """A chunk whose manifest ``rows`` disagree with its columns must not
+        be scanned or indexed as if it held the manifest's count."""
+        directory = tmp_path / "cc-e.store"
+        store = ChunkedTraceStore.write(directory, load_workload("CC-e", seed=7, scale=0.02),
+                                        chunk_rows=64)
+        rows = store.chunk_rows()[0]
+        store.read_chunk(0, admit=True)  # chunk 0 now sits in the decoded-block cache
+
+        def add_seven(manifest):
+            manifest["chunks"][0]["rows"] += 7
+            return manifest
+
+        _rewrite_json(directory / MANIFEST_NAME, add_seven)
+        damaged = ChunkedTraceStore(directory)
+        assert damaged.n_jobs == store.n_jobs + 7  # the manifest alone still opens
+        message = "holds %d rows but the manifest says %d" % (rows, rows + 7)
+        with pytest.raises(TraceFormatError, match=message):
+            damaged.read_chunk(0, columns=["input_bytes"])  # a cache hit
+        with pytest.raises(TraceFormatError, match=message):
+            execute(damaged, Query().aggregate(total=("sum", "input_bytes")),
+                    use_planner=False)
+        with pytest.raises(TraceFormatError, match=message):
+            build_indexes(damaged)

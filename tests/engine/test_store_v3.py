@@ -1,10 +1,10 @@
 """Store format v3: block compression, dictionary strings, code-native reads.
 
-The acceptance contract of the v3 format is *bit-identity*: every column a
-v3 store decodes — and every characterization row computed over it, serial
-or resumed — must equal the v1/v2 result exactly, while the bytes on disk
-shrink.  These tests pin that contract plus the codec/dictionary round-trip
-properties the format is built on.
+The acceptance contract of the format is *bit-identity*: every column a store
+decodes must equal the values written, and every characterization row
+computed over dictionary codes — serial or resumed — must equal the rows
+computed over the same strings stored raw.  These tests pin that contract
+plus the codec/dictionary round-trip properties the format is built on.
 """
 
 import json
@@ -18,6 +18,7 @@ from repro.cli import main
 from repro.core import run_characterization_scan
 from repro.engine import (
     ChunkedTraceStore,
+    ColumnarTrace,
     Query,
     StringDictionary,
     append_store,
@@ -33,6 +34,7 @@ from repro.engine.codecs import (
     read_block_header,
     unpack_block,
 )
+from repro.engine import store as store_module
 from repro.engine.pipeline import find_store_checkpoints
 from repro.errors import TraceFormatError
 from repro.traces import Job, Trace
@@ -68,15 +70,19 @@ def _bit_equal(a, b):
 
 
 @pytest.fixture(scope="module")
-def three_formats(cc_e_trace, tmp_path_factory):
-    base = tmp_path_factory.mktemp("v3formats")
-    return {
-        version: ChunkedTraceStore.write(base / ("v%d.store" % version),
-                                         cc_e_trace, chunk_rows=1024,
-                                         name=cc_e_trace.name,
-                                         format_version=version)
-        for version in (1, 2, 3)
-    }
+def by_encoding(cc_e_trace, tmp_path_factory):
+    """The CC-e trace stored twice: as written ("dict"), and with every string
+    column forced to raw encoding ("raw") — strings folded as strings."""
+    base = tmp_path_factory.mktemp("encodings")
+    stores = {"dict": ChunkedTraceStore.write(base / "dict.store", cc_e_trace,
+                                              chunk_rows=1024, name=cc_e_trace.name)}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(store_module, "_choose_string_encoding", lambda array: "raw")
+        stores["raw"] = ChunkedTraceStore.write(base / "raw.store", cc_e_trace,
+                                                chunk_rows=1024, name=cc_e_trace.name)
+    assert set(stores["raw"].string_encodings.values()) == {"raw"}
+    assert "dict" in stores["dict"].string_encodings.values()
+    return stores
 
 
 # ---------------------------------------------------------------------------
@@ -188,39 +194,32 @@ class TestDictionaryProperties:
 # The v3 store itself
 # ---------------------------------------------------------------------------
 class TestFormatV3Store:
-    def test_columns_bit_identical_across_formats(self, three_formats):
-        reference = _columns(three_formats[2])
-        for version in (1, 3):
-            mine = _columns(three_formats[version])
-            for name, values in reference.items():
-                assert _bit_equal(mine[name], values), (version, name)
+    def test_columns_bit_identical_to_source(self, cc_e_trace, by_encoding):
+        reference = ColumnarTrace.from_trace(cc_e_trace).columns
+        for encoding, store in by_encoding.items():
+            mine = _columns(store)
+            assert sorted(mine) == sorted(reference)
+            for name, values in mine.items():
+                assert _bit_equal(values, reference[name]), (encoding, name)
 
-    def test_v3_disk_among_smallest(self, three_formats):
-        sizes = {v: s.info()["on_disk_bytes"] for v, s in three_formats.items()}
-        assert sizes[3] < sizes[2]
-        assert sizes[3] <= 1.3 * sizes[1]
-
-    def test_info_reports_codec_and_encodings(self, three_formats):
-        info = three_formats[3].info()
+    def test_info_reports_codec_and_encodings(self, by_encoding):
+        info = by_encoding["dict"].info()
+        assert info["format_version"] == 3
         assert info["codec"] == "zlib"
         encodings = info["string_encodings"]
         assert {"job_id", "name", "input_path", "output_path"} <= set(encodings)
         assert set(encodings.values()) <= {"dict", "raw"}
         assert encodings["workload"] == "dict"  # constant column
         assert info["dictionary_bytes"] > 0
-        # v1/v2 info keeps its historical shape (no codec keys).
-        assert "codec" not in three_formats[2].info()
 
-    def test_column_raw_sizes_v3_only(self, three_formats):
-        raw = three_formats[3].column_raw_sizes()
-        compressed = three_formats[3].column_sizes()
-        assert raw is not None and set(raw) == set(compressed)
+    def test_column_raw_sizes_exceed_compressed(self, by_encoding):
+        raw = by_encoding["dict"].column_raw_sizes()
+        compressed = by_encoding["dict"].column_sizes()
+        assert set(raw) == set(compressed)
         assert sum(raw.values()) > sum(compressed.values())
-        assert three_formats[2].column_raw_sizes() is None
 
     def test_adaptive_encoding_high_cardinality_goes_raw(self, tmp_path):
-        store = ChunkedTraceStore.write(tmp_path / "wide", _jobs(2500),
-                                        chunk_rows=2048, format_version=3)
+        store = ChunkedTraceStore.write(tmp_path / "wide", _jobs(2500), chunk_rows=2048)
         # 2048 distinct job ids in the first chunk beat the dictionary
         # threshold; the low-cardinality columns stay dictionary-coded.
         assert store.string_encodings["job_id"] == "raw"
@@ -230,8 +229,7 @@ class TestFormatV3Store:
 
     def test_lzma_codec_roundtrip(self, tmp_path):
         store = ChunkedTraceStore.write(tmp_path / "xz", _jobs(300),
-                                        chunk_rows=128, format_version=3,
-                                        codec="lzma")
+                                        chunk_rows=128, codec="lzma")
         assert store.codec == "lzma"
         reopened = ChunkedTraceStore(tmp_path / "xz")
         assert np.array_equal(_columns(reopened)["input_bytes"],
@@ -239,25 +237,17 @@ class TestFormatV3Store:
 
     def test_unknown_codec_rejected(self, tmp_path):
         with pytest.raises(TraceFormatError, match="codec"):
-            ChunkedTraceStore.write(tmp_path / "s", _jobs(4),
-                                    format_version=3, codec="snappy")
-
-    def test_codec_on_v2_rejected(self, tmp_path):
-        with pytest.raises(TraceFormatError, match="codec"):
-            ChunkedTraceStore.write(tmp_path / "s", _jobs(4),
-                                    format_version=2, codec="zlib")
+            ChunkedTraceStore.write(tmp_path / "s", _jobs(4), codec="snappy")
 
     def test_missing_dictionary_sidecar_rejected(self, tmp_path):
         directory = tmp_path / "s"
-        ChunkedTraceStore.write(directory, _jobs(32), chunk_rows=16,
-                                format_version=3)
+        ChunkedTraceStore.write(directory, _jobs(32), chunk_rows=16)
         os.unlink(directory / DICTIONARY_NAME)
         with pytest.raises(TraceFormatError, match="dictionary"):
             ChunkedTraceStore(directory)
 
     def test_predicates_on_dictionary_columns(self, tmp_path):
-        store = ChunkedTraceStore.write(tmp_path / "s", _jobs(200),
-                                        chunk_rows=64, format_version=3)
+        store = ChunkedTraceStore.write(tmp_path / "s", _jobs(200), chunk_rows=64)
         hits = execute(store, Query().filter("input_path", "==", "/in/3")
                        .aggregate(n=("count", "input_bytes")))
         assert hits.aggregates["n"] == sum(1 for i in range(200) if i % 11 == 3)
@@ -270,25 +260,12 @@ class TestFormatV3Store:
 
 
 # ---------------------------------------------------------------------------
-# Append + checkpoint resume on v3
+# Append + checkpoint resume
 # ---------------------------------------------------------------------------
 class TestV3Append:
-    def test_append_bit_identical_to_v2(self, tmp_path):
-        stores = {}
-        for version in (2, 3):
-            directory = tmp_path / ("v%d.store" % version)
-            ChunkedTraceStore.write(directory, _jobs(300), chunk_rows=128,
-                                    format_version=version)
-            stores[version] = append_store(directory, _jobs(150, start=300))
-        reference = _columns(stores[2])
-        mine = _columns(stores[3])
-        for name, values in reference.items():
-            assert _bit_equal(mine[name], values), name
-
     def test_append_only_extends_dictionary(self, tmp_path):
         directory = tmp_path / "s"
-        ChunkedTraceStore.write(directory, _jobs(100), chunk_rows=64,
-                                format_version=3)
+        ChunkedTraceStore.write(directory, _jobs(100), chunk_rows=64)
         with open(directory / DICTIONARY_NAME, "r", encoding="utf-8") as handle:
             before = json.load(handle)
         append_store(directory, _jobs(100, start=100))
@@ -303,8 +280,7 @@ class TestV3Append:
         directory = tmp_path / "cc-e.v3.store"
         checkpoint = str(tmp_path / "scan.ck.json")
         ChunkedTraceStore.write(directory, Trace(jobs[:cut], name=cc_e_trace.name),
-                                chunk_rows=1024, name=cc_e_trace.name,
-                                format_version=3)
+                                chunk_rows=1024, name=cc_e_trace.name)
         run_characterization_scan(ChunkedTraceStore(directory),
                                   checkpoint_to=checkpoint)
         store = append_store(directory, Trace(jobs[cut:], name=cc_e_trace.name))
@@ -323,34 +299,93 @@ class TestV3Append:
 
 
 # ---------------------------------------------------------------------------
-# Characterization suite rows across all three formats
+# Characterization suite rows: dictionary codes vs raw strings
 # ---------------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def suite_by_format(three_formats):
-    def run(store):
-        return {
-            result.experiment_id: result
-            for result in run_suite(traces={store.name: store},
-                                    experiments=list(CHARACTERIZATION_EXPERIMENT_IDS),
-                                    include_ablations=False,
-                                    include_simulation=False, shared_scan=True)
-        }
+def _suite(store):
+    return {
+        result.experiment_id: result
+        for result in run_suite(traces={store.name: store},
+                                experiments=list(CHARACTERIZATION_EXPERIMENT_IDS),
+                                include_ablations=False,
+                                include_simulation=False, shared_scan=True)
+    }
 
-    return {version: run(store) for version, store in three_formats.items()}
+
+@pytest.fixture(scope="module")
+def suite_by_encoding(by_encoding):
+    return {encoding: _suite(store) for encoding, store in by_encoding.items()}
 
 
 @pytest.mark.parametrize("experiment_id", CHARACTERIZATION_EXPERIMENT_IDS)
-@pytest.mark.parametrize("version", (1, 3))
-class TestThreeFormatSuiteEquality:
-    def test_rows_identical(self, suite_by_format, version, experiment_id):
-        baseline = suite_by_format[2][experiment_id]
-        mine = suite_by_format[version][experiment_id]
+class TestEncodingSuiteEquality:
+    def test_rows_identical(self, suite_by_encoding, experiment_id):
+        baseline = suite_by_encoding["raw"][experiment_id]
+        mine = suite_by_encoding["dict"][experiment_id]
         assert mine.rows == baseline.rows
         assert mine.headers == baseline.headers
 
-    def test_series_identical(self, suite_by_format, version, experiment_id):
-        baseline = suite_by_format[2][experiment_id]
-        mine = suite_by_format[version][experiment_id]
+    def test_series_identical(self, suite_by_encoding, experiment_id):
+        baseline = suite_by_encoding["raw"][experiment_id]
+        mine = suite_by_encoding["dict"][experiment_id]
+        assert set(mine.series) == set(baseline.series)
+        for key, points in baseline.series.items():
+            assert mine.series[key] == points, key
+
+
+# ---------------------------------------------------------------------------
+# Stores migrated from the legacy v1/v2 layouts vs written as v3
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def by_origin(cc_e_trace, by_encoding, tmp_path_factory, write_store_as):
+    """The CC-e trace written as v3 ("v3", the "dict" store above) and laid
+    out as each legacy format, then migrated with ``engine convert``."""
+    base = tmp_path_factory.mktemp("origins")
+    stores = {"v3": by_encoding["dict"]}
+    for origin in ("v1", "v2"):
+        stores[origin] = write_store_as(origin, base / (origin + ".store"), cc_e_trace,
+                                        chunk_rows=1024, name=cc_e_trace.name)
+    return stores
+
+
+@pytest.fixture(scope="module")
+def suite_by_origin(by_origin, suite_by_encoding):
+    return {origin: suite_by_encoding["dict"] if origin == "v3" else _suite(store)
+            for origin, store in by_origin.items()}
+
+
+@pytest.mark.parametrize("origin", ("v1", "v2"))
+class TestMigratedStoreEquality:
+    def test_chunks_and_dictionary_byte_identical(self, by_origin, origin):
+        native, migrated = by_origin["v3"], by_origin[origin]
+        names = sorted(name for name in os.listdir(native.directory)
+                       if name.endswith(".bin") or name == DICTIONARY_NAME)
+        assert names == sorted(name for name in os.listdir(migrated.directory)
+                               if name.endswith(".bin") or name == DICTIONARY_NAME)
+        for name in names:
+            with open(os.path.join(native.directory, name), "rb") as mine, \
+                    open(os.path.join(migrated.directory, name), "rb") as theirs:
+                assert mine.read() == theirs.read(), name
+
+    def test_manifest_differs_only_in_store_uid(self, by_origin, origin):
+        manifests = []
+        for store in (by_origin["v3"], by_origin[origin]):
+            with open(os.path.join(store.directory, "manifest.json"), encoding="utf-8") as handle:
+                manifest = json.load(handle)
+            assert manifest.pop("store_uid")
+            manifests.append(manifest)
+        assert manifests[0] == manifests[1]
+
+    @pytest.mark.parametrize("experiment_id", CHARACTERIZATION_EXPERIMENT_IDS)
+    def test_rows_identical(self, suite_by_origin, origin, experiment_id):
+        baseline = suite_by_origin["v3"][experiment_id]
+        mine = suite_by_origin[origin][experiment_id]
+        assert mine.rows == baseline.rows
+        assert mine.headers == baseline.headers
+
+    @pytest.mark.parametrize("experiment_id", CHARACTERIZATION_EXPERIMENT_IDS)
+    def test_series_identical(self, suite_by_origin, origin, experiment_id):
+        baseline = suite_by_origin["v3"][experiment_id]
+        mine = suite_by_origin[origin][experiment_id]
         assert set(mine.series) == set(baseline.series)
         for key, points in baseline.series.items():
             assert mine.series[key] == points, key
@@ -362,20 +397,17 @@ class TestThreeFormatSuiteEquality:
 class TestConversionCarriesMetadata:
     def test_sequence_and_sortedness_survive(self, tmp_path):
         source_dir = tmp_path / "src.store"
-        ChunkedTraceStore.write(source_dir, _jobs(100), chunk_rows=64,
-                                format_version=2)
+        ChunkedTraceStore.write(source_dir, _jobs(100), chunk_rows=64)
         append_store(source_dir, _jobs(50))  # duplicate times: unsorted append
         source = ChunkedTraceStore(source_dir)
         assert source.manifest_sequence == 1
-        converted = ChunkedTraceStore.write(tmp_path / "out.store", source,
-                                            chunk_rows=64, format_version=3)
+        converted = ChunkedTraceStore.write(tmp_path / "out.store", source, chunk_rows=64)
         assert converted.manifest_sequence == source.manifest_sequence
         assert converted.sorted_by_submit_time == source.sorted_by_submit_time
 
     def test_find_store_checkpoints(self, tmp_path):
         directory = tmp_path / "s.store"
-        store = ChunkedTraceStore.write(directory, _jobs(64), chunk_rows=32,
-                                        format_version=2)
+        store = ChunkedTraceStore.write(directory, _jobs(64), chunk_rows=32)
         assert find_store_checkpoints(store) == []
         checkpoint = str(tmp_path / "scan.ck.json")
         run_characterization_scan(store, checkpoint_to=checkpoint)
@@ -385,18 +417,16 @@ class TestConversionCarriesMetadata:
 
     def test_cli_convert_refuses_checkpointed_source(self, tmp_path, capsys):
         directory = tmp_path / "s.store"
-        store = ChunkedTraceStore.write(directory, _jobs(64), chunk_rows=32,
-                                        format_version=2)
+        store = ChunkedTraceStore.write(directory, _jobs(64), chunk_rows=32)
         run_characterization_scan(store, checkpoint_to=str(tmp_path / "ck.json"))
         code = main(["engine", "convert", "--store", str(directory),
-                     "--output", str(tmp_path / "out.store"), "--format", "v3"])
+                     "--output", str(tmp_path / "out.store")])
         assert code == 1
         assert "refusing to convert" in capsys.readouterr().err
         os.unlink(tmp_path / "ck.json")
         os.unlink(tmp_path / "ck.json.npz")
         assert main(["engine", "convert", "--store", str(directory),
-                     "--output", str(tmp_path / "out.store"),
-                     "--format", "v3"]) == 0
+                     "--output", str(tmp_path / "out.store")]) == 0
 
     def test_cli_ingest_codec_creates_v3(self, tmp_path, capsys):
         trace_path = str(tmp_path / "jobs.jsonl")
@@ -406,7 +436,7 @@ class TestConversionCarriesMetadata:
         assert main(["engine", "ingest", "--store", directory,
                      "--trace", trace_path, "--codec", "zlib"]) == 0
         store = ChunkedTraceStore(directory)
-        assert (store.format_version, store.codec) == (3, "zlib")
+        assert (store.info()["format_version"], store.codec) == (3, "zlib")
         # Second ingest appends, reusing the store codec; --codec now errors.
         assert main(["engine", "ingest", "--store", directory,
                      "--trace", trace_path]) == 0

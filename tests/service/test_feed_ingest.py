@@ -219,8 +219,7 @@ class TestDurableWriters:
 
         jobs = cc_service_trace.jobs
         directory = str(tmp_path / "store")
-        store = ChunkedTraceStore.write(directory, jobs[:200], chunk_rows=64,
-                                        format_version=3)
+        store = ChunkedTraceStore.write(directory, jobs[:200], chunk_rows=64)
         checkpoint_path = str(tmp_path / "scan.ck.json")
         feed = tmp_path / "feed.jsonl"
         feed.write_bytes(_feed_line(jobs[200]))

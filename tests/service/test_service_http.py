@@ -492,7 +492,7 @@ class TestPlannerIntegration:
         from repro.engine import ChunkedTraceStore, build_indexes
 
         store = ChunkedTraceStore.write(os.path.join(catalog_dir, "fb3"), fb_service_trace,
-                                        chunk_rows=128, format_version=3)
+                                        chunk_rows=128)
         build_indexes(store).save()
         where = ["input_bytes == %r" % fb_service_trace.jobs[7].input_bytes]
         with open(os.devnull, "w") as sink, \

@@ -7,18 +7,18 @@ shuffle / output), and that most jobs move megabytes to gigabytes — far below
 the terabyte scale assumed by earlier micro-benchmarks.
 
 The analysis consumes any :class:`~repro.engine.source.TraceSource`-wrappable
-representation.  Materialized sources get exact sorting-based CDFs; streaming
-sources (a :class:`~repro.engine.store.ChunkedTraceStore`) are folded in one
-chunked scan into mergeable log-histogram sketches, so the whole Figure-1
-pipeline runs with memory bounded by chunk size.  Counts (the map-only
-fraction) are exact either way; sketch medians and below-1GB fractions are
-accurate to histogram-bin resolution (about 7.5%).
+representation through one chunk fold.  In-memory sources get exact
+sorting-based CDFs; a :class:`~repro.engine.store.ChunkedTraceStore` folds
+mergeable log-histogram sketches, so the whole Figure-1 pipeline runs with
+memory bounded by chunk size (:meth:`DataSizeConsumer.for_source` picks).
+Counts (the map-only fraction) are exact either way; sketch medians and
+below-1GB fractions are accurate to histogram-bin resolution (about 7.5%).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from ..engine.pipeline import ChunkConsumer, ScanChunk, fold_consumer
 from ..engine.source import TraceSource
 from ..errors import AnalysisError
 from ..units import GB
-from .stats import SketchCDF, empirical_cdf
+from .stats import EmpiricalCDF, SketchCDF, empirical_cdf
 
 __all__ = ["DataSizeDistributions", "DataSizeConsumer", "analyze_data_sizes",
            "median_spread_orders"]
@@ -43,7 +43,7 @@ class DataSizeDistributions:
     Attributes:
         workload: workload name.
         cdfs: mapping of dimension name -> CDF.  Exact
-            :class:`~repro.core.stats.EmpiricalCDF` for materialized sources,
+            :class:`~repro.core.stats.EmpiricalCDF` for in-memory sources,
             sketch-backed :class:`~repro.core.stats.SketchCDF` for streaming
             ones; both expose the same read-out API.
         medians: mapping of dimension name -> median bytes.
@@ -69,45 +69,23 @@ def analyze_data_sizes(trace) -> DataSizeDistributions:
     """Compute Figure-1 style per-job size distributions for one trace.
 
     Accepts a :class:`Trace`, :class:`ColumnarTrace`, :class:`ChunkedTraceStore`
-    or :class:`TraceSource`.  Materialized representations keep the exact
-    empirical CDFs; streaming ones are scanned chunk by chunk into percentile
-    sketches without materializing any column.
+    or :class:`TraceSource`, and folds :meth:`DataSizeConsumer.for_source` over
+    it: exact empirical CDFs for an in-memory source, percentile sketches for a
+    store (scanned chunk by chunk without materializing any column).
     """
     source = TraceSource.wrap(trace)
     if source.is_empty():
         raise AnalysisError("cannot analyze data sizes of an empty trace")
-    if source.is_streaming:
-        return _analyze_streaming(source)
-    return _analyze_materialized(source)
-
-
-def _analyze_materialized(source: TraceSource) -> DataSizeDistributions:
-    cdfs: Dict[str, object] = {}
-    medians: Dict[str, float] = {}
-    below_gb: Dict[str, float] = {}
-    for dimension in SIZE_DIMENSIONS:
-        cdf = empirical_cdf(source.dimension(dimension))
-        cdfs[dimension] = cdf
-        medians[dimension] = cdf.median()
-        below_gb[dimension] = cdf.fraction_at_or_below(float(GB))
-    shuffle = np.nan_to_num(source.dimension("shuffle_bytes"), nan=0.0)
-    reduce_s = np.nan_to_num(source.dimension("reduce_task_seconds"), nan=0.0)
-    map_only = float(np.mean((shuffle == 0.0) & (reduce_s == 0.0)))
-    return DataSizeDistributions(
-        workload=source.name,
-        cdfs=cdfs,
-        medians=medians,
-        fraction_below_gb=below_gb,
-        map_only_fraction=map_only,
-    )
+    return fold_consumer(source, DataSizeConsumer.for_source(source))
 
 
 class DataSizeConsumer(ChunkConsumer):
-    """Shared-scan fold for the Figure-1 size distributions (streaming form).
+    """Shared-scan fold for the Figure-1 size distributions (store form).
 
     One pass over the size columns accumulates three mergeable log-histogram
     sketches plus the exact map-only count; ``finalize`` reads out the
-    sketch-backed :class:`DataSizeDistributions`.
+    sketch-backed :class:`DataSizeDistributions`.  Build it with
+    :meth:`for_source`, which gives an in-memory source the exact form.
     """
 
     columns = SIZE_DIMENSIONS + ("reduce_task_seconds",)
@@ -116,6 +94,20 @@ class DataSizeConsumer(ChunkConsumer):
     def __init__(self, name: str = "data_sizes", workload: str = "trace"):
         self.name = name
         self.workload = workload
+
+    @staticmethod
+    def for_source(source, workload: Optional[str] = None) -> "DataSizeConsumer":
+        """The Figure-1 fold for ``source`` (named ``workload``, default its own).
+
+        The one place the characterization's answer depends on representation,
+        and not configurable: an in-memory source already holds every size
+        column, so it gets exact sorting-based CDFs (a sketch would move its
+        visible Figure-1 medians); a store gets the sketch, whose memory is
+        bounded by chunk size.
+        """
+        source = TraceSource.wrap(source)
+        fold = DataSizeConsumer if source.is_streaming else _ExactDataSizeConsumer
+        return fold(workload=source.name if workload is None else workload)
 
     def make_state(self):
         return {"sketches": {dimension: HistogramSketch() for dimension in SIZE_DIMENSIONS},
@@ -172,10 +164,7 @@ class DataSizeConsumer(ChunkConsumer):
         medians: Dict[str, float] = {}
         below_gb: Dict[str, float] = {}
         for dimension in SIZE_DIMENSIONS:
-            sketch = state["sketches"][dimension]
-            if sketch.n == 0:
-                raise AnalysisError("dimension %r records no finite samples" % (dimension,))
-            cdf = SketchCDF(sketch)
+            cdf = self._cdf(dimension, state["sketches"][dimension])
             cdfs[dimension] = cdf
             medians[dimension] = cdf.median()
             below_gb[dimension] = cdf.fraction_at_or_below(float(GB))
@@ -187,10 +176,39 @@ class DataSizeConsumer(ChunkConsumer):
             map_only_fraction=state["n_map_only"] / state["n_rows"],
         )
 
+    @staticmethod
+    def _cdf(dimension: str, sketch: HistogramSketch) -> SketchCDF:
+        if sketch.n == 0:
+            raise AnalysisError("dimension %r records no finite samples" % (dimension,))
+        return SketchCDF(sketch)
 
-def _analyze_streaming(source: TraceSource) -> DataSizeDistributions:
-    """One chunked scan: three percentile sketches plus the map-only count."""
-    return fold_consumer(source, DataSizeConsumer(workload=source.name))
+
+class _ColumnSlices(list):
+    """The exact fold's per-dimension state: the column slices it was shown,
+    behind the ``update``/``merge`` calls a :class:`HistogramSketch` takes."""
+
+    update = list.append
+    merge = list.extend
+
+
+class _ExactDataSizeConsumer(DataSizeConsumer):
+    """The Figure-1 fold of an in-memory source: exact :class:`EmpiricalCDF` s.
+
+    Keeps the size column slices (views of columns already in memory) and
+    sorts each dimension once in ``finalize``.  Not resumable: only a store
+    has a chunk watermark to resume from.
+    """
+
+    resumable = False
+
+    def make_state(self):
+        state = super().make_state()
+        state["sketches"] = {dimension: _ColumnSlices() for dimension in SIZE_DIMENSIONS}
+        return state
+
+    @staticmethod
+    def _cdf(dimension: str, slices: _ColumnSlices) -> EmpiricalCDF:
+        return empirical_cdf(np.concatenate(slices))
 
 
 def median_spread_orders(distributions: Iterable[DataSizeDistributions],

@@ -17,7 +17,7 @@ arbitrary combinations of traces:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -131,9 +131,9 @@ class ShiftedHourlyTaskSecondsConsumer(ChunkConsumer):
 def _consolidated_hourly_task_seconds(sources: Sequence[TraceSource]) -> np.ndarray:
     """Hourly task-seconds of the start-aligned union of several sources.
 
-    Bucket boundaries match the materialized path exactly; only the
-    floating-point summation order differs (per-source partial arrays are
-    summed instead of folding every source into one shared array).
+    Bucket boundaries match ``hourly_task_seconds(consolidate(traces))``
+    exactly; only the floating-point summation order differs (per-source
+    partial arrays are summed instead of folding every job into one array).
     """
     starts = []
     horizon = 0.0
@@ -155,10 +155,9 @@ def consolidation_study(traces: Sequence, bursty_threshold: float = 3.0,
 
     Args:
         traces: source traces (at least two non-empty ones), in any
-            :class:`TraceSource`-wrappable representation.  Materialized
-            inputs take the exact job-merge path; when any input is an
-            out-of-core store, the consolidated hourly series is folded
-            streamingly instead of materializing the merged job list.
+            :class:`TraceSource`-wrappable representation.  The consolidated
+            hourly series is folded source by source; no merged job list is
+            ever materialized.
         bursty_threshold: peak-to-median ratio above which the consolidated
             workload is still called bursty.
         drop_zero_hours: passed through to the burstiness metric (idle hours
@@ -176,12 +175,8 @@ def consolidation_study(traces: Sequence, bursty_threshold: float = 3.0,
         source.name: analyze_burstiness(source, drop_zero_hours=drop_zero_hours)
         for source in non_empty
     }
-    if any(source.is_streaming for source in non_empty):
-        combined = burstiness_curve(_consolidated_hourly_task_seconds(non_empty),
-                                    drop_zero_hours=drop_zero_hours)
-    else:
-        merged = consolidate([source.materialize() for source in non_empty])
-        combined = analyze_burstiness(merged, drop_zero_hours=drop_zero_hours)
+    combined = burstiness_curve(_consolidated_hourly_task_seconds(non_empty),
+                                drop_zero_hours=drop_zero_hours)
 
     mean_source_peak = float(np.mean([result.peak_to_median for result in per_source.values()]))
     mean_source_p99 = float(np.mean([result.p99_to_median for result in per_source.values()]))

@@ -12,9 +12,10 @@ is exactly the per-cluster row the seven-cluster comparison needs.
 Equality contract (same as :mod:`repro.core.sharedscan`): every consumer is
 the exact fold its standalone entry point runs, so a profile's fields match
 the per-analysis results bit-for-bit — serial or parallel, cold or resumed
-from a checkpoint.  Materialized sources keep their exact whole-column paths
-(sorting-based CDFs and exact medians); store-backed sources fold mergeable
-sketches with memory bounded by chunk size.
+from a checkpoint.  Every representation runs the same consumer list; only
+the Figure-1 CDF differs — exact for in-memory sources, a mergeable sketch
+with memory bounded by chunk size for stores
+(:meth:`~repro.core.datasizes.DataSizeConsumer.for_source`).
 
 Store-backed profiles are **checkpointable** exactly like the
 characterization scan: ``checkpoint_to=`` persists every consumer's fold
@@ -40,9 +41,9 @@ from ..engine.source import TraceSource
 from ..traces.trace import TraceSummary
 from ..errors import AnalysisError
 from ..units import GB
-from .burstiness import BurstinessResult, analyze_burstiness, burstiness_curve
-from .datasizes import DataSizeConsumer, DataSizeDistributions, analyze_data_sizes
-from .naming import NamingAnalysis, NamingConsumer, analyze_naming
+from .burstiness import BurstinessResult, burstiness_curve
+from .datasizes import DataSizeConsumer, DataSizeDistributions
+from .naming import NamingAnalysis, NamingConsumer
 from .temporal import (
     HOURLY_DIMENSION_SPECS,
     CorrelationResult,
@@ -51,7 +52,6 @@ from .temporal import (
     HourlyTotalsConsumer,
     dimension_correlations,
     diurnal_strength,
-    hourly_dimensions,
     hourly_dimensions_from_groups,
 )
 
@@ -139,8 +139,7 @@ class WorkloadProfile:
             :class:`~repro.core.sharedscan.CharacterizationAnalyses`), or
             ``None`` for a plain full scan.
         checkpoint_path: where the post-scan checkpoint was saved, if asked.
-        chunks_scanned / rows_scanned: decode work metered by the scan (0 for
-            materialized sources).
+        chunks_scanned / rows_scanned: chunks and rows folded by the scan.
     """
 
     workload: str
@@ -185,78 +184,26 @@ def profile_source(trace, small_job_threshold_bytes: float = DEFAULT_SMALL_JOB_T
         checkpoint_to: save a fresh checkpoint covering the whole store.
 
     Raises:
-        AnalysisError: for an empty trace, or checkpoint arguments against a
-            materialized source.
+        AnalysisError: for an empty trace, or checkpoint arguments against an
+            in-memory source.
     """
     source = TraceSource.wrap(trace)
     profile_name = source.name if name is None else str(name)
     if source.is_empty():
         raise AnalysisError("cannot profile the empty trace %r" % (profile_name,))
-    if not source.is_streaming:
-        if resume_from is not None or checkpoint_to is not None:
-            raise AnalysisError(
-                "profile checkpoints require a store-backed source; %r is "
-                "materialized (there is no chunk watermark to resume from)"
-                % (profile_name,))
-        return _profile_materialized(source, profile_name, small_job_threshold_bytes)
-    return _profile_streaming(source, profile_name, small_job_threshold_bytes,
-                              executor, resume_from, checkpoint_to)
+    consumers = profile_consumers(source, profile_name, small_job_threshold_bytes)
+    merged, resume_report, checkpoint_path = run_resumable_scan(
+        source, consumers, executor=executor, resume_from=resume_from,
+        checkpoint_to=checkpoint_to, meta={"workload": source.name})
+    profile = profile_from_scan(merged, profile_name, small_job_threshold_bytes)
+    profile.resume = resume_report
+    profile.checkpoint_path = checkpoint_path
+    return profile
 
 
-def _finish_profile(profile_name: str, summary: TraceSummary,
-                    sizes: DataSizeDistributions, dims: HourlyDimensions,
-                    burstiness: BurstinessResult, naming: Optional[NamingAnalysis],
-                    small_fraction: float, threshold: float) -> WorkloadProfile:
-    """Derivations shared by both paths (correlations, diurnality)."""
-    correlations = dimension_correlations(dims) if dims.n_hours >= 2 else None
-    diurnal = diurnal_strength(dims.task_seconds_per_hour)
-    return WorkloadProfile(
-        workload=profile_name,
-        n_jobs=summary.n_jobs,
-        summary=summary,
-        sizes=sizes,
-        hourly=dims,
-        burstiness=burstiness,
-        correlations=correlations,
-        diurnal=diurnal,
-        naming=naming,
-        small_job_fraction=small_fraction,
-        small_job_threshold_bytes=float(threshold),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Materialized: standalone entry points (exact whole-column paths preserved)
-# ---------------------------------------------------------------------------
-def _profile_materialized(source: TraceSource, profile_name: str,
-                          threshold: float) -> WorkloadProfile:
-    summary = source.summary()
-    sizes = analyze_data_sizes(source)
-    burstiness = analyze_burstiness(source, drop_zero_hours=True)
-    dims = hourly_dimensions(source)
-
-    small_jobs = 0
-    for block in source.iter_chunks(columns=["total_bytes"]):
-        if block.n_rows:
-            # The derived total_bytes column treats unrecorded sizes as 0,
-            # exactly like Job.total_bytes.
-            small_jobs += int(np.count_nonzero(block.column("total_bytes") <= threshold))
-    small_fraction = small_jobs / len(source)
-
-    try:
-        naming = analyze_naming(source)
-    except AnalysisError:
-        naming = None
-    return _finish_profile(profile_name, summary, sizes, dims, burstiness,
-                           naming, small_fraction, threshold)
-
-
-# ---------------------------------------------------------------------------
-# Streaming: one pipeline, every quantity a consumer
-# ---------------------------------------------------------------------------
 def profile_consumers(source: TraceSource, profile_name: str,
                       threshold: float = DEFAULT_SMALL_JOB_THRESHOLD_BYTES) -> List[ChunkConsumer]:
-    """Fresh consumer list for one profile scan (the streaming fold set).
+    """Fresh consumer list for one profile scan.
 
     The federation layer hands this (via a picklable partial) to
     :meth:`~repro.engine.federation.FederatedSource.scan` so every member
@@ -265,7 +212,7 @@ def profile_consumers(source: TraceSource, profile_name: str,
     """
     consumers: List[ChunkConsumer] = [
         SummaryConsumer(trace_name=source.name, machines=source.machines),
-        DataSizeConsumer(workload=profile_name),
+        DataSizeConsumer.for_source(source, profile_name),
         HourlyTotalsConsumer(HOURLY_DIMENSION_SPECS),
         SmallJobCountConsumer(threshold),
     ]
@@ -285,31 +232,21 @@ def profile_from_scan(merged, profile_name: str, threshold: float) -> WorkloadPr
     standalone entry points.
     """
     summary: TraceSummary = merged.value("summary")
-    sizes: DataSizeDistributions = merged.value("data_sizes")
-    groups = merged.value("hourly")
-    dims = hourly_dimensions_from_groups(groups, summary.start_s, summary.end_s)
-    burstiness = burstiness_curve(dims.task_seconds_per_hour, drop_zero_hours=True)
+    dims = hourly_dimensions_from_groups(merged.value("hourly"),
+                                         summary.start_s, summary.end_s)
     counts = merged.value("small_jobs")
-    small_fraction = counts["n_small"] / counts["n_rows"]
-    naming: Optional[NamingAnalysis] = None
-    if "naming" not in merged.errors:
-        naming = merged.results.get("naming")
-
-    profile = _finish_profile(profile_name, summary, sizes, dims, burstiness,
-                              naming, small_fraction, threshold)
-    profile.chunks_scanned = merged.chunks_scanned
-    profile.rows_scanned = merged.rows_scanned
-    return profile
-
-
-def _profile_streaming(source: TraceSource, profile_name: str, threshold: float,
-                       executor, resume_from,
-                       checkpoint_to: Optional[str]) -> WorkloadProfile:
-    consumers = profile_consumers(source, profile_name, threshold)
-    merged, resume_report, checkpoint_path = run_resumable_scan(
-        source, consumers, executor=executor, resume_from=resume_from,
-        checkpoint_to=checkpoint_to, meta={"workload": source.name})
-    profile = profile_from_scan(merged, profile_name, threshold)
-    profile.resume = resume_report
-    profile.checkpoint_path = checkpoint_path
-    return profile
+    return WorkloadProfile(
+        workload=profile_name,
+        n_jobs=summary.n_jobs,
+        summary=summary,
+        sizes=merged.value("data_sizes"),
+        hourly=dims,
+        burstiness=burstiness_curve(dims.task_seconds_per_hour, drop_zero_hours=True),
+        correlations=dimension_correlations(dims) if dims.n_hours >= 2 else None,
+        diurnal=diurnal_strength(dims.task_seconds_per_hour),
+        naming=None if "naming" in merged.errors else merged.results.get("naming"),
+        small_job_fraction=counts["n_small"] / counts["n_rows"],
+        small_job_threshold_bytes=float(threshold),
+        chunks_scanned=merged.chunks_scanned,
+        rows_scanned=merged.rows_scanned,
+    )

@@ -17,11 +17,13 @@ results match per-analysis streaming results — serial or parallel — up to
 floating-point merge order, and the parametrized tests in
 ``tests/core/test_sharedscan.py`` pin the table/figure rows to be identical.
 
-Materialized sources (job-list :class:`~repro.traces.trace.Trace`, in-memory
-:class:`~repro.engine.columnar.ColumnarTrace`) have no decode cost to share;
-for them the same fields are filled through the standalone entry points, so
-the exact whole-column paths (sorting-based CDFs, exact medians) are
-preserved bit-for-bit.
+Every representation — job-list :class:`~repro.traces.trace.Trace`,
+in-memory :class:`~repro.engine.columnar.ColumnarTrace`, on-disk store — runs
+the same consumer list through one resumable scan.  The one representation-
+dependent fold is Figure 1's CDF: an in-memory source holds every size
+column, so it keeps exact :class:`~repro.core.stats.EmpiricalCDF` medians,
+while a store folds a mergeable sketch
+(:meth:`~repro.core.datasizes.DataSizeConsumer.for_source` makes that choice).
 
 Store-backed scans are additionally **checkpointable**: ``checkpoint_to=``
 persists every resumable consumer's fold state (JSON + ``.npz``) together
@@ -42,29 +44,21 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..engine.pipeline import (
-    ChunkConsumer,
-    SummaryConsumer,
-    fold_consumer,
-    run_resumable_scan,
-)
+from ..engine.pipeline import ChunkConsumer, SummaryConsumer, run_resumable_scan
 from ..engine.source import TraceSource
 from ..errors import AnalysisError
 from .access import (
     PathStatsConsumer,
     ReaccessConsumer,
-    _reaccess,
-    path_stats,
     profile_from_path_stats,
     rank_frequencies_from_path_stats,
 )
 from .clustering import ClusterSampleConsumer, FeatureMatrixConsumer
-from .datasizes import DataSizeConsumer, analyze_data_sizes
-from .naming import NamingConsumer, analyze_naming
+from .datasizes import DataSizeConsumer
+from .naming import NamingConsumer
 from .temporal import (
     HOURLY_DIMENSION_SPECS,
     HourlyTotalsConsumer,
-    hourly_dimensions,
     hourly_dimensions_from_groups,
 )
 
@@ -116,9 +110,9 @@ class CharacterizationAnalyses:
         self.resume: Optional[Dict[str, object]] = None
         #: Where the post-scan checkpoint was saved, when one was requested.
         self.checkpoint_path: Optional[str] = None
-        #: Chunks/rows actually decoded by the shared scan (0 for materialized
-        #: sources, which have no decode cost to meter).  The service daemon's
-        #: ``/metrics`` endpoint reads these.
+        #: Chunks/rows folded by the shared scan (an in-memory source counts
+        #: its column slices as chunks).  The service daemon's ``/metrics``
+        #: endpoint reads these.
         self.chunks_scanned: int = 0
         self.rows_scanned: int = 0
 
@@ -202,26 +196,6 @@ def run_characterization_scan(trace, experiments: Optional[Sequence[str]] = None
     analyses = CharacterizationAnalyses(source.name)
     if not needed:
         return analyses
-    if source.is_streaming:
-        _scan_streaming(source, needed, analyses, seed, cluster_sample_cap, executor,
-                        resume_from=resume_from, checkpoint_to=checkpoint_to)
-    else:
-        if resume_from is not None or checkpoint_to is not None:
-            raise AnalysisError(
-                "characterization checkpoints require a store-backed source; "
-                "%r is materialized (there is no chunk watermark to resume from)"
-                % (source.name,))
-        _scan_materialized(source, needed, analyses, seed, cluster_sample_cap)
-    return analyses
-
-
-# ---------------------------------------------------------------------------
-# Streaming: one pipeline, every analysis a consumer
-# ---------------------------------------------------------------------------
-def _scan_streaming(source: TraceSource, needed: List[str],
-                    analyses: CharacterizationAnalyses, seed: int,
-                    cluster_sample_cap: Optional[int], executor,
-                    resume_from=None, checkpoint_to: Optional[str] = None) -> None:
     consumers: List[ChunkConsumer] = []
     wants_hourly = "hourly" in needed
     wants_summary = "summary" in needed or wants_hourly
@@ -232,7 +206,7 @@ def _scan_streaming(source: TraceSource, needed: List[str],
     if wants_summary:
         consumers.append(SummaryConsumer(trace_name=source.name, machines=source.machines))
     if "data_sizes" in needed:
-        consumers.append(DataSizeConsumer(workload=source.name))
+        consumers.append(DataSizeConsumer.for_source(source))
     if wants_input_stats:
         consumers.append(PathStatsConsumer("input"))
     if wants_output_stats:
@@ -304,6 +278,7 @@ def _scan_streaming(source: TraceSource, needed: List[str],
         adopt("cluster_sample", "cluster_sample")
     if "features" in needed:
         adopt("features", "features")
+    return analyses
 
 
 def _adopt_path_stats(analyses: CharacterizationAnalyses, scan, needed: List[str],
@@ -353,56 +328,3 @@ def _attempt(analyses: CharacterizationAnalyses, key: str, function, *args) -> N
         analyses.set(key, function(*args))
     except AnalysisError as exc:
         analyses.set_error(key, exc)
-
-
-# ---------------------------------------------------------------------------
-# Materialized: standalone entry points (exact whole-column paths preserved)
-# ---------------------------------------------------------------------------
-def _scan_materialized(source: TraceSource, needed: List[str],
-                       analyses: CharacterizationAnalyses, seed: int,
-                       cluster_sample_cap: Optional[int]) -> None:
-    if "summary" in needed or "hourly" in needed:
-        _attempt(analyses, "summary", source.summary)
-    if "data_sizes" in needed:
-        _attempt(analyses, "data_sizes", analyze_data_sizes, source)
-    for kind in ("input", "output"):
-        ranks_key, profile_key = "%s_ranks" % kind, "%s_profile" % kind
-        if ranks_key not in needed and profile_key not in needed:
-            continue
-        try:
-            stats = path_stats(source, kind)
-        except AnalysisError as exc:
-            if ranks_key in needed:
-                analyses.set_error(ranks_key, exc)
-            if profile_key in needed:
-                analyses.set_error(profile_key, exc)
-            continue
-        if ranks_key in needed:
-            _attempt(analyses, ranks_key, rank_frequencies_from_path_stats, stats)
-        if profile_key in needed:
-            _attempt(analyses, profile_key, profile_from_path_stats, stats)
-    if "reaccess_intervals" in needed or "reaccess_fractions" in needed:
-        try:
-            reaccess = _reaccess(source)
-        except AnalysisError as exc:
-            analyses.set_error("reaccess_intervals", exc)
-            analyses.set_error("reaccess_fractions", exc)
-        else:
-            analyses.set("reaccess_intervals", reaccess.intervals)
-            if reaccess.fractions is not None:
-                analyses.set("reaccess_fractions", reaccess.fractions)
-            else:
-                analyses.set_error("reaccess_fractions", AnalysisError(
-                    "trace has no recorded input paths"))
-    if "hourly" in needed:
-        _attempt(analyses, "hourly", hourly_dimensions, source)
-    if "naming" in needed:
-        _attempt(analyses, "naming", analyze_naming, source)
-    if "cluster_sample" in needed:
-        sample = ClusterSampleConsumer.for_source(source, cluster_sample_cap, seed)
-        if sample is None:
-            analyses.set("cluster_sample", None)
-        else:
-            _attempt(analyses, "cluster_sample", fold_consumer, source, sample)
-    if "features" in needed:
-        _attempt(analyses, "features", source.feature_matrix)

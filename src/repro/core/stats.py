@@ -24,6 +24,29 @@ rank rule evaluated at histogram-bin granularity (its value resolution is one
 part in ``10 ** (1/32)`` — about 7.5% — and it is clamped to the observed
 min/max).  ``tests/core/test_percentile_convention.py`` pins the exact paths
 to each other bit-for-bit and the sketch path to within bin resolution.
+
+One convention per statistic
+----------------------------
+
+Every trace representation folds the same chunk consumers, so each statistic
+has one convention whatever the source.  Only the Figure-1 CDF depends on the
+representation, chosen in one place
+(:meth:`repro.core.datasizes.DataSizeConsumer.for_source`):
+
+==============================  ============================================
+statistic                       convention
+==============================  ============================================
+counts, fractions of counts     exact integers, divided once at the end
+sums, means, hourly series      float sums in chunk order (a different
+                                chunking may move the last ulp)
+min / max / time bounds         exact
+percentiles of a series         :func:`percentile`, exact lower nearest-rank
+(burstiness, Figure 8)
+Zipf ranks, file profiles       exact, dictionary-based
+Figure-1 size CDFs              :class:`EmpiricalCDF` for an in-memory
+                                source; :class:`SketchCDF` for a store
+Table-2 job sample              seeded bottom-k over per-row hash keys
+==============================  ============================================
 """
 
 from __future__ import annotations

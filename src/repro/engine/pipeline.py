@@ -777,10 +777,16 @@ def run_resumable_scan(source, consumers: Sequence[ChunkConsumer], executor=None
     plain full scan); and where the fresh checkpoint was saved, if asked.
 
     Raises:
-        AnalysisError: when the checkpoint does not validate against the
-            store (rewritten, shrunk, or a different store entirely) —
-            callers wanting lenient behaviour catch this and scan cold.
+        AnalysisError: when checkpoint arguments come with an in-memory
+            source, or the checkpoint does not validate against the store
+            (rewritten, shrunk, or a different store entirely) — callers
+            wanting lenient behaviour catch this and scan cold.
     """
+    source = TraceSource.wrap(source)
+    if (resume_from is not None or checkpoint_to is not None) and not source.is_streaming:
+        raise AnalysisError(
+            "checkpoints require a store-backed source; %r is in memory "
+            "(there is no chunk watermark to resume from)" % (source.name,))
     checkpoint: Optional[Checkpoint] = None
     if resume_from is not None:
         checkpoint = (Checkpoint.load(os.fspath(resume_from))

@@ -16,13 +16,16 @@ summaries computed by a single scan (:meth:`summary`).  Analyses written
 against this class run identically on a 100-job fixture and a 100-GB store,
 with memory bounded by chunk size in the streaming case.
 
-The :attr:`is_streaming` flag is the exactness switch documented in
-``docs/architecture.md``: materialized sources allow whole-column exact
-statistics (sorting-based CDFs and medians), while streaming sources answer
-percentile-shaped questions through the engine's mergeable log-histogram
-sketches.  Counts, sums, means, min/max and every dictionary-based statistic
-(Zipf ranks, re-access fractions, naming shares) are exact for **all**
-representations.
+The :attr:`is_streaming` flag says where the data lives; the analyses fold
+the same chunk consumers over every representation.  It decides how a source
+is read (cached columnar slices or chunk reads, serial or fanned over
+workers, whether a checkpoint applies) and, in the analysis layer, exactly
+one answer: the Figure-1 size CDF is exact for an in-memory source and a
+mergeable log-histogram sketch for a store
+(:meth:`repro.core.datasizes.DataSizeConsumer.for_source`; the table is in
+``docs/architecture.md``).  Counts, sums, means, min/max and every
+dictionary-based statistic (Zipf ranks, re-access fractions, naming shares)
+are exact for **all** representations.
 
 Usage::
 
@@ -42,7 +45,7 @@ Usage::
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -258,39 +261,6 @@ class TraceSource:
         for block in self.iter_chunks(columns=[name]):
             for value in block.column(name).tolist():
                 yield value if value else None
-
-    def gather(self, indices: Sequence[int],
-               columns: Optional[Sequence[str]] = None) -> ColumnarTrace:
-        """Materialize the rows at the given **sorted** global indices.
-
-        The selected rows come back as a small in-memory
-        :class:`ColumnarTrace`, identical for every representation of the
-        same trace.
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        if indices.size and np.any(indices[:-1] > indices[1:]):
-            raise AnalysisError("gather expects sorted indices")
-        picked: List[ColumnBlock] = []
-        offset = 0
-        position = 0
-        for block in self.iter_chunks(columns=columns):
-            if position >= indices.size:
-                break
-            end = offset + block.n_rows
-            take_end = int(np.searchsorted(indices, end, side="left"))
-            if take_end > position:
-                local = indices[position:take_end] - offset
-                picked.append(block.take(local))
-                position = take_end
-            offset = end
-        if position < indices.size:
-            raise AnalysisError("gather index %d out of range (%d rows)"
-                                % (int(indices[position]), offset))
-        gathered = ColumnarTrace.__new__(ColumnarTrace)
-        gathered.block = (ColumnBlock.concat(picked) if picked else ColumnBlock({}))
-        gathered.name = self.name
-        gathered.machines = self.machines
-        return gathered
 
     def iter_jobs(self) -> Iterator[Job]:
         """Yield :class:`Job` objects one chunk at a time (replay feeding)."""

@@ -19,6 +19,7 @@ import gzip
 import io
 import json
 import os
+import uuid
 from itertools import islice
 from typing import Iterable, Iterator, List, Optional
 
@@ -217,8 +218,14 @@ def parse_json_lines(lines: List[str], where: str, first: int = 1):
     ``where`` is what an error puts before a line number (``"t.jsonl line "``)
     and ``first`` the number of ``lines[0]``.  The lines are parsed joined into
     one JSON array (repeated keys are interned once per batch, not once per
-    line); if that does not give one value per line, each line goes through
-    ``json.loads`` alone to name the first bad one, as :func:`iter_jsonl` would.
+    line) with a fresh random string between every two of them, and the batch
+    is accepted only when the array alternates line value, separator, line
+    value.  That holds exactly when each line is one JSON value: a string
+    cannot run across a separator (the separator's hex digits cannot follow a
+    closing quote), a line that opens a container or holds two values shifts
+    the alternation, and no line can forge a separator it cannot know.
+    Otherwise each line goes through ``json.loads`` alone to name the first
+    bad one, as :func:`iter_jsonl` would.
 
     Returns ``(records, locate)``; ``locate(index, exc)`` is the located
     :class:`TraceFormatError` to raise when ``records[index]`` fails with ``exc``.
@@ -228,11 +235,13 @@ def parse_json_lines(lines: List[str], where: str, first: int = 1):
     def numbers():  # the file line of each record; only an error asks
         return [number for number, line in enumerate(lines, first) if line.strip()]
 
+    separator = uuid.uuid4().hex
     try:
-        records = json.loads("[%s]" % ",".join(texts))
+        values = json.loads("[%s]" % (',"%s",' % separator).join(texts))
     except json.JSONDecodeError:
-        records = None
-    if records is None or len(records) != len(texts):
+        values = []
+    records = values[0::2]
+    if len(records) != len(texts) or values[1::2] != [separator] * (len(texts) - 1):
         records = [_parse_line(text, where, number)
                    for number, text in zip(numbers(), texts)]
     return records, lambda index, exc: TraceFormatError(

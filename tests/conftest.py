@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.engine import ChunkedTraceStore, ColumnarTrace
-from repro.engine.columnar import _in_submit_order
+from repro.engine import ChunkedTraceStore, ColumnarTrace, TraceSource
+from repro.engine.columnar import ColumnBlock, _in_submit_order
 from repro.engine.store import MANIFEST_NAME, _empty_column, _source_blocks
+from repro.errors import AnalysisError
 from repro.traces import Job, Trace, load_workload
 
 #: How a v3 store under test came to be: written directly ("v3"), or laid out
@@ -40,6 +41,20 @@ def cc_b_small_trace() -> Trace:
 def fb_2009_small_trace() -> Trace:
     """A heavily down-scaled FB-2009 trace (~2.3k jobs)."""
     return load_workload("FB-2009", seed=7, scale=0.002)
+
+
+@pytest.fixture(scope="session")
+def compensating_jsonl() -> str:
+    """Four JSONL lines, each invalid alone from line 2 on, that joined with
+    commas read as four records: a record, two records on line 2, then one
+    record whose unterminated string on line 3 closes on line 4 (job d would
+    be named ",")."""
+    fields = ('"submit_time_s": 0.0, "duration_s": 10.0, "input_bytes": 1.0, '
+              '"shuffle_bytes": 0.0, "output_bytes": 1.0, "map_task_seconds": 1.0, '
+              '"reduce_task_seconds": 0.0')
+    record = '{%s, "job_id": "%%s"}' % fields
+    return "\n".join([record % "a", record % "b" + ", " + record % "c",
+                      '{%s, "job_id": "d", "name": "' % fields, '"}']) + "\n"
 
 
 @pytest.fixture()
@@ -162,6 +177,35 @@ def _write_legacy_store(directory, version, chunks, **manifest_fields):
     return manifest
 
 
+def _gather_rows(source, indices, columns=None):
+    """The rows of ``source`` at the given **sorted** global indices, as a small
+    in-memory :class:`ColumnarTrace` — identical for every representation of
+    the same trace.  Raises :class:`AnalysisError` for unsorted or
+    out-of-range indices."""
+    source = TraceSource.wrap(source)
+    indices = np.asarray(indices, dtype=np.int64)
+    if indices.size and np.any(indices[:-1] > indices[1:]):
+        raise AnalysisError("gather expects sorted indices")
+    picked, offset, position = [], 0, 0
+    for block in source.iter_chunks(columns=columns):
+        if position >= indices.size:
+            break
+        end = offset + block.n_rows
+        take_end = int(np.searchsorted(indices, end, side="left"))
+        if take_end > position:
+            picked.append(block.take(indices[position:take_end] - offset))
+            position = take_end
+        offset = end
+    if position < indices.size:
+        raise AnalysisError("gather index %d out of range (%d rows)"
+                            % (int(indices[position]), offset))
+    gathered = ColumnarTrace.__new__(ColumnarTrace)
+    gathered.block = ColumnBlock.concat(picked) if picked else ColumnBlock({})
+    gathered.name = source.name
+    gathered.machines = source.machines
+    return gathered
+
+
 def _write_store_as(origin, directory, source, chunk_rows, name=None):
     """Write ``source`` (a trace, columnar trace or job list) as a v3 store.
 
@@ -208,6 +252,13 @@ def write_legacy_store():
     """``write_legacy_store(directory, version, chunks, **manifest_fields)``:
     hand-write a format v1/v2 store (see :func:`_write_legacy_store`)."""
     return _write_legacy_store
+
+
+@pytest.fixture(scope="session")
+def gather_rows():
+    """``gather_rows(source, indices, columns=None)``: the rows at sorted
+    global indices as a :class:`ColumnarTrace` (see :func:`_gather_rows`)."""
+    return _gather_rows
 
 
 @pytest.fixture(scope="session")

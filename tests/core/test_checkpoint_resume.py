@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.bench.suite import CHARACTERIZATION_EXPERIMENT_IDS, run_suite
-from repro.core import characterize, run_characterization_scan
+from repro.core import characterize, profile_source, run_characterization_scan
 from repro.core.sharedscan import _ALL_KEYS
 from repro.engine import Checkpoint, ChunkedTraceStore, ParallelExecutor, append_store
 from repro.errors import AnalysisError
@@ -227,10 +227,13 @@ class TestCheckpointValidation:
             run_characterization_scan(ChunkedTraceStore(directory),
                                       resume_from=checkpoint_path)
 
-    def test_materialized_source_rejected(self, split_trace, tmp_path):
+    @pytest.mark.parametrize("scan", [run_characterization_scan, profile_source],
+                             ids=["characterization", "profile"])
+    @pytest.mark.parametrize("argument", ["checkpoint_to", "resume_from"])
+    def test_materialized_source_rejected(self, split_trace, tmp_path, scan, argument):
         base, _fresh = split_trace
         with pytest.raises(AnalysisError, match="store-backed"):
-            run_characterization_scan(base, checkpoint_to=str(tmp_path / "x.json"))
+            scan(base, **{argument: str(tmp_path / "x.json")})
 
     def test_missing_checkpoint_file(self, split_trace, tmp_path):
         base, _fresh = split_trace

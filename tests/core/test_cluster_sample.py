@@ -63,13 +63,13 @@ def stores(cc_e_trace, tmp_path_factory):
 
 
 class TestOneDraw:
-    def test_rows_are_the_smallest_keys(self, cc_e_trace):
+    def test_rows_are_the_smallest_keys(self, cc_e_trace, gather_rows):
         sample = ClusterSampleConsumer(CAP, SEED)
         drawn = fold_consumer(cc_e_trace, sample)
         n = len(cc_e_trace)
         keys = _splitmix64(np.arange(n, dtype=np.uint64) ^ sample._seed_key)
         assert np.unique(keys).size == n  # a bijection: keys never tie
-        expected = TraceSource.wrap(cc_e_trace).gather(np.sort(np.argsort(keys)[:CAP]))
+        expected = gather_rows(cc_e_trace, np.sort(np.argsort(keys)[:CAP]))
         _assert_same_sample(drawn, expected)
 
     def test_chunkings_and_representations_agree(self, stores, cc_e_trace):
@@ -189,18 +189,18 @@ class TestAgainstTheIndexDraw:
     the paper's headline — small jobs dominate — to within 2 points."""
 
     @staticmethod
-    def _index_draw(source, cap, seed):
+    def _index_draw(source, cap, seed, gather_rows):
         rng = np.random.default_rng(seed)
         picked = np.sort(rng.choice(len(source), size=cap, replace=False))
-        return TraceSource.wrap(source).gather(picked)
+        return gather_rows(source, picked)
 
     @pytest.mark.parametrize("workload, scale", [("CC-b", 0.08), ("CC-e", 0.2)])
-    def test_small_job_fraction_agrees(self, workload, scale):
+    def test_small_job_fraction_agrees(self, workload, scale, gather_rows):
         trace = load_workload(workload, seed=3, scale=scale)
         cap = 1000  # below both workloads' ~1.8k / ~2.2k jobs, so both draws sample
         assert len(trace) > cap
         hashed = fold_consumer(trace, ClusterSampleConsumer(cap, seed=0))
-        indexed = self._index_draw(trace, cap, seed=0)
+        indexed = self._index_draw(trace, cap, seed=0, gather_rows=gather_rows)
         fractions = [cluster_jobs(sample, max_k=6, seed=0).small_job_fraction
                      for sample in (hashed, indexed)]
         assert min(fractions) > 0.9, fractions

@@ -86,21 +86,21 @@ class TestScans:
 
 
 class TestGather:
-    def test_gather_matches_direct_indexing(self, _module_trace, store):
+    def test_gather_matches_direct_indexing(self, _module_trace, store, gather_rows):
         indices = [0, 3, 7, 31, 49]
         expected = [_module_trace.jobs[index].input_bytes for index in indices]
         for backing in (_module_trace, store):
-            gathered = TraceSource.wrap(backing).gather(indices)
+            gathered = gather_rows(backing, indices)
             assert isinstance(gathered, ColumnarTrace)
             assert gathered.dimension("input_bytes").tolist() == expected
 
-    def test_gather_rejects_unsorted(self, store):
+    def test_gather_rejects_unsorted(self, store, gather_rows):
         with pytest.raises(AnalysisError):
-            TraceSource.wrap(store).gather([5, 2])
+            gather_rows(store, [5, 2])
 
-    def test_gather_rejects_out_of_range(self, store):
+    def test_gather_rejects_out_of_range(self, store, gather_rows):
         with pytest.raises(AnalysisError):
-            TraceSource.wrap(store).gather([0, 500])
+            gather_rows(store, [0, 500])
 
 
 class TestSummaries:

@@ -85,6 +85,15 @@ class TestFeedTailer:
         assert "line 2" in tailer.last_error and reason in tailer.last_error
         assert tailer.offset == 0 and tailer.appended_jobs == 0
 
+    def test_lines_that_only_parse_joined_are_rejected(self, tmp_path, catalog_dir,
+                                                       compensating_jsonl):
+        """Joined with commas the poll would have appended four jobs."""
+        tailer, feed = self._tailer(tmp_path, catalog_dir)
+        feed.write_text(compensating_jsonl)
+        assert tailer.poll() == 0
+        assert "line 2: not valid JSON: Extra data" in tailer.last_error
+        assert tailer.offset == 0 and tailer.appended_jobs == 0
+
     def test_missing_feed_file_is_not_an_error(self, tmp_path, catalog_dir):
         tailer = FeedTailer("fb", str(tmp_path / "never-created.jsonl"),
                             os.path.join(catalog_dir, "fb"), str(tmp_path))

@@ -7,6 +7,7 @@ import pytest
 import inspect
 
 from repro.errors import TraceFormatError
+from repro.traces.io import parse_json_lines
 from repro.traces import (
     Job,
     Trace,
@@ -180,6 +181,28 @@ class TestLazyReaders:
             list(iter_jsonl(path))
         with pytest.raises(TraceFormatError, match=message):
             list(iter_trace(path).blocks(chunk_rows=10))
+
+    def test_lines_that_only_parse_joined_are_rejected(self, tmp_path,
+                                                       compensating_jsonl):
+        """Joined with commas these four lines read as four records."""
+        path = tmp_path / "trace.jsonl"
+        path.write_text(compensating_jsonl)
+        message = "%s line 2: not valid JSON: Extra data" % path
+        with pytest.raises(TraceFormatError, match=message):
+            list(iter_trace(path).blocks(chunk_rows=10))
+        with pytest.raises(TraceFormatError, match=message):
+            list(iter_jsonl(path))
+
+    @pytest.mark.parametrize("lines, bad_line", [
+        (['{}', '{}, {}', '[1', '2]'], 2),      # two values, then one split value
+        (['{}', '[1', '2]', '{}, {}'], 2),      # the two values on the last line
+        (['{}', '{}', '{}, {}'], 3),            # one value too many, at the end
+        (['{}, {}, {}', '[1', '2]'], 1),        # as many values as lines, shifted
+        (['{"a": "}', '{", "b": 1}', '{}'], 1),  # a string closed on the next line
+    ])
+    def test_each_line_must_be_one_value(self, lines, bad_line):
+        with pytest.raises(TraceFormatError, match="^t line %d: not valid JSON" % bad_line):
+            parse_json_lines(lines, "t line ")
 
     def test_bad_task_count_names_its_line(self, tmp_path):
         path = tmp_path / "trace.jsonl"

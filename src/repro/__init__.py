@@ -1,7 +1,7 @@
 """repro: reproduction of "Interactive Analytical Processing in Big Data Systems:
 A Cross-Industry Study of MapReduce Workloads" (Chen, Alspaugh, Katz — VLDB 2012).
 
-The library has five layers (see DESIGN.md):
+The library has seven layers (see docs/architecture.md):
 
 * :mod:`repro.traces` — job-level trace schema, I/O, and statistical models of
   the paper's seven workloads (FB-2009, FB-2010, CC-a..CC-e).
@@ -13,6 +13,10 @@ The library has five layers (see DESIGN.md):
   to replay workloads and evaluate storage-cache and scheduling policies.
 * :mod:`repro.engine` — the columnar trace engine: out-of-core chunked
   storage and parallel scan/aggregate operators for production-scale traces.
+* :mod:`repro.bench` — the benchmark harness that regenerates every table and
+  figure of the paper (``repro bench``).
+* :mod:`repro.service` — the trace-analytics daemon over a catalog of stores
+  (``repro serve``).
 
 Quickstart::
 

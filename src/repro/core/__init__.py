@@ -8,11 +8,8 @@ ties them together into a single report per workload.
 from .stats import (
     EmpiricalCDF,
     SketchCDF,
-    coefficient_of_variation,
     empirical_cdf,
-    geometric_mean,
     hourly_series,
-    log_bins,
     pearson_correlation,
     percentile,
     percentile_ratio_curve,
@@ -23,7 +20,6 @@ from .zipf import (
     column_rank_frequencies,
     fit_zipf_slope,
     rank_frequencies,
-    zipf_goodness_of_fit,
 )
 from .burstiness import BurstinessResult, analyze_burstiness, burstiness_curve, hourly_task_seconds
 from .temporal import (
@@ -68,7 +64,6 @@ from .naming import (
     NamingAnalysis,
     analyze_naming,
     classify_framework,
-    first_word_breakdown,
 )
 from .multiplexing import ConsolidationStudy, consolidate, consolidation_study
 from .sharedscan import (
@@ -102,19 +97,15 @@ __all__ = [
     "SketchCDF",
     "empirical_cdf",
     "sketch_cdf",
-    "log_bins",
     "percentile",
     "percentile_ratio_curve",
     "hourly_series",
     "pearson_correlation",
-    "coefficient_of_variation",
-    "geometric_mean",
     # zipf
     "RankFrequency",
     "rank_frequencies",
     "column_rank_frequencies",
     "fit_zipf_slope",
-    "zipf_goodness_of_fit",
     # burstiness
     "BurstinessResult",
     "burstiness_curve",
@@ -168,7 +159,6 @@ __all__ = [
     "classify_framework",
     "FirstWordBreakdown",
     "NamingAnalysis",
-    "first_word_breakdown",
     "analyze_naming",
     # multiplexing / consolidation
     "consolidate",

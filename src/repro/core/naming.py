@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "FirstWordBreakdown",
     "NamingAnalysis",
     "NamingConsumer",
-    "first_word_breakdown",
     "analyze_naming",
 ]
 
@@ -121,26 +120,6 @@ class NamingAnalysis:
         return sum(shares.get(name, 0.0) for name in frameworks)
 
 
-def _iter_name_rows(source: TraceSource) -> Iterator[Tuple[List[str], List[str], List[float], List[float]]]:
-    """Stream per-chunk (names, frameworks, byte weights, task weights) lists."""
-    has_name = source.has_column("name")
-    has_framework = source.has_column("framework")
-    columns = ["total_bytes", "total_task_seconds"]
-    if has_name:
-        columns.append("name")
-    if has_framework:
-        columns.append("framework")
-    for block in source.iter_chunks(columns=columns):
-        n_rows = block.n_rows
-        if n_rows == 0:
-            continue
-        names = block.column("name").tolist() if has_name else [""] * n_rows
-        frameworks = block.column("framework").tolist() if has_framework else [""] * n_rows
-        yield (names, frameworks,
-               block.column("total_bytes").tolist(),
-               block.column("total_task_seconds").tolist())
-
-
 def _ranked_shares(totals: Dict[str, float], weighting: str, top_n: int) -> FirstWordBreakdown:
     """Turn word -> weight totals into the ranked, others-folded share list."""
     grand_total = sum(totals.values())
@@ -161,35 +140,6 @@ def _ranked_shares(totals: Dict[str, float], weighting: str, top_n: int) -> Firs
     if others > 0:
         shares.append(("[others]", others))
     return FirstWordBreakdown(weighting=weighting, shares=shares)
-
-
-def first_word_breakdown(trace, weighting: str = "jobs", top_n: int = 10) -> FirstWordBreakdown:
-    """Share of the workload attributed to each job-name first word.
-
-    Jobs without names are grouped under ``"[unnamed]"``.  Words beyond the
-    ``top_n`` most significant are folded into ``"[others]"``.  Accepts any
-    :class:`TraceSource`-wrappable representation (streamed chunk by chunk).
-
-    Raises:
-        AnalysisError: for an empty trace or unknown weighting.
-    """
-    source = TraceSource.wrap(trace)
-    if source.is_empty():
-        raise AnalysisError("cannot analyze names of an empty trace")
-    if weighting not in WEIGHTINGS:
-        raise AnalysisError("unknown weighting %r" % (weighting,))
-    totals: Dict[str, float] = defaultdict(float)
-    for names, _frameworks, byte_weights, task_weights in _iter_name_rows(source):
-        if weighting == "jobs":
-            weights: List[float] = [1.0] * len(names)
-        elif weighting == "bytes":
-            weights = byte_weights
-        else:
-            weights = task_weights
-        for name, weight in zip(names, weights):
-            word = extract_first_word(name) or "[unnamed]"
-            totals[word] += weight
-    return _ranked_shares(totals, weighting, top_n)
 
 
 class NamingConsumer(ChunkConsumer):

@@ -1,9 +1,9 @@
 """Shared statistical primitives for the characterization pipeline.
 
 Everything in the paper's figures reduces to a handful of operations: empirical
-CDFs (Figures 1, 3, 4, 5, 8), log-spaced binning of byte sizes, percentiles and
-percentile ratios (Figure 8), hourly aggregation of time series (Figures 7-9)
-and Pearson correlation between those series (Figure 9).  This module provides
+CDFs (Figures 1, 3, 4, 5, 8), percentiles and percentile ratios (Figure 8),
+hourly aggregation of time series (Figures 7-9) and Pearson correlation
+between those series (Figure 9).  This module provides
 those primitives with explicit handling of empty inputs and NaNs so the
 higher-level analyses stay small.
 
@@ -63,13 +63,10 @@ __all__ = [
     "SketchCDF",
     "empirical_cdf",
     "sketch_cdf",
-    "log_bins",
     "percentile",
     "percentile_ratio_curve",
     "hourly_series",
     "pearson_correlation",
-    "coefficient_of_variation",
-    "geometric_mean",
     "SKETCH_RELATIVE_RESOLUTION",
 ]
 
@@ -231,23 +228,6 @@ def sketch_cdf(samples: Sequence[float]) -> SketchCDF:
     return SketchCDF(sketch)
 
 
-def log_bins(low: float, high: float, bins_per_decade: int = 4) -> np.ndarray:
-    """Logarithmically spaced bin edges covering ``[low, high]``.
-
-    Used for the log-scale size axes of Figures 1, 3 and 4.
-
-    Raises:
-        AnalysisError: if the bounds are not positive or are inverted.
-    """
-    if low <= 0 or high <= 0:
-        raise AnalysisError("log bins need positive bounds")
-    if high < low:
-        raise AnalysisError("log bins: high < low")
-    decades = np.log10(high) - np.log10(low)
-    n_edges = max(2, int(np.ceil(decades * bins_per_decade)) + 1)
-    return np.logspace(np.log10(low), np.log10(high), n_edges)
-
-
 def percentile(samples: Sequence[float], q: float) -> float:
     """The ``q``-th percentile (0-100) of the finite samples.
 
@@ -344,24 +324,3 @@ def pearson_correlation(series_a: Sequence[float], series_b: Sequence[float]) ->
     if np.std(a) == 0 or np.std(b) == 0:
         return 0.0
     return float(np.corrcoef(a, b)[0, 1])
-
-
-def coefficient_of_variation(samples: Sequence[float]) -> float:
-    """Standard deviation divided by mean (0 for an all-zero sample)."""
-    array = _as_float_array(samples)
-    array = array[np.isfinite(array)]
-    if array.size == 0:
-        raise AnalysisError("cannot compute CoV of an empty sample")
-    mean = array.mean()
-    if mean == 0:
-        return 0.0
-    return float(array.std() / mean)
-
-
-def geometric_mean(samples: Sequence[float], floor: float = 1e-12) -> float:
-    """Geometric mean of positive samples (values below ``floor`` are clamped)."""
-    array = _as_float_array(samples)
-    array = array[np.isfinite(array)]
-    if array.size == 0:
-        raise AnalysisError("cannot compute a geometric mean of an empty sample")
-    return float(np.exp(np.mean(np.log(np.maximum(array, floor)))))

@@ -30,7 +30,6 @@ __all__ = [
     "rank_frequencies_from_counts",
     "column_rank_frequencies",
     "fit_zipf_slope",
-    "zipf_goodness_of_fit",
 ]
 
 
@@ -216,26 +215,3 @@ def fit_zipf_slope(ranks: Sequence[float], frequencies: Sequence[float]) -> Tupl
     denominator = float(np.dot(total, total))
     r_squared = 1.0 - float(np.dot(residual, residual)) / denominator if denominator > 0 else 1.0
     return float(-slope), float(intercept), float(r_squared)
-
-
-def zipf_goodness_of_fit(rank_frequency: RankFrequency) -> Dict[str, float]:
-    """Simple goodness-of-fit summary for a fitted rank-frequency curve.
-
-    Returns a dict with the fitted ``slope``, ``r_squared`` and the relative
-    error between the observed and Zipf-predicted share of accesses going to
-    the top 10% of files.  Raises when no slope could be fitted.
-    """
-    if rank_frequency.slope is None:
-        raise AnalysisError("rank-frequency data has no fitted slope")
-    observed_share = rank_frequency.top_share(0.1)
-    # Predicted share under a pure Zipf law with the fitted slope.
-    weights = rank_frequency.ranks ** (-rank_frequency.slope)
-    top = max(1, int(round(rank_frequency.n_items * 0.1)))
-    predicted_share = float(weights[:top].sum() / weights.sum())
-    return {
-        "slope": float(rank_frequency.slope),
-        "r_squared": float(rank_frequency.r_squared if rank_frequency.r_squared is not None else 0.0),
-        "top10_share_observed": observed_share,
-        "top10_share_predicted": predicted_share,
-        "top10_share_abs_error": abs(observed_share - predicted_share),
-    }

@@ -58,9 +58,13 @@ rewriting the old ones.  Writes and appends commit through one sequence
 manifest, the last two replaced durably and atomically
 (:func:`~repro.engine.codecs.durable_replace`).  A reader (or a crash)
 mid-append therefore always sees a coherent store — either the old manifest
-or the new one, never a torn state; an append that raises unlinks the files
-it wrote, and files orphaned by a hard crash are never read, because which
-columns a chunk has is decided from the manifest, not from which files exist.
+or the new one, never a torn state; a write or append that raises unlinks the
+files it wrote, and files orphaned by a hard crash are never read, because
+which columns a chunk has is decided from the manifest, not from which files
+exist.  A write into a directory that already holds a store leaves the old
+store's files alone until its own are written, so a failed write leaves the
+old store answering as before (or, failing at the very end, not opening at
+all) — never answering with the failed write's data.
 Every committed append bumps the manifest's ``manifest_sequence`` counter, so
 downstream consumers (the characterization :class:`~repro.engine.pipeline.Checkpoint`)
 can tell "the store grew" apart from "the store was rewritten".
@@ -505,6 +509,7 @@ class ChunkedTraceStore:
         if isinstance(source, (ChunkedTraceStore, ColumnarTrace, Trace)):
             name = name or source.name
             machines = machines if machines is not None else source.machines
+        created = not os.path.isdir(directory)
         os.makedirs(directory, exist_ok=True)
         # Zero-row blocks are only written while the store has no chunk, so
         # the trailing one lands exactly when the source was empty.
@@ -512,11 +517,17 @@ class ChunkedTraceStore:
                              for column in NUMERIC_COLUMNS + ("job_id",)})
         header = {"manifest_sequence": int(sequence), "store_uid": uuid.uuid4().hex,
                   "name": name or "trace", "machines": machines, "chunk_rows": chunk_rows}
-        _commit_chunks(str(directory),
-                       itertools.chain(_source_blocks(source, chunk_rows), [empty]),
-                       header, codec, codec_level, StoreDictionary(), {},
-                       chunks=[], columns=None, sorted_hint=sorted_hint,
-                       verified_sorted=True, discard_on_failure=False)
+        try:
+            _commit_chunks(str(directory),
+                           itertools.chain(_source_blocks(source, chunk_rows), [empty]),
+                           header, codec, codec_level, StoreDictionary(), {},
+                           chunks=[], columns=None, sorted_hint=sorted_hint,
+                           verified_sorted=True)
+        except BaseException:
+            if created:
+                with contextlib.suppress(OSError):
+                    os.rmdir(directory)
+            raise
         return cls(directory)
 
     # -- appender ----------------------------------------------------------
@@ -573,12 +584,36 @@ def _swap_manifest(directory: str, manifest: Dict) -> None:
     durable_replace([(os.path.join(directory, MANIFEST_NAME), payload.encode("utf-8"))])
 
 
+def _committed_stems(directory: str) -> List[str]:
+    """The chunk file stems the directory's manifest names; none when the
+    directory holds no readable store."""
+    try:
+        return [meta.file.split(".")[0] for meta in _load_manifest(directory)[1]]
+    except TraceFormatError:
+        return []
+
+
+def _unlink_manifest(directory: str) -> None:
+    """Durably retire the store a write replaces: unlink ``manifest.json``
+    and fsync the directory, so not even a crash can leave the old manifest
+    beside the write's dictionary."""
+    try:
+        os.unlink(os.path.join(directory, MANIFEST_NAME))
+    except FileNotFoundError:
+        return
+    handle = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(handle)
+    finally:
+        os.close(handle)
+
+
 def _commit_chunks(directory: str, blocks: Iterable[ColumnBlock], header: Dict,
                    codec: str, codec_level: Optional[int],
                    dictionary: StoreDictionary,
                    string_encodings: Dict[str, str], chunks: List[_ChunkMeta],
                    columns: Optional[List[str]], sorted_hint: bool,
-                   verified_sorted: bool, discard_on_failure: bool) -> bool:
+                   verified_sorted: bool) -> bool:
     """The one commit sequence behind ``write`` and ``append``; returns
     whether a manifest was committed.
 
@@ -598,11 +633,17 @@ def _commit_chunks(directory: str, blocks: Iterable[ColumnBlock], header: Dict,
     committed chunks, what it wrote itself for new ones — never which files
     exist: a stale file in a reused directory is overwritten, not adopted.
 
-    With ``discard_on_failure`` (appends) a failure before the swap unlinks
-    every file this call wrote and re-raises: the committed manifest cannot
-    name them (new indices are past its end, filled columns not in its
-    list).  A failed *write* deletes nothing — a reused directory's old
-    manifest may still name those files.
+    A failure before the swap unlinks every file this call wrote and
+    re-raises.  For an append the committed manifest cannot name them (new
+    indices are past its end, filled columns not in its list).  A *write*
+    (no committed chunks) into a directory that holds a store names its
+    chunk files apart from the old store's (``<uid>-chunk-NNNNN``), so the
+    old store stays whole while they are written; only just before the
+    dictionary save does it unlink the old manifest
+    (:func:`_unlink_manifest`).  A failed write therefore leaves a directory
+    that opens to the old store exactly, or, when it failed saving the
+    dictionary or manifest, does not open at all.  After the swap a write
+    unlinks the old store's chunk files.
 
     Byte-order corner: padding is inline, as the fresh writer's always was,
     so a multi-chunk *append* whose earlier chunk lacks a dictionary column
@@ -617,6 +658,8 @@ def _commit_chunks(directory: str, blocks: Iterable[ColumnBlock], header: Dict,
     previous_end = max([meta.zones["submit_time_s"][1] for meta in chunks
                         if "submit_time_s" in meta.zones], default=-np.inf)
     written: List[str] = []
+    retired = set() if n_committed else set(_committed_stems(directory))
+    stem = "%s-chunk-%%05d" % header["store_uid"][:8] if retired else "chunk-%05d"
     try:
         for block in blocks:
             if block.n_rows == 0 and chunks:
@@ -639,7 +682,7 @@ def _commit_chunks(directory: str, blocks: Iterable[ColumnBlock], header: Dict,
                 for column in columns:
                     if column not in data:
                         data[column] = _empty_column(column, block.n_rows)
-            file_name = "chunk-%05d" % len(chunks)
+            file_name = stem % len(chunks)
             _write_chunk(directory, file_name, data, written, *layout)
             known.append(frozenset(data))
             chunks.append(_ChunkMeta(file=file_name, rows=block.n_rows,
@@ -660,14 +703,22 @@ def _commit_chunks(directory: str, blocks: Iterable[ColumnBlock], header: Dict,
                         string_encodings=string_encodings)
         # Extra (not-yet-referenced) dictionary entries are harmless if we
         # crash between the two renames; missing ones would not be.
+        if not n_committed:
+            # A write's dictionary would decode an old manifest's codes wrongly.
+            _unlink_manifest(directory)
+            written.append(os.path.join(directory, DICTIONARY_NAME))
         dictionary.save(directory)
         _swap_manifest(directory, manifest)
     except BaseException:
-        if discard_on_failure:
-            for path in written:
-                with contextlib.suppress(OSError):
-                    os.unlink(path)
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
         raise
+    if retired:
+        for file_name in os.listdir(directory):
+            if file_name.split(".")[0] in retired:
+                with contextlib.suppress(OSError):
+                    os.unlink(os.path.join(directory, file_name))
     return True
 
 
@@ -726,8 +777,7 @@ class StoreAppender:
                               store._dictionary, dict(store.string_encodings),
                               chunks=store._chunks, columns=store.columns,
                               sorted_hint=False,
-                              verified_sorted=store.sorted_by_submit_time,
-                              discard_on_failure=True):
+                              verified_sorted=store.sorted_by_submit_time):
             return store
         self.store = ChunkedTraceStore(store.directory)
         # Add one index run over the appended chunks only (old chunks and

@@ -19,7 +19,6 @@ __all__ = [
     "CacheError",
     "SynthesisError",
     "ScalingError",
-    "BenchmarkError",
 ]
 
 
@@ -32,7 +31,7 @@ class SchemaError(ReproError):
 
 
 class TraceFormatError(ReproError):
-    """A trace file could not be parsed (bad header, malformed row, bad log line)."""
+    """A trace file could not be read or parsed (missing file, bad header, malformed row)."""
 
 
 class SpecError(ReproError):
@@ -65,7 +64,3 @@ class SynthesisError(ReproError):
 
 class ScalingError(SynthesisError):
     """A workload scale-down request is invalid (e.g. scale factor <= 0)."""
-
-
-class BenchmarkError(ReproError):
-    """A benchmark harness step failed."""

@@ -97,14 +97,6 @@ from .tiered import (
     TieredReplayer,
     compare_tiered_vs_unified,
 )
-from .topology import (
-    LocalityFractions,
-    RackTopology,
-    ShuffleProfile,
-    locality_fractions,
-    shuffle_cross_rack_bytes,
-    workload_shuffle_profile,
-)
 
 __all__ = [
     "Event",
@@ -169,11 +161,4 @@ __all__ = [
     "TieredReplayResult",
     "TieredComparison",
     "compare_tiered_vs_unified",
-    # topology / locality / shuffle
-    "RackTopology",
-    "LocalityFractions",
-    "locality_fractions",
-    "shuffle_cross_rack_bytes",
-    "ShuffleProfile",
-    "workload_shuffle_profile",
 ]

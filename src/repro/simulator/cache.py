@@ -102,10 +102,6 @@ class CachePolicy:
     def used_bytes(self) -> float:
         return self._used_bytes
 
-    @property
-    def n_cached_files(self) -> int:
-        return len(self._contents)
-
     def contains(self, path: str) -> bool:
         return path in self._contents
 

@@ -564,16 +564,6 @@ class SimulationMetrics:
             raise SimulationError("no finished jobs to summarize")
         return float(value)
 
-    def percentile_wait_time(self, q: float) -> float:
-        """Wait-time percentile (same exactness contract as completions)."""
-        if self.keep_outcomes:
-            waits = self.wait_times()
-            if waits.size == 0:
-                return 0.0
-            return float(np.percentile(waits, q))
-        value = self.wait.percentile(q)
-        return 0.0 if value is None else float(value)
-
     def mean_wait_time(self) -> float:
         value = self.wait.mean_value
         return 0.0 if value is None else float(value)

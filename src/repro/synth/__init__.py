@@ -21,10 +21,8 @@ from .arrival import (
     sine_reference_series,
 )
 from .filepop import FileCatalog, FilePopularityModel, PathAssignment
-from .mixing import PAPER_MIXES, FrameworkMix, FrameworkMixModel, mix_from_trace
-from .replay_plan import ReplayCommand, ReplayPlan, build_replay_plan, parse_replay_plan
 from .sampler import TraceSampler, stratified_sample
-from .scaling import ScalePlan, scale_cluster, scale_load, scale_time_window
+from .scaling import ScalePlan, scale_cluster
 from .swim import SwimSynthesizer, SyntheticWorkloadPlan, DataLayoutPlan
 
 __all__ = [
@@ -48,18 +46,8 @@ __all__ = [
     "TraceSampler",
     "stratified_sample",
     "ScalePlan",
-    "scale_time_window",
-    "scale_load",
     "scale_cluster",
     "SwimSynthesizer",
     "SyntheticWorkloadPlan",
     "DataLayoutPlan",
-    "FrameworkMix",
-    "FrameworkMixModel",
-    "PAPER_MIXES",
-    "mix_from_trace",
-    "ReplayCommand",
-    "ReplayPlan",
-    "build_replay_plan",
-    "parse_replay_plan",
 ]

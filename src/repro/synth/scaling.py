@@ -3,23 +3,21 @@
 Section 7 of the paper ("Scaled-down workloads") observes that reproducing
 production behaviour at full scale is economically unrealistic, and that there
 are several legitimate ways to shrink a workload: against wall-clock time,
-against the number of jobs / load, or against cluster size.  This module
-implements the three and records what was done in a :class:`ScalePlan` so the
-benchmark harness can report the applied scaling next to every result.
+against the number of jobs / load, or against cluster size.  The SWIM
+synthesizer (:mod:`repro.synth.swim`) scales load by resampling; this module
+implements the cluster-size scaling it applies next, and the
+:class:`ScalePlan` record in which each step reports what was done.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
-import numpy as np
+from dataclasses import dataclass
 
 from ..errors import ScalingError
 from ..traces.schema import Job
 from ..traces.trace import Trace
 
-__all__ = ["ScalePlan", "scale_time_window", "scale_load", "scale_cluster"]
+__all__ = ["ScalePlan", "scale_cluster"]
 
 
 @dataclass
@@ -28,7 +26,7 @@ class ScalePlan:
 
     Attributes:
         source_name: name of the source trace.
-        method: one of ``"time_window"``, ``"load"`` or ``"cluster"``.
+        method: ``"load"`` or ``"cluster"``.
         factor: the scale factor applied (semantics depend on the method).
         source_jobs: job count before scaling.
         result_jobs: job count after scaling.
@@ -47,86 +45,6 @@ class ScalePlan:
             self.source_name, self.method, self.factor, self.source_jobs,
             self.result_jobs, self.notes,
         )
-
-
-def scale_time_window(trace: Trace, window_s: float, start_s: Optional[float] = None,
-                      seed: int = 0) -> "tuple[Trace, ScalePlan]":
-    """Scale down by keeping only one contiguous time window of the trace.
-
-    Args:
-        trace: source trace.
-        window_s: window length in seconds.
-        start_s: window start; when ``None`` a start is drawn uniformly at
-            random from the feasible range (seeded by ``seed``).
-
-    Returns:
-        The windowed trace (submit times re-based to zero) and the plan.
-
-    Raises:
-        ScalingError: if the window is not positive or exceeds the trace span.
-    """
-    if window_s <= 0:
-        raise ScalingError("window_s must be positive, got %r" % (window_s,))
-    if trace.is_empty():
-        raise ScalingError("cannot window an empty trace")
-    span = trace.duration_s()
-    if window_s > span:
-        raise ScalingError("window %.0fs exceeds trace span %.0fs" % (window_s, span))
-    origin = trace.jobs[0].submit_time_s
-    if start_s is None:
-        rng = np.random.default_rng(seed)
-        start_s = origin + rng.uniform(0.0, span - window_s)
-    windowed = trace.time_window(start_s, start_s + window_s).shifted(-start_s,
-                                                                      name="%s-window" % trace.name)
-    plan = ScalePlan(
-        source_name=trace.name,
-        method="time_window",
-        factor=window_s / span,
-        source_jobs=len(trace),
-        result_jobs=len(windowed),
-        notes="window of %.0f s starting at %.0f s" % (window_s, start_s),
-    )
-    return windowed, plan
-
-
-def scale_load(trace: Trace, fraction: float, seed: int = 0,
-               preserve_classes: bool = True) -> "tuple[Trace, ScalePlan]":
-    """Scale down by keeping a random ``fraction`` of jobs (thinning).
-
-    Thinning preserves the arrival process shape (a thinned Poisson-like
-    process keeps its modulation) and, when ``preserve_classes`` is true,
-    keeps at least one job per ``cluster_label`` so byte-dominant rare classes
-    survive.
-
-    Raises:
-        ScalingError: if ``fraction`` is outside ``(0, 1]``.
-    """
-    if not 0.0 < fraction <= 1.0:
-        raise ScalingError("fraction must be in (0, 1], got %r" % (fraction,))
-    if trace.is_empty():
-        raise ScalingError("cannot scale an empty trace")
-    rng = np.random.default_rng(seed)
-    keep_mask = rng.uniform(0.0, 1.0, len(trace)) < fraction
-    if preserve_classes:
-        seen = set()
-        for index, job in enumerate(trace):
-            label = job.cluster_label
-            if label is not None and label not in seen:
-                seen.add(label)
-                keep_mask[index] = True
-    kept = [job for job, keep in zip(trace.jobs, keep_mask) if keep]
-    if not kept:
-        kept = [trace.jobs[0]]
-    scaled = Trace(kept, name="%s-load%.3g" % (trace.name, fraction), machines=trace.machines)
-    plan = ScalePlan(
-        source_name=trace.name,
-        method="load",
-        factor=fraction,
-        source_jobs=len(trace),
-        result_jobs=len(scaled),
-        notes="random thinning, classes preserved=%s" % preserve_classes,
-    )
-    return scaled, plan
 
 
 def scale_cluster(trace: Trace, source_machines: int, target_machines: int) -> "tuple[Trace, ScalePlan]":

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from ..errors import SynthesisError
 from ..traces.trace import Trace
 from ..units import GB
@@ -39,11 +37,9 @@ class DataLayoutPlan:
     Attributes:
         files: mapping of path -> size in bytes.
         total_bytes: sum of all file sizes.
-        block_size: block size the layout assumes, in bytes.
     """
 
     files: Dict[str, float]
-    block_size: float = 128 * 1024 * 1024
 
     @property
     def total_bytes(self) -> float:
@@ -52,11 +48,6 @@ class DataLayoutPlan:
     @property
     def n_files(self) -> int:
         return len(self.files)
-
-    def blocks_for(self, path: str) -> int:
-        """Number of blocks the file at ``path`` occupies."""
-        size = self.files[path]
-        return max(1, int(np.ceil(size / self.block_size)))
 
 
 @dataclass

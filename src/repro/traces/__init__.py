@@ -4,7 +4,7 @@ Public surface::
 
     from repro.traces import Job, Trace, load_workload, read_trace, write_trace
 
-See DESIGN.md for the full subpackage inventory.
+See docs/architecture.md for the full subpackage inventory.
 """
 
 from .schema import FEATURE_DIMENSIONS, NUMERIC_DIMENSIONS, Job
@@ -22,8 +22,7 @@ from .io import (
 )
 from .hadoop_log import format_job_line, parse_history_lines, parse_job_line, read_history_log
 from .anonymize import Anonymizer, anonymize_trace
-from .export import AggregatedMetrics, aggregate_trace, merge_aggregates
-from .quality import LoggingGap, TraceQualityReport, assess_quality, trim_boundaries
+from .export import AggregatedMetrics, aggregate_trace
 from .spec import AccessSpec, ArrivalSpec, JobClassSpec, NameMixEntry, WorkloadSpec
 from .generator import SpecTraceGenerator, generate_trace
 from .facebook import FB_2009, FB_2010, FACEBOOK_WORKLOADS
@@ -63,11 +62,6 @@ __all__ = [
     "anonymize_trace",
     "AggregatedMetrics",
     "aggregate_trace",
-    "merge_aggregates",
-    "LoggingGap",
-    "TraceQualityReport",
-    "assess_quality",
-    "trim_boundaries",
     "WorkloadSpec",
     "JobClassSpec",
     "NameMixEntry",

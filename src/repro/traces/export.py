@@ -14,7 +14,7 @@ and aggregated metrics for workload comparisons offsite".  Together with
   the wire format.
 
 The histograms use fixed decade (powers-of-ten) bins so summaries produced by
-different sites are directly comparable and can be merged.
+different sites are directly comparable.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from ..errors import AnalysisError, TraceFormatError
 from .trace import Trace
 
-__all__ = ["AggregatedMetrics", "aggregate_trace", "merge_aggregates"]
+__all__ = ["AggregatedMetrics", "aggregate_trace"]
 
 #: Decade bin edges for byte histograms: 1 B .. 1 EB.
 BYTE_BIN_EDGES = [10.0 ** exponent for exponent in range(0, 19)]
@@ -219,58 +219,3 @@ def aggregate_trace(trace: Trace, workload_name: Optional[str] = None) -> Aggreg
         first_word_counts=first_words,
         map_only_fraction=map_only,
     )
-
-
-def merge_aggregates(aggregates: List[AggregatedMetrics], workload_name: str = "merged") -> AggregatedMetrics:
-    """Merge several aggregate records into one (e.g. monthly shards of a site).
-
-    Histograms and scalar totals add; hourly series are concatenated in the
-    order given (shards are assumed to be consecutive time windows).
-
-    Raises:
-        AnalysisError: for an empty input list or mismatched histogram shapes.
-    """
-    if not aggregates:
-        raise AnalysisError("cannot merge zero aggregate records")
-    first = aggregates[0]
-    size_histograms = {key: list(value) for key, value in first.size_histograms.items()}
-    duration_histogram = list(first.duration_histogram)
-    merged = AggregatedMetrics(
-        workload=workload_name,
-        n_jobs=first.n_jobs,
-        machines=first.machines,
-        trace_length_s=first.trace_length_s,
-        bytes_moved=first.bytes_moved,
-        total_task_seconds=first.total_task_seconds,
-        size_histograms=size_histograms,
-        duration_histogram=duration_histogram,
-        hourly_jobs=list(first.hourly_jobs),
-        hourly_bytes=list(first.hourly_bytes),
-        hourly_task_seconds=list(first.hourly_task_seconds),
-        first_word_counts=dict(first.first_word_counts),
-        map_only_fraction=first.map_only_fraction * first.n_jobs,
-    )
-    for aggregate in aggregates[1:]:
-        if set(aggregate.size_histograms) != set(merged.size_histograms):
-            raise AnalysisError("aggregate records disagree on size dimensions")
-        for key, counts in aggregate.size_histograms.items():
-            if len(counts) != len(merged.size_histograms[key]):
-                raise AnalysisError("aggregate histograms for %r have different bin counts" % key)
-            merged.size_histograms[key] = [a + b for a, b in zip(merged.size_histograms[key], counts)]
-        limit = min(len(merged.duration_histogram), len(aggregate.duration_histogram))
-        merged.duration_histogram = [
-            merged.duration_histogram[index] + aggregate.duration_histogram[index]
-            for index in range(limit)
-        ]
-        merged.n_jobs += aggregate.n_jobs
-        merged.trace_length_s += aggregate.trace_length_s
-        merged.bytes_moved += aggregate.bytes_moved
-        merged.total_task_seconds += aggregate.total_task_seconds
-        merged.hourly_jobs.extend(aggregate.hourly_jobs)
-        merged.hourly_bytes.extend(aggregate.hourly_bytes)
-        merged.hourly_task_seconds.extend(aggregate.hourly_task_seconds)
-        for word, count in aggregate.first_word_counts.items():
-            merged.first_word_counts[word] = merged.first_word_counts.get(word, 0) + count
-        merged.map_only_fraction += aggregate.map_only_fraction * aggregate.n_jobs
-    merged.map_only_fraction = merged.map_only_fraction / merged.n_jobs if merged.n_jobs else 0.0
-    return merged

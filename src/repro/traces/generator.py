@@ -1,10 +1,10 @@
 """Trace generation from a :class:`~repro.traces.spec.WorkloadSpec`.
 
-:class:`SpecTraceGenerator` is the data-gate substitute described in DESIGN.md:
-it turns the published statistical description of a paper workload (Table 1
-row, Table 2 job classes, Figure 2 Zipf slope, Figure 7/8 arrival structure,
-Figure 10 name mix) into a concrete, per-job trace the characterization
-pipeline, synthesizer and simulator can consume.
+:class:`SpecTraceGenerator` stands in for the paper's non-public traces (see
+docs/architecture.md): it turns the published statistical description of a
+paper workload (Table 1 row, Table 2 job classes, Figure 2 Zipf slope, Figure
+7/8 arrival structure, Figure 10 name mix) into a concrete, per-job trace the
+characterization pipeline, synthesizer and simulator can consume.
 
 Generation is deterministic given a seed and honours an optional ``scale``
 factor so tests and benchmarks can work with traces of manageable size while

@@ -78,10 +78,19 @@ BATCH_RECORDS = 8192
 
 
 def _open_text(path, mode):
-    """Open ``path`` as text, transparently handling a ``.gz`` suffix."""
-    if str(path).endswith(".gz"):
-        return io.TextIOWrapper(gzip.open(path, mode + "b"), encoding="utf-8")
-    return open(path, mode, encoding="utf-8", newline="")
+    """Open ``path`` as text, transparently handling a ``.gz`` suffix.
+
+    Raises:
+        TraceFormatError: when a trace file to read cannot be opened.
+    """
+    try:
+        if str(path).endswith(".gz"):
+            return io.TextIOWrapper(gzip.open(path, mode + "b"), encoding="utf-8")
+        return open(path, mode, encoding="utf-8", newline="")
+    except OSError as exc:
+        if mode != "r":
+            raise
+        raise TraceFormatError("cannot read trace file %s: %s" % (path, exc.strerror or exc))
 
 
 # ---------------------------------------------------------------------------

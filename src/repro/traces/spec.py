@@ -2,9 +2,9 @@
 
 A :class:`WorkloadSpec` is a statistical description of a workload: enough
 information for :mod:`repro.traces.generator` to synthesize a trace whose
-marginal distributions and cluster structure match a paper workload (the data
-gate substitute described in DESIGN.md §2), and enough metadata for the
-benchmark harness to label its output.
+marginal distributions and cluster structure match a paper workload (it stands
+in for the paper's non-public traces; see docs/architecture.md), and enough
+metadata for the benchmark harness to label its output.
 
 The specification mirrors what the paper publishes about each workload:
 

@@ -8,7 +8,6 @@ to human strings for tables and reports.
 
 from __future__ import annotations
 
-import math
 import re
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "format_bytes",
     "parse_duration",
     "format_duration",
-    "log10_bytes",
 ]
 
 # Byte units.  The paper uses decimal-style prefixes informally; we use binary
@@ -144,13 +142,3 @@ def format_duration(seconds, precision=0):
         if seconds >= unit:
             return "%.*f %s" % (max(precision, 1), seconds / unit, suffix)
     return "%.*f sec" % (precision, seconds)
-
-
-def log10_bytes(num_bytes, floor=1.0):
-    """Return ``log10`` of a byte count, clamping values below ``floor``.
-
-    Used when placing job sizes on the log-scale axes of Figures 1, 3 and 4;
-    zero-byte dimensions (for example the shuffle size of a map-only job) are
-    clamped to ``floor`` bytes so they stay on the plot.
-    """
-    return math.log10(max(float(num_bytes), floor))

@@ -150,6 +150,29 @@ class TestSuiteAndCli:
         captured = capsys.readouterr().out
         assert "replayed" in captured
 
+    @pytest.mark.parametrize("command", [
+        ["characterize", "--trace", "{missing}"],
+        ["synthesize", "--trace", "{missing}", "--output", "{out}"],
+        ["replay", "--trace", "{missing}"],
+        ["anonymize", "--trace", "{missing}", "--output", "{out}"],
+        ["compare", "--before-trace", "{missing}", "--after-workload", "CC-e",
+         "--scale", "0.02"],
+        ["engine", "convert", "--trace", "{missing}", "--output", "{out}"],
+        ["engine", "ingest", "--store", "{store}", "--trace", "{missing}"],
+    ], ids=lambda command: "-".join(word for word in command[:2] if not word.startswith("-")))
+    def test_missing_trace_file_is_a_one_line_error(self, tmp_path, capsys, command):
+        from repro.engine import ChunkedTraceStore
+
+        store = ChunkedTraceStore.write(tmp_path / "store",
+                                        load_workload("CC-e", seed=1, scale=0.02))
+        paths = {"missing": str(tmp_path / "missing.jsonl.gz"), "out": str(tmp_path / "out"),
+                 "store": store.directory}
+        assert main([word.format(**paths) for word in command]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "missing.jsonl.gz" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_cli_bench_subset(self, tmp_path, capsys):
         report_path = tmp_path / "report.txt"
         assert main(["bench", "--scale", "0.02", "--experiments", "figure9",

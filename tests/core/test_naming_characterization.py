@@ -7,7 +7,6 @@ from repro.core import (
     analyze_naming,
     characterize,
     classify_framework,
-    first_word_breakdown,
     render_table,
 )
 from repro.errors import AnalysisError
@@ -29,35 +28,24 @@ class TestClassifyFramework:
 
 class TestFirstWordBreakdown:
     def test_by_jobs(self, tiny_trace):
-        breakdown = first_word_breakdown(tiny_trace, "jobs")
+        breakdown = analyze_naming(tiny_trace).by_jobs
         shares = dict(breakdown.shares)
         assert shares["select"] == pytest.approx(2 / 6)
         assert sum(shares.values()) == pytest.approx(1.0)
 
     def test_by_bytes_weights_large_jobs(self, tiny_trace):
-        breakdown = first_word_breakdown(tiny_trace, "bytes")
+        breakdown = analyze_naming(tiny_trace).by_bytes
         # The oozie job moves ~2.6 TB of the ~2.6 TB total.
         assert breakdown.share_of("oozie") > 0.9
-
-    def test_unknown_weighting_rejected(self, tiny_trace):
-        with pytest.raises(AnalysisError):
-            first_word_breakdown(tiny_trace, "cpu")
 
     def test_top_n_folds_others(self):
         jobs = [Job(job_id=str(index), submit_time_s=index, duration_s=1, input_bytes=1,
                     shuffle_bytes=0, output_bytes=1, map_task_seconds=1,
                     reduce_task_seconds=0, name="%s run" % ("word" + "x" * index))
                 for index in range(30)]
-        breakdown = first_word_breakdown(Trace(jobs, name="many"), "jobs", top_n=5)
+        breakdown = analyze_naming(Trace(jobs, name="many"), top_n=5).by_jobs
         assert breakdown.shares[-1][0] == "[others]"
         assert sum(share for _, share in breakdown.shares) == pytest.approx(1.0)
-
-    def test_unnamed_jobs_grouped(self):
-        jobs = [Job(job_id="a", submit_time_s=0, duration_s=1, input_bytes=1,
-                    shuffle_bytes=0, output_bytes=1, map_task_seconds=1,
-                    reduce_task_seconds=0)]
-        breakdown = first_word_breakdown(Trace(jobs, name="u"), "jobs")
-        assert breakdown.shares[0][0] == "[unnamed]"
 
 
 class TestAnalyzeNaming:

@@ -5,11 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
-    coefficient_of_variation,
     empirical_cdf,
-    geometric_mean,
     hourly_series,
-    log_bins,
     pearson_correlation,
     percentile,
     percentile_ratio_curve,
@@ -50,18 +47,6 @@ class TestEmpiricalCDF:
 
 
 class TestLogBinsAndPercentiles:
-    def test_log_bins_cover_range(self):
-        bins = log_bins(1.0, 1e6, bins_per_decade=2)
-        assert bins[0] == pytest.approx(1.0)
-        assert bins[-1] == pytest.approx(1e6)
-        assert np.all(np.diff(np.log10(bins)) > 0)
-
-    def test_log_bins_invalid(self):
-        with pytest.raises(AnalysisError):
-            log_bins(0.0, 10.0)
-        with pytest.raises(AnalysisError):
-            log_bins(100.0, 10.0)
-
     def test_percentile(self):
         assert percentile(range(101), 90) == pytest.approx(90.0)
         with pytest.raises(AnalysisError):
@@ -120,17 +105,6 @@ class TestCorrelationAndMeans:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(AnalysisError):
             pearson_correlation([1, 2], [1, 2, 3])
-
-    def test_coefficient_of_variation(self):
-        assert coefficient_of_variation([5.0, 5.0, 5.0]) == pytest.approx(0.0)
-        assert coefficient_of_variation([0.0, 0.0]) == 0.0
-        with pytest.raises(AnalysisError):
-            coefficient_of_variation([])
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 10.0, 100.0]) == pytest.approx(10.0)
-        with pytest.raises(AnalysisError):
-            geometric_mean([])
 
 
 @settings(max_examples=30, deadline=None)

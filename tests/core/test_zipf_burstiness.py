@@ -10,9 +10,11 @@ from repro.core import (
     fit_zipf_slope,
     hourly_task_seconds,
     rank_frequencies,
-    zipf_goodness_of_fit,
 )
+from repro.core.zipf import column_rank_frequencies, rank_frequencies_from_counts
+from repro.engine import ColumnarTrace
 from repro.errors import AnalysisError
+from repro.traces import Job, Trace
 from repro.synth import ZipfRank, sine_reference_series
 
 
@@ -56,17 +58,69 @@ class TestZipfFit:
         assert ranks.slope is not None
         assert 0.55 < ranks.slope < 1.15
 
-    def test_top_share_and_goodness(self):
+    def test_top_share(self):
         paths = ["/hot"] * 80 + ["/f%d" % index for index in range(20)]
         ranks = rank_frequencies(paths)
         assert ranks.top_share(0.05) == pytest.approx(0.8)
-        goodness = zipf_goodness_of_fit(ranks)
-        assert set(goodness) >= {"slope", "r_squared", "top10_share_observed"}
 
     def test_top_share_invalid_fraction(self):
         ranks = rank_frequencies(["/a", "/a", "/b"])
         with pytest.raises(AnalysisError):
             ranks.top_share(0.0)
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5])
+    def test_top_share_fraction_outside_the_unit_interval(self, fraction):
+        ranks = rank_frequencies(["/a", "/a", "/b"])
+        with pytest.raises(AnalysisError):
+            ranks.top_share(fraction)
+
+    def test_top_share_of_every_item_is_everything(self):
+        assert rank_frequencies(["/a", "/a", "/b"]).top_share(1.0) == 1.0
+
+    def test_as_points_is_the_figure_2_series(self):
+        ranks = rank_frequencies(["/a"] * 4 + ["/b"] * 2 + ["/c"])
+        assert ranks.as_points() == [(1, 4), (2, 2), (3, 1)]
+
+    def test_counts_front_end_matches_the_iterable_one(self):
+        paths = ["/f/%d" % (index % 13 if index % 3 else 0) for index in range(400)]
+        from_counts = rank_frequencies_from_counts(
+            {path: paths.count(path) for path in set(paths)})
+        from_paths = rank_frequencies(paths)
+        assert from_counts.as_points() == from_paths.as_points()
+        assert from_counts.slope == from_paths.slope
+
+    def test_counts_front_end_rejects_empty_counts(self):
+        with pytest.raises(AnalysisError, match="no recorded file paths"):
+            rank_frequencies_from_counts({})
+
+    def test_too_few_items_have_no_slope(self):
+        ranks = rank_frequencies_from_counts({"/a": 9, "/b": 1}, min_items=3)
+        assert ranks.slope is None and ranks.r_squared is None
+
+
+def path_trace(paths):
+    return Trace([
+        Job(job_id="j%d" % index, submit_time_s=float(index), duration_s=1.0,
+            input_bytes=1.0, shuffle_bytes=0.0, output_bytes=1.0,
+            map_task_seconds=1.0, reduce_task_seconds=0.0, input_path=path)
+        for index, path in enumerate(paths)
+    ], name="paths")
+
+
+class TestColumnRankFrequencies:
+    def test_matches_the_iterable_count_on_every_representation(self):
+        paths = ["/hot"] * 30 + ["/warm"] * 7 + ["/f%d" % (index % 9) for index in range(40)]
+        paths += [None] * 5
+        trace = path_trace(paths)
+        expected = rank_frequencies(paths)
+        for source in (trace, ColumnarTrace.from_trace(trace)):
+            result = column_rank_frequencies(source, "input_path")
+            assert result.as_points() == expected.as_points()
+            assert result.slope == expected.slope
+
+    def test_unrecorded_column_rejected(self):
+        with pytest.raises(AnalysisError, match="records no input_path"):
+            column_rank_frequencies(path_trace([None, None]), "input_path")
 
 
 class TestBurstiness:

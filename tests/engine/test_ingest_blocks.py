@@ -376,3 +376,64 @@ class TestFailedAppendLeavesNothingBehind:
             ChunkedTraceStore.write(store.directory, iter_trace(path), chunk_rows=8)
         assert sorted(os.listdir(store.directory)) == listing
         assert ChunkedTraceStore(store.directory).n_jobs == 64
+
+
+class TestFailedWriteNeverAnswersWithItsData:
+    """A write that raises leaves a directory that opens to the store it found,
+    byte for byte, or does not open at all; a directory it created is gone."""
+
+    def bad_file(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        TestErrorsNameTheLine().write_lines(path, make_jobs(64, first=100, name="insert"),
+                                            {60: "{broken"})
+        return path
+
+    def test_bad_line_after_chunks_were_written(self, tmp_path, batch_records):
+        old_jobs = make_jobs(16, name="select")
+        store = ChunkedTraceStore.write(tmp_path / "store", old_jobs, chunk_rows=8)
+        before = store_files(store.directory)
+        with pytest.raises(TraceFormatError, match="line 60"):
+            ChunkedTraceStore.write(store.directory, iter_trace(self.bad_file(tmp_path)),
+                                    chunk_rows=8)
+        assert store_files(store.directory) == before
+        assert [(job.job_id, job.name) for job in ChunkedTraceStore(store.directory).iter_jobs()] \
+            == [(job.job_id, job.name) for job in old_jobs]
+
+    def test_bad_line_into_a_fresh_path(self, tmp_path, batch_records):
+        with pytest.raises(TraceFormatError, match="line 60"):
+            ChunkedTraceStore.write(tmp_path / "fresh.store", iter_trace(self.bad_file(tmp_path)),
+                                    chunk_rows=8)
+        assert not (tmp_path / "fresh.store").exists()
+
+    @pytest.mark.parametrize("fails_at", ["dictionary.json", MANIFEST_NAME])
+    def test_failure_in_a_durable_save(self, tmp_path, monkeypatch, fails_at):
+        """Failing after the old manifest went: the directory no longer opens,
+        and none of the write's files remain."""
+        store = ChunkedTraceStore.write(tmp_path / "store", make_jobs(16, name="select"),
+                                        chunk_rows=8)
+        old_files = set(os.listdir(store.directory))
+        real_replace = os.replace
+
+        def full_disk(source, target):
+            if os.path.basename(target) == fails_at:
+                raise OSError(28, "No space left on device")
+            real_replace(source, target)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", full_disk)
+            with pytest.raises(OSError, match="No space left"):
+                ChunkedTraceStore.write(store.directory, make_jobs(16, first=100, name="insert"),
+                                        chunk_rows=8)
+        with pytest.raises(TraceFormatError, match="no manifest"):
+            ChunkedTraceStore(store.directory)
+        assert set(os.listdir(store.directory)) < old_files
+
+    def test_rewrite_unlinks_the_old_chunk_files(self, tmp_path):
+        directory = tmp_path / "store"
+        ChunkedTraceStore.write(directory, make_jobs(64), chunk_rows=8)
+        store = ChunkedTraceStore.write(directory, make_jobs(8, first=100), chunk_rows=8)
+        with open(os.path.join(store.directory, MANIFEST_NAME)) as handle:
+            (chunk,) = [entry["file"] for entry in json.load(handle)["chunks"]]
+        assert sorted(os.listdir(store.directory)) == sorted(
+            [MANIFEST_NAME, "dictionary.json"]
+            + ["%s.%s.bin" % (chunk, column) for column in store.columns])

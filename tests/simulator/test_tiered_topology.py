@@ -1,18 +1,13 @@
-"""Tests for the tiered-cluster replay and the rack topology / shuffle profile."""
+"""Tests for the tiered-cluster replay."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.simulator import (
     ClusterConfig,
-    RackTopology,
     TieredClusterConfig,
     TieredReplayer,
     compare_tiered_vs_unified,
-    locality_fractions,
-    shuffle_cross_rack_bytes,
-    workload_shuffle_profile,
 )
 from repro.traces import Job, Trace
 from repro.units import GB, MB, TB
@@ -94,100 +89,3 @@ class TestTieredVsUnified:
     def test_empty_trace_rejected(self):
         with pytest.raises(SimulationError):
             compare_tiered_vs_unified(Trace([], name="empty"))
-
-
-class TestRackTopology:
-    def test_validation(self):
-        with pytest.raises(SimulationError):
-            RackTopology(n_nodes=0)
-        with pytest.raises(SimulationError):
-            RackTopology(nodes_per_rack=0)
-        with pytest.raises(SimulationError):
-            RackTopology(cross_rack_bandwidth_bps=0.0)
-
-    def test_rack_count_and_membership(self):
-        topology = RackTopology(n_nodes=45, nodes_per_rack=20)
-        assert topology.n_racks == 3
-        assert topology.rack_of(0) == 0
-        assert topology.rack_of(19) == 0
-        assert topology.rack_of(20) == 1
-        assert topology.rack_of(44) == 2
-        with pytest.raises(SimulationError):
-            topology.rack_of(45)
-
-    def test_oversubscription_ratio(self):
-        topology = RackTopology(intra_rack_bandwidth_bps=125e6, cross_rack_bandwidth_bps=25e6)
-        assert topology.oversubscription == pytest.approx(5.0)
-
-
-class TestLocalityFractions:
-    def test_fractions_sum_to_one(self):
-        fractions = locality_fractions(RackTopology(), n_map_tasks=10, replication=3)
-        assert fractions.node_local + fractions.rack_local + fractions.remote == pytest.approx(1.0)
-
-    def test_delay_scheduling_improves_node_locality(self):
-        topology = RackTopology(n_nodes=100)
-        without = locality_fractions(topology, 10, replication=3, delay_scheduling_attempts=0)
-        with_delay = locality_fractions(topology, 10, replication=3, delay_scheduling_attempts=10)
-        assert with_delay.node_local > without.node_local
-
-    def test_full_replication_is_always_node_local(self):
-        topology = RackTopology(n_nodes=10, nodes_per_rack=5)
-        fractions = locality_fractions(topology, 4, replication=10)
-        assert fractions.node_local == pytest.approx(1.0)
-
-    def test_invalid_arguments_rejected(self):
-        with pytest.raises(SimulationError):
-            locality_fractions(RackTopology(), 0)
-        with pytest.raises(SimulationError):
-            locality_fractions(RackTopology(), 5, replication=0)
-        with pytest.raises(SimulationError):
-            locality_fractions(RackTopology(), 5, delay_scheduling_attempts=-1)
-
-    @given(replication=st.integers(min_value=1, max_value=10),
-           attempts=st.integers(min_value=0, max_value=20))
-    @settings(max_examples=30, deadline=None)
-    def test_fractions_always_valid(self, replication, attempts):
-        fractions = locality_fractions(RackTopology(n_nodes=60, nodes_per_rack=20), 8,
-                                       replication=replication,
-                                       delay_scheduling_attempts=attempts)
-        for value in (fractions.node_local, fractions.rack_local, fractions.remote):
-            assert -1e-9 <= value <= 1.0 + 1e-9
-
-
-class TestShuffleTraffic:
-    def test_map_only_jobs_produce_no_cross_rack_shuffle(self):
-        assert shuffle_cross_rack_bytes(RackTopology(), 0.0, 10, 5) == 0.0
-        assert shuffle_cross_rack_bytes(RackTopology(), 1 * GB, 10, 0) == 0.0
-
-    def test_single_rack_cluster_has_no_cross_rack_traffic(self):
-        topology = RackTopology(n_nodes=10, nodes_per_rack=10)
-        assert shuffle_cross_rack_bytes(topology, 1 * GB, 100, 10) == 0.0
-
-    def test_cross_rack_fraction_bounded_by_total(self):
-        topology = RackTopology(n_nodes=100, nodes_per_rack=20)
-        cross = shuffle_cross_rack_bytes(topology, 10 * GB, 200, 50)
-        assert 0.0 < cross < 10 * GB
-
-    def test_negative_volume_rejected(self):
-        with pytest.raises(SimulationError):
-            shuffle_cross_rack_bytes(RackTopology(), -1.0, 5, 5)
-
-    def test_workload_profile_separates_map_only_share(self):
-        jobs = [
-            Job(job_id="shuffle", submit_time_s=0.0, duration_s=600.0, input_bytes=1 * GB,
-                shuffle_bytes=2 * GB, output_bytes=1 * GB, map_task_seconds=600.0,
-                reduce_task_seconds=300.0, map_tasks=40, reduce_tasks=10),
-            Job(job_id="maponly", submit_time_s=10.0, duration_s=300.0, input_bytes=4 * GB,
-                shuffle_bytes=0.0, output_bytes=4 * GB, map_task_seconds=400.0,
-                reduce_task_seconds=0.0, map_tasks=30, reduce_tasks=0),
-        ]
-        profile = workload_shuffle_profile(Trace(jobs, name="profile"))
-        assert profile.map_only_job_fraction == pytest.approx(0.5)
-        assert profile.map_only_bytes_fraction == pytest.approx(8 / 12, rel=1e-3)
-        assert profile.shuffle_bytes == pytest.approx(2 * GB)
-        assert 0.0 < profile.mean_cross_rack_fraction <= 1.0
-
-    def test_empty_trace_rejected(self):
-        with pytest.raises(SimulationError):
-            workload_shuffle_profile(Trace([], name="empty"))

@@ -9,8 +9,6 @@ from repro.synth import (
     SwimSynthesizer,
     TraceSampler,
     scale_cluster,
-    scale_load,
-    scale_time_window,
     stratified_sample,
 )
 from repro.traces import Job, Trace
@@ -72,42 +70,6 @@ class TestTraceSampler:
             TraceSampler(build_trace()).sample(10, 0.0)
 
 
-class TestScaleTimeWindow:
-    def test_window_rebased_to_zero(self):
-        trace = build_trace()
-        windowed, plan = scale_time_window(trace, 1800.0, start_s=0.0)
-        assert windowed.submit_times().min() >= 0
-        assert windowed.submit_times().max() < 1800.0
-        assert plan.method == "time_window"
-        assert plan.result_jobs == len(windowed)
-
-    def test_window_longer_than_trace_rejected(self):
-        with pytest.raises(ScalingError):
-            scale_time_window(build_trace(), 1e9)
-
-    def test_invalid_window(self):
-        with pytest.raises(ScalingError):
-            scale_time_window(build_trace(), -5.0)
-
-
-class TestScaleLoad:
-    def test_thinning_keeps_roughly_fraction(self):
-        trace = build_trace(n_small=900, n_big=100)
-        scaled, plan = scale_load(trace, 0.3, seed=0)
-        assert 0.2 * len(trace) < len(scaled) < 0.4 * len(trace)
-        assert plan.factor == 0.3
-
-    def test_classes_preserved(self):
-        scaled, _ = scale_load(build_trace(), 0.01, seed=0)
-        assert {job.cluster_label for job in scaled} == {"Small jobs", "Huge"}
-
-    def test_invalid_fraction(self):
-        with pytest.raises(ScalingError):
-            scale_load(build_trace(), 0.0)
-        with pytest.raises(ScalingError):
-            scale_load(build_trace(), 1.5)
-
-
 class TestScaleCluster:
     def test_data_scaled_by_machine_ratio(self):
         trace = build_trace()
@@ -121,6 +83,43 @@ class TestScaleCluster:
     def test_invalid_machines(self):
         with pytest.raises(ScalingError):
             scale_cluster(build_trace(), 0, 10)
+
+    @pytest.mark.parametrize("source,target", [(10, 0), (-5, 10)])
+    def test_nonpositive_machine_counts_rejected(self, source, target):
+        with pytest.raises(ScalingError, match="must be positive"):
+            scale_cluster(build_trace(), source, target)
+
+    def test_task_counts_scaled_and_map_tasks_kept_positive(self):
+        trace = Trace([
+            Job(job_id="j", submit_time_s=0.0, duration_s=60.0, input_bytes=1e9,
+                shuffle_bytes=1e8, output_bytes=1e7, map_task_seconds=100.0,
+                reduce_task_seconds=50.0, map_tasks=3, reduce_tasks=4),
+        ], name="one", machines=100)
+        scaled, _plan = scale_cluster(trace, source_machines=100, target_machines=10)
+        job = scaled.jobs[0]
+        assert (job.map_tasks, job.reduce_tasks) == (1, 0)
+        assert job.map_task_seconds == pytest.approx(10.0)
+        assert job.reduce_task_seconds == pytest.approx(5.0)
+        assert job.duration_s == 60.0
+
+    def test_unrecorded_dimensions_stay_unrecorded(self):
+        trace = Trace([
+            Job(job_id="j", submit_time_s=0.0, duration_s=60.0, input_bytes=1e9,
+                shuffle_bytes=None, output_bytes=None, map_task_seconds=None,
+                reduce_task_seconds=None),
+        ], name="sparse", machines=50)
+        job = scale_cluster(trace, 50, 100)[0].jobs[0]
+        assert job.input_bytes == pytest.approx(2e9)
+        assert job.shuffle_bytes is None and job.output_bytes is None
+        assert job.map_task_seconds is None and job.map_tasks is None
+
+    def test_plan_records_the_cluster_step(self):
+        trace = build_trace()
+        scaled, plan = scale_cluster(trace, source_machines=100, target_machines=400)
+        assert scaled.name == "mix-x400nodes"
+        assert (plan.method, plan.factor) == ("cluster", 4.0)
+        assert plan.source_jobs == plan.result_jobs == len(trace)
+        assert "from 100 to 400 machines" in plan.notes
 
 
 class TestSwimSynthesizer:

@@ -1,9 +1,9 @@
 """Cross-module integration tests for the extension subsystems.
 
 These exercise the end-to-end pipelines that span several subpackages:
-generation -> naming synthesis -> characterization, anonymization ->
-aggregation -> offsite comparison, SWIM synthesis -> replay-plan -> simulator,
-and the CLI entry points for the new commands.
+anonymization -> aggregation -> offsite comparison, SWIM synthesis ->
+simulator and -> characterization, and the CLI entry points for the new
+commands.
 """
 
 import json
@@ -12,20 +12,13 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core import (
-    analyze_naming,
     characterize,
     consolidation_study,
     select_workload_suite,
     workload_features,
 )
 from repro.simulator import ClusterConfig, WorkloadReplayer
-from repro.synth import (
-    PAPER_MIXES,
-    FrameworkMixModel,
-    SwimSynthesizer,
-    build_replay_plan,
-    parse_replay_plan,
-)
+from repro.synth import SwimSynthesizer
 from repro.traces import (
     AggregatedMetrics,
     Anonymizer,
@@ -34,20 +27,6 @@ from repro.traces import (
     load_workload,
     read_trace,
 )
-
-
-class TestNamingSynthesisPipeline:
-    def test_mix_assignment_feeds_naming_analysis(self, cc_b_small_trace):
-        # Strip names, re-assign them from the paper mix, and verify the §6.1
-        # analysis sees two dominant frameworks as Figure 10 reports.
-        from repro.traces import Job, Trace
-        unnamed = Trace([Job.from_dict({**job.to_dict(), "name": None, "framework": None})
-                         for job in cc_b_small_trace], name="CC-b-unnamed")
-        named = FrameworkMixModel(PAPER_MIXES["CC-b"], seed=1).assign_names(unnamed)
-        analysis = analyze_naming(named)
-        dominant = analysis.dominant_frameworks("jobs", 2)
-        shares = analysis.framework_shares["jobs"]
-        assert shares[dominant[0]] + shares[dominant[1]] > 0.4
 
 
 class TestOffsiteSharingPipeline:
@@ -67,12 +46,10 @@ class TestOffsiteSharingPipeline:
 
 
 class TestSwimReplayPlanPipeline:
-    def test_synthesize_render_parse_replay(self, cc_b_small_trace):
+    def test_synthesize_replay(self, cc_b_small_trace):
         synthesizer = SwimSynthesizer(cc_b_small_trace, seed=5)
         plan = synthesizer.synthesize(n_jobs=300, horizon_s=3600.0, target_machines=10)
-        rendered = build_replay_plan(plan).render()
-        parsed = parse_replay_plan(rendered)
-        metrics = WorkloadReplayer(cluster_config=ClusterConfig(n_nodes=10)).replay(parsed.to_trace())
+        metrics = WorkloadReplayer(cluster_config=ClusterConfig(n_nodes=10)).replay(plan.trace)
         assert metrics.finished_jobs == 300
         assert metrics.mean_utilization() > 0.0
 
@@ -121,13 +98,12 @@ class TestCliExtensions:
 
 
 class TestCharacterizationOnSynthesizedNames:
-    def test_full_characterize_of_decorated_synthetic_workload(self, cc_b_small_trace):
-        # Decorate the SWIM output with a framework mix, then run the full
-        # paper characterization on it — the pipeline a benchmark user follows.
+    def test_full_characterize_of_synthetic_workload(self, cc_b_small_trace):
+        # Run the full paper characterization on the SWIM output — the
+        # pipeline a benchmark user follows.
         plan = SwimSynthesizer(cc_b_small_trace, seed=2).synthesize(
             n_jobs=400, horizon_s=2 * 3600.0, target_machines=20)
-        named = FrameworkMixModel(PAPER_MIXES["CC-b"], seed=2).assign_names(plan.trace)
-        report = characterize(named, cluster=True, max_k=6)
+        report = characterize(plan.trace, cluster=True, max_k=6)
         assert report.clustering is not None
         assert report.naming is not None
         assert report.data_sizes is not None

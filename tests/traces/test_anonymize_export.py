@@ -13,7 +13,6 @@ from repro.traces import (
     Trace,
     aggregate_trace,
     anonymize_trace,
-    merge_aggregates,
 )
 from repro.units import GB, MB
 
@@ -173,29 +172,7 @@ class TestAggregateTrace:
         assert aggregate.peak_to_median_task_seconds() >= 1.0
 
 
-class TestMergeAggregates:
-    def test_merge_two_shards(self, tiny_trace):
-        first = aggregate_trace(tiny_trace)
-        second = aggregate_trace(tiny_trace)
-        merged = merge_aggregates([first, second], workload_name="two-shards")
-        assert merged.workload == "two-shards"
-        assert merged.n_jobs == 2 * len(tiny_trace)
-        assert merged.bytes_moved == pytest.approx(2 * first.bytes_moved)
-        for dimension in first.size_histograms:
-            assert sum(merged.size_histograms[dimension]) == 2 * len(tiny_trace)
-        assert len(merged.hourly_jobs) == 2 * len(first.hourly_jobs)
-        assert merged.map_only_fraction == pytest.approx(first.map_only_fraction)
-
-    def test_merge_single_is_identity_like(self, tiny_trace):
-        first = aggregate_trace(tiny_trace)
-        merged = merge_aggregates([first], workload_name="same")
-        assert merged.n_jobs == first.n_jobs
-        assert merged.size_histograms == first.size_histograms
-
-    def test_merge_empty_rejected(self):
-        with pytest.raises(AnalysisError):
-            merge_aggregates([])
-
+class TestOffsitePipeline:
     def test_anonymize_then_aggregate_pipeline(self, tiny_trace):
         # The §8 pipeline: anonymize on-site, aggregate, ship JSON offsite.
         anonymized = anonymize_trace(tiny_trace, Anonymizer(salt="site-secret"))

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import SchemaError, TraceFormatError
 from repro.traces import FEATURE_DIMENSIONS, Job
+from repro.traces.schema import extract_first_word
 
 
 def make_job(**overrides):
@@ -98,6 +99,19 @@ class TestDerivedQuantities:
         assert make_job(name="PigLatin:job-17 step2").first_word == "piglatinjob"
         assert make_job(name=None).first_word is None
         assert make_job(name="12345 67").first_word is None
+
+    @pytest.mark.parametrize("name,expected", [
+        ("", None),
+        ("   ", None),
+        ("  select * from t", "select"),
+        ("Oozie\tlauncher", "oozie"),
+        ("ad-hoc_2 query", "adhoc"),
+        ("2012-Report daily", "report"),
+        ("_ job", None),
+    ])
+    def test_extract_first_word(self, name, expected):
+        assert extract_first_word(name) == expected
+        assert make_job(name=name or None).first_word == expected
 
     def test_feature_vector_order_matches_declared_dimensions(self):
         job = make_job()

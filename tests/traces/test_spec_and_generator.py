@@ -77,6 +77,17 @@ class TestWorkloadSpecs:
         with pytest.raises(SpecError):
             FB_2009.scaled_counts(0.0)
 
+    def test_name_mix_weights_are_normalized(self):
+        entries, weights = CC_B.name_mix_weights()
+        assert entries == list(CC_B.name_mix)
+        assert sum(weights) == pytest.approx(1.0)
+        total = sum(entry.weight for entry in entries)
+        assert weights == pytest.approx([entry.weight / total for entry in entries])
+
+    def test_name_mix_weights_empty_without_names(self):
+        assert FB_2010.has_names is False
+        assert FB_2010.name_mix_weights() == ([], [])
+
     def test_spec_requires_name_mix_when_named(self):
         with pytest.raises(SpecError):
             WorkloadSpec(name="x", machines=1, trace_length_s=HOUR,

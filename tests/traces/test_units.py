@@ -12,10 +12,11 @@ from repro.units import (
     KB,
     MB,
     MINUTE,
+    PB,
     TB,
+    WEEK,
     format_bytes,
     format_duration,
-    log10_bytes,
     parse_bytes,
     parse_duration,
 )
@@ -46,9 +47,24 @@ class TestParseDuration:
     def test_parses(self, text, expected):
         assert parse_duration(text) == pytest.approx(expected)
 
+    @pytest.mark.parametrize("text,expected", [
+        ("10 secs", 10), ("1 minute", MINUTE), ("3 hr", 3 * HOUR), ("1 d", DAY),
+        ("2 w", 2 * WEEK), ("1 week", WEEK), ("0.5 DAYS", 0.5 * DAY),
+    ])
+    def test_suffix_aliases(self, text, expected):
+        assert parse_duration(text) == pytest.approx(expected)
+
+    def test_accepts_numbers(self):
+        assert parse_duration(90) == 90.0
+
     def test_rejects_unknown_suffix(self):
         with pytest.raises(ValueError):
             parse_duration("3 fortnights")
+
+    @pytest.mark.parametrize("bad", ["", "min", "1.2.3 h", "-5 s"])
+    def test_rejects_garbage(self, bad):
+        with pytest.raises(ValueError):
+            parse_duration(bad)
 
 
 class TestFormatting:
@@ -60,14 +76,23 @@ class TestFormatting:
     def test_format_bytes_negative(self):
         assert format_bytes(-2 * GB) == "-2.0 GB"
 
+    def test_format_bytes_precision(self):
+        assert format_bytes(1.5 * PB, precision=3) == "1.500 PB"
+        assert format_bytes(1023) == "1023 B"
+        assert format_bytes(KB) == "1.0 KB"
+
     def test_format_duration_picks_unit(self):
         assert format_duration(90) == "1.5 min"
         assert format_duration(2 * DAY) == "2.0 days"
         assert format_duration(30) == "30 sec"
 
-    def test_log10_bytes_clamps(self):
-        assert log10_bytes(0) == 0.0
-        assert log10_bytes(1000) == pytest.approx(3.0)
+    def test_format_duration_hours_and_precision(self):
+        assert format_duration(2.5 * HOUR) == "2.5 hrs"
+        assert format_duration(12.25, precision=2) == "12.25 sec"
+        assert format_duration(3 * HOUR, precision=2) == "3.00 hrs"
+
+    def test_format_duration_negative(self):
+        assert format_duration(-2 * MINUTE) == "-2.0 min"
 
 
 @given(value=st.floats(min_value=float(KB), max_value=1e18, allow_nan=False))
@@ -78,4 +103,11 @@ def test_property_format_parse_round_trip_within_rounding(value):
     precision is intentionally lost there.
     """
     parsed = parse_bytes(format_bytes(value, precision=3))
+    assert parsed == pytest.approx(value, rel=5e-3)
+
+
+@given(value=st.floats(min_value=float(MINUTE), max_value=1e9, allow_nan=False))
+def test_property_duration_format_parse_round_trip_within_rounding(value):
+    """Durations of a minute or more survive formatting and parsing back."""
+    parsed = parse_duration(format_duration(value, precision=3))
     assert parsed == pytest.approx(value, rel=5e-3)

@@ -18,8 +18,12 @@ folds per-path maxima and access counts in one vectorized pass (one fold
 feeds Figure 2's rank-frequencies *and* the Figure 3/4 size profiles *and*
 the 80-x rule), and :class:`ReaccessConsumer` — order-sensitive, so it runs
 in the pipeline's sequential lane — folds the Figure 5 intervals and Figure 6
-fractions in a single pass of its own.  The standalone entry points below run
-the same consumers as degenerate one-consumer pipelines, so a statistic
+fractions in a single pass of its own.  Both key their state on dense
+integer path ids from an :class:`~repro.engine.pipeline.Interner`, so a
+chunk costs one gather through dictionary codes (or one ``dict`` pass over a
+raw column) and the per-path arrays are indexed by id; paths are sorted only
+when a snapshot or a result is emitted.  The standalone entry points below
+run the same consumers as degenerate one-consumer pipelines, so a statistic
 computed standalone and inside the full characterization scan is identical by
 construction.  All results here are exact (dictionary- and counter-based) —
 identical across representations, chunkings and worker counts.
@@ -32,7 +36,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..engine.pipeline import ChunkConsumer, ScanChunk, ScanPipeline, fold_consumer
+from ..engine.pipeline import (ChunkConsumer, Interner, ScanChunk, ScanPipeline,
+                               fold_consumer)
 from ..engine.source import TraceSource
 from ..errors import AnalysisError
 from ..units import GB
@@ -77,56 +82,22 @@ def output_rank_frequencies(trace) -> RankFrequency:
 # ---------------------------------------------------------------------------
 # Shared path-statistics fold (Figures 2, 3, 4 and the 80-x rule)
 # ---------------------------------------------------------------------------
-def _assign_global_ids(state, unique_paths: np.ndarray) -> np.ndarray:
-    """Map a chunk's **sorted** distinct paths to global ids, admitting new ones.
-
-    ``state`` carries ``known_paths`` (a sorted array of every path seen so
-    far) plus parallel value arrays listed in ``state["arrays"]``, indexed by
-    the path's position in ``known_paths``.  New paths are merged in with one
-    ``np.insert`` per array (value arrays shift consistently, so positions
-    stay aligned).  Everything is vectorized sorted-merge work — no per-path
-    Python at all — which keeps the per-chunk carry cost proportional to the
-    *distinct* paths of the chunk.
-    """
-    known = state["known_paths"]
-    if known.size:
-        positions = np.searchsorted(known, unique_paths)
-        clipped = np.minimum(positions, known.size - 1)
-        new_mask = known[clipped] != unique_paths
-    else:
-        new_mask = np.ones(unique_paths.size, dtype=bool)
-    if new_mask.any():
-        new_paths = unique_paths[new_mask]
-        insert_at = np.searchsorted(known, new_paths)
-        # Scatter-merge two sorted arrays in O(n) — no re-sort, and the
-        # string dtype widens when a new path is longer than every known one.
-        total = known.size + new_paths.size
-        merged = np.empty(total, dtype=np.promote_types(known.dtype, new_paths.dtype))
-        new_positions = insert_at + np.arange(new_paths.size)
-        is_new = np.zeros(total, dtype=bool)
-        is_new[new_positions] = True
-        merged[is_new] = new_paths
-        merged[~is_new] = known
-        state["known_paths"] = known = merged
-        for key in state["arrays"]:
-            state[key] = np.insert(state[key], insert_at, state["fill"][key])
-    return np.searchsorted(known, unique_paths)
-
-
 class PathStatsConsumer(ChunkConsumer):
     """Per-path (max reported bytes, access count) fold for one path kind.
 
     The size of a file is estimated as the largest input (or output) bytes
     any job reported against that path — traces only record per-job volumes,
     not catalog sizes, and the maximum over accesses is the closest
-    observable proxy.  One vectorized pass per chunk (shared ``unique`` +
-    ``np.maximum.at`` + ``bincount``, scattered into global-id arrays)
-    replaces the former two scans; maxima and integer counts are
-    order-independent, so serial, merged and per-row results coincide
-    exactly.
+    observable proxy.  The fold state is an :class:`Interner` whose per-id
+    arrays are the maxima and counts: each chunk turns its path column into
+    per-row ids and scatters into them with ``np.maximum.at`` /
+    ``np.add.at``.  Paths are sorted once, when the state is snapshotted or
+    finalized; maxima and integer counts are order-independent, so serial,
+    merged and per-row results coincide exactly.
     """
 
     resumable = True
+    _FILLS = {"maxima": 0.0, "counts": 0}
 
     def __init__(self, kind: str, name: Optional[str] = None):
         if kind not in ("input", "output"):
@@ -136,58 +107,41 @@ class PathStatsConsumer(ChunkConsumer):
         self.columns = ("%s_path" % kind, "%s_bytes" % kind)
 
     def make_state(self):
-        return {
-            "known_paths": np.array([], dtype=np.str_),
-            "maxima": np.zeros(0),
-            "counts": np.zeros(0, dtype=np.int64),
-            "arrays": ("maxima", "counts"),
-            "fill": {"maxima": 0.0, "counts": 0},
-        }
+        return Interner(self._FILLS)
 
     def snapshot(self, state) -> Dict[str, object]:
-        return {"known_paths": state["known_paths"],
-                "maxima": state["maxima"], "counts": state["counts"]}
+        return {"known_paths": state.sort(),
+                "maxima": state.trimmed("maxima"), "counts": state.trimmed("counts")}
 
     def restore(self, payload: Dict[str, object]):
-        state = self.make_state()
-        state["known_paths"] = np.asarray(payload["known_paths"], dtype=np.str_)
-        state["maxima"] = np.asarray(payload["maxima"], dtype=float).copy()
-        state["counts"] = np.asarray(payload["counts"], dtype=np.int64).copy()
-        return state
+        return Interner(self._FILLS, known=payload["known_paths"],
+                        arrays={key: payload[key] for key in self._FILLS})
 
     def fold(self, state, chunk: ScanChunk):
+        ids = state.ids(chunk, self.columns[0])
+        # Reported sizes clamp at zero: the maxima start there.
         sizes = np.nan_to_num(chunk.column(self.columns[1]), nan=0.0)
-        unique, inverse = chunk.unique(self.columns[0])
-        if unique.size == 0:
-            return state
-        # Reported sizes clamp at zero, matching the historical
-        # max(0.0, size) accumulation.
-        maxima = np.zeros(unique.size)
-        np.maximum.at(maxima, inverse, sizes)
-        counts = np.bincount(inverse, minlength=unique.size)
-        if unique[0] == "":  # sorted: the "not recorded" marker is first
-            unique, maxima, counts = unique[1:], maxima[1:], counts[1:]
-            if unique.size == 0:
-                return state
-        ids = _assign_global_ids(state, unique)
-        np.maximum.at(state["maxima"], ids, maxima)
-        state["counts"][ids] += counts
+        recorded = ids >= 0
+        if not recorded.all():
+            ids, sizes = ids[recorded], sizes[recorded]
+        np.maximum.at(state.arrays["maxima"], ids, sizes)
+        np.add.at(state.arrays["counts"], ids, 1)
         return state
 
     def merge(self, a, b):
-        if b["known_paths"].size:
-            a_ids = _assign_global_ids(a, b["known_paths"])
-            np.maximum.at(a["maxima"], a_ids, b["maxima"])
-            a["counts"][a_ids] += b["counts"]
+        if len(b):
+            ids = a.intern(b.values())
+            np.maximum.at(a.arrays["maxima"], ids, b.trimmed("maxima"))
+            a.arrays["counts"][ids] += b.trimmed("counts")
         return a
 
     def finalize(self, state) -> Dict[str, List[float]]:
-        if not state["known_paths"].size:
+        if not len(state):
             raise AnalysisError("trace has no recorded %s paths" % self.kind)
         return {path: [high, count]
-                for path, high, count in zip(state["known_paths"].tolist(),
-                                             state["maxima"].tolist(),
-                                             state["counts"].tolist())}
+                for path, high, count in zip(state.sort().tolist(),
+                                             state.trimmed("maxima").tolist(),
+                                             state.trimmed("counts").tolist())}
 
 
 def path_stats(trace, kind: str) -> Dict[str, List[float]]:
@@ -373,11 +327,12 @@ class ReaccessConsumer(ChunkConsumer):
     store raises instead of silently producing wrong intervals).
 
     Each chunk is evaluated vectorized instead of row by row: reads and
-    writes become ``(path code, row)`` events, the most recent in-chunk
-    predecessor of each read is a ``searchsorted`` over the packed event
-    keys (a read at row *i* never sees row *i*'s own write, exactly like the
-    sequential walk), and per-path carry times from earlier chunks fill the
-    segment starts.  Every derived quantity is order-free (interval
+    writes become ``(path id, row)`` events keyed on one :class:`Interner`
+    shared by both path columns, the most recent in-chunk predecessor of
+    each read is a ``searchsorted`` over the packed event keys (a read at
+    row *i* never sees row *i*'s own write, exactly like the sequential
+    walk), and the interner's per-id carry times from earlier chunks fill
+    the segment starts.  Every derived quantity is order-free (interval
     *multisets* feed sorted CDFs; hit counters are sums), so the results are
     identical to the row walk.
     """
@@ -389,6 +344,7 @@ class ReaccessConsumer(ChunkConsumer):
     #: data interleaves in time, the shared scan falls back to a full rescan
     #: for this consumer (and says so).
     resumable = True
+    _FILLS = {"read_t": -np.inf, "write_t": -np.inf}
 
     def __init__(self, has_input: bool, has_output: bool, name: str = "reaccess"):
         self.name = name
@@ -403,22 +359,17 @@ class ReaccessConsumer(ChunkConsumer):
 
     def make_state(self):
         return {
-            # Last read/write times live in arrays aligned with the sorted
-            # known-path set, so per-chunk carry state is one vectorized
-            # gather instead of per-path dict probes.
-            "known_paths": np.array([], dtype=np.str_),
-            "read_t": np.zeros(0),
-            "write_t": np.zeros(0),
-            "arrays": ("read_t", "write_t"),
-            "fill": {"read_t": -np.inf, "write_t": -np.inf},
+            # Last read/write time of every path, indexed by its id.
+            "paths": Interner(self._FILLS),
             "input_input": [], "output_input": [],  # lists of per-chunk arrays
             "jobs_with_paths": 0, "input_hits": 0, "output_hits": 0, "any_hits": 0,
         }
 
     def snapshot(self, state) -> Dict[str, object]:
+        paths = state["paths"]
         return {
-            "known_paths": state["known_paths"],
-            "read_t": state["read_t"], "write_t": state["write_t"],
+            "known_paths": paths.sort(),
+            "read_t": paths.trimmed("read_t"), "write_t": paths.trimmed("write_t"),
             # Interval lists concatenate once here; finalize concatenates
             # anyway, so the restored single-array form folds on identically.
             "input_input": (np.concatenate(state["input_input"])
@@ -433,9 +384,8 @@ class ReaccessConsumer(ChunkConsumer):
 
     def restore(self, payload: Dict[str, object]):
         state = self.make_state()
-        state["known_paths"] = np.asarray(payload["known_paths"], dtype=np.str_)
-        state["read_t"] = np.asarray(payload["read_t"], dtype=float).copy()
-        state["write_t"] = np.asarray(payload["write_t"], dtype=float).copy()
+        state["paths"] = Interner(self._FILLS, known=payload["known_paths"],
+                                  arrays={key: payload[key] for key in self._FILLS})
         for key in ("input_input", "output_input"):
             intervals = np.asarray(payload[key], dtype=float)
             state[key] = [intervals] if intervals.size else []
@@ -446,41 +396,25 @@ class ReaccessConsumer(ChunkConsumer):
     def fold(self, state, chunk: ScanChunk):
         if not self.has_input:
             return state  # no reads: nothing re-accesses, writes are never consulted
+        paths = state["paths"]
         times = np.asarray(chunk.column("submit_time_s"), dtype=float)
-        # recorded_mask compares dictionary codes on a v3 store — the
-        # per-row path strings are never materialized in this fold.
-        read_mask = chunk.recorded_mask("input_path")
-        n_reads = int(read_mask.sum())
-        if self.has_output:
-            write_mask = chunk.recorded_mask("output_path")
-        else:
-            write_mask = np.zeros(times.size, dtype=bool)
+        read_ids = paths.ids(chunk, "input_path")
+        read_rows = np.flatnonzero(read_ids >= 0)
+        n_reads = int(read_rows.size)
         state["jobs_with_paths"] += n_reads
-        if n_reads == 0 and not write_mask.any():
-            return state
-
-        read_rows = np.nonzero(read_mask)[0]
-        write_rows = np.nonzero(write_mask)[0]
-        # Joint path codes from the cached per-column uniques: merging two
-        # sorted unique sets (and remapping through searchsorted) replaces a
-        # fresh string sort over all rows of both columns.
-        unique_in, inverse_in = chunk.unique("input_path")
         if self.has_output:
-            unique_out, inverse_out = chunk.unique("output_path")
-            unique_paths = np.union1d(unique_in, unique_out)
-            out_positions = np.searchsorted(unique_paths, unique_out)
-            write_codes = out_positions[inverse_out[write_rows]]
+            write_ids = paths.ids(chunk, "output_path")
+            write_rows = np.flatnonzero(write_ids >= 0)
         else:
-            unique_paths = unique_in
-            write_codes = np.zeros(0, dtype=np.int64)
-        in_positions = np.searchsorted(unique_paths, unique_in)
-        read_codes = in_positions[inverse_in[read_rows]]
+            write_ids = write_rows = np.zeros(0, dtype=np.int64)
+        if n_reads == 0 and not write_rows.size:
+            return state
+        read_codes = read_ids[read_rows]
+        write_codes = write_ids[write_rows]
+        read_t = paths.arrays["read_t"]
+        write_t = paths.arrays["write_t"]
 
-        global_ids = _assign_global_ids(state, unique_paths)
-        carry_read = state["read_t"][global_ids]
-        carry_write = state["write_t"][global_ids]
-
-        # Events packed as code * stride + row sort by (path, row); row order
+        # Events packed as id * stride + row sort by (path, row); row order
         # stands in for time order because the ordered lane verified
         # non-decreasing submit times.
         stride = times.size + 1
@@ -507,11 +441,11 @@ class ReaccessConsumer(ChunkConsumer):
                     == sorted_read_codes[in_chunk])
                 previous_write = np.where(
                     same_path, sorted_write_times[np.maximum(position, 0)],
-                    carry_write[sorted_read_codes])
+                    write_t[sorted_read_codes])
             else:
-                previous_write = carry_write[sorted_read_codes]
+                previous_write = write_t[sorted_read_codes]
             # Most recent earlier read: the previous packed read of the path.
-            previous_read = carry_read[sorted_read_codes]
+            previous_read = read_t[sorted_read_codes]
             same_prev = np.zeros(n_reads, dtype=bool)
             same_prev[1:] = sorted_read_codes[1:] == sorted_read_codes[:-1]
             previous_read[same_prev] = sorted_read_times[
@@ -530,17 +464,9 @@ class ReaccessConsumer(ChunkConsumer):
             state["output_hits"] += int(has_write.sum())
             state["input_hits"] += int((has_read & ~has_write).sum())
             state["any_hits"] += int((has_read | has_write).sum())
-
-            unique_read_codes = np.unique(sorted_read_codes)
-            final_read = np.searchsorted(sorted_read_codes, unique_read_codes,
-                                         side="right") - 1
-            state["read_t"][global_ids[unique_read_codes]] = sorted_read_times[final_read]
+            _carry_last(read_t, sorted_read_codes, sorted_read_times)
         if write_rows.size:
-            sorted_write_codes = sorted_write_keys // stride
-            unique_write_codes = np.unique(sorted_write_codes)
-            final_write = np.searchsorted(sorted_write_codes, unique_write_codes,
-                                          side="right") - 1
-            state["write_t"][global_ids[unique_write_codes]] = sorted_write_times[final_write]
+            _carry_last(write_t, sorted_write_keys // stride, sorted_write_times)
         return state
 
     def finalize(self, state) -> ReaccessResult:
@@ -564,6 +490,13 @@ class ReaccessConsumer(ChunkConsumer):
                 jobs_with_paths=state["jobs_with_paths"],
             )
         return ReaccessResult(intervals=intervals, fractions=fractions)
+
+
+def _carry_last(carry: np.ndarray, sorted_ids: np.ndarray, sorted_times: np.ndarray) -> None:
+    """Store the time of each id's last event (ids sorted, times in row order)."""
+    last = np.ones(sorted_ids.size, dtype=bool)
+    last[:-1] = sorted_ids[1:] != sorted_ids[:-1]
+    carry[sorted_ids[last]] = sorted_times[last]
 
 
 def _reaccess(source: TraceSource) -> ReaccessResult:

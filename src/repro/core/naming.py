@@ -10,7 +10,8 @@ by task-time.
 This module classifies names into frameworks, computes the weighted first-word
 breakdowns, and summarizes framework shares of cluster load.  The analyses
 stream the ``name`` / ``framework`` / derived weight columns chunk by chunk
-from any :class:`~repro.engine.source.TraceSource`-wrappable representation;
+from any :class:`~repro.engine.source.TraceSource`-wrappable representation,
+classifying each distinct name once and folding per-row integer label ids;
 all results are exact dictionary totals, identical across representations.
 """
 
@@ -22,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..engine.pipeline import ChunkConsumer, ScanChunk, fold_consumer
+from ..engine.pipeline import ChunkConsumer, Interner, ScanChunk, fold_consumer
 from ..engine.source import TraceSource
 from ..errors import AnalysisError
 from ..traces.schema import extract_first_word
@@ -145,13 +146,17 @@ def _ranked_shares(totals: Dict[str, float], weighting: str, top_n: int) -> Firs
 class NamingConsumer(ChunkConsumer):
     """Shared-scan fold of every Figure-10 panel and the framework shares.
 
-    Each chunk is grouped vectorized: ``np.unique`` over the (heavily
-    repeating) names, first-word extraction cached per distinct name, and the
-    three weightings accumulated by ``bincount`` over the group codes.  Job
-    counts are integers (exact for every chunking and worker count); the
-    byte/task-second totals group per chunk before entering the running
-    dicts, so different chunkings can differ in the last float ulp — the same
-    caveat as every chunk-folded sum in the engine.
+    Job names are interned (:class:`~repro.engine.pipeline.Interner`): the
+    first word and the name-derived framework are worked out once per
+    *distinct* name and kept as label ids in the interner's per-name arrays,
+    so each chunk's per-row labels are one gather through its name ids, and
+    the three weightings accumulate by ``bincount`` over label ids.  The
+    running totals are filled in sorted-label order (``_ranked_shares``
+    breaks ties by insertion order).  Job counts are integers (exact for
+    every chunking and worker count); the byte/task-second totals group per
+    chunk before entering the running dicts, so different chunkings can
+    differ in the last float ulp — the same caveat as every chunk-folded sum
+    in the engine.
     """
 
     resumable = True
@@ -170,83 +175,57 @@ class NamingConsumer(ChunkConsumer):
             "word_totals": {w: defaultdict(float) for w in WEIGHTINGS},
             "framework_totals": {w: defaultdict(float) for w in WEIGHTINGS},
             "n_named": 0,
-            # name -> (word label, framework when none is declared)
-            "cache": {},
+            # name id -> its word label id and name-derived framework label id
+            "names": Interner({"word": -1, "framework": -1}),
+            "words": Interner(),
+            "frameworks": Interner(),
         }
 
     def fold(self, state, chunk: ScanChunk):
-        named = chunk.recorded_mask("name")
+        names = state["names"]
+        classified = len(names)
+        name_ids = names.ids(chunk, "name")
+        named = name_ids >= 0
         n_named = int(named.sum())
         if n_named == 0:
             return state
-        all_named = n_named == named.size
+        state["n_named"] += n_named
+        if len(names) > classified:
+            firsts = [extract_first_word(job_name) for job_name in names.values(classified)]
+            names.arrays["word"][classified:len(names)] = state["words"].intern(
+                [first or "[unnamed]" for first in firsts])
+            names.arrays["framework"][classified:len(names)] = state["frameworks"].intern(
+                [classify_framework(first, None) for first in firsts])
+
         byte_weights = chunk.column("total_bytes")
         task_weights = chunk.column("total_task_seconds")
-        if not all_named:
+        if n_named < named.size:
+            name_ids = name_ids[named]
             byte_weights = byte_weights[named]
             task_weights = task_weights[named]
-        state["n_named"] += n_named
-
-        # Code-native fold: the per-row decomposition comes from the cached
-        # chunk.unique (an integer sort over dictionary codes on a v3 store),
-        # word extraction and framework classification run once per *distinct*
-        # name, and the per-row group keys stay integers end to end — no
-        # per-row string array is ever built.
-        unique_names, name_inverse = chunk.unique("name")
-        cache = state["cache"]
-        unique_words = []
-        unique_frameworks = []
-        for job_name in unique_names.tolist():
-            cached = cache.get(job_name)
-            if cached is None:
-                first = extract_first_word(job_name)
-                cached = cache[job_name] = (first or "[unnamed]",
-                                            classify_framework(first, None))
-            unique_words.append(cached[0])
-            unique_frameworks.append(cached[1])
-        name_words = np.asarray(unique_words, dtype=np.str_)
-        name_frameworks = np.asarray(unique_frameworks, dtype=np.str_)
-
-        word_labels, word_of_name = np.unique(name_words, return_inverse=True)
-        word_codes = word_of_name.ravel()[name_inverse]
-
+        word_ids = names.arrays["word"][name_ids]
+        framework_ids = names.arrays["framework"][name_ids]
         if self.has_framework:
-            # A declared per-row framework overrides the name-derived one;
-            # both sides resolve into one sorted label vocabulary so the
-            # per-row merge is a uint choice between two code arrays.
-            declared_values, declared_inverse = chunk.unique("framework")
-            has_declared = chunk.recorded_mask("framework")
-            framework_labels = np.unique(np.concatenate([name_frameworks,
-                                                         declared_values]))
-            name_codes = np.searchsorted(framework_labels, name_frameworks)
-            declared_codes = np.searchsorted(framework_labels, declared_values)
-            framework_codes = np.where(has_declared,
-                                       declared_codes[declared_inverse],
-                                       name_codes[name_inverse])
-        else:
-            framework_labels, frame_of_name = np.unique(name_frameworks,
-                                                        return_inverse=True)
-            framework_codes = frame_of_name.ravel()[name_inverse]
+            # A declared per-row framework overrides the name-derived one.
+            declared = state["frameworks"].ids(chunk, "framework")
+            if n_named < named.size:
+                declared = declared[named]
+            framework_ids = np.where(declared >= 0, declared, framework_ids)
 
-        if not all_named:
-            word_codes = word_codes[named]
-            framework_codes = framework_codes[named]
-        for labels, codes, totals in (
-                (word_labels, word_codes, state["word_totals"]),
-                (framework_labels, framework_codes, state["framework_totals"])):
-            jobs = np.bincount(codes, minlength=labels.size)
-            total_bytes = np.bincount(codes, weights=byte_weights, minlength=labels.size)
-            total_tasks = np.bincount(codes, weights=task_weights, minlength=labels.size)
+        for labels, ids, totals in (
+                (state["words"], word_ids, state["word_totals"]),
+                (state["frameworks"], framework_ids, state["framework_totals"])):
+            jobs = np.bincount(ids, minlength=len(labels))
+            total_bytes = np.bincount(ids, weights=byte_weights, minlength=len(labels))
+            total_tasks = np.bincount(ids, weights=task_weights, minlength=len(labels))
+            label_values = labels.values()
+            present = sorted(np.flatnonzero(jobs).tolist(), key=label_values.__getitem__)
             jobs_dict = totals["jobs"]
             bytes_dict = totals["bytes"]
             tasks_dict = totals["task_seconds"]
             for label, n_jobs, byte_total, task_total in zip(
-                    labels.tolist(), jobs.tolist(), total_bytes.tolist(), total_tasks.tolist()):
-                if n_jobs == 0:
-                    # Vocabulary entry with no named row in this chunk (e.g.
-                    # the "" name's "[unnamed]" word): adding a zero would
-                    # create a spurious label in the running totals.
-                    continue
+                    [label_values[i] for i in present], jobs[present].tolist(),
+                    total_bytes[present].tolist(), total_tasks[present].tolist()):
                 jobs_dict[label] += n_jobs
                 bytes_dict[label] += byte_total
                 tasks_dict[label] += task_total
@@ -263,8 +242,8 @@ class NamingConsumer(ChunkConsumer):
 
     def snapshot(self, state) -> Dict[str, object]:
         # Plain word/framework -> float dictionaries: they ride the JSON side
-        # of the checkpoint (floats round-trip exactly).  The first-word memo
-        # cache is derived data and is simply rebuilt on resume.
+        # of the checkpoint (floats round-trip exactly).  The interned names
+        # and labels are derived data and are simply rebuilt on resume.
         return {
             "n_named": int(state["n_named"]),
             "word_totals": {weighting: dict(state["word_totals"][weighting])

@@ -120,11 +120,11 @@ def rank_frequencies_from_counts(counts: Dict[str, int], min_items: int = 2) -> 
 class RankFrequencyConsumer(ChunkConsumer):
     """Shared-scan fold counting accesses per distinct value of one column.
 
-    Each chunk contributes its ``np.unique`` counts (empty strings — the
-    trace encoding of "not recorded" — are skipped), so the fold cost is one
-    vectorized pass per chunk and memory stays bounded by the distinct-value
-    dictionary.  Counts are integers: serial, merged, and per-row results are
-    all exactly equal.
+    Each chunk contributes a ``bincount`` over its per-row codes (empty
+    strings — the trace encoding of "not recorded" — are skipped), so the
+    fold cost is one vectorized pass per chunk and memory stays bounded by
+    the distinct-value dictionary.  Counts are integers: serial, merged, and
+    per-row results are all exactly equal.
     """
 
     def __init__(self, column: str, name: Optional[str] = None, min_items: int = 2):
@@ -137,11 +137,14 @@ class RankFrequencyConsumer(ChunkConsumer):
         return {}
 
     def fold(self, state, chunk: ScanChunk):
-        # value_counts is code-native on a v3 store: the counting happens as
-        # a bincount over dictionary codes and only the chunk's *distinct*
-        # values are ever decoded to strings.
-        values, counts = chunk.value_counts(self.column)
-        for value, count in zip(values.tolist(), counts.tolist()):
+        # Code-native on a v3 store: the counting is a bincount over the
+        # dictionary codes and only the chunk's *distinct* values are looked
+        # up as strings.
+        codes, table = chunk.codes(self.column)
+        counts = np.bincount(codes)
+        present = np.flatnonzero(counts)
+        for code, count in zip(present.tolist(), counts[present].tolist()):
+            value = table.values[code]
             if value:
                 state[value] = state.get(value, 0) + count
         return state

@@ -359,12 +359,16 @@ class StringDictionary:
         codes = np.asarray(codes)
         if codes.size == 0:
             return np.zeros(0, dtype="<U1")
+        self.check(codes)
+        return self.array()[codes]
+
+    def check(self, codes: np.ndarray) -> None:
+        """Raise :class:`TraceFormatError` when a code is outside the table."""
         if int(codes.max(initial=0)) >= len(self.values):
             raise TraceFormatError(
                 "dictionary code %d out of range (table has %d values); the "
                 "dictionary sidecar is older than the chunk data"
                 % (int(codes.max()), len(self.values)))
-        return self.array()[codes]
 
     def encode(self, values: np.ndarray) -> np.ndarray:
         """Map a string array to codes, appending unseen values to the table.

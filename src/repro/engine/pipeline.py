@@ -59,17 +59,18 @@ import os
 import uuid
 import zipfile
 import zlib
+from itertools import count, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import AnalysisError
 from .aggregates import MaxState, MinState, SumState
-from .codecs import durable_replace
+from .codecs import StringDictionary, durable_replace
 from .columnar import ColumnBlock, _OrderCheck
 from .source import TraceSource
 
-__all__ = ["ScanChunk", "ChunkConsumer", "PipelineResult", "ScanPipeline",
+__all__ = ["ScanChunk", "Interner", "ChunkConsumer", "PipelineResult", "ScanPipeline",
            "Checkpoint", "SummaryConsumer", "fold_consumer",
            "find_store_checkpoints"]
 
@@ -84,13 +85,13 @@ class ScanChunk:
             row-addressed consumers (the Table-2 job sample) key on.
     """
 
-    __slots__ = ("block", "index", "start_row", "_unique_cache")
+    __slots__ = ("block", "index", "start_row", "_codes_cache")
 
     def __init__(self, block: ColumnBlock, index: int, start_row: int):
         self.block = block
         self.index = index
         self.start_row = start_row
-        self._unique_cache: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+        self._codes_cache: Dict[str, Tuple[np.ndarray, StringDictionary]] = {}
 
     @property
     def n_rows(self) -> int:
@@ -99,55 +100,175 @@ class ScanChunk:
     def column(self, name: str) -> np.ndarray:
         return self.block.column(name)
 
-    def recorded_mask(self, name: str) -> np.ndarray:
-        """True where the value is recorded; code-native on v3 dict columns."""
-        return self.block.recorded_mask(name)
+    def codes(self, name: str) -> Tuple[np.ndarray, StringDictionary]:
+        """Per-row integer codes of a string column and the table they index.
 
-    def unique(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
-        """``np.unique(column, return_inverse=True)``, cached per chunk.
-
-        Group-shaped folds over string columns (path statistics, re-access
-        codes, naming) all start from the same unique/inverse decomposition;
-        caching it on the shared chunk means the string sort happens once per
-        chunk per column no matter how many consumers ask — the same sharing
-        argument as decoding itself.
-
-        On a dictionary-encoded column (format v3) this is **code-native**:
-        the heavy ``np.unique`` runs over the chunk's ``uint32`` codes (an
-        integer sort), only the chunk's *distinct* values are decoded, and a
-        small permutation restores lexicographic order — bit-identical output
-        to the string path without ever materializing the per-row strings.
+        A dictionary-encoded column (format v3) returns its stored ``uint32``
+        codes and the store's table as they are: nothing is decoded.  Any
+        other string column is factorized with one per-row ``dict`` pass into
+        chunk-local codes, numbered in first-seen order against a fresh table
+        of the chunk's distinct values.  The pair is cached per chunk, so the
+        consumers sharing a column share the pass; :class:`Interner` turns it
+        into a fold's own ids.
         """
-        cached = self._unique_cache.get(name)
-        if cached is not None:
-            return cached
-        pair = self.block.codes_for(name)
-        if pair is not None:
-            codes, table = pair
-            unique_codes, inverse = np.unique(codes, return_inverse=True)
-            values = table.decode(unique_codes)
-            # Codes are in first-appearance order; consumers rely on
-            # np.unique's sorted-values contract (e.g. the "" sentinel
-            # landing at index 0), so remap through the sort permutation.
-            order = np.argsort(values, kind="stable")
-            values = values[order]
-            rank = np.empty(order.size, dtype=np.int64)
-            rank[order] = np.arange(order.size)
-            inverse = rank[inverse.ravel()]
-            cached = self._unique_cache[name] = (values, inverse)
-            return cached
-        values, inverse = np.unique(self.column(name), return_inverse=True)
-        cached = self._unique_cache[name] = (values, inverse.ravel())
+        cached = self._codes_cache.get(name)
+        if cached is None:
+            cached = self.block.codes_for(name)
+            if cached is not None:
+                cached[1].check(cached[0])
+            else:
+                rows = self.column(name).tolist()
+                # Each row maps to the row its value first appeared in; the
+                # first appearances, counted, are the dense codes.
+                first = {}
+                first_row = np.fromiter(map(first.setdefault, rows, count()),
+                                        dtype=np.int64, count=len(rows))
+                is_first = first_row == np.arange(len(rows))
+                cached = ((np.cumsum(is_first) - 1)[first_row],
+                          StringDictionary(list(first)))
+            self._codes_cache[name] = cached
         return cached
 
-    def value_counts(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
-        """Distinct values of ``name`` in this chunk with their row counts.
 
-        Rides :meth:`unique`, so on dictionary columns the count is a
-        ``bincount`` over integer codes — no string materialization.
+#: ``Interner`` code-cache marker for a table code not looked up yet.
+_UNSEEN = -2
+
+
+class Interner:
+    """Dense integer ids for distinct strings, handed out in first-seen order.
+
+    The fold-state half of :meth:`ScanChunk.codes`.  :meth:`ids` turns one
+    chunk column into per-row ids with a gather through a per-table
+    code → id array, so only codes this interner has not met before are
+    decoded and looked up (on a v3 store, once per distinct value per scan).
+    ``""`` — "not recorded" — never gets an id: its rows read ``-1``.  The
+    per-id value arrays named by ``fills`` (``{name: fill value}``) grow by
+    doubling as ids are minted, so a fold indexes them by id directly.
+
+    An interner restored from sorted ``known`` values (a checkpoint) numbers
+    them by position and keeps them as the array they came in: the
+    value → id ``dict`` is built only when a value outside them turns up.
+    :meth:`sort` renumbers the ids in value order — the order snapshots and
+    results are emitted in — and is free while nothing was added.
+    """
+
+    def __init__(self, fills: Optional[Dict[str, object]] = None,
+                 known: Optional[np.ndarray] = None,
+                 arrays: Optional[Dict[str, np.ndarray]] = None):
+        self.fills = dict(fills or {})
+        # Checkpoints written before ids existed may list "" first (sorted);
+        # it is the not-recorded marker and gets no id.
+        drop = int(known is not None and len(known) > 0 and known[0] == "")
+        self.arrays: Dict[str, np.ndarray] = {}
+        for key, fill in self.fills.items():
+            dtype = np.asarray(fill).dtype
+            self.arrays[key] = (np.array(arrays[key][drop:], dtype=dtype)
+                                if arrays is not None else np.zeros(0, dtype=dtype))
+        # Exactly one representation is live: ``_sorted`` (ids = positions)
+        # or ``_values`` + ``_index`` (ids = insertion order; "" maps to -1).
+        self._sorted: Optional[np.ndarray] = None
+        self._values: Optional[List[str]] = None
+        self._index: Optional[Dict[str, int]] = None
+        if known is None:
+            self._values, self._index = [], {"": -1}
+        else:
+            self._sorted = np.asarray(known, dtype=np.str_)[drop:]
+        # column -> (table, code -> id array); derived, never pickled.
+        self._tables: Dict[str, Tuple[StringDictionary, np.ndarray]] = {}
+
+    def __len__(self) -> int:
+        return len(self._values) if self._values is not None else int(self._sorted.size)
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state["_tables"] = {}
+        return state
+
+    def values(self, start: int = 0) -> List[str]:
+        """The interned values with id ``start`` and above, in id order."""
+        if self._values is not None:
+            return self._values[start:]
+        return self._sorted[start:].tolist()
+
+    def intern(self, values: List[str]) -> np.ndarray:
+        """Ids of ``values``, minting one for every value not seen before."""
+        if self._values is None:
+            known = self._sorted
+            probe = np.asarray(values, dtype=np.str_)
+            positions = np.searchsorted(known, probe)
+            empty = probe == ""
+            hit = empty.copy()
+            if known.size:
+                hit |= known[np.minimum(positions, known.size - 1)] == probe
+            if hit.all():
+                return np.where(empty, -1, positions)
+            self._values = known.tolist()
+            self._index = dict(zip(self._values, range(known.size)))
+            self._index[""] = -1
+            self._sorted = None
+        index = self._index
+        ids = np.fromiter(map(index.get, values, repeat(_UNSEEN)), dtype=np.int64,
+                          count=len(values))
+        missing = np.flatnonzero(ids == _UNSEEN)
+        if missing.size:
+            missed = list(map(values.__getitem__, missing.tolist()))
+            fresh = list(dict.fromkeys(missed))  # first-seen order, once each
+            index.update(zip(fresh, range(len(self._values), len(self._values) + len(fresh))))
+            self._values.extend(fresh)
+            ids[missing] = list(map(index.__getitem__, missed))
+            self._fit()
+        return ids
+
+    def ids(self, chunk: ScanChunk, column: str) -> np.ndarray:
+        """Per-row ids of one chunk column (``-1`` where not recorded)."""
+        codes, table = chunk.codes(column)
+        cached = self._tables.get(column)
+        if cached is not None and cached[0] is table and cached[1].size == len(table):
+            code_ids = cached[1]
+        else:
+            code_ids = np.full(len(table), _UNSEEN, dtype=np.int64)
+        row_ids = code_ids[codes]
+        unseen = row_ids == _UNSEEN
+        if unseen.any():
+            present = np.zeros(len(table), dtype=bool)
+            present[codes[unseen]] = True
+            new_codes = np.flatnonzero(present)
+            code_ids[new_codes] = self.intern(
+                table.values if new_codes.size == len(table)
+                else list(map(table.values.__getitem__, new_codes.tolist())))
+            row_ids = code_ids[codes]
+        self._tables[column] = (table, code_ids)
+        return row_ids
+
+    def _fit(self) -> None:
+        """Grow every per-id array to hold every id (capacity doubles)."""
+        size = len(self)
+        for key, array in self.arrays.items():
+            if array.size < size:
+                grown = np.full(max(size, 2 * array.size), self.fills[key], dtype=array.dtype)
+                grown[:array.size] = array
+                self.arrays[key] = grown
+
+    def sort(self) -> np.ndarray:
+        """Renumber the ids in value order; returns the sorted values.
+
+        The per-id arrays are permuted (and trimmed to one entry per id)
+        alongside.  An interner with nothing added since its last sort or
+        restore is returned as it is.
         """
-        values, inverse = self.unique(name)
-        return values, np.bincount(inverse, minlength=values.shape[0])
+        if self._values is not None:
+            values = np.asarray(self._values, dtype=np.str_)
+            order = np.argsort(values, kind="stable")
+            self._sorted = values[order]
+            self._values = self._index = None
+            self._tables = {}
+            for key, array in self.arrays.items():
+                self.arrays[key] = array[:order.size][order]
+        return self._sorted
+
+    def trimmed(self, key: str) -> np.ndarray:
+        """One per-id array cut to one entry per id."""
+        return self.arrays[key][:len(self)]
 
 
 class ChunkConsumer:

@@ -31,7 +31,11 @@ from repro.core import (
     size_access_profile,
 )
 from repro.bench.suite import CHARACTERIZATION_EXPERIMENT_IDS, run_suite
-from repro.engine import ChunkedTraceStore, TraceSource
+from repro.core.access import PathStatsConsumer, ReaccessConsumer
+from repro.core.naming import NamingConsumer
+from repro.engine import ChunkedTraceStore, ParallelExecutor, TraceSource, append_store
+from repro.engine.pipeline import run_resumable_scan
+from repro.traces import Job, Trace
 
 REPRESENTATIONS = ("trace", "columnar", "store")
 
@@ -201,3 +205,133 @@ class TestCharacterizeOnStore:
         assert report.access.fractions == baseline.access.fractions
         rendered = report.render()
         assert "Per-job data sizes" in rendered and "Job types" in rendered
+
+
+# ---------------------------------------------------------------------------
+# Path- and name-keyed folds on both kinds of string column
+# ---------------------------------------------------------------------------
+PATH_JOBS = 630
+PATH_CHUNK_ROWS = 64
+#: Rows in the checkpointed prefix; the rest is appended, with new paths.
+PATH_PREFIX = 480
+NAME_WORDS = ("select", "insert", "piglatin", "oozie", "distcp", "adhoc")
+#: Word ``i`` names ``6 - i`` of every 21 jobs: the ranking has no ties, so
+#: it cannot depend on the order chunks brought the words in.
+WORD_PATTERN = sum(([index] * (len(NAME_WORDS) - index)
+                    for index in range(len(NAME_WORDS))), [])
+
+
+def _path_jobs(pool):
+    """Jobs whose paths and names are drawn from ``pool`` values each.
+
+    A pool of 8 keeps every chunk's distinct values under half its rows, so
+    a store dictionary-encodes the path and name columns; a pool of 100 000
+    makes nearly every value distinct, so the store keeps them raw.  Some
+    rows leave a path or the name unrecorded; some jobs read and write one
+    path, read what the previous job wrote, or re-read an earlier input; the
+    first row of every chunk reads what the chunk before wrote on its last
+    row.  Jobs past :data:`PATH_PREFIX` draw paths and names the prefix never
+    saw, so appending them grows the dictionaries.  Byte and task figures are
+    integers, so every summation order gives the same totals.
+    """
+    rng = np.random.default_rng(pool)
+    inputs, outputs, names = [], [], []
+    for row in range(PATH_JOBS):
+        era = "new" if row >= PATH_PREFIX else "old"
+        inputs.append("/%s/in/%d" % (era, rng.integers(pool)))
+        outputs.append("/%s/out/%d" % (era, rng.integers(pool)))
+        word = NAME_WORDS[WORD_PATTERN[row % len(WORD_PATTERN)]]
+        names.append("%s %s job %d" % (word, era, rng.integers(pool // 4)))
+        if row % 11 == 0:
+            outputs[row] = inputs[row]
+        if row % 13 == 5 and outputs[row - 1]:
+            inputs[row] = outputs[row - 1]
+        if row % 19 == 7:
+            inputs[row] = inputs[row - 3]
+        if row % PATH_CHUNK_ROWS == 0 and row:
+            outputs[row - 1] = "/%s/edge/%d" % (era, row // PATH_CHUNK_ROWS % 4)
+            inputs[row] = outputs[row - 1]
+        if row % 7 == 3:
+            inputs[row] = None
+        if row % 5 == 1 and row % PATH_CHUNK_ROWS != PATH_CHUNK_ROWS - 1:
+            outputs[row] = None
+        if row % 17 == 2:
+            names[row] = None
+    return [Job(job_id="p%04d" % row, submit_time_s=60.0 * row, duration_s=30.0,
+                input_bytes=float(rng.integers(1, 10 ** 6) * 1000),
+                shuffle_bytes=float(rng.integers(0, 10 ** 6) * 1000),
+                output_bytes=float(rng.integers(0, 10 ** 6) * 1000),
+                map_task_seconds=float(rng.integers(1, 5000)),
+                reduce_task_seconds=float(rng.integers(0, 500)),
+                name=names[row], framework="spark" if row % 9 == 0 else None,
+                input_path=inputs[row], output_path=outputs[row])
+            for row in range(PATH_JOBS)]
+
+
+def _path_results(source, **scan_options):
+    """Figures 2-6 and 10 folds of one scan, as plain comparable values."""
+    consumers = [PathStatsConsumer("input"), PathStatsConsumer("output"),
+                 ReaccessConsumer(has_input=True, has_output=True),
+                 NamingConsumer(has_framework=True, workload="paths")]
+    scan, _report, _saved = run_resumable_scan(source, consumers, **scan_options)
+    reaccess, naming = scan.value("reaccess"), scan.value("naming")
+    return {
+        "input_stats": list(scan.value("path_stats_input").items()),
+        "output_stats": list(scan.value("path_stats_output").items()),
+        "input_input": reaccess.intervals.input_input.values.tolist(),
+        "output_input": reaccess.intervals.output_input.values.tolist(),
+        "within_6h": reaccess.intervals.fraction_within_6h,
+        "fractions": reaccess.fractions,
+        "naming": (naming.by_jobs, naming.by_bytes, naming.by_task_seconds,
+                   naming.framework_shares, naming.top_words_cover),
+    }
+
+
+@pytest.fixture(scope="module", params=("dict", "raw"))
+def path_sources(request, tmp_path_factory):
+    """One job set as a Trace, a ColumnarTrace and a store, plus a store
+    checkpointed on the prefix and then grown by the appended jobs."""
+    jobs = _path_jobs(8 if request.param == "dict" else 100_000)
+    trace = Trace(jobs, name="paths")
+    root = tmp_path_factory.mktemp("paths-%s" % request.param)
+    store = ChunkedTraceStore.write(root / "whole.store", trace,
+                                    chunk_rows=PATH_CHUNK_ROWS, name="paths")
+    prefix = ChunkedTraceStore.write(root / "grown.store", Trace(jobs[:PATH_PREFIX]),
+                                     chunk_rows=PATH_CHUNK_ROWS, name="paths")
+    checkpoint = str(root / "grown.ck.json")
+    _path_results(prefix, checkpoint_to=checkpoint)
+    grown = append_store(root / "grown.store", Trace(jobs[PATH_PREFIX:]))
+    return {"kind": request.param, "trace": trace, "columnar": trace.to_columnar(),
+            "store": store, "prefix": prefix, "grown": grown, "checkpoint": checkpoint,
+            "baseline": _path_results(trace)}
+
+
+class TestPathFoldsOnBothColumnKinds:
+    def test_fixture_has_the_intended_encodings(self, path_sources):
+        kind = path_sources["kind"]
+        for store in (path_sources["store"], path_sources["grown"]):
+            for column in ("input_path", "output_path", "name"):
+                assert store.string_encodings[column] == kind, column
+        if kind == "dict":
+            for column in ("input_path", "output_path", "name"):
+                assert len(path_sources["grown"].string_table(column)) > \
+                    len(path_sources["prefix"].string_table(column)), column
+
+    @pytest.mark.parametrize("representation", ("columnar", "store"))
+    def test_every_representation_agrees(self, path_sources, representation):
+        assert _path_results(path_sources[representation]) == path_sources["baseline"]
+
+    def test_parallel_agrees(self, path_sources):
+        assert _path_results(path_sources["store"],
+                             executor=ParallelExecutor(processes=2)) == \
+            path_sources["baseline"]
+
+    @pytest.mark.parametrize("processes", (None, 2))
+    def test_resumed_after_a_dictionary_growing_append_equals_cold(
+            self, path_sources, processes):
+        executor = ParallelExecutor(processes=processes) if processes else None
+        grown = path_sources["grown"]
+        assert _path_results(grown, executor=executor) == path_sources["baseline"]
+        assert _path_results(grown, executor=executor,
+                             resume_from=path_sources["checkpoint"]) == \
+            path_sources["baseline"]

@@ -243,7 +243,8 @@ class SortedColumnIndex(_ColumnIndex):
     FIELDS = ("values", "chunks", "rows")
     _part = staticmethod(_sorted_part)
 
-    __slots__ = ("column", "values", "chunks", "rows", "chunk_entries")
+    __slots__ = ("column", "values", "chunks", "rows", "chunk_entries",
+                 "_chunk_keys")
 
     def __init__(self, column: str, values: np.ndarray, chunks: np.ndarray,
                  rows: np.ndarray, chunk_entries: np.ndarray):
@@ -252,6 +253,9 @@ class SortedColumnIndex(_ColumnIndex):
         self.chunks = np.asarray(chunks, dtype=np.uint32)
         self.rows = np.asarray(rows, dtype=np.uint32)
         self.chunk_entries = np.asarray(chunk_entries, dtype=np.int64)
+        #: ``chunk * entries + entry`` for every entry, ascending (built by
+        #: the first :meth:`chunk_counts`; 8 bytes per entry).
+        self._chunk_keys: Optional[np.ndarray] = None
 
     @property
     def entries(self) -> int:
@@ -295,8 +299,22 @@ class SortedColumnIndex(_ColumnIndex):
         return self.chunks[lo:hi], self.rows[lo:hi]
 
     def chunk_counts(self, lo: int, hi: int, n_chunks: int) -> np.ndarray:
-        """Exact matches per chunk for the run ``[lo, hi)`` (LIMIT density)."""
-        return np.bincount(self.chunks[lo:hi], minlength=n_chunks)
+        """Exact matches per chunk ``0..n_chunks-1`` for the run ``[lo, hi)``
+        (LIMIT density).
+
+        Two ``searchsorted`` calls per chunk on the chunk key table, so a
+        probe costs O(n_chunks · log entries) whatever the run's length.
+        """
+        keys = self._chunk_keys
+        if keys is None:
+            order = np.argsort(self.chunks, kind="stable")
+            keys = self.chunks[order].astype(np.int64)
+            keys *= self.entries  # in place, to bound the build's peak memory
+            keys += order
+            self._chunk_keys = keys
+        base = np.arange(n_chunks, dtype=np.int64) * self.entries
+        return (np.searchsorted(keys, base + hi, side="left")
+                - np.searchsorted(keys, base + lo, side="left"))
 
     def top_entries(self, k: int, largest: bool) -> np.ndarray:
         """Indices of the top-k entries, tie-broken exactly like the scan path.

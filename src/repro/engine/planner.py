@@ -34,7 +34,7 @@ are always computed from live data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -134,21 +134,33 @@ class _Decision:
 # Probing helpers
 # ---------------------------------------------------------------------------
 class _DriverProbe:
-    """One predicate resolved against an index: exact counts + chunk density."""
+    """One predicate resolved against an index: exact counts + chunk density.
 
-    __slots__ = ("predicate", "index", "exact_positions", "matches",
-                 "chunk_counts", "run")
+    ``chunk_counts`` (matches per chunk) is worked out on first access from
+    the ``counts`` callable: only index-skip and LIMIT truncation read it, so
+    a point lookup or an index count never pays for it.
+    """
+
+    __slots__ = ("predicate", "index", "exact_positions", "matches", "run",
+                 "_counts", "_chunk_counts")
 
     def __init__(self, predicate: Predicate, index, exact_positions: bool,
-                 matches: int, chunk_counts: np.ndarray,
+                 matches: int, counts: Callable[[], np.ndarray],
                  run: Optional[Tuple[int, int]] = None):
         self.predicate = predicate
         self.index = index
         #: True when the probe yields exact row positions (sorted index runs).
         self.exact_positions = exact_positions
         self.matches = matches
-        self.chunk_counts = chunk_counts
         self.run = run
+        self._counts = counts
+        self._chunk_counts: Optional[np.ndarray] = None
+
+    @property
+    def chunk_counts(self) -> np.ndarray:
+        if self._chunk_counts is None:
+            self._chunk_counts = self._counts()
+        return self._chunk_counts
 
     def describe(self) -> str:
         pred = self.predicate
@@ -163,33 +175,44 @@ def _probe_predicate(store, indexes, predicate: Predicate) -> Optional[_DriverPr
     n_chunks = store.n_chunks
     if isinstance(index, SortedColumnIndex):
         if predicate.op == "finite":
-            counts = index.chunk_entries.copy()
-            return _DriverProbe(predicate, index, False, index.entries, counts)
+            return _DriverProbe(predicate, index, False, index.entries,
+                                lambda: index.chunk_entries)
         run = index.probe(predicate.op, predicate.value)
         if run is None:
             return None
         lo, hi = run
-        counts = index.chunk_counts(lo, hi, n_chunks)
-        return _DriverProbe(predicate, index, True, hi - lo, counts, run)
+        return _DriverProbe(predicate, index, True, hi - lo,
+                            lambda: index.chunk_counts(lo, hi, n_chunks), run)
     if isinstance(index, InvertedColumnIndex) and predicate.op in ("==", "!="):
         table = store.string_table(predicate.column)
         if table is None:
             return None
         code = table.lookup(str(predicate.value))
-        if predicate.op == "==":
-            if code is None:  # value not in the store at all: zero matches
-                return _DriverProbe(predicate, index, False, 0,
-                                    np.zeros(n_chunks, dtype=np.int64))
-            counts = index.chunk_counts_code(code, n_chunks)
-            return _DriverProbe(predicate, index, False, int(counts.sum()), counts)
-        # "!=": a chunk is skippable only when *every* row carries the code.
         if code is None:
-            return None  # matches everything; no pruning power
-        rows_per_chunk = np.asarray(store.chunk_rows(), dtype=np.int64)
-        eq_counts = index.chunk_counts_code(code, n_chunks)
-        counts = rows_per_chunk - eq_counts
-        return _DriverProbe(predicate, index, False, int(counts.sum()), counts)
+            if predicate.op == "!=":
+                return None  # matches everything; no pruning power
+            # value not in the store at all: zero matches
+            return _DriverProbe(predicate, index, False, 0,
+                                lambda: np.zeros(n_chunks, dtype=np.int64))
+        matches = index.count_code(code)
+        if predicate.op == "==":
+            return _DriverProbe(predicate, index, False, matches,
+                                lambda: index.chunk_counts_code(code, n_chunks))
+        # "!=": a chunk is skippable only when *every* row carries the code.
+        return _DriverProbe(
+            predicate, index, False, store.n_jobs - matches,
+            lambda: (np.asarray(store.chunk_rows(), dtype=np.int64)
+                     - index.chunk_counts_code(code, n_chunks)))
     return None
+
+
+def _run_starts(chunks: np.ndarray) -> List[int]:
+    """Where each run of equal values starts in the sorted ``chunks``."""
+    if not chunks.shape[0]:
+        return []
+    if chunks[0] == chunks[-1]:
+        return [0]
+    return [0] + (np.flatnonzero(chunks[1:] != chunks[:-1]) + 1).tolist()
 
 
 def _zone_admitted(store, predicates: Sequence[Predicate]) -> List[int]:
@@ -237,8 +260,10 @@ def _decide(store, query: Query, use_index: bool = True) -> _Decision:
         index = indexes.column(query.top_k_column)
         if isinstance(index, SortedColumnIndex):
             selection = index.top_entries(query.top_k, query.top_k_largest)
-            touched = (int(np.unique(index.chunks[selection]).shape[0])
-                       if selection.shape[0] else 0)
+            chunks, rows, restore = _rank_by_chunk(index, selection,
+                                                   query.top_k_largest)
+            starts = _run_starts(chunks)
+            touched = len(starts)
             plan.access_path = "index-topk"
             plan.driver = "%s [sorted index tail]" % (query.top_k_column,)
             plan.index_columns = (query.top_k_column,)
@@ -248,7 +273,8 @@ def _decide(store, query: Query, use_index: bool = True) -> _Decision:
             plan.reason = ("top-%d rows read off the sorted index; %d of %d "
                            "chunks hold them" % (query.top_k, touched, n_chunks))
             return _Decision(plan, "index-topk",
-                             {"index": index, "selection": selection})
+                             {"chunks": chunks, "rows": rows, "starts": starts,
+                              "restore": restore})
 
     probes: List[_DriverProbe] = []
     if indexes is not None:
@@ -291,11 +317,15 @@ def _decide(store, query: Query, use_index: bool = True) -> _Decision:
             and query.top_k_column is None and not query.aggregates):
         lo, hi = driver.run
         chunks, rows = driver.index.positions(lo, hi)
-        order = np.lexsort((rows, chunks))  # store order for bit-identity
-        chunks, rows = chunks[order], rows[order]
+        # Store order for bit-identity.  An "==" run is one tie, which the
+        # index already keeps in store order.
+        if chunks.shape[0] > 1 and driver.predicate.op != "==":
+            order = np.lexsort((rows, chunks))
+            chunks, rows = chunks[order], rows[order]
         if query.row_limit is not None:
             chunks, rows = chunks[:query.row_limit], rows[:query.row_limit]
-        touched = int(np.unique(chunks).shape[0])
+        starts = _run_starts(chunks)
+        touched = len(starts)
         plan.access_path = "index-probe"
         plan.used_index = True
         plan.chunks_planned = touched
@@ -303,7 +333,8 @@ def _decide(store, query: Query, use_index: bool = True) -> _Decision:
         plan.reason = ("single indexed predicate resolves to exact row "
                        "positions; %d of %d chunks decoded"
                        % (touched, n_chunks))
-        return _Decision(plan, "index-probe", {"chunks": chunks, "rows": rows})
+        return _Decision(plan, "index-probe",
+                         {"chunks": chunks, "rows": rows, "starts": starts})
 
     # General case: intersect every indexed predicate's chunk admission (and
     # let the zone maps prune further inside the scan).
@@ -365,10 +396,9 @@ def execute_planned(store, query: Query, use_index: bool = True) -> QueryResult:
                              for label, _op, _column in query.aggregates}
         result.rows_matched = int(payload["count"])
         result.chunks_skipped = store.n_chunks
-    elif mode == "index-probe":
-        result = _gather_positions(store, query, payload["chunks"], payload["rows"])
-    elif mode == "index-topk":
-        result = _gather_top_k(store, query, payload["index"], payload["selection"])
+    elif mode in ("index-probe", "index-topk"):
+        result = _gather(store, query, payload["chunks"], payload["rows"],
+                         payload["starts"], payload.get("restore"))
     elif mode == "index-skip":
         result = execute(store, query, chunk_indices=payload["chunk_indices"],
                          use_planner=False, admit=True)
@@ -380,60 +410,52 @@ def execute_planned(store, query: Query, use_index: bool = True) -> QueryResult:
     return result
 
 
-def _gather_positions(store, query: Query, chunks: np.ndarray,
-                      rows: np.ndarray) -> QueryResult:
-    """Materialize exact (chunk, row) positions, already in store order."""
-    result = QueryResult()
-    result.chunks_skipped = store.n_chunks
-    columns = query.required_columns()
-    collected: List[ColumnBlock] = []
-    if chunks.shape[0]:
-        unique_chunks = np.unique(chunks)
-        boundaries = np.searchsorted(chunks, unique_chunks, side="left")
-        boundaries = np.append(boundaries, chunks.shape[0])
-        for position, chunk in enumerate(unique_chunks):
-            block = store.read_chunk(int(chunk), columns=columns, admit=True)
-            taken = block.take(rows[boundaries[position]:boundaries[position + 1]])
-            if query.projection:
-                taken = taken.project(query.projection)
-            collected.append(taken)
-            result.chunks_scanned += 1
-            result.chunks_skipped -= 1
-            result.rows_scanned += taken.n_rows
-            result.rows_matched += taken.n_rows
-    result.rows = ColumnBlock.concat(collected) if collected else ColumnBlock({})
-    return result
+def _rank_by_chunk(index: SortedColumnIndex, selection: np.ndarray,
+                   largest: bool):
+    """Top-k entries grouped by chunk, and the way back to rank order.
 
-
-def _gather_top_k(store, query: Query, index: SortedColumnIndex,
-                  selection: np.ndarray) -> QueryResult:
-    """Assemble top-k rows in ranked order from their index coordinates."""
-    result = QueryResult()
-    result.chunks_skipped = store.n_chunks
-    if selection.shape[0] == 0:
-        result.rows = ColumnBlock({})
-        return result
+    Returns ``(chunks, rows, restore)``: the entries' coordinates sorted by
+    chunk (within a chunk, in rank order) and the permutation that puts rows
+    gathered in that order into rank order — ``None`` when every entry sits
+    in one chunk, so the gather is already ranked.
+    """
     values = index.values[selection]
     chunks = index.chunks[selection]
     rows = index.rows[selection]
     # Rank exactly like the heap scan: by value (desc for largest), ties by
     # store position ascending.
     position = chunks.astype(np.int64) * (np.int64(1) << 32) + rows.astype(np.int64)
-    keys = -values if query.top_k_largest else values
-    order = np.lexsort((position, keys))
-    chunks, rows = chunks[order], rows[order]
+    keys = -values if largest else values
+    rank = np.lexsort((position, keys))
+    chunks, rows = chunks[rank], rows[rank]
+    if not chunks.shape[0] or np.all(chunks == chunks[0]):
+        return chunks, rows, None
+    group = np.argsort(chunks, kind="stable")
+    restore = np.empty_like(group)
+    restore[group] = np.arange(group.shape[0])
+    return chunks[group], rows[group], restore
+
+
+def _gather(store, query: Query, chunks: np.ndarray, rows: np.ndarray,
+            starts: List[int], restore: Optional[np.ndarray]) -> QueryResult:
+    """Materialize ``(chunk, row)`` positions sorted by chunk, one ``take`` per
+    chunk (runs begin at ``starts``); ``restore`` reorders the gathered rows
+    (top-k rank order), ``None`` keeps them as gathered."""
+    result = QueryResult()
+    result.chunks_skipped = store.n_chunks
     columns = query.required_columns()
-    cache: Dict[int, ColumnBlock] = {}
-    for chunk in np.unique(chunks):
-        cache[int(chunk)] = store.read_chunk(int(chunk), columns=columns, admit=True)
-        result.chunks_scanned += 1
-        result.chunks_skipped -= 1
-    pieces = [cache[int(chunk)].slice(int(row), int(row) + 1)
-              for chunk, row in zip(chunks, rows)]
-    merged = ColumnBlock.concat(pieces)
-    if query.projection:
+    bounds = starts + [chunks.shape[0]]
+    pieces: List[ColumnBlock] = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        block = store.read_chunk(int(chunks[lo]), columns=columns, admit=True)
+        pieces.append(block.take(rows[lo:hi]))
+    merged = pieces[0] if len(pieces) == 1 else ColumnBlock.concat(pieces)
+    if restore is not None:
+        merged = merged.take(restore)
+    if query.projection and pieces:
         merged = merged.project(query.projection)
     result.rows = merged
-    result.rows_scanned = int(selection.shape[0])
-    result.rows_matched = int(selection.shape[0])
+    result.chunks_scanned = len(pieces)
+    result.chunks_skipped -= len(pieces)
+    result.rows_scanned = result.rows_matched = int(chunks.shape[0])
     return result

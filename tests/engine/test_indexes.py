@@ -2,6 +2,9 @@
 
 import json
 import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -127,6 +130,34 @@ class TestSortedColumnIndex:
         assert index.values[top].tolist() == [5.0, 100.0]
         assert index.top_entries(50, largest=True).shape[0] == index.entries
 
+    def test_chunk_counts_from_racing_threads(self):
+        # The daemon's request threads share one loaded index, so the first
+        # chunk_counts calls can race to build its chunk key table.
+        rng = np.random.default_rng(3)
+        arrays = [rng.integers(0, 40, size=200).astype(np.float64) for _ in range(6)]
+        runs = [(0, 0), (0, 1200), (17, 900), (300, 301), (1199, 1200)]
+        threads = 8
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(threads) as pool:
+                for _ in range(20):
+                    index = SortedColumnIndex.build("x", arrays)
+                    start = threading.Barrier(threads)
+
+                    def counts(lo, hi, index=index, start=start):
+                        start.wait(timeout=10)
+                        return index.chunk_counts(lo, hi, len(arrays))
+
+                    futures = [pool.submit(counts, *runs[i % len(runs)])
+                               for i in range(threads)]
+                    for i, future in enumerate(futures):
+                        lo, hi = runs[i % len(runs)]
+                        expected = np.bincount(index.chunks[lo:hi], minlength=len(arrays))
+                        assert future.result(timeout=30).tolist() == expected.tolist()
+        finally:
+            sys.setswitchinterval(interval)
+
 
 # ---------------------------------------------------------------------------
 # InvertedColumnIndex against naive counts
@@ -180,6 +211,14 @@ from hypothesis import strategies as st  # noqa: E402
 
 chunked_floats = st.lists(
     st.lists(st.one_of(st.floats(min_value=-1e6, max_value=1e6),
+                       st.just(float("nan"))),
+             max_size=12),
+    min_size=1, max_size=6)
+
+# Few distinct values, so runs cross chunks and split tie groups.
+chunked_tied_floats = st.lists(
+    st.lists(st.one_of(st.sampled_from([-2.0, 0.0, 1.5, 7.0]),
+                       st.floats(min_value=-1e6, max_value=1e6),
                        st.just(float("nan"))),
              max_size=12),
     min_size=1, max_size=6)
@@ -251,6 +290,32 @@ class TestIndexProperties:
         rebuilt = InvertedColumnIndex.build("s", arrays)
         for key, array in rebuilt.arrays().items():
             assert np.array_equal(array, extended.arrays()[key]), key
+
+    @settings(max_examples=60, deadline=None)
+    @given(chunks=chunked_tied_floats, split=st.integers(min_value=1, max_value=6),
+           cuts=st.lists(st.tuples(st.floats(min_value=0, max_value=1),
+                                   st.floats(min_value=0, max_value=1)),
+                         max_size=8),
+           extra=st.integers(min_value=0, max_value=2))
+    def test_chunk_counts_equal_bincount(self, chunks, split, cuts, extra):
+        arrays = [np.asarray(chunk, dtype=np.float64) for chunk in chunks]
+        split = min(split, len(arrays))
+        # a built index, and the base + one-run-per-append shape of an
+        # appended store
+        built = SortedColumnIndex.build("x", arrays)
+        merged = SortedColumnIndex.build("x", arrays[:split])._merged(
+            [SortedColumnIndex._run("x", chunk, [arrays[chunk]])
+             for chunk in range(split, len(arrays))])
+        n_chunks = len(arrays) + extra  # trailing chunks with no entries
+        for index in (built, merged):
+            entries = index.entries
+            runs = [(0, 0), (0, entries), (entries, entries)] + [
+                tuple(sorted((int(a * entries), int(b * entries))))
+                for a, b in cuts]
+            for lo, hi in runs:
+                expected = np.bincount(index.chunks[lo:hi], minlength=n_chunks)
+                got = index.chunk_counts(lo, hi, n_chunks)
+                assert got.tolist() == expected.tolist(), (lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from repro.engine import (
     ChunkedTraceStore,
+    ColumnBlock,
     Query,
     build_indexes,
     execute,
@@ -35,6 +36,10 @@ def make_jobs(n, seed=0):
             workload="phase%03d" % (index // 96),
         ))
     return jobs
+
+
+#: ``input_bytes`` of row 321 of the fixture store — held by that row alone.
+POINT_VALUE = make_jobs(640, seed=1)[321].input_bytes
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +172,15 @@ class TestEquivalenceBattery:
         Query().filter("input_bytes", ">", 1e8).group_by("framework").count(),
         Query().filter("duration_s", "<=", 40.0).limit(7),
         Query().limit(9),
+        # index-probe: one row, an absent value, a tie spread over chunks
+        Query().filter("input_bytes", "==", POINT_VALUE)
+               .project(["job_id", "input_bytes"]),
+        Query().filter("input_bytes", "==", 12345.5),
+        Query().filter("map_tasks", "==", 7),
+        Query().filter("map_tasks", "==", 7).limit(3),
+        # index-topk: every row in the last chunk, then rows across chunks
+        Query().top("submit_time_s", 5),
+        Query().top("duration_s", 12).project(["job_id", "duration_s"]),
     ]
 
     @pytest.mark.parametrize("query_index", range(len(QUERIES)))
@@ -188,3 +202,54 @@ class TestEquivalenceBattery:
                 query = (Query().top("map_tasks", k, largest=largest)
                          .project(["job_id", "map_tasks"]))
                 assert_identical(store, query)
+
+    def test_gathers_plan_exactly_the_chunks_holding_their_rows(self, store):
+        rows_per_chunk = store.chunk_rows()[0]
+        checked = set()
+        for query in self.QUERIES:
+            result = execute(store, query)
+            rows = result.rows
+            if (result.plan.access_path not in ("index-probe", "index-topk")
+                    or (rows.n_rows and not rows.has_column("job_id"))):
+                continue
+            ids = rows.column("job_id").tolist() if rows.n_rows else []
+            held = {int(job_id[2:]) // rows_per_chunk for job_id in ids}
+            assert result.plan.chunks_planned == len(held) == result.chunks_scanned
+            checked.add(len(held))
+        assert {0, 1} <= checked and max(checked) > 1
+
+    def test_tied_point_value_spans_chunks(self, store):
+        result = execute(store, Query().filter("map_tasks", "==", 7))
+        assert result.plan.access_path == "index-probe"
+        assert result.plan.chunks_planned > 1
+        assert result.rows.n_rows > result.plan.chunks_planned  # ties in a chunk
+
+
+def _forbid(name):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("%s called on an index gather" % name)
+    return forbidden
+
+
+class TestGatherCost:
+    """Index gathers pay for their rows, not for sorting and grouping them."""
+
+    def test_single_row_lookup_skips_numpy_bookkeeping(self, store, monkeypatch):
+        query = (Query().filter("input_bytes", "==", POINT_VALUE)
+                 .project(["job_id", "input_bytes"]))
+        expected = execute(store, query).row_dicts()  # warms the block cache
+        for name in ("unique", "lexsort", "bincount"):
+            monkeypatch.setattr(np, name, _forbid("np." + name))
+        monkeypatch.setattr(ColumnBlock, "concat", staticmethod(_forbid("concat")))
+        result = execute(store, query)
+        assert result.plan.access_path == "index-probe"
+        assert result.row_dicts() == expected and len(expected) == 1
+
+    def test_one_chunk_top_k_skips_concat(self, store, monkeypatch):
+        query = Query().top("submit_time_s", 5)
+        expected = execute(store, query).row_dicts()
+        monkeypatch.setattr(ColumnBlock, "concat", staticmethod(_forbid("concat")))
+        result = execute(store, query)
+        assert result.plan.access_path == "index-topk"
+        assert result.plan.chunks_planned == 1
+        assert result.row_dicts() == expected

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..core.naming import analyze_naming
-from ..core.sharedscan import CharacterizationAnalyses
+from ..core.sharedscan import CharacterizationAnalyses, workload_analyses
 from ..errors import AnalysisError
 from .rendering import ExperimentResult
 
@@ -23,8 +22,9 @@ def figure10(traces: Dict[str, object], top_n: int = 5,
     """Build the Figure-10 reproduction for every trace that records names.
 
     Traces may be in any :class:`~repro.engine.source.TraceSource`-wrappable
-    representation; the naming fold streams the name column chunk by chunk
-    (through the shared scan when ``analyses`` is given).
+    representation; the naming fold of the shared scan streams the name
+    column chunk by chunk (a workload missing from ``analyses`` is scanned
+    on its own).
     """
     result = ExperimentResult(
         experiment_id="figure10",
@@ -33,10 +33,7 @@ def figure10(traces: Dict[str, object], top_n: int = 5,
     )
     for name, trace in traces.items():
         try:
-            if analyses is not None and name in analyses:
-                analysis = analyses[name].value("naming")
-            else:
-                analysis = analyze_naming(trace)
+            analysis = workload_analyses(analyses, name, trace, "figure10").value("naming")
         except AnalysisError:
             result.notes.append("%s records no job names (as in the paper's FB-2010 trace)" % name)
             continue

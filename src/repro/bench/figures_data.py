@@ -11,9 +11,9 @@ Every function also accepts ``analyses``: the per-workload results of one
 shared characterization scan
 (:func:`repro.core.sharedscan.run_characterization_scan`).  The suite runner
 builds that scan once per trace, so the whole Figure 1-6 block consumes a
-single decoded pass; called without ``analyses``, each figure folds its own
-consumers (same code, one scan per figure).  Store-backed inputs stream chunk
-by chunk; Figure 1's CDFs are then sketch-backed (see
+single decoded pass; a workload without a bundle is scanned for just the
+figure's own analyses (same consumers, one scan per figure).  Store-backed
+inputs stream chunk by chunk; Figure 1's CDFs are then sketch-backed (see
 :mod:`repro.core.datasizes`), everything else is exact.
 """
 
@@ -21,22 +21,14 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..core.access import (
-    eighty_x_from_profile,
-    reaccess_fractions,
-    reaccess_intervals,
-    size_access_profile,
-)
-from ..core.datasizes import analyze_data_sizes, median_spread_orders
-from ..core.sharedscan import CharacterizationAnalyses
-from ..core.zipf import column_rank_frequencies
+from ..core.access import eighty_x_from_profile
+from ..core.datasizes import median_spread_orders
+from ..core.sharedscan import CharacterizationAnalyses, workload_analyses
 from ..errors import AnalysisError
 from ..units import format_bytes
 from .rendering import ExperimentResult
 
 __all__ = ["figure1", "figure2", "figure3", "figure4", "figure5", "figure6"]
-
-_RANK_COLUMNS = {"input": "input_path", "output": "output_path"}
 
 
 def _cdf_series(cdf, max_points: int = 200):
@@ -71,13 +63,6 @@ def _cdf_series(cdf, max_points: int = 200):
     return thinned
 
 
-def _bundle(analyses: Optional[Dict[str, CharacterizationAnalyses]],
-            name: str) -> Optional[CharacterizationAnalyses]:
-    if analyses is None:
-        return None
-    return analyses.get(name)
-
-
 def figure1(traces: Dict[str, object],
             analyses: Optional[Dict[str, CharacterizationAnalyses]] = None) -> ExperimentResult:
     """Figure 1: CDFs of per-job input, shuffle and output size per workload."""
@@ -88,8 +73,7 @@ def figure1(traces: Dict[str, object],
     )
     distributions = []
     for name, trace in traces.items():
-        bundle = _bundle(analyses, name)
-        dist = bundle.value("data_sizes") if bundle is not None else analyze_data_sizes(trace)
+        dist = workload_analyses(analyses, name, trace, "figure1").value("data_sizes")
         distributions.append(dist)
         result.rows.append([
             name,
@@ -120,17 +104,11 @@ def figure2(traces: Dict[str, object],
         headers=["Workload", "Kind", "Distinct files", "Max frequency", "Fitted slope"],
     )
     for name, trace in traces.items():
-        bundle = _bundle(analyses, name)
+        bundle = workload_analyses(analyses, name, trace, "figure2")
         for kind in ("input", "output"):
-            if bundle is not None:
-                ranks = bundle.get("%s_ranks" % kind)
-                if ranks is None:
-                    continue
-            else:
-                try:
-                    ranks = column_rank_frequencies(trace, _RANK_COLUMNS[kind])
-                except AnalysisError:
-                    continue
+            ranks = bundle.get("%s_ranks" % kind)
+            if ranks is None:
+                continue
             slope = "%.2f" % ranks.slope if ranks.slope is not None else "-"
             result.rows.append([
                 name, kind, str(ranks.n_items), str(int(ranks.frequencies[0])), slope,
@@ -162,16 +140,10 @@ def _size_profile_figure(traces: Dict[str, object], kind: str, experiment_id: st
         headers=["Workload", "Jobs on files <= 4 GB", "Stored bytes in files <= 4 GB", "80-x rule (x%)"],
     )
     for name, trace in traces.items():
-        bundle = _bundle(analyses, name)
-        if bundle is not None:
-            profile = bundle.get("%s_profile" % kind)
-            if profile is None:
-                continue
-        else:
-            try:
-                profile = size_access_profile(trace, kind)
-            except AnalysisError:
-                continue
+        profile = workload_analyses(analyses, name, trace, experiment_id).get(
+            "%s_profile" % kind)
+        if profile is None:
+            continue
         try:
             rule = eighty_x_from_profile(profile)
         except AnalysisError:
@@ -200,16 +172,10 @@ def figure5(traces: Dict[str, object],
         headers=["Workload", "Re-accesses within 6 hours"],
     )
     for name, trace in traces.items():
-        bundle = _bundle(analyses, name)
-        if bundle is not None:
-            intervals = bundle.get("reaccess_intervals")
-            if intervals is None:
-                continue
-        else:
-            try:
-                intervals = reaccess_intervals(trace)
-            except AnalysisError:
-                continue
+        intervals = workload_analyses(analyses, name, trace, "figure5").get(
+            "reaccess_intervals")
+        if intervals is None:
+            continue
         if intervals.input_input is None and intervals.output_input is None:
             continue
         result.rows.append([name, "%.0f%%" % (100 * intervals.fraction_within_6h)])
@@ -230,16 +196,10 @@ def figure6(traces: Dict[str, object],
         headers=["Workload", "Re-access pre-existing input", "Re-access pre-existing output", "Either"],
     )
     for name, trace in traces.items():
-        bundle = _bundle(analyses, name)
-        if bundle is not None:
-            fractions = bundle.get("reaccess_fractions")
-            if fractions is None:
-                continue
-        else:
-            try:
-                fractions = reaccess_fractions(trace)
-            except AnalysisError:
-                continue
+        fractions = workload_analyses(analyses, name, trace, "figure6").get(
+            "reaccess_fractions")
+        if fractions is None:
+            continue
         result.rows.append([
             name,
             "%.0f%%" % (100 * fractions.input_reaccess),

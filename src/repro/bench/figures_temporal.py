@@ -6,10 +6,12 @@ reference signals; Figure 9 — pairwise correlations between the hourly
 submission dimensions.
 
 Traces may be given in any :class:`~repro.engine.source.TraceSource`-wrappable
-representation.  The hourly series come from chunked group-by scans; for the
-Figure-7 utilization column a store-backed source feeds the replayer through
-the shared lazy event loop (one chunk of jobs at a time) instead of
-materializing the trace, producing the identical metric fold.
+representation.  The hourly series come from the hourly group-by fold of the
+shared characterization scan (a workload without a bundle in ``analyses`` is
+scanned for that fold alone); for the Figure-7 utilization column a
+store-backed source feeds the replayer through the shared lazy event loop
+(one chunk of jobs at a time) instead of materializing the trace, producing
+the identical metric fold.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..core.burstiness import burstiness_curve, hourly_task_seconds
-from ..core.sharedscan import CharacterizationAnalyses
-from ..core.temporal import dimension_correlations, diurnal_strength, hourly_dimensions, weekly_view
+from ..core.burstiness import burstiness_curve
+from ..core.sharedscan import CharacterizationAnalyses, workload_analyses
+from ..core.temporal import dimension_correlations, diurnal_strength, weekly_view
 from ..engine.source import TraceSource
 from ..errors import AnalysisError
 from ..simulator.cluster import ClusterConfig
@@ -79,7 +81,7 @@ def figure7(traces: Dict[str, object], simulate_utilization: bool = True,
     """Figure 7: workload behaviour over a week in four dimensions.
 
     The first three columns (submissions, I/O and task-time per hour) come
-    straight from the trace (via the shared scan when ``analyses`` is given);
+    straight from the trace, through the shared scan's hourly fold;
     the fourth (cluster utilization in active slots) is obtained by replaying
     the first week of the trace on the simulator, mirroring how the paper's
     utilization column reflects the cluster's execution rather than the
@@ -91,11 +93,7 @@ def figure7(traces: Dict[str, object], simulate_utilization: bool = True,
         headers=["Workload", "Hours", "Mean jobs/hr", "Peak jobs/hr", "Diurnal strength"],
     )
     for name, trace in traces.items():
-        source = TraceSource.wrap(trace)
-        if analyses is not None and name in analyses:
-            dims = analyses[name].value("hourly")
-        else:
-            dims = hourly_dimensions(source)
+        dims = workload_analyses(analyses, name, trace, "figure7").value("hourly")
         week = weekly_view(dims, 0)
         jobs_series = week.series["jobs"]
         diurnal = diurnal_strength(dims.jobs_per_hour)
@@ -112,7 +110,8 @@ def figure7(traces: Dict[str, object], simulate_utilization: bool = True,
                 (float(hour), float(value)) for hour, value in enumerate(series)
             ]
         if simulate_utilization:
-            hourly_slots = _first_week_utilization(source, max_simulated_jobs)
+            hourly_slots = _first_week_utilization(TraceSource.wrap(trace),
+                                                   max_simulated_jobs)
             if hourly_slots is not None:
                 result.series["%s/active_slots_per_hour" % name] = [
                     (float(hour), float(value))
@@ -135,11 +134,8 @@ def figure8(traces: Dict[str, object],
     )
     for name, trace in traces.items():
         try:
-            if analyses is not None and name in analyses:
-                hourly = analyses[name].value("hourly").task_seconds_per_hour
-            else:
-                hourly = hourly_task_seconds(trace)
-            burst = burstiness_curve(hourly, drop_zero_hours=True)
+            hourly = workload_analyses(analyses, name, trace, "figure8").value("hourly")
+            burst = burstiness_curve(hourly.task_seconds_per_hour, drop_zero_hours=True)
         except AnalysisError:
             continue
         result.rows.append([
@@ -175,10 +171,7 @@ def figure9(traces: Dict[str, object],
     )
     all_values = {"jobs-bytes": [], "jobs-task-seconds": [], "bytes-task-seconds": []}
     for name, trace in traces.items():
-        if analyses is not None and name in analyses:
-            dims = analyses[name].value("hourly")
-        else:
-            dims = hourly_dimensions(trace)
+        dims = workload_analyses(analyses, name, trace, "figure9").value("hourly")
         correlations = dimension_correlations(dims)
         values = correlations.as_dict()
         for key in all_values:

@@ -70,7 +70,6 @@ def run_suite(seed: int = 0, scale: Optional[float] = None,
               include_ablations: bool = True,
               include_simulation: bool = True,
               experiments: Optional[List[str]] = None,
-              shared_scan: bool = True,
               processes: Optional[int] = None,
               analyses: Optional[Dict[str, CharacterizationAnalyses]] = None
               ) -> List[ExperimentResult]:
@@ -87,11 +86,6 @@ def run_suite(seed: int = 0, scale: Optional[float] = None,
         include_simulation: include the experiments that need the replay
             simulator (Figure 7 utilization column, SWIM replay, cache ablation).
         experiments: restrict to a subset of :data:`EXPERIMENT_IDS`.
-        shared_scan: run the selected characterization experiments from **one**
-            shared scan per trace (see :mod:`repro.core.sharedscan`) instead of
-            one scan per experiment.  ``False`` forces the per-analysis path
-            (the results are identical; this exists for benchmarking and for
-            the equality tests).
         processes: fan the shared scan of store-backed traces out over this
             many worker processes (``None`` = serial; implies nothing for
             materialized traces).
@@ -121,7 +115,7 @@ def run_suite(seed: int = 0, scale: Optional[float] = None,
 
     characterization = [experiment_id for experiment_id in CHARACTERIZATION_EXPERIMENT_IDS
                         if wanted(experiment_id)]
-    if analyses is None and shared_scan and characterization:
+    if analyses is None and characterization:
         executor = ParallelExecutor(processes=processes) if processes else None
         analyses = {
             name: run_characterization_scan(trace, experiments=characterization,

@@ -5,15 +5,15 @@ length, job count, bytes moved) from the generated traces, alongside the
 published full-scale values carried on each workload's spec, so the scaled
 reproduction can be compared against the paper directly.  Traces may be given
 in any :class:`~repro.engine.source.TraceSource`-wrappable representation —
-a chunked store is summarized by one engine scan without materializing jobs.
+each row is the ``summary`` fold of the shared characterization scan, so a
+chunked store is summarized without materializing jobs.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..core.sharedscan import CharacterizationAnalyses
-from ..engine.source import TraceSource
+from ..core.sharedscan import CharacterizationAnalyses, workload_analyses
 from ..traces.registry import DEFAULT_SCALES, PAPER_WORKLOAD_NAMES, get_spec
 from ..units import format_bytes, format_duration
 from .rendering import ExperimentResult
@@ -42,9 +42,8 @@ def table1(traces: Dict[str, object], scales: Optional[Dict[str, float]] = None,
             chunked stores for the out-of-core path).
         scales: the scale factor used per workload, recorded in the notes.
         analyses: optional shared-scan results per workload (from
-            :func:`repro.core.sharedscan.run_characterization_scan`); when
-            given, the summaries come from the one decoded pass instead of a
-            dedicated scan.
+            :func:`repro.core.sharedscan.run_characterization_scan`); a
+            workload without one is summarized by a scan of its own.
     """
     scales = scales or DEFAULT_SCALES
     headers = ["Trace", "Machines", "Length", "Jobs", "Bytes moved", "Scale", "Paper jobs", "Paper bytes"]
@@ -52,10 +51,7 @@ def table1(traces: Dict[str, object], scales: Optional[Dict[str, float]] = None,
     for name in PAPER_WORKLOAD_NAMES:
         if name not in traces:
             continue
-        if analyses is not None and name in analyses:
-            summary = analyses[name].value("summary")
-        else:
-            summary = TraceSource.wrap(traces[name]).summary()
+        summary = workload_analyses(analyses, name, traces[name], "table1").value("summary")
         paper_jobs, paper_bytes = PAPER_TABLE1.get(name, ("-", "-"))
         rows.append([
             name,

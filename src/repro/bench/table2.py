@@ -17,10 +17,12 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..core.clustering import ClusterSampleConsumer, cluster_jobs
-from ..core.sharedscan import DEFAULT_CLUSTER_SAMPLE_CAP, CharacterizationAnalyses
-from ..engine.pipeline import fold_consumer
-from ..engine.source import TraceSource
+from ..core.clustering import cluster_jobs
+from ..core.sharedscan import (
+    DEFAULT_CLUSTER_SAMPLE_CAP,
+    CharacterizationAnalyses,
+    run_characterization_scan,
+)
 from .rendering import ExperimentResult
 
 __all__ = ["table2"]
@@ -41,8 +43,10 @@ def table2(traces: Dict[str, object], max_k: int = 10, seed: int = 0,
             bias the job-type mix (job classes are not spread evenly over the
             trace timeline).
         analyses: optional shared-scan results built with the same ``seed``
-            and cap; their pre-drawn sample replaces the dedicated sample
-            scan (identical rows, hence identical clusters).
+            and the default cap; their pre-drawn sample is clustered.  A
+            workload without one (or any workload, under another cap) draws
+            its sample in a Table-2-only scan — identical rows, hence
+            identical clusters.
     """
     result = ExperimentResult(
         experiment_id="table2",
@@ -51,19 +55,16 @@ def table2(traces: Dict[str, object], max_k: int = 10, seed: int = 0,
                  "Map time", "Reduce time", "Label"],
     )
     for name, trace in traces.items():
-        source = TraceSource.wrap(trace)
-        clustered = source
         if (analyses is not None and name in analyses
                 and analyses[name].has("cluster_sample")
                 and max_jobs_per_workload == DEFAULT_CLUSTER_SAMPLE_CAP):
-            sample = analyses[name].value("cluster_sample")
-            if sample is not None:
-                clustered = sample
+            bundle = analyses[name]
         else:
-            sample = ClusterSampleConsumer.for_source(source, max_jobs_per_workload, seed)
-            if sample is not None:
-                clustered = fold_consumer(source, sample)
-        clustering = cluster_jobs(clustered, max_k=max_k, seed=seed)
+            bundle = run_characterization_scan(trace, experiments=["table2"], seed=seed,
+                                               cluster_sample_cap=max_jobs_per_workload)
+        sample = bundle.value("cluster_sample")  # None: cluster every job
+        clustering = cluster_jobs(trace if sample is None else sample,
+                                  max_k=max_k, seed=seed)
         for cluster in clustering.clusters:
             result.rows.append([name] + cluster.as_row())
         result.notes.append(

@@ -192,9 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="subset of experiments to run")
     bench.add_argument("--no-simulation", action="store_true",
                        help="skip experiments that need the replay simulator")
-    bench.add_argument("--no-shared-scan", action="store_true",
-                       help="run each characterization experiment as its own "
-                            "scan instead of one shared scan per trace")
     bench.add_argument("--processes", type=int, default=None, metavar="N",
                        help="worker processes for the shared scan of "
                             "store-backed traces")
@@ -475,7 +472,6 @@ def _dispatch(parser, args) -> int:
                             traces=traces,
                             experiments=experiments,
                             include_simulation=not args.no_simulation,
-                            shared_scan=not args.no_shared_scan,
                             processes=args.processes)
         report = render_suite(results)
         print(report)

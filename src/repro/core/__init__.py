@@ -15,12 +15,7 @@ from .stats import (
     percentile_ratio_curve,
     sketch_cdf,
 )
-from .zipf import (
-    RankFrequency,
-    column_rank_frequencies,
-    fit_zipf_slope,
-    rank_frequencies,
-)
+from .zipf import RankFrequency, fit_zipf_slope
 from .burstiness import BurstinessResult, analyze_burstiness, burstiness_curve, hourly_task_seconds
 from .temporal import (
     CorrelationResult,
@@ -29,24 +24,11 @@ from .temporal import (
     WeeklyView,
     dimension_correlations,
     diurnal_strength,
-    hourly_dimensions,
     hourly_totals,
     weekly_view,
 )
-from .datasizes import DataSizeDistributions, analyze_data_sizes, median_spread_orders
-from .access import (
-    AccessPatternResult,
-    ReaccessFractions,
-    ReaccessIntervals,
-    SizeAccessProfile,
-    analyze_access_patterns,
-    eighty_x_rule,
-    input_rank_frequencies,
-    output_rank_frequencies,
-    reaccess_fractions,
-    reaccess_intervals,
-    size_access_profile,
-)
+from .datasizes import DataSizeDistributions, median_spread_orders
+from .access import AccessPatternResult, ReaccessFractions, ReaccessIntervals, SizeAccessProfile
 from .kmeans import (
     KMeansResult,
     KSelectionResult,
@@ -62,7 +44,6 @@ from .naming import (
     FRAMEWORK_KEYWORDS,
     FirstWordBreakdown,
     NamingAnalysis,
-    analyze_naming,
     classify_framework,
 )
 from .multiplexing import ConsolidationStudy, consolidate, consolidation_study
@@ -103,8 +84,6 @@ __all__ = [
     "pearson_correlation",
     # zipf
     "RankFrequency",
-    "rank_frequencies",
-    "column_rank_frequencies",
     "fit_zipf_slope",
     # burstiness
     "BurstinessResult",
@@ -117,13 +96,11 @@ __all__ = [
     "DiurnalAnalysis",
     "CorrelationResult",
     "hourly_totals",
-    "hourly_dimensions",
     "weekly_view",
     "diurnal_strength",
     "dimension_correlations",
     # data sizes
     "DataSizeDistributions",
-    "analyze_data_sizes",
     "median_spread_orders",
     # shared scan
     "CharacterizationAnalyses",
@@ -134,13 +111,6 @@ __all__ = [
     "SizeAccessProfile",
     "ReaccessIntervals",
     "ReaccessFractions",
-    "input_rank_frequencies",
-    "output_rank_frequencies",
-    "size_access_profile",
-    "reaccess_intervals",
-    "reaccess_fractions",
-    "eighty_x_rule",
-    "analyze_access_patterns",
     # kmeans / clustering
     "KMeansResult",
     "KSelectionResult",
@@ -159,7 +129,6 @@ __all__ = [
     "classify_framework",
     "FirstWordBreakdown",
     "NamingAnalysis",
-    "analyze_naming",
     # multiplexing / consolidation
     "consolidate",
     "ConsolidationStudy",

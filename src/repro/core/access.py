@@ -22,11 +22,12 @@ fractions in a single pass of its own.  Both key their state on dense
 integer path ids from an :class:`~repro.engine.pipeline.Interner`, so a
 chunk costs one gather through dictionary codes (or one ``dict`` pass over a
 raw column) and the per-path arrays are indexed by id; paths are sorted only
-when a snapshot or a result is emitted.  The standalone entry points below
-run the same consumers as degenerate one-consumer pipelines, so a statistic
-computed standalone and inside the full characterization scan is identical by
-construction.  All results here are exact (dictionary- and counter-based) —
-identical across representations, chunkings and worker counts.
+when a snapshot or a result is emitted.  Callers reach these folds through
+:func:`repro.core.sharedscan.run_characterization_scan`, which also turns a
+path-statistics fold into Figure 2's ranks and the Figure 3/4 profiles with
+the ``*_from_path_stats`` helpers below.  All results here are exact
+(dictionary- and counter-based) — identical across representations,
+chunkings and worker counts.
 """
 
 from __future__ import annotations
@@ -36,13 +37,11 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..engine.pipeline import (ChunkConsumer, Interner, ScanChunk, ScanPipeline,
-                               fold_consumer)
-from ..engine.source import TraceSource
+from ..engine.pipeline import ChunkConsumer, Interner, ScanChunk
 from ..errors import AnalysisError
 from ..units import GB
 from .stats import EmpiricalCDF, empirical_cdf
-from .zipf import RankFrequency, column_rank_frequencies, rank_frequencies_from_counts
+from .zipf import RankFrequency, rank_frequencies_from_counts
 
 __all__ = [
     "SizeAccessProfile",
@@ -52,31 +51,10 @@ __all__ = [
     "AccessPatternResult",
     "PathStatsConsumer",
     "ReaccessConsumer",
-    "input_rank_frequencies",
-    "output_rank_frequencies",
-    "path_stats",
     "rank_frequencies_from_path_stats",
-    "size_access_profile",
     "profile_from_path_stats",
-    "reaccess_intervals",
-    "reaccess_fractions",
-    "eighty_x_rule",
     "eighty_x_from_profile",
-    "analyze_access_patterns",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Figure 2: rank-frequency
-# ---------------------------------------------------------------------------
-def input_rank_frequencies(trace) -> RankFrequency:
-    """Access frequency vs rank for input paths (Figure 2, top)."""
-    return column_rank_frequencies(trace, "input_path")
-
-
-def output_rank_frequencies(trace) -> RankFrequency:
-    """Access frequency vs rank for output paths (Figure 2, bottom)."""
-    return column_rank_frequencies(trace, "output_path")
 
 
 # ---------------------------------------------------------------------------
@@ -144,26 +122,13 @@ class PathStatsConsumer(ChunkConsumer):
                                              state.trimmed("counts").tolist())}
 
 
-def path_stats(trace, kind: str) -> Dict[str, List[float]]:
-    """Per-path [max bytes, access count] for one path kind (one fold).
-
-    Raises:
-        AnalysisError: when the trace records no paths of that kind.
-    """
-    source = TraceSource.wrap(trace)
-    consumer = PathStatsConsumer(kind)
-    if not source.has_column(consumer.columns[0]):
-        raise AnalysisError("trace has no recorded %s paths" % kind)
-    return fold_consumer(source, consumer)
-
-
 def rank_frequencies_from_path_stats(stats: Dict[str, List[float]],
                                      min_items: int = 2) -> RankFrequency:
     """The Figure-2 rank-frequency curve from a path-statistics fold.
 
-    The access counts of :class:`PathStatsConsumer` are exactly the counts
-    :func:`~repro.core.zipf.column_rank_frequencies` would tally, so the
-    shared scan derives Figure 2 from the same fold as Figures 3/4.
+    The access counts of :class:`PathStatsConsumer` are the per-path access
+    tallies Figure 2 ranks, so the shared scan derives Figure 2 from the same
+    fold as Figures 3/4.
     """
     return rank_frequencies_from_counts(
         {path: int(entry[1]) for path, entry in stats.items()}, min_items=min_items)
@@ -235,13 +200,6 @@ def profile_from_path_stats(stats: Dict[str, List[float]],
     )
 
 
-def size_access_profile(trace, kind: str = "input",
-                        small_file_threshold: float = 4 * GB) -> SizeAccessProfile:
-    """Compute the Figure-3 (input) or Figure-4 (output) profile for a trace."""
-    return profile_from_path_stats(path_stats(trace, kind),
-                                   small_file_threshold=small_file_threshold)
-
-
 def eighty_x_from_profile(profile: SizeAccessProfile,
                           job_fraction: float = 0.8) -> float:
     """The "80-x" rule of §4.2 read off an already-computed size profile.
@@ -256,13 +214,6 @@ def eighty_x_from_profile(profile: SizeAccessProfile,
         raise AnalysisError("job_fraction must be in (0, 1)")
     size_threshold = profile.jobs_cdf.quantile(job_fraction)
     return 100.0 * profile.stored_bytes_cdf.fraction_at_or_below(size_threshold)
-
-
-def eighty_x_rule(trace, kind: str = "input", job_fraction: float = 0.8) -> float:
-    """The "80-x" rule computed directly from a trace (one path-stats fold)."""
-    if not 0.0 < job_fraction < 1.0:
-        raise AnalysisError("job_fraction must be in (0, 1)")
-    return eighty_x_from_profile(size_access_profile(trace, kind), job_fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +258,8 @@ class ReaccessFractions:
 class ReaccessResult:
     """Joint result of the single re-access fold (Figures 5 and 6).
 
-    ``fractions`` is ``None`` when no job recorded an input path (the
-    standalone :func:`reaccess_fractions` raises for that case).
+    ``fractions`` is ``None`` when no job recorded an input path (the shared
+    scan then records an :class:`AnalysisError` for ``reaccess_fractions``).
     """
 
     intervals: ReaccessIntervals
@@ -499,30 +450,6 @@ def _carry_last(carry: np.ndarray, sorted_ids: np.ndarray, sorted_times: np.ndar
     carry[sorted_ids[last]] = sorted_times[last]
 
 
-def _reaccess(source: TraceSource) -> ReaccessResult:
-    consumer = ReaccessConsumer(has_input=source.has_column("input_path"),
-                                has_output=source.has_column("output_path"))
-    return fold_consumer(source, consumer)
-
-
-def reaccess_intervals(trace) -> ReaccessIntervals:
-    """Compute re-access interval distributions for a trace.
-
-    Jobs are processed in submission order.  For input→input intervals the
-    reference time is the previous *read* of the path; for output→input it is
-    the most recent earlier *write*.
-    """
-    return _reaccess(TraceSource.wrap(trace)).intervals
-
-
-def reaccess_fractions(trace) -> ReaccessFractions:
-    """Compute the Figure-6 fractions for one trace."""
-    fractions = _reaccess(TraceSource.wrap(trace)).fractions
-    if fractions is None:
-        raise AnalysisError("trace has no recorded input paths")
-    return fractions
-
-
 # ---------------------------------------------------------------------------
 # Combined result
 # ---------------------------------------------------------------------------
@@ -543,49 +470,3 @@ class AccessPatternResult:
     intervals: Optional[ReaccessIntervals]
     fractions: Optional[ReaccessFractions]
     eighty_x_input: Optional[float]
-
-
-def analyze_access_patterns(trace) -> AccessPatternResult:
-    """Run every §4 analysis that the trace's recorded dimensions permit.
-
-    One shared scan: the two path-statistics folds (feeding Figure 2,
-    Figures 3/4 and the 80-x rule) and the ordered re-access fold (Figures
-    5/6) all register on a single :class:`ScanPipeline`, so the trace is
-    decoded once for the whole section.
-    """
-    source = TraceSource.wrap(trace)
-    if source.is_empty():
-        raise AnalysisError("cannot analyze access patterns of an empty trace")
-
-    pipeline = ScanPipeline(source)
-    pipeline.add(PathStatsConsumer("input"))
-    pipeline.add(PathStatsConsumer("output"))
-    pipeline.add(ReaccessConsumer(has_input=source.has_column("input_path"),
-                                  has_output=source.has_column("output_path")))
-    scan = pipeline.run()
-    input_stats = scan.get("path_stats_input")
-    output_stats = scan.get("path_stats_output")
-    reaccess = scan.get("reaccess")
-
-    def attempt(function, *args):
-        try:
-            return function(*args)
-        except AnalysisError:
-            return None
-
-    input_profile = (attempt(profile_from_path_stats, input_stats)
-                     if input_stats is not None else None)
-    return AccessPatternResult(
-        workload=source.name,
-        input_ranks=(attempt(rank_frequencies_from_path_stats, input_stats)
-                     if input_stats is not None else None),
-        output_ranks=(attempt(rank_frequencies_from_path_stats, output_stats)
-                      if output_stats is not None else None),
-        input_profile=input_profile,
-        output_profile=(attempt(profile_from_path_stats, output_stats)
-                        if output_stats is not None else None),
-        intervals=reaccess.intervals if reaccess is not None else None,
-        fractions=reaccess.fractions if reaccess is not None else None,
-        eighty_x_input=(attempt(eighty_x_from_profile, input_profile)
-                        if input_profile is not None else None),
-    )

@@ -23,14 +23,13 @@ from typing import Dict, Iterable, List, Optional
 import numpy as np
 
 from ..engine.aggregates import HistogramSketch
-from ..engine.pipeline import ChunkConsumer, ScanChunk, fold_consumer
+from ..engine.pipeline import ChunkConsumer, ScanChunk
 from ..engine.source import TraceSource
 from ..errors import AnalysisError
 from ..units import GB
 from .stats import EmpiricalCDF, SketchCDF, empirical_cdf
 
-__all__ = ["DataSizeDistributions", "DataSizeConsumer", "analyze_data_sizes",
-           "median_spread_orders"]
+__all__ = ["DataSizeDistributions", "DataSizeConsumer", "median_spread_orders"]
 
 #: Per-job size dimensions, in Figure 1 column order.
 SIZE_DIMENSIONS = ("input_bytes", "shuffle_bytes", "output_bytes")
@@ -63,20 +62,6 @@ class DataSizeDistributions:
         if dimension not in self.medians:
             raise AnalysisError("unknown size dimension %r" % (dimension,))
         return self.medians[dimension]
-
-
-def analyze_data_sizes(trace) -> DataSizeDistributions:
-    """Compute Figure-1 style per-job size distributions for one trace.
-
-    Accepts a :class:`Trace`, :class:`ColumnarTrace`, :class:`ChunkedTraceStore`
-    or :class:`TraceSource`, and folds :meth:`DataSizeConsumer.for_source` over
-    it: exact empirical CDFs for an in-memory source, percentile sketches for a
-    store (scanned chunk by chunk without materializing any column).
-    """
-    source = TraceSource.wrap(trace)
-    if source.is_empty():
-        raise AnalysisError("cannot analyze data sizes of an empty trace")
-    return fold_consumer(source, DataSizeConsumer.for_source(source))
 
 
 class DataSizeConsumer(ChunkConsumer):

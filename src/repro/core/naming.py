@@ -23,8 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..engine.pipeline import ChunkConsumer, Interner, ScanChunk, fold_consumer
-from ..engine.source import TraceSource
+from ..engine.pipeline import ChunkConsumer, Interner, ScanChunk
 from ..errors import AnalysisError
 from ..traces.schema import extract_first_word
 
@@ -34,7 +33,6 @@ __all__ = [
     "FirstWordBreakdown",
     "NamingAnalysis",
     "NamingConsumer",
-    "analyze_naming",
 ]
 
 #: First words that identify a submitting framework.  Hive generates names
@@ -289,23 +287,3 @@ class NamingConsumer(ChunkConsumer):
             framework_shares=framework_shares,
             top_words_cover=top_cover,
         )
-
-
-def analyze_naming(trace, top_n: int = 10) -> NamingAnalysis:
-    """Run the full §6.1 analysis (all three weightings + framework shares).
-
-    One streaming pass over the named jobs accumulates every panel of
-    Figure 10 and the framework shares; jobs with no recorded name are
-    excluded (as in the materialized ``with_names`` path).
-
-    Raises:
-        AnalysisError: when the trace records no job names at all.
-    """
-    source = TraceSource.wrap(trace)
-    if not source.has_column("name") or source.is_empty():
-        raise AnalysisError(
-            "trace %r records no job names; naming analysis unavailable" % (source.name,)
-        )
-    consumer = NamingConsumer(has_framework=source.has_column("framework"),
-                              workload=source.name, top_n=top_n)
-    return fold_consumer(source, consumer)

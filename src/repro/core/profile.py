@@ -10,9 +10,9 @@ federation layer, :mod:`repro.core.federation`) read from.  Per paper §7 this
 is exactly the per-cluster row the seven-cluster comparison needs.
 
 Equality contract (same as :mod:`repro.core.sharedscan`): every consumer is
-the exact fold its standalone entry point runs, so a profile's fields match
-the per-analysis results bit-for-bit — serial or parallel, cold or resumed
-from a checkpoint.  Every representation runs the same consumer list; only
+the exact fold the characterization scan runs, so a profile's fields match
+that scan's results bit-for-bit — serial or parallel, cold or resumed from a
+checkpoint.  Every representation runs the same consumer list; only
 the Figure-1 CDF differs — exact for in-memory sources, a mergeable sketch
 with memory bounded by chunk size for stores
 (:meth:`~repro.core.datasizes.DataSizeConsumer.for_source`).
@@ -228,8 +228,7 @@ def profile_from_scan(merged, profile_name: str, threshold: float) -> WorkloadPr
     ``merged`` is the :class:`~repro.engine.pipeline.PipelineResult` of a
     scan over the consumers built by :func:`profile_consumers`.  Re-raises
     the recorded error of any required consumer; a missing or errored naming
-    fold degrades to ``naming=None`` (framework share 0), matching the
-    standalone entry points.
+    fold degrades to ``naming=None`` (framework share 0).
     """
     summary: TraceSummary = merged.value("summary")
     dims = hourly_dimensions_from_groups(merged.value("hourly"),

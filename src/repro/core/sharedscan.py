@@ -10,11 +10,12 @@ processes) instead of once per analysis.  The returned
 :class:`CharacterizationAnalyses` hands each table/figure builder its
 precomputed piece.
 
-Equality contract: every consumer is the exact fold its standalone
-per-analysis entry point runs (see the module docs of
-:mod:`repro.core.access`, :mod:`repro.core.datasizes`, ...), so shared-scan
-results match per-analysis streaming results — serial or parallel — up to
-floating-point merge order, and the parametrized tests in
+This is the only way into a characterization analysis: a table/figure
+builder called without a bundle for a workload runs this scan itself,
+folding only what its experiment needs (:func:`workload_analyses`).
+Equality contract: a consumer folded alone gives the same result as the same
+consumer folded beside all the others — serial or parallel, up to
+floating-point merge order — and the parametrized tests in
 ``tests/core/test_sharedscan.py`` pin the table/figure rows to be identical.
 
 Every representation — job-list :class:`~repro.traces.trace.Trace`,
@@ -62,7 +63,7 @@ from .temporal import (
     hourly_dimensions_from_groups,
 )
 
-__all__ = ["CharacterizationAnalyses", "run_characterization_scan",
+__all__ = ["CharacterizationAnalyses", "run_characterization_scan", "workload_analyses",
            "DEFAULT_CLUSTER_SAMPLE_CAP", "EXPERIMENT_NEEDS"]
 
 #: Default cap on jobs clustered per workload (the Table-2 seeded subsample).
@@ -96,8 +97,8 @@ class CharacterizationAnalyses:
     Each analysis key holds either a result or the :class:`AnalysisError`
     that made it unavailable (no paths recorded, unsorted store, ...).
     Table/figure builders read results through :meth:`value` when they let
-    errors propagate, or :meth:`get` when a missing analysis just skips a row
-    — matching the per-analysis error behaviour exactly.
+    errors propagate, or :meth:`get` when a missing analysis just skips a
+    row.
     """
 
     def __init__(self, workload: str):
@@ -279,6 +280,18 @@ def run_characterization_scan(trace, experiments: Optional[Sequence[str]] = None
     if "features" in needed:
         adopt("features", "features")
     return analyses
+
+
+def workload_analyses(analyses: Optional[Dict[str, CharacterizationAnalyses]],
+                      name: str, trace, experiment: str) -> CharacterizationAnalyses:
+    """The bundle a table/figure builder reads for workload ``name``.
+
+    The caller's ``analyses[name]`` when there is one; otherwise a scan of
+    ``trace`` folding only what ``experiment`` needs.
+    """
+    if analyses is not None and name in analyses:
+        return analyses[name]
+    return run_characterization_scan(trace, experiments=[experiment])
 
 
 def _adopt_path_stats(analyses: CharacterizationAnalyses, scan, needed: List[str],

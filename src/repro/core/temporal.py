@@ -41,7 +41,6 @@ __all__ = [
     "HourlyTotalsConsumer",
     "hourly_totals",
     "hourly_series_from_groups",
-    "hourly_dimensions",
     "hourly_dimensions_from_groups",
     "weekly_view",
     "diurnal_strength",
@@ -229,20 +228,6 @@ def hourly_totals(source, **aggregate_specs) -> Dict[str, np.ndarray]:
     start_s, end_s = src.time_bounds()
     groups = src.hourly_groups(**aggregate_specs)
     return hourly_series_from_groups(groups, start_s, end_s, aggregate_specs)
-
-
-def hourly_dimensions(trace) -> HourlyDimensions:
-    """Aggregate a trace into the three hourly submission dimensions.
-
-    Accepts any :class:`TraceSource`-wrappable representation; runs as one
-    chunked group-by scan over ``submit_hour``.
-    """
-    series = hourly_totals(trace, **HOURLY_DIMENSION_SPECS)
-    return HourlyDimensions(
-        jobs_per_hour=series["jobs"],
-        bytes_per_hour=series["bytes"],
-        task_seconds_per_hour=series["task_seconds"],
-    )
 
 
 def hourly_dimensions_from_groups(groups: Dict[int, Dict[str, object]],

@@ -6,29 +6,24 @@ of about 5/6 for every workload and for both inputs and outputs.  This module
 fits that slope from observed access counts and exposes the points needed to
 regenerate the figure.
 
-:func:`column_rank_frequencies` is the out-of-core entry point: it streams one
-string column (``input_path`` / ``output_path``) chunk by chunk from any
-:class:`~repro.engine.source.TraceSource`-wrappable representation, so memory
-is bounded by the number of *distinct* paths rather than the number of jobs.
+The access counts come from the shared scan's per-path fold
+(:class:`~repro.core.access.PathStatsConsumer`), which streams the path
+columns chunk by chunk, so memory is bounded by the number of *distinct*
+paths rather than the number of jobs.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..engine.pipeline import ChunkConsumer, ScanChunk
 from ..errors import AnalysisError
 
 __all__ = [
     "RankFrequency",
-    "RankFrequencyConsumer",
-    "rank_frequencies",
     "rank_frequencies_from_counts",
-    "column_rank_frequencies",
     "fit_zipf_slope",
 ]
 
@@ -75,29 +70,11 @@ class RankFrequency:
         return list(zip(self.ranks.astype(int).tolist(), self.frequencies.astype(int).tolist()))
 
 
-def rank_frequencies(paths: Iterable[Optional[str]], min_items: int = 2) -> RankFrequency:
-    """Count accesses per path and fit the Zipf slope.
-
-    Args:
-        paths: one entry per access; ``None`` entries (unrecorded paths) are
-            skipped.
-        min_items: minimum number of distinct paths needed for a slope fit;
-            below it the slope is reported as ``None``.
-
-    Raises:
-        AnalysisError: when no recorded paths are present at all.
-    """
-    counts = Counter(path for path in paths if path is not None)
-    return rank_frequencies_from_counts(counts, min_items=min_items)
-
-
 def rank_frequencies_from_counts(counts: Dict[str, int], min_items: int = 2) -> RankFrequency:
     """Build a :class:`RankFrequency` from item -> access-count totals.
 
-    This is the finalize step shared by every counting path: the iterable
-    front-end above, the chunked :class:`RankFrequencyConsumer`, and the
-    shared-scan path-statistics fold (whose per-path counts double as the
-    Figure-2 frequencies).
+    The shared-scan path-statistics fold feeds it (its per-path counts
+    double as the Figure-2 frequencies).
 
     Raises:
         AnalysisError: when ``counts`` is empty.
@@ -115,66 +92,6 @@ def rank_frequencies_from_counts(counts: Dict[str, int], min_items: int = 2) -> 
         ranks=ranks, frequencies=frequencies, slope=slope, intercept=intercept,
         r_squared=r_squared,
     )
-
-
-class RankFrequencyConsumer(ChunkConsumer):
-    """Shared-scan fold counting accesses per distinct value of one column.
-
-    Each chunk contributes a ``bincount`` over its per-row codes (empty
-    strings — the trace encoding of "not recorded" — are skipped), so the
-    fold cost is one vectorized pass per chunk and memory stays bounded by
-    the distinct-value dictionary.  Counts are integers: serial, merged, and
-    per-row results are all exactly equal.
-    """
-
-    def __init__(self, column: str, name: Optional[str] = None, min_items: int = 2):
-        self.name = name or ("ranks_%s" % column)
-        self.column = column
-        self.columns = (column,)
-        self.min_items = min_items
-
-    def make_state(self) -> Dict[str, int]:
-        return {}
-
-    def fold(self, state, chunk: ScanChunk):
-        # Code-native on a v3 store: the counting is a bincount over the
-        # dictionary codes and only the chunk's *distinct* values are looked
-        # up as strings.
-        codes, table = chunk.codes(self.column)
-        counts = np.bincount(codes)
-        present = np.flatnonzero(counts)
-        for code, count in zip(present.tolist(), counts[present].tolist()):
-            value = table.values[code]
-            if value:
-                state[value] = state.get(value, 0) + count
-        return state
-
-    def merge(self, a, b):
-        for value, count in b.items():
-            a[value] = a.get(value, 0) + count
-        return a
-
-    def finalize(self, state) -> RankFrequency:
-        return rank_frequencies_from_counts(state, min_items=self.min_items)
-
-
-def column_rank_frequencies(source, column: str, min_items: int = 2) -> RankFrequency:
-    """Access frequency vs rank for one string column of a trace source.
-
-    Folds the column chunk by chunk (empty strings — the trace encoding of
-    "not recorded" — are skipped), so arbitrarily large stores are counted
-    with memory bounded by the distinct-path dictionary.
-
-    Raises:
-        AnalysisError: when the source does not record the column at all.
-    """
-    from ..engine.pipeline import fold_consumer
-    from ..engine.source import TraceSource
-
-    src = TraceSource.wrap(source)
-    if not src.has_column(column):
-        raise AnalysisError("trace %r records no %s values" % (src.name, column))
-    return fold_consumer(src, RankFrequencyConsumer(column, min_items=min_items))
 
 
 def _log_spaced_points(ranks: np.ndarray, frequencies: np.ndarray,

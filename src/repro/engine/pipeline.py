@@ -631,10 +631,9 @@ class ScanPipeline:
 def fold_consumer(source, consumer: ChunkConsumer, executor=None):
     """Run one consumer as its own (degenerate) shared scan.
 
-    This is how the standalone per-analysis entry points execute their folds,
-    so a standalone result and the same consumer's result inside a many-
-    consumer pipeline come from literally the same code path.  Re-raises the
-    consumer's recorded :class:`AnalysisError`, if any.
+    A consumer's result folded alone and inside a many-consumer pipeline
+    come from literally the same code path.  Re-raises the consumer's
+    recorded :class:`AnalysisError`, if any.
     """
     pipeline = ScanPipeline(source, executor=executor)
     pipeline.add(consumer)
@@ -1001,9 +1000,9 @@ def scan_with_rolling_checkpoint(scan, checkpoint_path: Optional[str]):
 class SummaryConsumer(ChunkConsumer):
     """Table-1 summary fold: count, time bounds, byte/task-second totals.
 
-    Folds the exact quantities of :meth:`TraceSource.summary` with the same
-    mergeable aggregate states the engine query path uses, so the read-outs
-    are identical to the per-analysis scan.
+    Folds the Table-1 quantities with the same mergeable aggregate states the
+    engine query path uses, so the read-outs equal an engine aggregate query
+    over the same columns.
     """
 
     columns = ("submit_time_s", "finish_time_s", "total_bytes", "total_task_seconds")

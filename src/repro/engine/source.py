@@ -11,8 +11,8 @@ at FB-2010 scale (1.17M jobs) costs gigabytes of resident Python objects.
 
 behind one protocol: chunked column scans (:meth:`iter_chunks`), engine
 :class:`~repro.engine.operators.Query` execution (:meth:`query`), whole-column
-access for the exact in-memory paths (:meth:`dimension`), and Table-1 style
-summaries computed by a single scan (:meth:`summary`).  Analyses written
+access for the exact in-memory paths (:meth:`dimension`), and the time
+bounds and per-hour group-bys a few analyses read directly.  Analyses written
 against this class run identically on a 100-job fixture and a 100-GB store,
 with memory bounded by chunk size in the streaming case.
 
@@ -51,7 +51,7 @@ import numpy as np
 
 from ..errors import AnalysisError
 from ..traces.schema import Job, NUMERIC_DIMENSIONS
-from ..traces.trace import Trace, TraceSummary
+from ..traces.trace import Trace
 from .columnar import DEFAULT_CHUNK_ROWS, ColumnBlock, ColumnarTrace, _OrderCheck
 from .operators import Query, QueryResult, execute
 from .store import ChunkedTraceStore
@@ -286,49 +286,13 @@ class TraceSource:
         start, end = self.time_bounds()
         return max(0.0, end - start)
 
-    def summary(self) -> TraceSummary:
-        """A Table-1 row (:class:`TraceSummary`), computed by one scan.
-
-        A ``Trace`` backing delegates to :meth:`Trace.summary` so the
-        materialized numbers are bit-identical to the historical path; other
-        backings fold the same quantities with the engine's mergeable
-        aggregates (float sums can differ from a job-list fold in the last
-        ulp, as documented in ``docs/architecture.md``).
-        """
-        if isinstance(self.backing, Trace):
-            return self.backing.summary()
-        if self.is_empty():
-            return TraceSummary(name=self.name, machines=self.machines,
-                                length_s=0.0, start_s=0.0, end_s=0.0, n_jobs=0,
-                                bytes_moved=0.0, total_task_seconds=0.0)
-        result = self.query(
-            Query().count("n_jobs").aggregate(
-                start=("min", "submit_time_s"),
-                end=("max", "finish_time_s"),
-                bytes_moved=("sum", "total_bytes"),
-                task_seconds=("sum", "total_task_seconds"),
-            ))
-        aggregates = result.aggregates
-        start = float(aggregates["start"] or 0.0)
-        end = float(aggregates["end"] or 0.0)
-        return TraceSummary(
-            name=self.name,
-            machines=self.machines,
-            length_s=end - start,
-            start_s=start,
-            end_s=end,
-            n_jobs=int(aggregates["n_jobs"]),
-            bytes_moved=float(aggregates["bytes_moved"]),
-            total_task_seconds=float(aggregates["task_seconds"]),
-        )
-
     def hourly_groups(self, **aggregate_specs) -> Dict[int, Dict[str, object]]:
         """Per-hour group-by over the whole trace: ``{hour: {label: value}}``.
 
         ``aggregate_specs`` are engine aggregate ``label=(op, column)`` pairs;
         the grouping key is the derived ``submit_hour`` column
-        (``floor(submit_time_s / 3600)``).  This is the one-scan substrate for
-        every Figure 7-9 hourly series.
+        (``floor(submit_time_s / 3600)``).  This is the one-scan substrate of
+        :func:`repro.core.temporal.hourly_totals`.
         """
         result = self.query(Query().aggregate(**aggregate_specs).group_by("submit_hour"))
         groups: Dict[int, Dict[str, object]] = {}

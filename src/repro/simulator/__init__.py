@@ -64,7 +64,6 @@ from .metrics import (
     UtilizationAccumulator,
 )
 from .replay import StreamingReplayer, WorkloadReplayer, replay, replay_store
-from .legacy import legacy_replay_jobs
 from .sharded import SHARD_MODES, ShardHandoff, ShardedReplayer
 from .sweep import (
     Scenario,
@@ -129,11 +128,10 @@ __all__ = [
     "StreamingReplayer",
     "replay",
     "replay_store",
-    # sharded replay + the legacy differential reference
+    # sharded replay
     "SHARD_MODES",
     "ShardHandoff",
     "ShardedReplayer",
-    "legacy_replay_jobs",
     # scenario sweeps
     "Scenario",
     "ScenarioOutcome",

@@ -23,8 +23,9 @@ on-disk store:
   the mergeable metric accumulators, never a per-job list.
 
 The engine replaced the original one-Python-object-per-event loop, which is
-preserved verbatim in :mod:`repro.simulator.legacy` as the semantic reference
-the differential equivalence suite pins this engine against.  The invariants
+preserved verbatim in the test suite (``tests/simulator/legacy_replay.py``)
+as the semantic reference the differential equivalence tests pin this engine
+against.  The invariants
 both implementations share are documented there; the performance-relevant
 differences here are:
 
@@ -1277,8 +1278,9 @@ class WorkloadReplayer:
     def _serve_input(self, sim_job: SimJob, now_s: float) -> None:
         """Route the job's input read through HDFS and the cache policy.
 
-        Kept for the legacy reference loop (:mod:`repro.simulator.legacy`);
-        the engine inlines the same operation sequence.
+        Kept for the legacy reference loop of the differential tests
+        (``tests/simulator/legacy_replay.py``); the engine inlines the same
+        operation sequence.
         """
         job = sim_job.job
         path = job.input_path or ("/implicit/%s" % job.job_id)

@@ -9,11 +9,13 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.core.sharedscan import EXPERIMENT_NEEDS, run_characterization_scan
 from repro.engine import ChunkedTraceStore, ColumnarTrace, TraceSource
 from repro.engine.columnar import ColumnBlock, _in_submit_order
 from repro.engine.store import MANIFEST_NAME, _empty_column, _source_blocks
@@ -240,6 +242,72 @@ def _write_store_as(origin, directory, source, chunk_rows, name=None):
     return ChunkedTraceStore(directory)
 
 
+#: Jobs in the smaller store of :func:`memory_stores`; the larger holds four times as many.
+MEMORY_JOBS = 10000
+
+
+def _corpus_columns(seed, n_jobs, horizon_s=30 * 86400.0):
+    """``n_jobs`` FB-2010-shaped jobs spread over the same ``horizon_s``
+    whatever their number: mostly small map-only jobs, log-normal byte
+    sizes, Pareto-skewed input paths."""
+    rng = np.random.default_rng(seed)
+    submit = np.cumsum(rng.exponential(horizon_s / n_jobs, size=n_jobs))
+    kind = rng.random(n_jobs)
+    map_s = np.where(kind < 0.80, rng.uniform(5.0, 45.0, n_jobs),
+                     np.where(kind < 0.99, rng.uniform(60.0, 600.0, n_jobs),
+                              rng.uniform(600.0, 5000.0, n_jobs)))
+    reduce_s = np.where(rng.random(n_jobs) < 0.4, map_s * 0.3, 0.0)
+    input_bytes = rng.lognormal(17.0, 3.0, n_jobs)
+    paths = np.minimum(rng.pareto(0.9, n_jobs) * 8.0,
+                       max(64, n_jobs // 20) - 1).astype(np.int64)
+    return {"job_id": np.char.add("j", np.arange(n_jobs).astype(np.str_)),
+            "submit_time_s": submit, "duration_s": map_s + reduce_s,
+            "input_bytes": input_bytes,
+            "shuffle_bytes": np.where(reduce_s > 0, input_bytes * 0.3, 0.0),
+            "output_bytes": rng.lognormal(14.0, 3.0, n_jobs),
+            "map_task_seconds": map_s, "reduce_task_seconds": reduce_s,
+            "input_path": np.char.add("/data/", paths.astype(np.str_))}
+
+
+@pytest.fixture(scope="session")
+def memory_stores(tmp_path_factory):
+    """Two stores of 2048-row chunks over the same 30-day horizon:
+    :data:`MEMORY_JOBS` jobs and four times as many.  A streamed computation
+    whose memory does not depend on the job count peaks alike on both."""
+    root = tmp_path_factory.mktemp("memory")
+    return tuple(ChunkedTraceStore.write(root / ("n%d" % n_jobs),
+                                         ColumnarTrace(_corpus_columns(0, n_jobs), name="m"),
+                                         chunk_rows=2048)
+                 for n_jobs in (MEMORY_JOBS, 4 * MEMORY_JOBS))
+
+
+def _traced_peak(function):
+    """Peak bytes :mod:`tracemalloc` sees allocated while ``function()`` runs."""
+    tracemalloc.start()
+    try:
+        function()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="session")
+def peak_bytes():
+    """``peak_bytes(function)``: see :func:`_traced_peak`."""
+    return _traced_peak
+
+
+def _analysis(trace, key, **scan_kwargs):
+    """One characterization analysis of ``trace``, read the way the table and
+    figure builders read it: a shared scan folding only the first experiment
+    that needs ``key``, then :meth:`CharacterizationAnalyses.value` (which
+    re-raises the analysis's :class:`AnalysisError`)."""
+    experiment = next(experiment for experiment, keys in EXPERIMENT_NEEDS.items()
+                      if key in keys)
+    return run_characterization_scan(trace, experiments=[experiment],
+                                     **scan_kwargs).value(key)
+
+
 @pytest.fixture(scope="session", params=STORE_ORIGINS,
                 ids=["v3", "from-v1", "from-v2"])
 def store_origin(request):
@@ -266,3 +334,10 @@ def write_store_as():
     """``write_store_as(origin, directory, source, chunk_rows, name=None)``:
     a v3 store written directly or migrated from a legacy layout."""
     return _write_store_as
+
+
+@pytest.fixture(scope="session")
+def analysis():
+    """``analysis(trace, key, **scan_kwargs)``: one analysis key of a shared
+    characterization scan of ``trace`` (see :func:`_analysis`)."""
+    return _analysis

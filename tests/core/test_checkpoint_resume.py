@@ -177,6 +177,15 @@ class TestResumeReporting:
         assert "cluster_sample" in resume["resumed"]
         assert resume["rescanned"] == {}
 
+    @pytest.mark.parametrize("mode", ("resumed", "resumed_parallel"))
+    def test_resume_decodes_only_the_appended_rows(self, bundles, split_trace, mode):
+        """With nothing rescanned, a resume reads the appended chunks and rows
+        alone — counted by the scan, not timed."""
+        bundle = bundles[mode]
+        assert bundle.resume["rescanned"] == {}
+        assert bundle.chunks_scanned == bundle.resume["new_chunks"]
+        assert bundle.rows_scanned == len(split_trace[1])
+
     def test_cold_scan_has_no_resume_info(self, bundles):
         assert bundles["cold"].resume is None
 

@@ -4,11 +4,12 @@ import pytest
 
 from repro.core import (
     WorkloadCharacterizer,
-    analyze_naming,
     characterize,
     classify_framework,
     render_table,
 )
+from repro.core.naming import NamingConsumer
+from repro.engine.pipeline import fold_consumer
 from repro.errors import AnalysisError
 from repro.traces import Job, Trace
 
@@ -27,14 +28,14 @@ class TestClassifyFramework:
 
 
 class TestFirstWordBreakdown:
-    def test_by_jobs(self, tiny_trace):
-        breakdown = analyze_naming(tiny_trace).by_jobs
+    def test_by_jobs(self, tiny_trace, analysis):
+        breakdown = analysis(tiny_trace, "naming").by_jobs
         shares = dict(breakdown.shares)
         assert shares["select"] == pytest.approx(2 / 6)
         assert sum(shares.values()) == pytest.approx(1.0)
 
-    def test_by_bytes_weights_large_jobs(self, tiny_trace):
-        breakdown = analyze_naming(tiny_trace).by_bytes
+    def test_by_bytes_weights_large_jobs(self, tiny_trace, analysis):
+        breakdown = analysis(tiny_trace, "naming").by_bytes
         # The oozie job moves ~2.6 TB of the ~2.6 TB total.
         assert breakdown.share_of("oozie") > 0.9
 
@@ -43,35 +44,36 @@ class TestFirstWordBreakdown:
                     shuffle_bytes=0, output_bytes=1, map_task_seconds=1,
                     reduce_task_seconds=0, name="%s run" % ("word" + "x" * index))
                 for index in range(30)]
-        breakdown = analyze_naming(Trace(jobs, name="many"), top_n=5).by_jobs
+        breakdown = fold_consumer(Trace(jobs, name="many"),
+                                  NamingConsumer(has_framework=False, top_n=5)).by_jobs
         assert breakdown.shares[-1][0] == "[others]"
         assert sum(share for _, share in breakdown.shares) == pytest.approx(1.0)
 
 
 class TestAnalyzeNaming:
-    def test_tiny_trace_framework_shares(self, tiny_trace):
-        analysis = analyze_naming(tiny_trace)
-        shares = analysis.framework_shares["jobs"]
+    def test_tiny_trace_framework_shares(self, tiny_trace, analysis):
+        naming = analysis(tiny_trace, "naming")
+        shares = naming.framework_shares["jobs"]
         assert shares["hive"] == pytest.approx(3 / 6)
-        assert "hive" in analysis.dominant_frameworks("jobs", 2)
-        assert 0.0 < analysis.framework_share("jobs") <= 1.0
+        assert "hive" in naming.dominant_frameworks("jobs", 2)
+        assert 0.0 < naming.framework_share("jobs") <= 1.0
 
-    def test_unnamed_trace_rejected(self, fb_2009_small_trace):
+    def test_unnamed_trace_rejected(self, fb_2009_small_trace, analysis):
         # FB-2009 generated traces do carry names; strip them to test the error.
         stripped = fb_2009_small_trace.filter(lambda job: False)
         with pytest.raises(AnalysisError):
-            analyze_naming(stripped if not stripped.is_empty() else Trace([
+            analysis(stripped if not stripped.is_empty() else Trace([
                 Job(job_id="x", submit_time_s=0, duration_s=1, input_bytes=1,
                     shuffle_bytes=0, output_bytes=1, map_task_seconds=1,
-                    reduce_task_seconds=0)], name="unnamed"))
+                    reduce_task_seconds=0)], name="unnamed"), "naming")
 
-    def test_generated_workload_two_frameworks_dominate(self, cc_e_trace):
+    def test_generated_workload_two_frameworks_dominate(self, cc_e_trace, analysis):
         """Figure 10 shape: two frameworks account for the majority of jobs."""
-        analysis = analyze_naming(cc_e_trace)
-        top_two = analysis.dominant_frameworks("jobs", 2)
-        share = sum(analysis.framework_shares["jobs"][name] for name in top_two)
+        naming = analysis(cc_e_trace, "naming")
+        top_two = naming.dominant_frameworks("jobs", 2)
+        share = sum(naming.framework_shares["jobs"][name] for name in top_two)
         assert share > 0.5
-        assert analysis.framework_share("jobs") >= 0.2  # paper: at least 20%
+        assert naming.framework_share("jobs") >= 0.2  # paper: at least 20%
 
 
 class TestRenderTable:

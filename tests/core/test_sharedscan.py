@@ -3,11 +3,12 @@
 Every characterization experiment must produce **identical** table/figure
 rows whether it runs
 
-* per-analysis (each experiment folding its own scans, the pre-pipeline path),
-* in one shared serial scan (``run_suite(shared_scan=True)``), or
-* in one shared scan fanned over worker processes (``processes=2``),
+* alone (``run_suite`` with just that experiment: a scan folding only the
+  consumers it needs),
+* beside every other experiment in one shared serial scan, or
+* in that shared scan fanned over worker processes (``processes=2``),
 
-and the same holds for the standalone analysis entry points against the
+and the same holds for each analysis key scanned alone against the full
 shared-scan bundle.  Counts, dictionary statistics and sketches merge
 exactly; the only permitted divergence is floating-point merge order on
 parallel float sums, which the rendered rows absorb.
@@ -17,17 +18,7 @@ import numpy as np
 import pytest
 
 from repro.bench.suite import CHARACTERIZATION_EXPERIMENT_IDS, run_suite
-from repro.core import (
-    analyze_data_sizes,
-    analyze_naming,
-    characterize,
-    hourly_dimensions,
-    input_rank_frequencies,
-    reaccess_fractions,
-    reaccess_intervals,
-    run_characterization_scan,
-    size_access_profile,
-)
+from repro.core import characterize, run_characterization_scan
 from repro.engine import ChunkedTraceStore, ParallelExecutor
 
 
@@ -41,19 +32,20 @@ def cc_e_store(cc_e_trace, tmp_path_factory):
 @pytest.fixture(scope="module")
 def suite_modes(cc_e_store):
     """Suite results per execution mode over the same store."""
-    def run(**kwargs):
+    def run(experiments, **kwargs):
         return {
             result.experiment_id: result
             for result in run_suite(traces={cc_e_store.name: cc_e_store},
-                                    experiments=list(CHARACTERIZATION_EXPERIMENT_IDS),
+                                    experiments=experiments,
                                     include_ablations=False,
                                     include_simulation=False, **kwargs)
         }
 
     return {
-        "per_analysis": run(shared_scan=False),
-        "shared_serial": run(shared_scan=True),
-        "shared_parallel": run(shared_scan=True, processes=2),
+        "per_analysis": {experiment_id: run([experiment_id])[experiment_id]
+                         for experiment_id in CHARACTERIZATION_EXPERIMENT_IDS},
+        "shared_serial": run(list(CHARACTERIZATION_EXPERIMENT_IDS)),
+        "shared_parallel": run(list(CHARACTERIZATION_EXPERIMENT_IDS), processes=2),
     }
 
 
@@ -78,7 +70,7 @@ class TestSuiteRowEquality:
 
 
 class TestBundleMatchesStandalone:
-    """The shared-scan bundle fields equal the standalone entry points."""
+    """The shared-scan bundle fields equal each analysis scanned alone."""
 
     @pytest.fixture(scope="class")
     def bundles(self, cc_e_store):
@@ -89,43 +81,41 @@ class TestBundleMatchesStandalone:
         }
 
     @pytest.mark.parametrize("mode", ("serial", "parallel"))
-    def test_summary(self, bundles, cc_e_store, mode):
-        from repro.engine import TraceSource
-
-        assert bundles[mode].value("summary") == TraceSource.wrap(cc_e_store).summary()
+    def test_summary(self, bundles, cc_e_store, mode, analysis):
+        assert bundles[mode].value("summary") == analysis(cc_e_store, "summary")
 
     @pytest.mark.parametrize("mode", ("serial", "parallel"))
-    def test_data_sizes(self, bundles, cc_e_store, mode):
-        standalone = analyze_data_sizes(cc_e_store)
+    def test_data_sizes(self, bundles, cc_e_store, mode, analysis):
+        standalone = analysis(cc_e_store, "data_sizes")
         bundled = bundles[mode].value("data_sizes")
         assert bundled.medians == standalone.medians  # sketches merge exactly
         assert bundled.fraction_below_gb == standalone.fraction_below_gb
         assert bundled.map_only_fraction == standalone.map_only_fraction
 
     @pytest.mark.parametrize("mode", ("serial", "parallel"))
-    def test_ranks_and_profiles(self, bundles, cc_e_store, mode):
+    def test_ranks_and_profiles(self, bundles, cc_e_store, mode, analysis):
         bundle = bundles[mode]
-        ranks = input_rank_frequencies(cc_e_store)
+        ranks = analysis(cc_e_store, "input_ranks")
         assert np.array_equal(bundle.value("input_ranks").frequencies, ranks.frequencies)
         assert bundle.value("input_ranks").slope == ranks.slope
-        profile = size_access_profile(cc_e_store, "input")
+        profile = analysis(cc_e_store, "input_profile")
         bundled = bundle.value("input_profile")
         assert np.array_equal(bundled.file_sizes, profile.file_sizes)
         assert bundled.jobs_below_gb_fraction == profile.jobs_below_gb_fraction
         assert bundled.bytes_below_gb_fraction == profile.bytes_below_gb_fraction
 
     @pytest.mark.parametrize("mode", ("serial", "parallel"))
-    def test_reaccess(self, bundles, cc_e_store, mode):
+    def test_reaccess(self, bundles, cc_e_store, mode, analysis):
         bundle = bundles[mode]
-        assert bundle.value("reaccess_fractions") == reaccess_fractions(cc_e_store)
-        intervals = reaccess_intervals(cc_e_store)
+        assert bundle.value("reaccess_fractions") == analysis(cc_e_store, "reaccess_fractions")
+        intervals = analysis(cc_e_store, "reaccess_intervals")
         bundled = bundle.value("reaccess_intervals")
         assert bundled.fraction_within_6h == intervals.fraction_within_6h
         assert np.array_equal(bundled.input_input.values, intervals.input_input.values)
 
     @pytest.mark.parametrize("mode", ("serial", "parallel"))
-    def test_hourly(self, bundles, cc_e_store, mode):
-        dims = hourly_dimensions(cc_e_store)
+    def test_hourly(self, bundles, cc_e_store, mode, analysis):
+        dims = analysis(cc_e_store, "hourly")
         bundled = bundles[mode].value("hourly")
         assert np.array_equal(bundled.jobs_per_hour, dims.jobs_per_hour)
         assert np.allclose(bundled.bytes_per_hour, dims.bytes_per_hour, rtol=1e-9)
@@ -133,8 +123,8 @@ class TestBundleMatchesStandalone:
                            dims.task_seconds_per_hour, rtol=1e-9)
 
     @pytest.mark.parametrize("mode", ("serial", "parallel"))
-    def test_naming(self, bundles, cc_e_store, mode):
-        naming = analyze_naming(cc_e_store)
+    def test_naming(self, bundles, cc_e_store, mode, analysis):
+        naming = analysis(cc_e_store, "naming")
         bundled = bundles[mode].value("naming")
         assert bundled.by_jobs.shares == naming.by_jobs.shares
         for (word, share), (ref_word, ref_share) in zip(bundled.by_bytes.shares,
@@ -142,11 +132,11 @@ class TestBundleMatchesStandalone:
             assert word == ref_word
             assert share == pytest.approx(ref_share, rel=1e-12)
 
-    def test_serial_bundle_matches_standalone_folds_exactly(self, bundles, cc_e_store):
-        """Serial shared scan == standalone folds bit-for-bit (same code path)."""
-        naming = analyze_naming(cc_e_store)
+    def test_serial_bundle_matches_standalone_folds_exactly(self, bundles, cc_e_store, analysis):
+        """Serial shared scan == folds scanned alone, bit-for-bit (same code path)."""
+        naming = analysis(cc_e_store, "naming")
         assert bundles["serial"].value("naming").by_bytes.shares == naming.by_bytes.shares
-        dims = hourly_dimensions(cc_e_store)
+        dims = analysis(cc_e_store, "hourly")
         assert np.array_equal(bundles["serial"].value("hourly").bytes_per_hour,
                               dims.bytes_per_hour)
 
@@ -206,7 +196,7 @@ class TestReaccessVectorizedMatchesRowWalk:
     """
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_randomized_traces(self, seed, tmp_path):
+    def test_randomized_traces(self, seed, tmp_path, analysis):
         from repro.traces import Job, Trace
 
         rng = np.random.default_rng(seed)
@@ -229,8 +219,8 @@ class TestReaccessVectorizedMatchesRowWalk:
         (ref_in, ref_out, ref_jobs, ref_ihits,
          ref_ohits, ref_any) = _reference_reaccess(trace.jobs)
 
-        intervals = reaccess_intervals(store)
-        fractions = reaccess_fractions(store)
+        intervals = analysis(store, "reaccess_intervals")
+        fractions = analysis(store, "reaccess_fractions")
         assert fractions.jobs_with_paths == ref_jobs
         assert fractions.input_reaccess == ref_ihits / ref_jobs
         assert fractions.output_reaccess == ref_ohits / ref_jobs

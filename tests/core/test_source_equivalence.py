@@ -15,25 +15,16 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    analyze_access_patterns,
     analyze_burstiness,
-    analyze_data_sizes,
-    analyze_naming,
     characterize,
     cluster_jobs,
     consolidation_study,
-    eighty_x_rule,
-    hourly_dimensions,
     hourly_task_seconds,
-    input_rank_frequencies,
-    reaccess_fractions,
-    reaccess_intervals,
-    size_access_profile,
 )
 from repro.bench.suite import CHARACTERIZATION_EXPERIMENT_IDS, run_suite
-from repro.core.access import PathStatsConsumer, ReaccessConsumer
+from repro.core.access import PathStatsConsumer, ReaccessConsumer, eighty_x_from_profile
 from repro.core.naming import NamingConsumer
-from repro.engine import ChunkedTraceStore, ParallelExecutor, TraceSource, append_store
+from repro.engine import ChunkedTraceStore, ParallelExecutor, append_store
 from repro.engine.pipeline import run_resumable_scan
 from repro.traces import Job, Trace
 
@@ -68,18 +59,18 @@ def cc_b_reps(cc_b_small_trace, tmp_path_factory):
 
 @pytest.mark.parametrize("representation", REPRESENTATIONS)
 class TestCoreStatisticEquivalence:
-    def test_summary(self, cc_e_reps, representation):
+    def test_summary(self, cc_e_reps, representation, analysis):
         baseline = cc_e_reps["trace"].summary()
-        summary = TraceSource.wrap(cc_e_reps[representation]).summary()
+        summary = analysis(cc_e_reps[representation], "summary")
         assert summary.n_jobs == baseline.n_jobs
         assert summary.length_s == pytest.approx(baseline.length_s)
         assert summary.bytes_moved == pytest.approx(baseline.bytes_moved, rel=SUM_REL)
         assert summary.total_task_seconds == pytest.approx(
             baseline.total_task_seconds, rel=SUM_REL)
 
-    def test_hourly_dimensions(self, cc_e_reps, representation):
-        baseline = hourly_dimensions(cc_e_reps["trace"])
-        dims = hourly_dimensions(cc_e_reps[representation])
+    def test_hourly_dimensions(self, cc_e_reps, representation, analysis):
+        baseline = analysis(cc_e_reps["trace"], "hourly")
+        dims = analysis(cc_e_reps[representation], "hourly")
         assert np.array_equal(dims.jobs_per_hour, baseline.jobs_per_hour)
         assert np.allclose(dims.bytes_per_hour, baseline.bytes_per_hour, rtol=SUM_REL)
         assert np.allclose(dims.task_seconds_per_hour,
@@ -94,9 +85,9 @@ class TestCoreStatisticEquivalence:
         assert np.allclose(hourly_task_seconds(cc_e_reps[representation]),
                            hourly_task_seconds(cc_e_reps["trace"]), rtol=SUM_REL)
 
-    def test_data_sizes(self, cc_e_reps, representation):
-        baseline = analyze_data_sizes(cc_e_reps["trace"])
-        sizes = analyze_data_sizes(cc_e_reps[representation])
+    def test_data_sizes(self, cc_e_reps, representation, analysis):
+        baseline = analysis(cc_e_reps["trace"], "data_sizes")
+        sizes = analysis(cc_e_reps[representation], "data_sizes")
         # Counts are exact for every representation.
         assert sizes.map_only_fraction == baseline.map_only_fraction
         for dimension, exact in baseline.medians.items():
@@ -108,30 +99,30 @@ class TestCoreStatisticEquivalence:
                 assert sizes.medians[dimension] == exact
                 assert sizes.fraction_below_gb[dimension] == baseline.fraction_below_gb[dimension]
 
-    def test_zipf_ranks(self, cc_e_reps, representation):
-        baseline = input_rank_frequencies(cc_e_reps["trace"])
-        ranks = input_rank_frequencies(cc_e_reps[representation])
+    def test_zipf_ranks(self, cc_e_reps, representation, analysis):
+        baseline = analysis(cc_e_reps["trace"], "input_ranks")
+        ranks = analysis(cc_e_reps[representation], "input_ranks")
         assert np.array_equal(ranks.frequencies, baseline.frequencies)
         assert ranks.slope == baseline.slope
 
-    def test_access_patterns(self, cc_e_reps, representation):
-        baseline_fracs = reaccess_fractions(cc_e_reps["trace"])
-        fracs = reaccess_fractions(cc_e_reps[representation])
+    def test_access_patterns(self, cc_e_reps, representation, analysis):
+        baseline_fracs = analysis(cc_e_reps["trace"], "reaccess_fractions")
+        fracs = analysis(cc_e_reps[representation], "reaccess_fractions")
         assert fracs == baseline_fracs
-        baseline_intervals = reaccess_intervals(cc_e_reps["trace"])
-        intervals = reaccess_intervals(cc_e_reps[representation])
+        baseline_intervals = analysis(cc_e_reps["trace"], "reaccess_intervals")
+        intervals = analysis(cc_e_reps[representation], "reaccess_intervals")
         assert intervals.fraction_within_6h == baseline_intervals.fraction_within_6h
         assert np.array_equal(intervals.input_input.values,
                               baseline_intervals.input_input.values)
-        assert eighty_x_rule(cc_e_reps[representation]) == eighty_x_rule(cc_e_reps["trace"])
-        profile = size_access_profile(cc_e_reps[representation], "input")
-        baseline_profile = size_access_profile(cc_e_reps["trace"], "input")
+        profile = analysis(cc_e_reps[representation], "input_profile")
+        baseline_profile = analysis(cc_e_reps["trace"], "input_profile")
+        assert eighty_x_from_profile(profile) == eighty_x_from_profile(baseline_profile)
         assert np.array_equal(profile.file_sizes, baseline_profile.file_sizes)
         assert profile.jobs_below_gb_fraction == baseline_profile.jobs_below_gb_fraction
 
-    def test_naming(self, cc_e_reps, representation):
-        baseline = analyze_naming(cc_e_reps["trace"])
-        naming = analyze_naming(cc_e_reps[representation])
+    def test_naming(self, cc_e_reps, representation, analysis):
+        baseline = analysis(cc_e_reps["trace"], "naming")
+        naming = analysis(cc_e_reps[representation], "naming")
         # Job-count shares are integer-weighted: exact for every chunking.
         assert naming.by_jobs.shares == baseline.by_jobs.shares
         # Byte-weighted shares group per chunk before summing, so a different

@@ -9,9 +9,8 @@ from repro.core import (
     burstiness_curve,
     fit_zipf_slope,
     hourly_task_seconds,
-    rank_frequencies,
 )
-from repro.core.zipf import column_rank_frequencies, rank_frequencies_from_counts
+from repro.core.zipf import rank_frequencies_from_counts
 from repro.engine import ColumnarTrace
 from repro.errors import AnalysisError
 from repro.traces import Job, Trace
@@ -32,60 +31,60 @@ class TestZipfFit:
         with pytest.raises(AnalysisError):
             fit_zipf_slope([1.0], [1.0])
 
-    def test_rank_frequencies_counts_accesses(self):
+    def test_rank_frequencies_counts_accesses(self, analysis):
         paths = ["/a"] * 5 + ["/b"] * 3 + ["/c"] + [None] * 4
-        ranks = rank_frequencies(paths)
+        ranks = analysis(path_trace(paths), "input_ranks")
         assert ranks.frequencies.tolist() == [5.0, 3.0, 1.0]
         assert ranks.total_accesses == 9
         assert ranks.n_items == 3
 
-    def test_rank_frequencies_all_none_rejected(self):
+    def test_rank_frequencies_all_none_rejected(self, analysis):
         with pytest.raises(AnalysisError):
-            rank_frequencies([None, None])
+            analysis(path_trace([None, None]), "input_ranks")
 
-    def test_uniform_accesses_have_no_slope(self):
-        ranks = rank_frequencies(["/a", "/b", "/c"])
+    def test_uniform_accesses_have_no_slope(self, analysis):
+        ranks = analysis(path_trace(["/a", "/b", "/c"]), "input_ranks")
         assert ranks.slope is None
 
-    def test_zipf_samples_recover_slope_roughly(self):
+    def test_zipf_samples_recover_slope_roughly(self, analysis):
         # Draw many accesses from a true Zipf rank distribution and check the
         # fitted slope lands near the generating exponent.
         rng = np.random.default_rng(0)
         dist = ZipfRank(2000, 5.0 / 6.0)
         samples = dist.sample(rng, 60000).astype(int)
         paths = ["/f/%d" % rank for rank in samples]
-        ranks = rank_frequencies(paths)
+        ranks = analysis(path_trace(paths), "input_ranks")
         assert ranks.slope is not None
         assert 0.55 < ranks.slope < 1.15
 
-    def test_top_share(self):
+    def test_top_share(self, analysis):
         paths = ["/hot"] * 80 + ["/f%d" % index for index in range(20)]
-        ranks = rank_frequencies(paths)
+        ranks = analysis(path_trace(paths), "input_ranks")
         assert ranks.top_share(0.05) == pytest.approx(0.8)
 
-    def test_top_share_invalid_fraction(self):
-        ranks = rank_frequencies(["/a", "/a", "/b"])
+    def test_top_share_invalid_fraction(self, analysis):
+        ranks = analysis(path_trace(["/a", "/a", "/b"]), "input_ranks")
         with pytest.raises(AnalysisError):
             ranks.top_share(0.0)
 
     @pytest.mark.parametrize("fraction", [-0.1, 1.5])
-    def test_top_share_fraction_outside_the_unit_interval(self, fraction):
-        ranks = rank_frequencies(["/a", "/a", "/b"])
+    def test_top_share_fraction_outside_the_unit_interval(self, fraction, analysis):
+        ranks = analysis(path_trace(["/a", "/a", "/b"]), "input_ranks")
         with pytest.raises(AnalysisError):
             ranks.top_share(fraction)
 
-    def test_top_share_of_every_item_is_everything(self):
-        assert rank_frequencies(["/a", "/a", "/b"]).top_share(1.0) == 1.0
+    def test_top_share_of_every_item_is_everything(self, analysis):
+        assert analysis(path_trace(["/a", "/a", "/b"]), "input_ranks").top_share(1.0) == 1.0
 
-    def test_as_points_is_the_figure_2_series(self):
-        ranks = rank_frequencies(["/a"] * 4 + ["/b"] * 2 + ["/c"])
+    def test_as_points_is_the_figure_2_series(self, analysis):
+        ranks = analysis(path_trace(["/a"] * 4 + ["/b"] * 2 + ["/c"]), "input_ranks")
         assert ranks.as_points() == [(1, 4), (2, 2), (3, 1)]
 
-    def test_counts_front_end_matches_the_iterable_one(self):
+    def test_counts_front_end_matches_the_iterable_one(self, analysis):
         paths = ["/f/%d" % (index % 13 if index % 3 else 0) for index in range(400)]
         from_counts = rank_frequencies_from_counts(
             {path: paths.count(path) for path in set(paths)})
-        from_paths = rank_frequencies(paths)
+        from_paths = analysis(path_trace(paths), "input_ranks")
         assert from_counts.as_points() == from_paths.as_points()
         assert from_counts.slope == from_paths.slope
 
@@ -108,19 +107,20 @@ def path_trace(paths):
 
 
 class TestColumnRankFrequencies:
-    def test_matches_the_iterable_count_on_every_representation(self):
+    def test_matches_the_iterable_count_on_every_representation(self, analysis):
         paths = ["/hot"] * 30 + ["/warm"] * 7 + ["/f%d" % (index % 9) for index in range(40)]
         paths += [None] * 5
         trace = path_trace(paths)
-        expected = rank_frequencies(paths)
+        expected = rank_frequencies_from_counts(
+            {path: paths.count(path) for path in set(paths) if path is not None})
         for source in (trace, ColumnarTrace.from_trace(trace)):
-            result = column_rank_frequencies(source, "input_path")
+            result = analysis(source, "input_ranks")
             assert result.as_points() == expected.as_points()
             assert result.slope == expected.slope
 
-    def test_unrecorded_column_rejected(self):
-        with pytest.raises(AnalysisError, match="records no input_path"):
-            column_rank_frequencies(path_trace([None, None]), "input_path")
+    def test_unrecorded_column_rejected(self, analysis):
+        with pytest.raises(AnalysisError, match="records no column input_path"):
+            analysis(path_trace([None, None]), "input_ranks")
 
 
 class TestBurstiness:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core.datasizes import analyze_data_sizes
 from repro.core.stats import empirical_cdf
 from repro.engine import ChunkedTraceStore, Query, execute
 from repro.traces import load_workload, write_jsonl
@@ -16,9 +15,9 @@ def trace():
 
 
 class TestAnalysisFastPaths:
-    def test_datasizes_accepts_either_representation(self, trace):
-        from_jobs = analyze_data_sizes(trace)
-        from_columnar = analyze_data_sizes(trace.to_columnar())
+    def test_datasizes_accepts_either_representation(self, trace, analysis):
+        from_jobs = analysis(trace, "data_sizes")
+        from_columnar = analysis(trace.to_columnar(), "data_sizes")
         assert from_columnar.map_only_fraction == pytest.approx(from_jobs.map_only_fraction)
         for dimension in ("input_bytes", "shuffle_bytes", "output_bytes"):
             assert from_columnar.median(dimension) == pytest.approx(from_jobs.median(dimension))
@@ -271,3 +270,17 @@ class TestBoundedMemory:
         result = execute(store, query)
         assert result.aggregates["s"] == pytest.approx(
             float(np.nansum(trace.dimension("input_bytes"))))
+
+    def test_streamed_filtered_aggregate_is_flat_in_the_job_count(self, memory_stores,
+                                                                   peak_bytes):
+        """A filtered aggregate over a store holds one chunk at a time: four
+        times the jobs peak within 25 % of the smaller store, while loading
+        the store whole grows with it (traced allocations, not RSS)."""
+        query = (Query().filter("input_bytes", ">", 1e9)
+                 .aggregate(jobs=("count", "input_bytes"), total=("sum", "input_bytes")))
+        execute(memory_stores[0], query)  # one-time allocations
+        streamed = [peak_bytes(lambda store=store: execute(store, query))
+                    for store in memory_stores]
+        loaded = [peak_bytes(store.load_columnar) for store in memory_stores]
+        assert loaded[1] > 2 * loaded[0]
+        assert streamed[1] <= 1.25 * streamed[0]

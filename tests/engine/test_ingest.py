@@ -104,13 +104,11 @@ class TestSortedFlagCoherence:
         store = append_store(base_store.directory, iter(jobs))
         assert not store.sorted_by_submit_time
 
-    def test_ordered_analysis_raises_after_unsorted_append(self, base_store):
-        from repro.core.access import reaccess_intervals
-
+    def test_ordered_analysis_raises_after_unsorted_append(self, base_store, analysis):
         store = append_store(base_store.directory,
                              Trace(make_jobs(100, 110, t0=3.0), name="t"))
         with pytest.raises(AnalysisError, match="not sorted"):
-            reaccess_intervals(store)
+            analysis(store, "reaccess_intervals")
 
 
 class TestColumnUnion:

@@ -104,10 +104,10 @@ class TestGather:
 
 
 class TestSummaries:
-    def test_summary_matches_trace_summary(self, _module_trace, store):
+    def test_summary_matches_trace_summary(self, _module_trace, store, analysis):
         exact = _module_trace.summary()
         for backing in (_module_trace.to_columnar(), store):
-            summary = TraceSource.wrap(backing).summary()
+            summary = analysis(backing, "summary")
             assert summary.n_jobs == exact.n_jobs
             assert summary.length_s == pytest.approx(exact.length_s)
             assert summary.bytes_moved == pytest.approx(exact.bytes_moved)
@@ -160,13 +160,11 @@ class TestSortedGuard:
         assert sum(block.n_rows for block in blocks) == 50
         assert all("submit_time_s" in block.columns for block in blocks)
 
-    def test_reaccess_analyses_reject_unsorted_store(self, unsorted_store):
-        from repro.core import reaccess_fractions, reaccess_intervals
-
+    def test_reaccess_analyses_reject_unsorted_store(self, unsorted_store, analysis):
         with pytest.raises(AnalysisError, match="not sorted"):
-            reaccess_intervals(unsorted_store)
+            analysis(unsorted_store, "reaccess_intervals")
         with pytest.raises(AnalysisError, match="not sorted"):
-            reaccess_fractions(unsorted_store)
+            analysis(unsorted_store, "reaccess_fractions")
 
 
 class TestDerivedSubmitHour:

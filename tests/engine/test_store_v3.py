@@ -307,7 +307,7 @@ def _suite(store):
         for result in run_suite(traces={store.name: store},
                                 experiments=list(CHARACTERIZATION_EXPERIMENT_IDS),
                                 include_ablations=False,
-                                include_simulation=False, shared_scan=True)
+                                include_simulation=False)
     }
 
 

@@ -6,10 +6,10 @@ landed.  Every metric the repo publishes (Figure-7 utilization, wait and
 completion summaries, cache statistics) is pinned to that loop's event
 ordering, so the old implementation is preserved here — unchanged except for
 taking the replayer as an argument — as the ground truth the differential
-equivalence suite (``tests/simulator/test_replay_equivalence.py``) checks the
-new engine against, bit for bit.
+equivalence suites (``test_replay_equivalence.py``, ``test_replay_stretches.py``)
+check the new engine against, bit for bit.
 
-This module is test/benchmark infrastructure, not a public API: it is slow by
+This module is test infrastructure, not library code: it is slow by
 design (one :class:`~repro.simulator.events.Event` object plus closures per
 task transition) and exists so that any change to the vectorized engine can
 be re-pinned against the original semantics.
@@ -36,12 +36,12 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, Iterator
 
-from ..errors import SimulationError
-from ..traces.schema import Job
-from .cluster import Cluster
-from .events import EventQueue
-from .metrics import JobOutcome, SimulationMetrics
-from .tasks import SimJob, SimTask, split_job
+from repro.errors import SimulationError
+from repro.simulator.cluster import Cluster
+from repro.simulator.events import EventQueue
+from repro.simulator.metrics import JobOutcome, SimulationMetrics
+from repro.simulator.tasks import SimJob, SimTask, split_job
+from repro.traces.schema import Job
 
 __all__ = ["legacy_replay_jobs"]
 

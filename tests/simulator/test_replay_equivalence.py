@@ -1,7 +1,7 @@
 """Differential replay equivalence: the vectorized engine vs the legacy loop.
 
 The vectorized engine in :mod:`repro.simulator.replay` replaced the original
-closure-per-event loop (preserved verbatim in :mod:`repro.simulator.legacy`).
+closure-per-event loop (kept verbatim in ``legacy_replay.py`` beside this file).
 These tests pin the new engine — and both sharded disciplines built on it —
 to the old semantics *bit for bit* via :meth:`SimulationMetrics.digest`,
 which covers every published number: job counts, float metric sums in fold
@@ -31,12 +31,13 @@ from repro.simulator import (
     ShardedReplayer,
     StreamingReplayer,
     WorkloadReplayer,
-    legacy_replay_jobs,
 )
 from repro.simulator.metrics import ACCUMULATOR_BATCH
 from repro.simulator.replay import DEFAULT_LOOKAHEAD, _ReplayEngine
 from repro.traces import Job, Trace, load_workload
 from repro.units import GB
+
+from legacy_replay import legacy_replay_jobs
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,10 @@ from repro.simulator import (
     ClusterConfig,
     ShardedReplayer,
     StreamingReplayer,
-    legacy_replay_jobs,
 )
 from repro.traces import Job, Trace
+
+from legacy_replay import legacy_replay_jobs
 
 # By import path: ``repro.simulator.replay`` the attribute is the re-exported
 # ``replay`` function, not the module.

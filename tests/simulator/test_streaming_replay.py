@@ -96,6 +96,15 @@ class TestStreamingBehaviour:
         assert metrics.finished_jobs > 0
         assert metrics.n_jobs == metrics.jobs_submitted
 
+    def test_replay_memory_is_flat_in_the_job_count(self, memory_stores, peak_bytes):
+        """One chunk and the metric accumulators, never a per-job list: four
+        times the jobs over the same horizon peak within 25 % of the smaller
+        store (traced allocations, not RSS or wall clock)."""
+        StreamingReplayer().replay_store(memory_stores[0])  # one-time allocations
+        small, large = (peak_bytes(lambda store=store: StreamingReplayer().replay_store(store))
+                        for store in memory_stores)
+        assert large <= 1.25 * small
+
     def test_streaming_percentiles_close_to_exact(self, trace, store):
         exact = WorkloadReplayer().replay(trace)
         streamed = StreamingReplayer().replay_store(store)

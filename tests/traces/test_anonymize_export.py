@@ -98,11 +98,10 @@ class TestAnonymizeTrace:
             assert job.input_path is None or "data" not in job.input_path
             assert job.output_path is None or "out" not in job.output_path
 
-    def test_first_word_analysis_still_works(self, tiny_trace):
-        from repro.core import analyze_naming
+    def test_first_word_analysis_still_works(self, tiny_trace, analysis):
         anonymized = anonymize_trace(tiny_trace)
-        analysis = analyze_naming(anonymized)
-        assert analysis.by_jobs.share_of("select") > 0
+        naming = analysis(anonymized, "naming")
+        assert naming.by_jobs.share_of("select") > 0
 
     def test_first_word_can_be_hidden(self, tiny_trace):
         anonymized = anonymize_trace(tiny_trace, keep_first_word=False)

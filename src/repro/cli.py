@@ -158,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run a scenario sweep (grid/list of scheduler x cache x "
                              "cluster cells) instead of a single replay")
     replay.add_argument("--processes", type=int, default=None, metavar="N",
-                        help="worker processes for a store-backed --sweep")
+                        help="worker processes for a store-backed --sweep or for "
+                             "--shard-mode windowed shards")
     replay.add_argument("--output", help="also write the sweep results JSON here")
 
     anonymize = subparsers.add_parser("anonymize",

@@ -13,7 +13,6 @@ from .stats import (
     pearson_correlation,
     percentile,
     percentile_ratio_curve,
-    sketch_cdf,
 )
 from .zipf import RankFrequency, fit_zipf_slope
 from .burstiness import BurstinessResult, analyze_burstiness, burstiness_curve, hourly_task_seconds
@@ -32,11 +31,9 @@ from .access import AccessPatternResult, ReaccessFractions, ReaccessIntervals, S
 from .kmeans import (
     KMeansResult,
     KSelectionResult,
-    MiniBatchKMeansResult,
     assign_labels,
     kmeans,
     log_standardize,
-    mini_batch_kmeans,
     select_k,
 )
 from .clustering import ClusteringResult, JobCluster, cluster_jobs, label_centroid
@@ -46,7 +43,7 @@ from .naming import (
     NamingAnalysis,
     classify_framework,
 )
-from .multiplexing import ConsolidationStudy, consolidate, consolidation_study
+from .multiplexing import ConsolidationStudy, consolidation_study
 from .sharedscan import (
     DEFAULT_CLUSTER_SAMPLE_CAP,
     CharacterizationAnalyses,
@@ -61,7 +58,6 @@ from .profile import (
 from .comparison import (
     WorkloadFeatures,
     WorkloadSuite,
-    cdf_distance,
     features_from_profile,
     select_workload_suite,
     workload_distance,
@@ -77,7 +73,6 @@ __all__ = [
     "EmpiricalCDF",
     "SketchCDF",
     "empirical_cdf",
-    "sketch_cdf",
     "percentile",
     "percentile_ratio_curve",
     "hourly_series",
@@ -114,9 +109,7 @@ __all__ = [
     # kmeans / clustering
     "KMeansResult",
     "KSelectionResult",
-    "MiniBatchKMeansResult",
     "kmeans",
-    "mini_batch_kmeans",
     "assign_labels",
     "select_k",
     "log_standardize",
@@ -130,7 +123,6 @@ __all__ = [
     "FirstWordBreakdown",
     "NamingAnalysis",
     # multiplexing / consolidation
-    "consolidate",
     "ConsolidationStudy",
     "consolidation_study",
     # workload profiles
@@ -142,7 +134,6 @@ __all__ = [
     "WorkloadFeatures",
     "features_from_profile",
     "workload_features",
-    "cdf_distance",
     "workload_distance",
     "WorkloadSuite",
     "select_workload_suite",

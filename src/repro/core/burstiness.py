@@ -44,12 +44,6 @@ class BurstinessResult:
     p90_to_median: float
     hours: int
 
-    def ratio_at(self, percentile_value: float) -> float:
-        """Interpolated normalized rate at the given percentile."""
-        percentiles = np.array([point[1] for point in self.curve])
-        ratios = np.array([point[0] for point in self.curve])
-        return float(np.interp(percentile_value, percentiles, ratios))
-
 
 def hourly_task_seconds(trace) -> np.ndarray:
     """Hourly sum of per-job task time (map + reduce), keyed by submit hour.

@@ -8,14 +8,11 @@ the paper's vocabulary ("Small jobs", "Map only transform", "Aggregate",
 "Expand and aggregate", ...), producing a Table-2-style summary.
 
 Any :class:`~repro.engine.source.TraceSource`-wrappable representation is
-accepted.  The default (``method="exact"``) gathers the feature matrix from
-chunked column batches — 48 bytes/job, three orders of magnitude lighter than
-materialized ``Job`` objects — and runs full vectorized k-means, so results
-are identical across representations.  ``method="minibatch"`` never holds the
-matrix at all: it trains with :func:`~repro.core.kmeans.mini_batch_kmeans`
-over streamed batches and reads per-cluster median centroids out of mergeable
-log-histogram sketches (bin-resolution accurate), keeping memory bounded by
-one chunk for arbitrarily large stores.
+accepted.  The feature matrix is gathered from chunked column batches — 48
+bytes/job, three orders of magnitude lighter than materialized ``Job``
+objects — and clustered with full vectorized k-means, so results are
+identical across representations.  Exact k-means over the whole matrix is
+what lets the paper's diminishing-returns rule choose k.
 """
 
 from __future__ import annotations
@@ -25,22 +22,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..engine.aggregates import HistogramSketch
 from ..engine.columnar import ColumnarTrace
 from ..engine.pipeline import ChunkConsumer, ScanChunk
 from ..engine.source import TraceSource
 from ..errors import AnalysisError, ClusteringError
 from ..traces.schema import FEATURE_DIMENSIONS, NUMERIC_DIMENSIONS
 from ..units import GB, HOUR, MINUTE, format_bytes, format_duration
-from .kmeans import (
-    KMeansResult,
-    KSelectionResult,
-    assign_labels,
-    kmeans,
-    log_standardize,
-    mini_batch_kmeans,
-    select_k,
-)
+from .kmeans import KSelectionResult, kmeans, log_standardize, select_k
 
 __all__ = ["JobCluster", "ClusteringResult", "FeatureMatrixConsumer",
            "ClusterSampleConsumer", "cluster_jobs", "label_centroid",
@@ -297,7 +285,6 @@ def small_job_fraction(result: "ClusteringResult") -> float:
 def cluster_jobs(trace, k: Optional[int] = None, max_k: int = 12, seed: int = 0,
                  improvement_threshold: float = 0.10,
                  rng: Optional[np.random.Generator] = None,
-                 method: str = "exact",
                  features: Optional[np.ndarray] = None) -> ClusteringResult:
     """Cluster a trace's jobs into Table-2 style job types.
 
@@ -311,27 +298,17 @@ def cluster_jobs(trace, k: Optional[int] = None, max_k: int = 12, seed: int = 0,
         improvement_threshold: relative inertia-improvement cutoff of the
             automatic rule.
         rng: explicit generator for k-means++ seeding (overrides ``seed``).
-        method: ``"exact"`` (default — gather the feature matrix from column
-            batches, full k-means, representation-independent results) or
-            ``"minibatch"`` (stream batches through mini-batch k-means with
-            sketch-backed median centroids; needs an explicit ``k``; memory
-            bounded by one chunk).
         features: optional pre-gathered (n_jobs, 6) feature matrix (e.g. from
             a shared-scan :class:`FeatureMatrixConsumer`), skipping the
             feature-gather scan; must match :meth:`TraceSource.feature_matrix`
-            of ``trace``.  Ignored by ``method="minibatch"``.
+            of ``trace``.
 
     Raises:
-        ClusteringError: for an empty trace, an invalid fixed ``k``, or
-            ``method="minibatch"`` without ``k``.
+        ClusteringError: for an empty trace or an invalid fixed ``k``.
     """
     source = TraceSource.wrap(trace)
     if source.is_empty():
         raise ClusteringError("cannot cluster an empty trace")
-    if method == "minibatch":
-        return _cluster_jobs_minibatch(source, k, seed=seed, rng=rng)
-    if method != "exact":
-        raise ClusteringError("unknown clustering method %r" % (method,))
 
     if features is None:
         features = source.feature_matrix()
@@ -367,87 +344,6 @@ def cluster_jobs(trace, k: Optional[int] = None, max_k: int = 12, seed: int = 0,
         workload=source.name,
         clusters=clusters,
         k_selection=selection,
-        small_job_fraction=0.0,
-    )
-    clustering.small_job_fraction = small_job_fraction(clustering)
-    return clustering
-
-
-def _cluster_jobs_minibatch(source: TraceSource, k: Optional[int], seed: int,
-                            rng: Optional[np.random.Generator]) -> ClusteringResult:
-    """Bounded-memory clustering: mini-batch training + sketch centroids."""
-    if k is None:
-        raise ClusteringError("method='minibatch' needs an explicit k "
-                              "(the elbow sweep would re-stream the store per k)")
-    n_dims = len(FEATURE_DIMENSIONS)
-
-    # Pass 1: global log-standardization statistics (exact, one scan).
-    count = 0
-    sums = np.zeros(n_dims)
-    sum_squares = np.zeros(n_dims)
-    for batch in source.feature_batches():
-        logged = np.log10(np.maximum(batch, 1.0))
-        count += logged.shape[0]
-        sums += logged.sum(axis=0)
-        sum_squares += (logged ** 2).sum(axis=0)
-    if count == 0:
-        raise ClusteringError("cannot cluster an empty trace")
-    if k > count:
-        raise ClusteringError("k=%d exceeds the number of points (%d)" % (k, count))
-    means = sums / count
-    variances = np.maximum(sum_squares / count - means ** 2, 0.0)
-    stds = np.sqrt(variances)
-    stds[stds == 0] = 1.0
-
-    def scaled_batches():
-        for raw in source.feature_batches():
-            yield (np.log10(np.maximum(raw, 1.0)) - means) / stds
-
-    # Pass 2: mini-batch training over the scaled stream.
-    trained = mini_batch_kmeans(scaled_batches(), k, seed=seed, rng=rng)
-
-    # Pass 3: final assignment — counts plus per-(cluster, dimension) median
-    # sketches over the *natural-unit* features.
-    counts = np.zeros(k, dtype=np.int64)
-    inertia = 0.0
-    sketches = [[HistogramSketch() for _ in range(n_dims)] for _ in range(k)]
-    for raw in source.feature_batches():
-        scaled = (np.log10(np.maximum(raw, 1.0)) - means) / stds
-        labels, assigned_sq = assign_labels(scaled, trained.centroids)
-        inertia += float(assigned_sq.sum())
-        counts += np.bincount(labels, minlength=k)
-        for cluster_index in np.unique(labels):
-            members = raw[labels == cluster_index]
-            for dim in range(n_dims):
-                sketches[cluster_index][dim].update(members[:, dim])
-
-    clusters: List[JobCluster] = []
-    for cluster_index in range(k):
-        n_members = int(counts[cluster_index])
-        if n_members == 0:
-            continue
-        centroid = tuple(
-            float(sketches[cluster_index][dim].percentile(50.0) or 0.0)
-            for dim in range(n_dims)
-        )
-        clusters.append(JobCluster(
-            label=label_centroid(centroid),
-            n_jobs=n_members,
-            centroid=centroid,  # type: ignore[arg-type]
-            fraction=n_members / count,
-        ))
-    clusters.sort(key=lambda cluster: cluster.n_jobs, reverse=True)
-    final = KMeansResult(
-        centroids=trained.centroids,
-        labels=np.zeros(0, dtype=int),  # per-point labels are never retained
-        inertia=inertia,
-        n_iterations=trained.n_batches,
-        converged=True,
-    )
-    clustering = ClusteringResult(
-        workload=source.name,
-        clusters=clusters,
-        k_selection=KSelectionResult(chosen_k=k, inertias=[(k, inertia)], result=final),
         small_job_fraction=0.0,
     )
     clustering.small_job_fraction = small_job_fraction(clustering)

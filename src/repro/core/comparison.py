@@ -7,9 +7,8 @@ This module provides the machinery for that argument:
 
 * :func:`workload_features` condenses one trace into a fixed-length numeric
   feature vector covering the three analysis axes (data, temporal, compute);
-* :func:`cdf_distance` and :func:`workload_distance` quantify how different
-  two workloads are (Kolmogorov-Smirnov distance on per-job size
-  distributions, normalized L2 on the feature vectors);
+* :func:`workload_distance` quantifies how different two workloads are
+  (normalized L2 on the feature vectors);
 * :func:`select_workload_suite` picks the smallest set of workloads that
   covers the observed behavior range, using greedy k-center selection — the
   "workload suites" recommendation of §7 made executable.
@@ -31,7 +30,6 @@ __all__ = [
     "WorkloadFeatures",
     "features_from_profile",
     "workload_features",
-    "cdf_distance",
     "workload_distance",
     "WorkloadSuite",
     "select_workload_suite",
@@ -112,26 +110,6 @@ def workload_features(trace, small_job_threshold_bytes: float = 10 * GB) -> Work
         raise AnalysisError("cannot compute features of an empty trace")
     return features_from_profile(
         profile_source(source, small_job_threshold_bytes=small_job_threshold_bytes))
-
-
-def cdf_distance(values_a: Sequence[float], values_b: Sequence[float]) -> float:
-    """Two-sample Kolmogorov-Smirnov distance between two samples.
-
-    Used to compare per-job size distributions of two workloads (Figure 1
-    shows they can differ by many orders of magnitude).  Returns a value in
-    [0, 1]; 0 means identical empirical distributions.
-
-    Raises:
-        AnalysisError: when either sample is empty.
-    """
-    a = np.sort(np.asarray(list(values_a), dtype=float))
-    b = np.sort(np.asarray(list(values_b), dtype=float))
-    if a.size == 0 or b.size == 0:
-        raise AnalysisError("KS distance needs two non-empty samples")
-    grid = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, grid, side="right") / a.size
-    cdf_b = np.searchsorted(b, grid, side="right") / b.size
-    return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
 def _normalize_matrix(vectors: np.ndarray) -> np.ndarray:

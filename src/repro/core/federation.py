@@ -229,7 +229,8 @@ def _evolution_to_dict(report: EvolutionReport) -> Dict:
 
 
 def _epoch_chains(members: Sequence[CatalogEntry]) -> Dict[str, List[CatalogEntry]]:
-    """Per-cluster members in epoch order (same key as ``StoreCatalog.epochs``)."""
+    """Per-cluster members in epoch order (lexicographic; no-epoch first),
+    for every cluster with at least two."""
     chains: Dict[str, List[CatalogEntry]] = {}
     for entry in members:
         chains.setdefault(entry.cluster, []).append(entry)

@@ -10,8 +10,6 @@ variance shows diminishing returns.  This module implements:
   matrix comes from the Gram expansion ``|x|² + |c|² - 2x·c`` — no (n, k, d)
   tensor — and per-cluster sums from ``bincount``), so a million-job
   assignment is a handful of BLAS calls rather than per-point Python work;
-* mini-batch k-means (:func:`mini_batch_kmeans`) for training on chunked
-  column batches streamed from an out-of-core store;
 * the elbow-style k selection rule;
 * feature scaling appropriate for job dimensions that span many orders of
   magnitude (log transform + standardization), since raw byte values would
@@ -25,8 +23,8 @@ under caller-controlled generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -35,9 +33,7 @@ from ..errors import ClusteringError
 __all__ = [
     "KMeansResult",
     "KSelectionResult",
-    "MiniBatchKMeansResult",
     "kmeans",
-    "mini_batch_kmeans",
     "assign_labels",
     "select_k",
     "log_standardize",
@@ -66,10 +62,6 @@ class KMeansResult:
     def k(self) -> int:
         return int(self.centroids.shape[0])
 
-    def cluster_sizes(self) -> np.ndarray:
-        """Number of points assigned to each cluster."""
-        return np.bincount(self.labels, minlength=self.k)
-
 
 @dataclass
 class KSelectionResult:
@@ -84,29 +76,6 @@ class KSelectionResult:
     chosen_k: int
     inertias: List[Tuple[int, float]]
     result: KMeansResult
-
-
-@dataclass
-class MiniBatchKMeansResult:
-    """Result of a mini-batch k-means training pass over chunked batches.
-
-    Attributes:
-        centroids: (k, d) array of trained cluster centers.
-        n_points: total points consumed across all batches.
-        n_batches: number of batches processed.
-        inertia: sum over batches of the assignment-time squared distances
-            (an online proxy for the full inertia — centers move after each
-            batch, so this is not the final-assignment inertia).
-    """
-
-    centroids: np.ndarray
-    n_points: int
-    n_batches: int
-    inertia: float
-
-    @property
-    def k(self) -> int:
-        return int(self.centroids.shape[0])
 
 
 def log_standardize(features: np.ndarray, floor: float = 1.0) -> np.ndarray:
@@ -245,81 +214,6 @@ def _kmeans_single(points: np.ndarray, k: int, rng: np.random.Generator,
         inertia=float(previous_inertia),
         n_iterations=iteration,
         converged=converged,
-    )
-
-
-def mini_batch_kmeans(batches: Iterable[np.ndarray], k: int, seed: int = 0,
-                      rng: Optional[np.random.Generator] = None,
-                      init_batch: Optional[np.ndarray] = None) -> MiniBatchKMeansResult:
-    """Train k-means over a stream of feature batches (Sculley's algorithm).
-
-    Designed for chunked column batches from a
-    :class:`~repro.engine.source.TraceSource` (see
-    :meth:`TraceSource.feature_batches`): each batch is assigned with the
-    vectorized step, then centers take a per-center-learning-rate gradient
-    step ``c += (mean of new members - c) * m_c / n_c`` where ``n_c`` is the
-    cumulative member count.  Memory is bounded by one batch.
-
-    Args:
-        batches: iterable of (m, d) arrays (already scaled); consumed once.
-        k: number of clusters.
-        seed: RNG seed for k-means++ seeding on the first batch.
-        rng: explicit generator (overrides ``seed``).
-        init_batch: optional explicit (m, d) array to seed from; defaults to
-            the first batch of the stream (which is still also trained on).
-
-    Raises:
-        ClusteringError: when the stream is empty or the first batch has
-            fewer than ``k`` points.
-    """
-    if k < 1:
-        raise ClusteringError("k must be at least 1")
-    generator = rng if rng is not None else np.random.default_rng(seed)
-    iterator = iter(batches)
-    centroids: Optional[np.ndarray] = None
-    cumulative = np.zeros(k, dtype=np.int64)
-    n_points = 0
-    n_batches = 0
-    inertia = 0.0
-
-    if init_batch is not None:
-        init = np.asarray(init_batch, dtype=float)
-        if init.ndim != 2 or init.shape[0] < k:
-            raise ClusteringError("init batch needs at least k=%d points" % k)
-        centroids = _kmeans_plus_plus(init, k, generator)
-
-    for batch in iterator:
-        batch = np.asarray(batch, dtype=float)
-        if batch.ndim != 2 or batch.shape[0] == 0:
-            continue
-        if centroids is None:
-            if batch.shape[0] < k:
-                raise ClusteringError(
-                    "first batch has %d points but k=%d; provide init_batch"
-                    % (batch.shape[0], k))
-            centroids = _kmeans_plus_plus(batch, k, generator)
-        labels, assigned_sq = assign_labels(batch, centroids)
-        inertia += float(assigned_sq.sum())
-        counts = np.bincount(labels, minlength=k)
-        sums = np.empty_like(centroids)
-        for dim in range(centroids.shape[1]):
-            sums[:, dim] = np.bincount(labels, weights=batch[:, dim], minlength=k)
-        cumulative += counts
-        seen = counts > 0
-        # Per-center learning rate 1/n_c (Sculley 2010), applied batch-wise.
-        step = counts[seen, None] / cumulative[seen, None]
-        batch_means = sums[seen] / counts[seen, None]
-        centroids[seen] = centroids[seen] + step * (batch_means - centroids[seen])
-        n_points += int(batch.shape[0])
-        n_batches += 1
-
-    if centroids is None:
-        raise ClusteringError("mini-batch k-means needs at least one non-empty batch")
-    return MiniBatchKMeansResult(
-        centroids=centroids.copy(),
-        n_points=n_points,
-        n_batches=n_batches,
-        inertia=inertia,
     )
 
 

@@ -6,67 +6,26 @@ the cluster: "multiplexing many workloads helps decrease burstiness.  However,
 the workload remains bursty."  This module makes that effect measurable for
 arbitrary combinations of traces:
 
-* :func:`consolidate` merges several traces onto one timeline (jobs get
-  workload-prefixed ids so the merged trace stays analyzable per source);
-* :func:`consolidation_study` computes each source's burstiness, the merged
-  workload's burstiness, and the reduction factors — the numbers behind the
-  "does sharing a cluster smooth the load" question that drives consolidation
-  and capacity-planning decisions.
+* :func:`consolidation_study` start-aligns several traces on one timeline
+  and computes each source's burstiness, the merged workload's burstiness,
+  and the reduction factors — the numbers behind the "does sharing a cluster
+  smooth the load" question that drives consolidation and capacity-planning
+  decisions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
 from ..engine.pipeline import ChunkConsumer, ScanChunk, fold_consumer
 from ..engine.source import TraceSource
 from ..errors import AnalysisError
-from ..traces.schema import Job
-from ..traces.trace import Trace
 from .burstiness import BurstinessResult, analyze_burstiness, burstiness_curve
 
-__all__ = ["consolidate", "ConsolidationStudy", "ShiftedHourlyTaskSecondsConsumer",
-           "consolidation_study"]
-
-
-def consolidate(traces: Sequence[Trace], name: str = "consolidated",
-                align_starts: bool = True) -> Trace:
-    """Merge several traces into one consolidated workload.
-
-    Job ids are prefixed with their source workload name so the merged trace
-    keeps one unique id per job and per-source analyses remain possible
-    through the ``workload`` field.
-
-    Args:
-        traces: the source traces (at least two).
-        name: name of the merged trace.
-        align_starts: when true every source is shifted so its first
-            submission lands at time zero before merging — the consolidation
-            question is about concurrent sharing, not about calendar overlap
-            of trace collection windows.
-
-    Raises:
-        AnalysisError: with fewer than two non-empty traces.
-    """
-    non_empty = [trace for trace in traces if not trace.is_empty()]
-    if len(non_empty) < 2:
-        raise AnalysisError("consolidation needs at least two non-empty traces")
-
-    merged_jobs: List[Job] = []
-    machines = 0
-    for trace in non_empty:
-        offset = -trace.jobs[0].submit_time_s if align_starts else 0.0
-        machines += trace.machines or 0
-        for job in trace:
-            data = job.to_dict()
-            data["job_id"] = "%s/%s" % (trace.name, job.job_id)
-            data["submit_time_s"] = job.submit_time_s + offset
-            data["workload"] = data.get("workload") or trace.name
-            merged_jobs.append(Job.from_dict(data))
-    return Trace(merged_jobs, name=name, machines=machines or None)
+__all__ = ["ConsolidationStudy", "ShiftedHourlyTaskSecondsConsumer", "consolidation_study"]
 
 
 @dataclass
@@ -100,9 +59,8 @@ class ShiftedHourlyTaskSecondsConsumer(ChunkConsumer):
     Each source's submissions are shifted so its first submission lands at
     hour zero; the fold accumulates into a fixed ``n_hours`` bucket array
     (events past the shared horizon clamp into the final hour).  The
-    per-source arrays are summed by the consolidation study — the streaming
-    equivalent of ``hourly_task_seconds(consolidate(traces))``, with no
-    merged job list ever materialized.
+    per-source arrays are summed by the consolidation study, so no merged job
+    list is ever materialized.
     """
 
     columns = ("submit_time_s", "total_task_seconds")
@@ -131,9 +89,10 @@ class ShiftedHourlyTaskSecondsConsumer(ChunkConsumer):
 def _consolidated_hourly_task_seconds(sources: Sequence[TraceSource]) -> np.ndarray:
     """Hourly task-seconds of the start-aligned union of several sources.
 
-    Bucket boundaries match ``hourly_task_seconds(consolidate(traces))``
-    exactly; only the floating-point summation order differs (per-source
-    partial arrays are summed instead of folding every job into one array).
+    Bucket boundaries match the hourly task-seconds of the merged,
+    start-aligned job list exactly; only the floating-point summation order
+    differs (per-source partial arrays are summed instead of folding every
+    job into one array).
     """
     starts = []
     horizon = 0.0

@@ -80,12 +80,6 @@ class FirstWordBreakdown:
     weighting: str
     shares: List[Tuple[str, float]]
 
-    def share_of(self, word: str) -> float:
-        for name, share in self.shares:
-            if name == word:
-                return share
-        return 0.0
-
     def top(self, n: int = 5) -> List[Tuple[str, float]]:
         return self.shares[:n]
 

@@ -62,17 +62,11 @@ __all__ = [
     "EmpiricalCDF",
     "SketchCDF",
     "empirical_cdf",
-    "sketch_cdf",
     "percentile",
     "percentile_ratio_curve",
     "hourly_series",
     "pearson_correlation",
-    "SKETCH_RELATIVE_RESOLUTION",
 ]
-
-#: Relative value resolution of sketch-backed percentiles: one part in
-#: ``10 ** (1 / BINS_PER_DECADE)`` (32 bins per decade), i.e. about 7.5%.
-SKETCH_RELATIVE_RESOLUTION = 10.0 ** (1.0 / 32.0) - 1.0
 
 
 def _as_float_array(samples: Sequence[float]) -> np.ndarray:
@@ -169,8 +163,7 @@ class SketchCDF:
     """
 
     def __init__(self, sketch):
-        # `sketch` is a repro.engine.aggregates.HistogramSketch (imported
-        # lazily by sketch_cdf to keep this module importable standalone).
+        # `sketch` is a repro.engine.aggregates.HistogramSketch.
         self.sketch = sketch
 
     @property
@@ -209,23 +202,6 @@ class SketchCDF:
     def as_points(self) -> "list[tuple[float, float]]":
         """(value, cumulative fraction) pairs over the non-empty bins."""
         return self.sketch.cdf_points()
-
-
-def sketch_cdf(samples: Sequence[float]) -> SketchCDF:
-    """Build a :class:`SketchCDF` from raw samples (NaNs dropped).
-
-    Raises:
-        AnalysisError: when no finite samples remain (matching
-        :func:`empirical_cdf`) or when samples are negative.
-    """
-    from ..engine.aggregates import HistogramSketch
-
-    sketch = HistogramSketch()
-    array = _as_float_array(samples)
-    sketch.update(array)
-    if sketch.n == 0:
-        raise AnalysisError("cannot build a CDF from an empty sample")
-    return SketchCDF(sketch)
 
 
 def percentile(samples: Sequence[float], q: float) -> float:

@@ -50,21 +50,6 @@ class RankFrequency:
     def n_items(self) -> int:
         return int(self.ranks.size)
 
-    @property
-    def total_accesses(self) -> int:
-        return int(self.frequencies.sum())
-
-    def top_share(self, fraction_of_items: float) -> float:
-        """Fraction of all accesses captured by the top ``fraction_of_items``.
-
-        ``top_share(0.2)`` answers the classic 80-20 question (§4.2): how much
-        of the access volume goes to the most popular 20% of files.
-        """
-        if not 0.0 < fraction_of_items <= 1.0:
-            raise AnalysisError("fraction_of_items must be in (0, 1]")
-        count = max(1, int(round(self.n_items * fraction_of_items)))
-        return float(self.frequencies[:count].sum() / max(1, self.total_accesses))
-
     def as_points(self) -> List[Tuple[int, int]]:
         """(rank, frequency) pairs in rank order (the Figure-2 series)."""
         return list(zip(self.ranks.astype(int).tolist(), self.frequencies.astype(int).tolist()))

@@ -32,8 +32,7 @@ either field per member::
     {"members": {"fb2010": {"cluster": "fb", "epoch": "2010"}}}
 
 Epochs order lexicographically within a cluster (zero-pad numeric epochs),
-which is what :meth:`StoreCatalog.epochs` returns and what the federation
-drift report walks pair-by-pair.
+which is the order the federation drift report walks pair-by-pair.
 """
 
 from __future__ import annotations
@@ -196,16 +195,6 @@ class StoreCatalog:
     def clusters(self) -> List[str]:
         """Distinct cluster names, sorted."""
         return sorted({entry.cluster for entry in self._entries.values()})
-
-    def epochs(self, cluster: str) -> List[CatalogEntry]:
-        """The cluster's members in epoch order (lexicographic; no-epoch first).
-
-        The federation drift report compares consecutive pairs of this list —
-        the §4.1 FB-2009 → FB-2010 walk generalized to any epoch chain.
-        """
-        members = [entry for entry in self.members() if entry.cluster == cluster]
-        return sorted(members, key=lambda entry: (entry.epoch is not None,
-                                                  entry.epoch or "", entry.name))
 
     def info(self) -> List[Dict]:
         """Machine-readable metadata for every store in the catalog."""

@@ -80,7 +80,7 @@ def _in_submit_order(times: np.ndarray, previous_end: float) -> bool:
 
 class _OrderCheck:
     """Raises when chunks stream out of submit-time order (the pipeline's
-    ordered lane, :meth:`TraceSource.iter_chunks_sorted`).  ``floor`` seeds a
+    ordered lane).  ``floor`` seeds a
     resumed scan with the last submit time its checkpointed prefix saw, so an
     appended chunk that dips below it is caught like any out-of-order chunk."""
 
@@ -383,12 +383,6 @@ class ColumnarTrace:
             _nan_to_zero(self.block.column(dim)) for dim in NUMERIC_DIMENSIONS
         ])
 
-    def map_only_mask(self) -> np.ndarray:
-        """Boolean mask of jobs with no reduce stage (§4.1 map-only jobs)."""
-        shuffle = _nan_to_zero(self.block.column("shuffle_bytes"))
-        reduce_s = _nan_to_zero(self.block.column("reduce_task_seconds"))
-        return (shuffle == 0.0) & (reduce_s == 0.0)
-
     # -- reductions (Table 1, without materializing jobs) ------------------
     def bytes_moved(self) -> float:
         return float(self.block.column("total_bytes").sum()) if len(self) else 0.0
@@ -411,13 +405,6 @@ class ColumnarTrace:
         selected.name = name or self.name
         selected.machines = self.machines
         return selected
-
-    def time_window(self, start_s: float, end_s: float) -> "ColumnarTrace":
-        if end_s < start_s:
-            raise AnalysisError("time window end %r precedes start %r" % (end_s, start_s))
-        times = self.block.column("submit_time_s")
-        return self.select((times >= start_s) & (times < end_s),
-                           name="%s[%g:%g]" % (self.name, start_s, end_s))
 
     # -- chunked iteration (the scan-source protocol) ----------------------
     def iter_chunks(self, columns: Optional[Sequence[str]] = None,

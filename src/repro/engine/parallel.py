@@ -76,8 +76,7 @@ class ParallelExecutor:
         n_workers = self.processes or min(n_tasks, multiprocessing.cpu_count())
         return max(1, min(n_workers, n_tasks))
 
-    def map(self, func, tasks: List, store_directory: Optional[str] = None,
-            chunksize: Optional[int] = None) -> List:
+    def map(self, func, tasks: List, store_directory: Optional[str] = None) -> List:
         """Generic fan-out: apply a picklable ``func`` to each task item.
 
         Used by the scenario-sweep runner, the shared-scan pipeline and the
@@ -85,10 +84,11 @@ class ParallelExecutor:
         processes.  When ``store_directory`` is given, each worker opens that
         chunked store once in its pool initializer and ``func`` can fetch the
         cached handle via :func:`get_worker_store` — instead of re-parsing
-        the manifest per task.  ``chunksize`` is forwarded to
-        :meth:`multiprocessing.pool.Pool.map`; it defaults to 1 so a handful
-        of long, uneven tasks (e.g. replay shards, where early windows are
-        often denser) never batch onto one worker while others idle.  Falls
+        the manifest per task.  Tasks go to
+        :meth:`multiprocessing.pool.Pool.map` one at a time (``chunksize=1``)
+        so a handful of long, uneven tasks (e.g. replay shards, where early
+        windows are often denser) never batch onto one worker while others
+        idle.  Falls
         back to a serial loop when one worker (or one task) makes a pool
         pointless, so results are identical either way.
         """
@@ -107,7 +107,7 @@ class ParallelExecutor:
         initargs = (store_directory,) if store_directory is not None else ()
         with multiprocessing.Pool(processes=n_workers, initializer=initializer,
                                   initargs=initargs) as pool:
-            return pool.map(func, tasks, chunksize=chunksize or 1)
+            return pool.map(func, tasks, chunksize=1)
 
     def run(self, store: ChunkedTraceStore, query: Query) -> QueryResult:
         """Execute ``query`` against ``store``; parallel for aggregate queries."""

@@ -52,7 +52,7 @@ import numpy as np
 from ..errors import AnalysisError
 from ..traces.schema import Job, NUMERIC_DIMENSIONS
 from ..traces.trace import Trace
-from .columnar import DEFAULT_CHUNK_ROWS, ColumnBlock, ColumnarTrace, _OrderCheck
+from .columnar import DEFAULT_CHUNK_ROWS, ColumnBlock, ColumnarTrace
 from .operators import Query, QueryResult, execute
 from .store import ChunkedTraceStore
 
@@ -192,26 +192,6 @@ class TraceSource:
             return self.backing.has_column(name)
         return self.columnar().block.has_column(name)
 
-    def iter_chunks_sorted(self, columns: Sequence[str],
-                           chunk_rows: int = DEFAULT_CHUNK_ROWS) -> Iterator[ColumnBlock]:
-        """Like :meth:`iter_chunks`, verifying submit-time order as it streams.
-
-        The order-sensitive analyses (re-access intervals, windowed replays)
-        depend on rows arriving in non-decreasing ``submit_time_s`` order.
-        ``Trace``/``ColumnarTrace`` sort on construction, but a store written
-        from an arbitrary job iterable may not be sorted — this wrapper makes
-        that case a loud :class:`AnalysisError` instead of silently wrong
-        statistics.  ``submit_time_s`` is added to the requested columns when
-        missing.
-        """
-        wanted = list(columns)
-        if "submit_time_s" not in wanted:
-            wanted.append("submit_time_s")
-        order = _OrderCheck(self.name)
-        for block in self.iter_chunks(columns=wanted, chunk_rows=chunk_rows):
-            order.check(block)
-            yield block
-
     def query(self, query: Query, executor=None) -> QueryResult:
         """Execute an engine :class:`Query` against this source.
 
@@ -255,12 +235,6 @@ class TraceSource:
                 continue
             yield np.column_stack([
                 _nan_to_zero(block.column(dim)) for dim in NUMERIC_DIMENSIONS])
-
-    def string_values(self, name: str) -> Iterator[Optional[str]]:
-        """Stream one string column as Python values (``None`` = unrecorded)."""
-        for block in self.iter_chunks(columns=[name]):
-            for value in block.column(name).tolist():
-                yield value if value else None
 
     def iter_jobs(self) -> Iterator[Job]:
         """Yield :class:`Job` objects one chunk at a time (replay feeding)."""

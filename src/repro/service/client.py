@@ -90,9 +90,6 @@ class ServiceClient:
     def stores(self) -> Dict:
         return self.get("/v1/stores").json()
 
-    def store_info(self, name: str) -> Dict:
-        return self.get("/v1/stores/%s" % name).json()
-
     def characterize(self, name: str, **spec) -> ServiceResponse:
         return self.post("/v1/stores/%s/characterize" % name, spec)
 
@@ -102,20 +99,10 @@ class ServiceClient:
     def replay(self, name: str, **scenario) -> ServiceResponse:
         return self.post("/v1/stores/%s/replay" % name, scenario)
 
-    def catalog_compare(self, **spec) -> ServiceResponse:
-        """Federated cross-store comparison (GET when no spec is given)."""
-        if spec:
-            return self.post("/v1/catalog/compare", spec)
-        return self.get("/v1/catalog/compare")
-
     def append(self, name: str, jobs) -> Dict:
         records = [job.to_dict() if hasattr(job, "to_dict") else job
                    for job in jobs]
         return self.post("/v1/stores/%s/append" % name, {"jobs": records}).json()
-
-    def subscribe_drift(self, name: str, threshold: float) -> Dict:
-        return self.post("/v1/stores/%s/drift" % name,
-                         {"threshold": threshold}).json()
 
     def notifications(self, clear: bool = False) -> Dict:
         return self.get("/v1/notifications%s" % ("?clear=1" if clear else "")).json()

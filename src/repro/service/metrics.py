@@ -53,19 +53,6 @@ class ServiceMetrics:
         with self._lock:
             return self._counters.get(key, 0.0)
 
-    def counter_total(self, name: str) -> float:
-        """Sum of one counter across all label sets."""
-        with self._lock:
-            return sum(value for (counter, _), value in self._counters.items()
-                       if counter == name)
-
-    def latency_percentile(self, endpoint: str, q: float) -> Optional[float]:
-        with self._lock:
-            sketch = self._latencies.get(endpoint)
-            if sketch is None or sketch.n == 0:
-                return None
-            return float(sketch.percentile(q))
-
     def snapshot(self) -> Dict[str, float]:
         """Flat name/labels -> value mapping (for tests and the info endpoint)."""
         with self._lock:

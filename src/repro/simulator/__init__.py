@@ -1,8 +1,8 @@
 """Discrete-event MapReduce cluster simulator: the replay substrate.
 
-Provides the event engine, cluster/slot model, schedulers, an HDFS-like file
-model, storage-cache policies, and the workload replayers used to evaluate
-the paper's storage and scheduling recommendations:
+Provides the cluster configuration, schedulers, an HDFS-like file model,
+storage-cache policies, and the workload replayers used to evaluate the
+paper's storage and scheduling recommendations:
 
 * :class:`WorkloadReplayer` replays a materialized
   :class:`~repro.traces.trace.Trace` and retains per-job outcomes;
@@ -43,8 +43,7 @@ accumulator summaries (see :mod:`repro.simulator.replay`); the per-job outcome
 list is simply not retained.
 """
 
-from .events import Event, EventQueue
-from .cluster import Cluster, ClusterConfig, Node
+from .cluster import ClusterConfig
 from .tasks import SimJob, SimTask, split_job
 from .scheduler import CapacityScheduler, FairScheduler, FifoScheduler, Scheduler
 from .hdfs import Hdfs, HdfsConfig, HdfsFile
@@ -98,11 +97,7 @@ from .tiered import (
 )
 
 __all__ = [
-    "Event",
-    "EventQueue",
-    "Cluster",
     "ClusterConfig",
-    "Node",
     "SimJob",
     "SimTask",
     "split_job",

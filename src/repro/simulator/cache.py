@@ -102,9 +102,6 @@ class CachePolicy:
     def used_bytes(self) -> float:
         return self._used_bytes
 
-    def contains(self, path: str) -> bool:
-        return path in self._contents
-
     def access(self, path: str, size_bytes: float, now_s: float) -> bool:
         """Record an access; returns True on a cache hit.
 

@@ -1,20 +1,19 @@
-"""Cluster model: nodes, task slots, and slot accounting.
+"""Cluster model: the cluster configuration and slot accounting.
 
 Hadoop clusters of the paper's era expose capacity as fixed numbers of map and
 reduce *slots* per node (TaskTracker); a job's tasks occupy slots for their
 duration and the cluster utilization figures in Figure 7 count active slots.
-:class:`Cluster` keeps that accounting; the scheduler decides which queued
+:class:`SlotLedger` keeps that accounting; the scheduler decides which queued
 tasks get the free slots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
 
 from ..errors import SimulationError
 
-__all__ = ["ClusterConfig", "Node", "Cluster", "SlotLedger"]
+__all__ = ["ClusterConfig", "SlotLedger"]
 
 
 @dataclass(frozen=True)
@@ -56,61 +55,13 @@ class ClusterConfig:
         return self.total_map_slots + self.total_reduce_slots
 
 
-@dataclass
-class Node:
-    """One worker node with its slot occupancy counters."""
-
-    node_id: int
-    map_slots: int
-    reduce_slots: int
-    busy_map_slots: int = 0
-    busy_reduce_slots: int = 0
-
-    @property
-    def free_map_slots(self) -> int:
-        return self.map_slots - self.busy_map_slots
-
-    @property
-    def free_reduce_slots(self) -> int:
-        return self.reduce_slots - self.busy_reduce_slots
-
-    def acquire(self, kind: str) -> None:
-        """Occupy one slot of ``kind`` ('map' or 'reduce')."""
-        if kind == "map":
-            if self.free_map_slots <= 0:
-                raise SimulationError("node %d has no free map slots" % self.node_id)
-            self.busy_map_slots += 1
-        elif kind == "reduce":
-            if self.free_reduce_slots <= 0:
-                raise SimulationError("node %d has no free reduce slots" % self.node_id)
-            self.busy_reduce_slots += 1
-        else:
-            raise SimulationError("unknown slot kind %r" % (kind,))
-
-    def release(self, kind: str) -> None:
-        """Release one slot of ``kind``."""
-        if kind == "map":
-            if self.busy_map_slots <= 0:
-                raise SimulationError("node %d released a map slot it did not hold" % self.node_id)
-            self.busy_map_slots -= 1
-        elif kind == "reduce":
-            if self.busy_reduce_slots <= 0:
-                raise SimulationError("node %d released a reduce slot it did not hold" % self.node_id)
-            self.busy_reduce_slots -= 1
-        else:
-            raise SimulationError("unknown slot kind %r" % (kind,))
-
-
 class SlotLedger:
     """Aggregate busy/free slot counters without per-node placement.
 
     The vectorized replay engine tracks slot occupancy with two integers per
-    slot kind.  This is exact for every recorded metric: the rotating-cursor
-    node placement in :class:`Cluster` spreads tasks across nodes, but nothing
-    the replayer measures (wait times, completion times, active-slot counts)
-    observes *which* node ran a task — only how many slots of each kind are
-    busy.  :class:`Cluster` remains the authoritative model when per-node
-    occupancy matters (e.g. future locality experiments).
+    slot kind.  This is exact for every recorded metric: nothing the replayer
+    measures (wait times, completion times, active-slot counts) observes
+    *which* node ran a task — only how many slots of each kind are busy.
     """
 
     __slots__ = ("map_capacity", "reduce_capacity", "busy_map", "busy_reduce")
@@ -156,78 +107,3 @@ class SlotLedger:
 
     def total_busy_slots(self) -> int:
         return self.busy_map + self.busy_reduce
-
-
-class Cluster:
-    """Slot accounting over a set of nodes.
-
-    Slot acquisition uses a least-loaded-node policy, which spreads tasks
-    evenly — the behaviour the default Hadoop scheduler approximates with its
-    per-heartbeat assignment.
-    """
-
-    def __init__(self, config: ClusterConfig):
-        self.config = config
-        self.nodes: List[Node] = [
-            Node(node_id=index, map_slots=config.map_slots_per_node,
-                 reduce_slots=config.reduce_slots_per_node)
-            for index in range(config.n_nodes)
-        ]
-        # Aggregate busy counters keep free_slots()/utilization() O(1); the
-        # per-node counters stay authoritative for placement decisions.
-        self._busy = {"map": 0, "reduce": 0}
-        self._cursor = {"map": 0, "reduce": 0}
-
-    # ------------------------------------------------------------------
-    def free_slots(self, kind: str) -> int:
-        """Total free slots of ``kind`` across the cluster."""
-        return self._capacity(kind) - self.busy_slots(kind)
-
-    def busy_slots(self, kind: str) -> int:
-        """Total busy slots of ``kind`` across the cluster."""
-        if kind not in self._busy:
-            raise SimulationError("unknown slot kind %r" % (kind,))
-        return self._busy[kind]
-
-    def _capacity(self, kind: str) -> int:
-        if kind == "map":
-            return self.config.total_map_slots
-        if kind == "reduce":
-            return self.config.total_reduce_slots
-        raise SimulationError("unknown slot kind %r" % (kind,))
-
-    def total_busy_slots(self) -> int:
-        return self._busy["map"] + self._busy["reduce"]
-
-    def utilization(self) -> float:
-        """Fraction of all slots currently busy."""
-        return self.total_busy_slots() / self.config.total_slots
-
-    def acquire_slot(self, kind: str) -> Optional[Node]:
-        """Acquire one slot of ``kind`` using a rotating-cursor placement.
-
-        The cursor spreads consecutive tasks across nodes (approximating the
-        per-heartbeat round-robin of the Hadoop JobTracker) while keeping the
-        operation O(1) amortized.  Returns the node, or ``None`` when no slot
-        of that kind is free.
-        """
-        if self.free_slots(kind) <= 0:
-            return None
-        n_nodes = len(self.nodes)
-        start = self._cursor[kind]
-        for offset in range(n_nodes):
-            node = self.nodes[(start + offset) % n_nodes]
-            free = node.free_map_slots if kind == "map" else node.free_reduce_slots
-            if free > 0:
-                node.acquire(kind)
-                self._busy[kind] += 1
-                self._cursor[kind] = (start + offset + 1) % n_nodes
-                return node
-        return None  # pragma: no cover - free_slots() > 0 guarantees a hit
-
-    def release_slot(self, node: Node, kind: str) -> None:
-        """Release a slot previously acquired on ``node``."""
-        node.release(kind)
-        if self._busy[kind] <= 0:
-            raise SimulationError("released a %s slot that was not acquired" % kind)
-        self._busy[kind] -= 1

@@ -111,13 +111,6 @@ class EnergyReport:
         return self.energy_joules / JOULES_PER_KWH
 
     @property
-    def savings_vs_peak(self) -> float:
-        """Fractional saving of the linear model versus an always-at-peak cluster."""
-        if self.always_peak_joules <= 0:
-            return 0.0
-        return 1.0 - self.energy_joules / self.always_peak_joules
-
-    @property
     def proportionality_gap(self) -> float:
         """Fraction of consumed energy that a proportional cluster would avoid."""
         if self.energy_joules <= 0:

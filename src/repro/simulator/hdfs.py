@@ -1,20 +1,17 @@
-"""Simplified HDFS model: file namespace, blocks, replication, and reads.
+"""Simplified HDFS model: file namespace, replication, and read/write accounting.
 
 The paper's §4 observations motivate storage-level policies (tiering, caching,
 eviction).  To evaluate those policies the replayer needs a filesystem model
-that tracks which files exist, how big they are, how many blocks and replicas
-they occupy, and how long a read or write takes given per-node disk bandwidth.
-The model is deliberately coarse — block placement is round-robin and reads
-are bandwidth-limited streams — because the quantities the benchmarks compare
-(cache hit rates, bytes served from cache versus disk) only need per-file
-access accounting, not packet-level fidelity.
+that tracks which files exist, how big they are, and how many bytes are read
+and written.  The model is deliberately coarse because the quantities the
+benchmarks compare (cache hit rates, bytes served from cache versus disk)
+only need per-file access accounting, not block placement or transfer timing.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterable, Optional
 
 from ..errors import SimulationError
 
@@ -70,12 +67,9 @@ class HdfsFile:
     last_access_s: float = 0.0
     access_count: int = 0
 
-    def n_blocks(self, block_size: float) -> int:
-        return max(1, int(math.ceil(self.size_bytes / block_size)))
-
 
 class Hdfs:
-    """File namespace with creation, read/write accounting, and timing.
+    """File namespace with creation and read/write accounting.
 
     The filesystem does not enforce capacity limits (production HDFS clusters
     are provisioned for their data); what matters for the paper's analyses is
@@ -88,7 +82,6 @@ class Hdfs:
         self._files: Dict[str, HdfsFile] = {}
         self.bytes_written = 0.0
         self.bytes_read = 0.0
-        self._placement_cursor = 0
 
     # ------------------------------------------------------------------
     def __contains__(self, path: str) -> bool:
@@ -131,16 +124,6 @@ class Hdfs:
         self.bytes_written += float(size_bytes)
         return entry
 
-    def ensure(self, path: str, size_bytes: float, now_s: float = 0.0) -> HdfsFile:
-        """Create the file if missing; otherwise grow it to at least ``size_bytes``."""
-        existing = self._files.get(path)
-        if existing is None:
-            return self.create(path, size_bytes, now_s)
-        if size_bytes > existing.size_bytes:
-            self.bytes_written += size_bytes - existing.size_bytes
-            existing.size_bytes = float(size_bytes)
-        return existing
-
     def read(self, path: str, now_s: float, size_bytes: Optional[float] = None) -> HdfsFile:
         """Record a read of ``path`` and return its entry.
 
@@ -158,41 +141,3 @@ class Hdfs:
         read_bytes = size_bytes if size_bytes is not None else entry.size_bytes
         self.bytes_read += float(read_bytes)
         return entry
-
-    def delete(self, path: str) -> bool:
-        """Remove a file; returns whether it existed."""
-        return self._files.pop(path, None) is not None
-
-    # ------------------------------------------------------------------
-    def read_time_s(self, size_bytes: float, parallelism: int = 1) -> float:
-        """Time to stream ``size_bytes`` with ``parallelism`` concurrent readers."""
-        if size_bytes < 0:
-            raise SimulationError("size must be non-negative")
-        effective = self.config.disk_bandwidth_bps * max(1, min(parallelism, self.config.n_datanodes))
-        return size_bytes / effective
-
-    def write_time_s(self, size_bytes: float, parallelism: int = 1) -> float:
-        """Time to write ``size_bytes`` including the replication pipeline."""
-        if size_bytes < 0:
-            raise SimulationError("size must be non-negative")
-        effective = self.config.disk_bandwidth_bps * max(1, min(parallelism, self.config.n_datanodes))
-        return size_bytes * self.config.replication / effective
-
-    def block_placement(self, path: str) -> List[List[int]]:
-        """Round-robin datanode placement for each block of ``path``.
-
-        Returns one list of ``replication`` datanode ids per block.  Placement
-        is deterministic given creation order, which keeps replays reproducible.
-        """
-        entry = self._files.get(path)
-        if entry is None:
-            raise SimulationError("unknown file %r" % (path,))
-        placements = []
-        for _ in range(entry.n_blocks(self.config.block_size)):
-            nodes = [
-                (self._placement_cursor + replica) % self.config.n_datanodes
-                for replica in range(min(self.config.replication, self.config.n_datanodes))
-            ]
-            placements.append(nodes)
-            self._placement_cursor = (self._placement_cursor + 1) % self.config.n_datanodes
-        return placements

@@ -255,7 +255,7 @@ class UtilizationAccumulator:
     """
 
     __slots__ = ("_first", "_last", "_last_slots", "_busy", "_hourly",
-                 "_observations", "_pending_times", "_pending_slots")
+                 "_pending_times", "_pending_slots")
 
     def __init__(self):
         self._first: Optional[float] = None
@@ -263,7 +263,6 @@ class UtilizationAccumulator:
         self._last_slots = 0.0
         self._busy = 0.0
         self._hourly = np.zeros(0, dtype=float)
-        self._observations = 0
         self._pending_times: List[float] = []
         self._pending_slots: List[float] = []
 
@@ -290,7 +289,6 @@ class UtilizationAccumulator:
 
     def _fold(self, times: List[float], slots: List[float]) -> None:
         """Fold time-ordered observations that follow every one folded so far."""
-        self._observations += len(times)
         if self._last is None:
             # The first observation opens the step function: a zero-length
             # segment from itself to itself, skipped below.
@@ -325,7 +323,6 @@ class UtilizationAccumulator:
         self.flush()
         other.flush()
         self._busy += other._busy
-        self._observations += other._observations
         if other._hourly.size > self._hourly.size:
             self._hourly = np.concatenate(
                 (self._hourly, np.zeros(other._hourly.size - self._hourly.size)))
@@ -349,11 +346,6 @@ class UtilizationAccumulator:
         return self._last
 
     @property
-    def last_slots(self) -> float:
-        self.flush()
-        return self._last_slots
-
-    @property
     def busy_slot_seconds(self) -> float:
         self.flush()
         return self._busy
@@ -363,11 +355,6 @@ class UtilizationAccumulator:
         """Slot-seconds per simulated hour (a copy)."""
         self.flush()
         return self._hourly.tolist()
-
-    @property
-    def n_observations(self) -> int:
-        self.flush()
-        return self._observations
 
     @property
     def span_s(self) -> float:
@@ -472,11 +459,6 @@ class SimulationMetrics:
         if self.keep_outcomes:
             self.outcomes.append(outcome)
 
-    def record_utilization(self, now_s: float, active_slots: int) -> None:
-        self.utilization.observe(now_s, active_slots)
-        if self.keep_outcomes:
-            self.utilization_samples.append((now_s, active_slots))
-
     def finalize(self) -> None:
         """Flush buffered accumulator state (called at the end of a replay)."""
         self.wait.flush()
@@ -529,19 +511,6 @@ class SimulationMetrics:
             outcome.completion_time_s for outcome in self.outcomes
             if outcome.completion_time_s is not None
         ], dtype=float)
-
-    def wait_times(self) -> np.ndarray:
-        """Wait times of started jobs (needs retained outcomes)."""
-        return np.array([
-            outcome.wait_time_s for outcome in self.outcomes
-            if outcome.start_time_s is not None
-        ], dtype=float)
-
-    def mean_completion_time(self) -> float:
-        value = self.completion.mean_value
-        if value is None:
-            raise SimulationError("no finished jobs to summarize")
-        return float(value)
 
     def median_completion_time(self) -> float:
         """Exact median with retained outcomes, sketch-approximate otherwise."""
@@ -606,27 +575,6 @@ class SimulationMetrics:
              slot_seconds / _SECONDS_PER_HOUR)
             for hour, slot_seconds in enumerate(bins)
         ]
-
-    def slowdown_of_small_jobs(self, small_bytes_threshold: float) -> float:
-        """Mean completion time of jobs at or below the byte threshold.
-
-        Raises:
-            SimulationError: without retained outcomes (streaming replays
-                discard the per-job list this filter needs), or when no small
-                job finished.
-        """
-        if not self.keep_outcomes:
-            raise SimulationError(
-                "slowdown_of_small_jobs needs retained per-job outcomes; "
-                "replay with keep_outcomes=True")
-        small = [
-            outcome.completion_time_s for outcome in self.outcomes
-            if outcome.completion_time_s is not None
-            and outcome.total_bytes <= small_bytes_threshold
-        ]
-        if not small:
-            raise SimulationError("no finished small jobs below the threshold")
-        return float(np.mean(small))
 
     def digest(self) -> Dict[str, object]:
         """Canonical bit-exact fingerprint of every published replay metric.

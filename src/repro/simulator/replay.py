@@ -30,7 +30,7 @@ both implementations share are documented there; the performance-relevant
 differences here are:
 
 * completion events live in a plain ``heapq`` of tuples instead of an
-  ``EventQueue`` of closure objects, and tasks of one job dispatched at the
+  event queue of closure objects, and tasks of one job dispatched at the
   same instant to the same stage share **one** heap entry (their completion
   events are adjacent in the legacy event order, so processing them as a
   group is order-preserving);

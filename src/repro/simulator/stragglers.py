@@ -26,7 +26,6 @@ substrate:
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -127,13 +126,6 @@ class StragglerInjectionStats:
     jobs_affected: int = 0
     _affected_job_ids: set = field(default_factory=set, repr=False)
 
-    @property
-    def straggler_rate(self) -> float:
-        """Observed fraction of tasks that straggled."""
-        if self.tasks_seen == 0:
-            return 0.0
-        return self.stragglers_injected / self.tasks_seen
-
     def _mark_job(self, job_id: str) -> None:
         if job_id not in self._affected_job_ids:
             self._affected_job_ids.add(job_id)
@@ -144,25 +136,20 @@ def straggler_task_transform(
     model: StragglerModel,
     speculation: Optional[SpeculativeExecutionModel] = None,
     stats: Optional[StragglerInjectionStats] = None,
-    per_job_streams: bool = False,
 ) -> Callable[[SimJob], None]:
     """Build a ``task_transform`` hook that injects (and optionally rescues) stragglers.
+
+    All jobs draw from one sequential stream seeded by ``model.seed``, so the
+    injected slowdowns are deterministic given the seed *and the order jobs
+    are transformed in* — input order for serial and exact-sharded replays,
+    but each window's own pull order under windowed sharding, so windowed
+    digests depend on where the cuts fall.
 
     Args:
         model: the straggler injection model.
         speculation: the mitigation model; pass ``None`` (or a model with
             ``enabled=False``) to replay without speculative execution.
         stats: optional stats collector, filled in as jobs are transformed.
-        per_job_streams: draw each job's randomness from its own RNG stream
-            seeded by ``(model.seed, crc32(job_id))`` instead of one shared
-            sequential stream.  The default shared stream is deterministic
-            given the seed *and the order jobs are transformed in* — which is
-            input order for serial and exact-sharded replays, but changes
-            with the window split under windowed sharding (each window pulls
-            its own jobs).  Per-job streams make the injected slowdowns a
-            pure function of (seed, job_id), so digests agree across *any*
-            shard count and partitioning; the trade-off is a different (but
-            equally valid) random pattern than the shared stream produces.
 
     Returns:
         A callable suitable for ``WorkloadReplayer(task_transform=...)``.
@@ -171,11 +158,6 @@ def straggler_task_transform(
     collected = stats if stats is not None else StragglerInjectionStats()
 
     def transform(sim_job: SimJob) -> None:
-        if per_job_streams:
-            job_rng = np.random.default_rng(
-                (model.seed, zlib.crc32(sim_job.job_id.encode("utf-8"))))
-        else:
-            job_rng = rng
         for stage_tasks in (sim_job.map_tasks, sim_job.reduce_tasks):
             if not stage_tasks:
                 continue
@@ -185,7 +167,7 @@ def straggler_task_transform(
             )
             for task in stage_tasks:
                 collected.tasks_seen += 1
-                if job_rng.random() >= model.probability:
+                if rng.random() >= model.probability:
                     continue
                 collected.stragglers_injected += 1
                 collected._mark_job(sim_job.job_id)

@@ -2,17 +2,7 @@
 scaling and the SWIM-style synthesizer.
 """
 
-from .distributions import (
-    Constant,
-    Distribution,
-    Empirical,
-    Exponential,
-    LogNormal,
-    LogUniform,
-    Mixture,
-    Pareto,
-    ZipfRank,
-)
+from .distributions import Distribution, ZipfRank
 from .arrival import (
     ArrivalProcess,
     DiurnalBurstyArrivals,
@@ -20,27 +10,19 @@ from .arrival import (
     diurnal_rate_profile,
     sine_reference_series,
 )
-from .filepop import FileCatalog, FilePopularityModel, PathAssignment
+from .filepop import FilePopularityModel, PathAssignment
 from .sampler import TraceSampler, stratified_sample
 from .scaling import ScalePlan, scale_cluster
 from .swim import SwimSynthesizer, SyntheticWorkloadPlan, DataLayoutPlan
 
 __all__ = [
     "Distribution",
-    "Constant",
-    "LogNormal",
-    "LogUniform",
-    "Exponential",
-    "Pareto",
     "ZipfRank",
-    "Empirical",
-    "Mixture",
     "ArrivalProcess",
     "PoissonArrivals",
     "DiurnalBurstyArrivals",
     "diurnal_rate_profile",
     "sine_reference_series",
-    "FileCatalog",
     "FilePopularityModel",
     "PathAssignment",
     "TraceSampler",

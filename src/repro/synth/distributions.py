@@ -1,38 +1,26 @@
-"""Probability distributions used by the workload synthesizer.
+"""The Zipf rank sampler behind the synthesizer's file popularity.
 
 The paper notes (§7, "Empirical models") that most workload dimensions do not
 fit well-known statistical distributions — the single exception being the
 Zipf-like distribution of file-access frequencies — and that a benchmark must
-therefore rely on empirical models ("the traces are the model").  This module
-provides both: a small set of parametric distributions (log-normal, log-uniform,
-Zipf, constant) used when synthesizing jobs around published Table-2 centroids,
-and an :class:`Empirical` distribution that resamples observed values directly.
+therefore rely on empirical models ("the traces are the model").  The
+generators draw every other dimension from the published Table-2 centroids
+and the observed traces, so the only parametric law kept here is
+:class:`ZipfRank`, which :class:`~repro.synth.filepop.FilePopularityModel`
+samples output-path ranks from.
 
-All distributions share one tiny interface: ``sample(rng, size)`` returning a
-numpy array, plus ``mean()`` where it is analytically cheap.  They take a
-``numpy.random.Generator`` explicitly so determinism is the caller's choice.
+A distribution has one tiny interface: ``sample(rng, size)`` returning a
+numpy array, plus ``mean()``.  It takes a ``numpy.random.Generator``
+explicitly so determinism is the caller's choice.
 """
 
 from __future__ import annotations
-
-import math
-from typing import Optional, Sequence
 
 import numpy as np
 
 from ..errors import SynthesisError
 
-__all__ = [
-    "Distribution",
-    "Constant",
-    "LogNormal",
-    "LogUniform",
-    "Exponential",
-    "Pareto",
-    "ZipfRank",
-    "Empirical",
-    "Mixture",
-]
+__all__ = ["Distribution", "ZipfRank"]
 
 
 class Distribution:
@@ -46,119 +34,6 @@ class Distribution:
         """Analytic mean, when available; otherwise an estimate from sampling."""
         rng = np.random.default_rng(0)
         return float(np.mean(self.sample(rng, 4096)))
-
-
-class Constant(Distribution):
-    """A degenerate distribution that always returns the same value."""
-
-    def __init__(self, value: float):
-        if value < 0:
-            raise SynthesisError("Constant value must be non-negative, got %r" % (value,))
-        self.value = float(value)
-
-    def sample(self, rng, size=1):
-        return np.full(size, self.value, dtype=float)
-
-    def mean(self):
-        return self.value
-
-    def __repr__(self):
-        return "Constant(%g)" % self.value
-
-
-class LogNormal(Distribution):
-    """Log-normal distribution parameterized by its *median* and log-space sigma.
-
-    The Table-2 centroids act as medians of each job class; ``sigma`` is the
-    class "dispersion".  A median of zero produces a constant zero (used for
-    the shuffle size of map-only job classes).
-    """
-
-    def __init__(self, median: float, sigma: float):
-        if median < 0:
-            raise SynthesisError("LogNormal median must be non-negative, got %r" % (median,))
-        if sigma < 0:
-            raise SynthesisError("LogNormal sigma must be non-negative, got %r" % (sigma,))
-        self.median = float(median)
-        self.sigma = float(sigma)
-
-    def sample(self, rng, size=1):
-        if self.median == 0.0:
-            return np.zeros(size, dtype=float)
-        return self.median * np.exp(rng.normal(0.0, self.sigma, size))
-
-    def mean(self):
-        if self.median == 0.0:
-            return 0.0
-        return self.median * math.exp(self.sigma ** 2 / 2.0)
-
-    def __repr__(self):
-        return "LogNormal(median=%g, sigma=%g)" % (self.median, self.sigma)
-
-
-class LogUniform(Distribution):
-    """Uniform distribution in log space between ``low`` and ``high`` (both > 0)."""
-
-    def __init__(self, low: float, high: float):
-        if low <= 0 or high <= 0:
-            raise SynthesisError("LogUniform bounds must be positive")
-        if high < low:
-            raise SynthesisError("LogUniform high < low")
-        self.low = float(low)
-        self.high = float(high)
-
-    def sample(self, rng, size=1):
-        return np.exp(rng.uniform(math.log(self.low), math.log(self.high), size))
-
-    def mean(self):
-        if self.high == self.low:
-            return self.low
-        return (self.high - self.low) / (math.log(self.high) - math.log(self.low))
-
-    def __repr__(self):
-        return "LogUniform(%g, %g)" % (self.low, self.high)
-
-
-class Exponential(Distribution):
-    """Exponential distribution with the given mean (inter-arrival times)."""
-
-    def __init__(self, mean: float):
-        if mean <= 0:
-            raise SynthesisError("Exponential mean must be positive, got %r" % (mean,))
-        self._mean = float(mean)
-
-    def sample(self, rng, size=1):
-        return rng.exponential(self._mean, size)
-
-    def mean(self):
-        return self._mean
-
-    def __repr__(self):
-        return "Exponential(mean=%g)" % self._mean
-
-
-class Pareto(Distribution):
-    """Pareto (power-law tail) distribution with scale ``xm`` and shape ``alpha``."""
-
-    def __init__(self, xm: float, alpha: float):
-        if xm <= 0 or alpha <= 0:
-            raise SynthesisError("Pareto xm and alpha must be positive")
-        self.xm = float(xm)
-        self.alpha = float(alpha)
-
-    def sample(self, rng, size=1):
-        # Inverse-CDF sampling: X = xm / U^{1/alpha}.
-        uniforms = rng.uniform(0.0, 1.0, size)
-        uniforms = np.clip(uniforms, 1e-12, 1.0)
-        return self.xm / uniforms ** (1.0 / self.alpha)
-
-    def mean(self):
-        if self.alpha <= 1.0:
-            return float("inf")
-        return self.alpha * self.xm / (self.alpha - 1.0)
-
-    def __repr__(self):
-        return "Pareto(xm=%g, alpha=%g)" % (self.xm, self.alpha)
 
 
 class ZipfRank(Distribution):
@@ -195,72 +70,3 @@ class ZipfRank(Distribution):
 
     def __repr__(self):
         return "ZipfRank(n=%d, s=%g)" % (self.n, self.s)
-
-
-class Empirical(Distribution):
-    """Resample observed values, the "traces are the model" approach of §7.
-
-    With ``smooth=True`` a small log-normal jitter is applied to every resampled
-    value so the synthetic workload does not repeat the exact observed values
-    (useful when the source sample is small).
-    """
-
-    def __init__(self, values: Sequence[float], smooth: bool = False, smooth_sigma: float = 0.1):
-        array = np.asarray(list(values), dtype=float)
-        if array.size == 0:
-            raise SynthesisError("Empirical distribution needs at least one value")
-        if np.any(array < 0):
-            raise SynthesisError("Empirical distribution values must be non-negative")
-        self.values = array
-        self.smooth = bool(smooth)
-        self.smooth_sigma = float(smooth_sigma)
-
-    def sample(self, rng, size=1):
-        picks = rng.choice(self.values, size=size, replace=True)
-        if self.smooth:
-            jitter = np.exp(rng.normal(0.0, self.smooth_sigma, size))
-            picks = picks * jitter
-        return picks
-
-    def mean(self):
-        return float(self.values.mean())
-
-    def quantile(self, q: float) -> float:
-        """Empirical quantile of the observed values."""
-        return float(np.quantile(self.values, q))
-
-    def __repr__(self):
-        return "Empirical(n=%d, smooth=%s)" % (self.values.size, self.smooth)
-
-
-class Mixture(Distribution):
-    """A weighted mixture of component distributions."""
-
-    def __init__(self, components: Sequence[Distribution], weights: Optional[Sequence[float]] = None):
-        if not components:
-            raise SynthesisError("Mixture needs at least one component")
-        self.components = list(components)
-        if weights is None:
-            weights = [1.0] * len(self.components)
-        weights = np.asarray(list(weights), dtype=float)
-        if weights.size != len(self.components):
-            raise SynthesisError("Mixture weights length does not match components")
-        if np.any(weights < 0) or weights.sum() <= 0:
-            raise SynthesisError("Mixture weights must be non-negative and sum to > 0")
-        self.weights = weights / weights.sum()
-
-    def sample(self, rng, size=1):
-        choices = rng.choice(len(self.components), size=size, p=self.weights)
-        output = np.empty(size, dtype=float)
-        for index, component in enumerate(self.components):
-            mask = choices == index
-            count = int(mask.sum())
-            if count:
-                output[mask] = component.sample(rng, count)
-        return output
-
-    def mean(self):
-        return float(sum(w * c.mean() for w, c in zip(self.weights, self.components)))
-
-    def __repr__(self):
-        return "Mixture(%d components)" % len(self.components)

@@ -38,42 +38,7 @@ import numpy as np
 from ..errors import SynthesisError
 from .distributions import ZipfRank
 
-__all__ = ["FileCatalog", "FilePopularityModel", "PathAssignment"]
-
-
-class FileCatalog:
-    """A static catalog of distinct file paths with sizes.
-
-    Used by callers that need a fixed file population (for example HDFS
-    pre-population in the simulator); the dynamic path-assignment process in
-    :class:`FilePopularityModel` grows its own file population instead.
-    """
-
-    def __init__(self, n_files: int, prefix: str, rng: np.random.Generator,
-                 median_bytes: float = 256 * 1024 * 1024, sigma: float = 2.5):
-        if n_files <= 0:
-            raise SynthesisError("FileCatalog needs a positive number of files")
-        self.n_files = int(n_files)
-        self.prefix = prefix
-        # Log-normal file sizes spread over many orders of magnitude, shuffled
-        # independently of rank so size and popularity are uncorrelated.
-        self.sizes = median_bytes * np.exp(rng.normal(0.0, sigma, self.n_files))
-
-    def path(self, rank: int) -> str:
-        """Path of the file at popularity ``rank`` (1-based)."""
-        if not 1 <= rank <= self.n_files:
-            raise SynthesisError("rank %d out of range 1..%d" % (rank, self.n_files))
-        return "%s/%08d" % (self.prefix, rank)
-
-    def size(self, rank: int) -> float:
-        """Size in bytes of the file at popularity ``rank`` (1-based)."""
-        if not 1 <= rank <= self.n_files:
-            raise SynthesisError("rank %d out of range 1..%d" % (rank, self.n_files))
-        return float(self.sizes[rank - 1])
-
-    def total_bytes(self) -> float:
-        """Total bytes stored across the catalog."""
-        return float(self.sizes.sum())
+__all__ = ["FilePopularityModel", "PathAssignment"]
 
 
 class PathAssignment:

@@ -30,13 +30,10 @@ from .cloudera import CC_A, CC_B, CC_C, CC_D, CC_E, CLOUDERA_WORKLOADS
 from .registry import (
     DEFAULT_SCALES,
     PAPER_WORKLOAD_NAMES,
-    all_paper_specs,
     get_spec,
     load_all_paper_workloads,
     load_workload,
-    register_spec,
     registered_names,
-    unregister_spec,
 )
 
 __all__ = [
@@ -80,10 +77,7 @@ __all__ = [
     "CLOUDERA_WORKLOADS",
     "PAPER_WORKLOAD_NAMES",
     "DEFAULT_SCALES",
-    "all_paper_specs",
     "get_spec",
-    "register_spec",
-    "unregister_spec",
     "registered_names",
     "load_workload",
     "load_all_paper_workloads",

@@ -1,9 +1,8 @@
-"""Registry of the seven paper workloads plus user-registered specs.
+"""Registry of the seven paper workloads.
 
-The registry maps workload names ("FB-2009", "CC-c", ...) to their
-:class:`~repro.traces.spec.WorkloadSpec` and offers one-call trace generation.
-Downstream users can register their own specs alongside the paper ones, which
-is how the benchmark harness supports "workload suites" (§7 of the paper).
+The registry is a fixed table mapping workload names ("FB-2009", "CC-c", ...)
+to their :class:`~repro.traces.spec.WorkloadSpec` and offers one-call trace
+generation.
 """
 
 from __future__ import annotations
@@ -19,10 +18,7 @@ from .trace import Trace
 
 __all__ = [
     "PAPER_WORKLOAD_NAMES",
-    "all_paper_specs",
     "get_spec",
-    "register_spec",
-    "unregister_spec",
     "registered_names",
     "load_workload",
     "load_all_paper_workloads",
@@ -46,14 +42,7 @@ DEFAULT_SCALES = {
     "FB-2010": 0.02,
 }
 
-_REGISTRY: Dict[str, WorkloadSpec] = {}
-_REGISTRY.update(CLOUDERA_WORKLOADS)
-_REGISTRY.update(FACEBOOK_WORKLOADS)
-
-
-def all_paper_specs() -> List[WorkloadSpec]:
-    """Return the seven paper workload specs in Table 1 order."""
-    return [_REGISTRY[name] for name in PAPER_WORKLOAD_NAMES]
+_REGISTRY: Dict[str, WorkloadSpec] = {**CLOUDERA_WORKLOADS, **FACEBOOK_WORKLOADS}
 
 
 def get_spec(name: str) -> WorkloadSpec:
@@ -70,28 +59,9 @@ def get_spec(name: str) -> WorkloadSpec:
         )
 
 
-def register_spec(spec: WorkloadSpec, overwrite: bool = False) -> None:
-    """Register a user-defined workload spec under its own name.
-
-    Raises:
-        SpecError: if the name is taken and ``overwrite`` is false.
-    """
-    if spec.name in _REGISTRY and not overwrite:
-        raise SpecError("workload %r is already registered" % (spec.name,))
-    _REGISTRY[spec.name] = spec
-
-
-def unregister_spec(name: str) -> None:
-    """Remove a user-registered workload; paper workloads cannot be removed."""
-    if name in PAPER_WORKLOAD_NAMES:
-        raise SpecError("cannot unregister the paper workload %r" % (name,))
-    _REGISTRY.pop(name, None)
-
-
 def registered_names() -> List[str]:
-    """All registered workload names, paper workloads first."""
-    extra = sorted(name for name in _REGISTRY if name not in PAPER_WORKLOAD_NAMES)
-    return list(PAPER_WORKLOAD_NAMES) + extra
+    """All registered workload names, in Table 1 order."""
+    return list(PAPER_WORKLOAD_NAMES)
 
 
 def load_workload(name: str, seed: int = 0, scale: Optional[float] = None,
@@ -101,8 +71,8 @@ def load_workload(name: str, seed: int = 0, scale: Optional[float] = None,
     Args:
         name: a registered workload name.
         seed: RNG seed for deterministic generation.
-        scale: job-count scale factor; defaults to :data:`DEFAULT_SCALES` for
-            paper workloads and 1.0 otherwise.
+        scale: job-count scale factor; defaults to the workload's
+            :data:`DEFAULT_SCALES` entry.
         time_scale: trace-length scale factor.  When omitted, scaled-down
             workloads are also compressed in time by the same factor (bounded
             below by one week where possible) so jobs-per-hour density — and
@@ -111,7 +81,7 @@ def load_workload(name: str, seed: int = 0, scale: Optional[float] = None,
     """
     spec = get_spec(name)
     if scale is None:
-        scale = DEFAULT_SCALES.get(name, 1.0)
+        scale = DEFAULT_SCALES[name]
     if time_scale is None and scale < 1.0:
         # Keep at least a week of trace when the full workload allows it, so
         # the Figure-7 weekly views stay meaningful.
@@ -130,6 +100,6 @@ def load_all_paper_workloads(seed: int = 0, scale: Optional[float] = None,
     overrides = scale_overrides or {}
     traces = {}
     for name in PAPER_WORKLOAD_NAMES:
-        effective = overrides.get(name, scale if scale is not None else DEFAULT_SCALES.get(name, 1.0))
+        effective = overrides.get(name, scale if scale is not None else DEFAULT_SCALES[name])
         traces[name] = load_workload(name, seed=seed, scale=effective)
     return traces

@@ -167,20 +167,6 @@ class Job:
         return (self.shuffle_bytes or 0.0) == 0.0 and (self.reduce_task_seconds or 0.0) == 0.0
 
     @property
-    def data_ratio(self):
-        """Output bytes divided by input bytes (``inf`` for zero input).
-
-        The paper (§6.2) observes that some map stages aggregate (ratio < 1)
-        while some reduce stages expand (ratio > 1), inverting the original
-        map/reduce intuition.
-        """
-        inp = self.input_bytes or 0.0
-        out = self.output_bytes or 0.0
-        if inp == 0.0:
-            return float("inf") if out > 0 else 1.0
-        return out / inp
-
-    @property
     def first_word(self):
         """First word of the job name, lower-cased and stripped of digits/symbols.
 
@@ -215,14 +201,6 @@ class Job:
         if missing:
             raise SchemaError("job record missing required fields: %s" % sorted(missing))
         return cls(**kwargs)
-
-    def feature_vector(self):
-        """Return the 6-dimensional vector used for k-means clustering (§6.2).
-
-        Order: input, shuffle, output bytes, duration, map task time, reduce
-        task time.  Missing values are treated as zero.
-        """
-        return [float(getattr(self, dim) or 0.0) for dim in FEATURE_DIMENSIONS]
 
 
 _JOB_FIELDS = frozenset(Job.__dataclass_fields__)  # type: ignore[attr-defined]

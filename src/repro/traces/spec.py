@@ -257,22 +257,6 @@ class WorkloadSpec:
         """Total job count at full scale (sum of class counts; Table 1 column)."""
         return sum(job_class.count for job_class in self.job_classes)
 
-    @property
-    def class_fractions(self) -> List[float]:
-        """Fraction of jobs in each class, in ``job_classes`` order."""
-        total = float(self.total_jobs)
-        return [job_class.count / total for job_class in self.job_classes]
-
-    def expected_bytes_moved(self) -> float:
-        """Expected total bytes moved (input+shuffle+output summed over classes)."""
-        return float(
-            sum(
-                job_class.count
-                * (job_class.input_bytes + job_class.shuffle_bytes + job_class.output_bytes)
-                for job_class in self.job_classes
-            )
-        )
-
     def scaled_counts(self, scale: float) -> List[int]:
         """Per-class job counts for a scaled-down run.
 

@@ -70,15 +70,6 @@ class Trace:
         #: one array per dimension instead of re-walking the job list.
         self._column_cache: Dict[str, np.ndarray] = {}
 
-    def invalidate_cache(self):
-        """Drop cached column arrays.  Call after mutating ``jobs`` in place.
-
-        The container is immutable-ish — every public operation returns a new
-        trace — but code that reaches into :attr:`jobs` and edits job fields
-        must invalidate, or stale arrays will be served.
-        """
-        self._column_cache = {}
-
     # -- sequence protocol -------------------------------------------------
     def __len__(self):
         return len(self._jobs)
@@ -113,8 +104,8 @@ class Trace:
 
         Missing values (``None``) become ``nan`` so downstream code can mask
         them out explicitly.  Arrays are cached on the trace (and returned
-        read-only): repeated analyses stop paying the job-list walk.  Call
-        :meth:`invalidate_cache` after mutating jobs in place.
+        read-only): repeated analyses stop paying the job-list walk, so a
+        job edited in place is not seen by a dimension already extracted.
         """
         if name not in NUMERIC_DIMENSIONS and name not in ("submit_time_s", "total_bytes", "total_task_seconds"):
             raise AnalysisError("unknown job dimension: %r" % (name,))
@@ -157,23 +148,6 @@ class Trace:
             name=name or self.name,
             machines=self.machines,
         )
-
-    def time_window(self, start_s, end_s, name=None):
-        """Return the jobs submitted in ``[start_s, end_s)`` as a new trace."""
-        if end_s < start_s:
-            raise AnalysisError("time window end %r precedes start %r" % (end_s, start_s))
-        return self.filter(
-            lambda job: start_s <= job.submit_time_s < end_s,
-            name=name or ("%s[%g:%g]" % (self.name, start_s, end_s)),
-        )
-
-    def with_paths(self):
-        """Return only the jobs that carry an input path (for access analysis)."""
-        return self.filter(lambda job: job.input_path is not None, name=self.name)
-
-    def with_names(self):
-        """Return only the jobs that carry a job name (for naming analysis)."""
-        return self.filter(lambda job: job.name is not None, name=self.name)
 
     def merge(self, other, name=None):
         """Return a new trace with the jobs of both traces, re-sorted by time."""

@@ -144,4 +144,4 @@ class TestCombinedAccessAnalysis:
     def test_input_rank_frequencies_match_manual_counts(self, tiny_trace, analysis):
         ranks = analysis(tiny_trace, "input_ranks")
         assert ranks.frequencies[0] == 3  # /data/a read three times
-        assert ranks.total_accesses == 6
+        assert ranks.frequencies.sum() == 6

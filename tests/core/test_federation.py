@@ -6,7 +6,7 @@ Pins the federation contracts of the seven-cluster comparison:
   as scanning each store alone, serial vs parallel execution, on stores
   written as v3 or migrated from the legacy v1/v2 layouts;
 * store-backed evolution comparison is bit-for-bit the materialized path;
-* the comparison metrics (`cdf_distance`, `workload_distance`) and the
+* the comparison metric (`workload_distance`) and the
   greedy suite selection satisfy their metric/invariance properties
   (hypothesis property tests);
 * catalog edge cases: empty catalogs, members with mismatched columns,
@@ -25,7 +25,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
-    cdf_distance,
     compare_catalog,
     compare_evolution,
     features_from_profile,
@@ -34,7 +33,7 @@ from repro.core import (
     workload_distance,
 )
 from repro.core.comparison import FEATURE_NAMES, WorkloadFeatures
-from repro.core.federation import _member_profile_consumers
+from repro.core.federation import _epoch_chains, _member_profile_consumers
 from repro.core.profile import profile_consumers, profile_from_scan
 from repro.engine import (
     CATALOG_METADATA_NAME,
@@ -285,11 +284,6 @@ class TestEvolutionStoreNative:
 # ---------------------------------------------------------------------------
 # hypothesis property tests: distances and suite selection
 # ---------------------------------------------------------------------------
-finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
-                   allow_infinity=False)
-samples = st.lists(finite, min_size=1, max_size=40)
-
-
 def feature_populations(min_size=1, max_size=8):
     """Distinctly-named WorkloadFeatures populations with finite values."""
 
@@ -304,17 +298,6 @@ def feature_populations(min_size=1, max_size=8):
 
 
 class TestComparisonMetricProperties:
-    @given(a=samples)
-    @settings(max_examples=40, deadline=None)
-    def test_cdf_distance_identity(self, a):
-        assert cdf_distance(a, a) == 0.0
-
-    @given(a=samples, b=samples)
-    @settings(max_examples=40, deadline=None)
-    def test_cdf_distance_symmetric_and_bounded(self, a, b):
-        d = cdf_distance(a, b)
-        assert d == cdf_distance(b, a)
-        assert 0.0 <= d <= 1.0
 
     @given(population=feature_populations(min_size=2, max_size=6))
     @settings(max_examples=30, deadline=None)
@@ -367,7 +350,7 @@ class TestCatalogMetadata:
         catalog_dir = three_member_catalog(tmp_path)
         catalog = StoreCatalog(catalog_dir)
         assert catalog.clusters() == ["cc-b", "fb"]
-        assert [entry.name for entry in catalog.epochs("fb")] == \
+        assert [entry.name for entry in _epoch_chains(catalog.members())["fb"]] == \
             ["fb@2009", "fb@2010"]
         entry = catalog.entry("fb@2009")
         assert (entry.cluster, entry.epoch) == ("fb", "2009")

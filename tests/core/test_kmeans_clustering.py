@@ -10,7 +10,6 @@ from repro.core import (
     kmeans,
     label_centroid,
     log_standardize,
-    mini_batch_kmeans,
     select_k,
 )
 from repro.errors import ClusteringError
@@ -33,7 +32,7 @@ class TestKMeans:
         points = well_separated_points()
         result = kmeans(points, 3, seed=0)
         assert result.k == 3
-        sizes = sorted(result.cluster_sizes().tolist())
+        sizes = sorted(np.bincount(result.labels, minlength=result.k).tolist())
         assert sizes == [50, 50, 50]
         assert result.converged
 
@@ -77,40 +76,6 @@ class TestKMeans:
         brute = np.linalg.norm(points[:, None, :] - centroids[None, :, :], axis=2)
         assert np.array_equal(labels, np.argmin(brute, axis=1))
         assert np.allclose(assigned_sq, brute.min(axis=1) ** 2)
-
-
-class TestMiniBatchKMeans:
-    def test_recovers_separated_clusters(self):
-        points = well_separated_points(per_cluster=200)
-        rng = np.random.default_rng(1)
-        shuffled = points[rng.permutation(points.shape[0])]
-        batches = [shuffled[start:start + 100] for start in range(0, 600, 100)]
-        trained = mini_batch_kmeans(batches, 3, seed=0)
-        assert trained.k == 3
-        assert trained.n_points == 600
-        assert trained.n_batches == 6
-        labels, _ = assign_labels(points, trained.centroids)
-        sizes = sorted(np.bincount(labels, minlength=3).tolist())
-        assert sizes == [200, 200, 200]
-
-    def test_deterministic_given_rng(self):
-        points = well_separated_points()
-        batches = [points[:75], points[75:]]
-        a = mini_batch_kmeans(batches, 3, rng=np.random.default_rng(9))
-        b = mini_batch_kmeans(batches, 3, rng=np.random.default_rng(9))
-        assert np.array_equal(a.centroids, b.centroids)
-
-    def test_empty_stream_rejected(self):
-        with pytest.raises(ClusteringError):
-            mini_batch_kmeans([], 2)
-
-    def test_small_first_batch_rejected_without_init(self):
-        points = well_separated_points()
-        with pytest.raises(ClusteringError):
-            mini_batch_kmeans([points[:2]], 3)
-        # ...but fine with an explicit init batch.
-        trained = mini_batch_kmeans([points[:2]], 3, init_batch=points)
-        assert trained.k == 3
 
 
 class TestSelectK:
@@ -207,23 +172,6 @@ class TestClusterJobs:
         assert 2 <= clustering.k <= 8
         assert clustering.small_job_fraction > 0.8
 
-    def test_minibatch_method(self, cc_b_small_trace):
-        """Streaming clustering: bounded memory, sketch-backed centroids."""
-        clustering = cluster_jobs(cc_b_small_trace, k=4, seed=0, method="minibatch")
-        assert clustering.k <= 4
-        assert sum(cluster.n_jobs for cluster in clustering.clusters) == len(cc_b_small_trace)
-        assert sum(cluster.fraction for cluster in clustering.clusters) == pytest.approx(1.0)
-        # Small jobs still dominate under the approximate path.
-        assert clustering.small_job_fraction > 0.5
-
-    def test_minibatch_requires_explicit_k(self, cc_b_small_trace):
-        with pytest.raises(ClusteringError):
-            cluster_jobs(cc_b_small_trace, method="minibatch")
-
-    def test_unknown_method_rejected(self, cc_b_small_trace):
-        with pytest.raises(ClusteringError):
-            cluster_jobs(cc_b_small_trace, k=2, method="approximate")
-
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -233,4 +181,4 @@ def test_property_kmeans_labels_within_range(seed):
     result = kmeans(points, 3, seed=seed)
     assert result.labels.min() >= 0
     assert result.labels.max() < 3
-    assert all(size > 0 for size in result.cluster_sizes())
+    assert all(size > 0 for size in np.bincount(result.labels, minlength=3))

@@ -2,12 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core import (
-    cdf_distance,
     compare_evolution,
-    consolidate,
     consolidation_study,
     select_workload_suite,
     workload_distance,
@@ -35,35 +32,6 @@ def burst_trace(name, n_hours, jobs_in_burst_hour, base_jobs_per_hour=2, seed=0,
                             reduce_task_seconds=task_seconds / 3, name="select q%d" % counter))
             counter += 1
     return Trace(jobs, name=name, machines=50)
-
-
-class TestConsolidate:
-    def test_merged_trace_preserves_all_jobs_with_unique_ids(self):
-        a = burst_trace("wl-a", 24, 30, seed=1)
-        b = burst_trace("wl-b", 24, 30, seed=2)
-        merged = consolidate([a, b], name="both")
-        assert len(merged) == len(a) + len(b)
-        assert len({job.job_id for job in merged}) == len(merged)
-        assert {job.workload for job in merged} == {"wl-a", "wl-b"}
-
-    def test_align_starts_shifts_to_zero(self):
-        a = burst_trace("wl-a", 12, 20, seed=1).shifted(5 * HOUR)
-        b = burst_trace("wl-b", 12, 20, seed=2).shifted(90 * HOUR)
-        merged = consolidate([a, b], align_starts=True)
-        assert merged.jobs[0].submit_time_s == pytest.approx(0.0, abs=HOUR)
-        assert merged.duration_s() < 20 * HOUR
-
-    def test_machines_accumulate(self):
-        a = burst_trace("wl-a", 6, 10, seed=1)
-        b = burst_trace("wl-b", 6, 10, seed=2)
-        assert consolidate([a, b]).machines == 100
-
-    def test_needs_two_nonempty_traces(self):
-        a = burst_trace("wl-a", 6, 10)
-        with pytest.raises(AnalysisError):
-            consolidate([a])
-        with pytest.raises(AnalysisError):
-            consolidate([a, Trace([], name="empty")])
 
 
 class TestConsolidationStudy:
@@ -112,25 +80,6 @@ class TestWorkloadFeatures:
 
 
 class TestDistances:
-    def test_cdf_distance_identical_samples_is_zero(self):
-        values = [1.0, 10.0, 100.0, 1000.0]
-        assert cdf_distance(values, values) == pytest.approx(0.0)
-
-    def test_cdf_distance_disjoint_samples_is_one(self):
-        assert cdf_distance([1.0, 2.0, 3.0], [100.0, 200.0]) == pytest.approx(1.0)
-
-    def test_cdf_distance_empty_rejected(self):
-        with pytest.raises(AnalysisError):
-            cdf_distance([], [1.0])
-
-    @given(a=st.lists(st.floats(min_value=1.0, max_value=1e6), min_size=1, max_size=40),
-           b=st.lists(st.floats(min_value=1.0, max_value=1e6), min_size=1, max_size=40))
-    @settings(max_examples=40, deadline=None)
-    def test_cdf_distance_bounded_and_symmetric(self, a, b):
-        forward = cdf_distance(a, b)
-        backward = cdf_distance(b, a)
-        assert 0.0 <= forward <= 1.0
-        assert forward == pytest.approx(backward)
 
     def test_workload_distance_zero_to_itself(self, tiny_trace):
         features = workload_features(tiny_trace)

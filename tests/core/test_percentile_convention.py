@@ -10,9 +10,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import empirical_cdf, percentile, sketch_cdf
-from repro.core.stats import SKETCH_RELATIVE_RESOLUTION
+from repro.core import SketchCDF, empirical_cdf, percentile
 from repro.engine import HistogramSketch
+from repro.engine.aggregates import BINS_PER_DECADE
+
+#: Relative value resolution of sketch-backed percentiles: one part in
+#: ``10 ** (1 / BINS_PER_DECADE)``, i.e. about 7.5%.
+SKETCH_RELATIVE_RESOLUTION = 10.0 ** (1.0 / BINS_PER_DECADE) - 1.0
+
+
+def sketch_cdf(samples):
+    """A :class:`SketchCDF` over a :class:`HistogramSketch` of ``samples``."""
+    sketch = HistogramSketch()
+    sketch.update(np.asarray(samples))
+    return SketchCDF(sketch)
+
 
 QS = (0.0, 1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 99.5, 100.0)
 

@@ -35,7 +35,7 @@ class TestZipfFit:
         paths = ["/a"] * 5 + ["/b"] * 3 + ["/c"] + [None] * 4
         ranks = analysis(path_trace(paths), "input_ranks")
         assert ranks.frequencies.tolist() == [5.0, 3.0, 1.0]
-        assert ranks.total_accesses == 9
+        assert ranks.frequencies.sum() == 9
         assert ranks.n_items == 3
 
     def test_rank_frequencies_all_none_rejected(self, analysis):
@@ -56,25 +56,6 @@ class TestZipfFit:
         ranks = analysis(path_trace(paths), "input_ranks")
         assert ranks.slope is not None
         assert 0.55 < ranks.slope < 1.15
-
-    def test_top_share(self, analysis):
-        paths = ["/hot"] * 80 + ["/f%d" % index for index in range(20)]
-        ranks = analysis(path_trace(paths), "input_ranks")
-        assert ranks.top_share(0.05) == pytest.approx(0.8)
-
-    def test_top_share_invalid_fraction(self, analysis):
-        ranks = analysis(path_trace(["/a", "/a", "/b"]), "input_ranks")
-        with pytest.raises(AnalysisError):
-            ranks.top_share(0.0)
-
-    @pytest.mark.parametrize("fraction", [-0.1, 1.5])
-    def test_top_share_fraction_outside_the_unit_interval(self, fraction, analysis):
-        ranks = analysis(path_trace(["/a", "/a", "/b"]), "input_ranks")
-        with pytest.raises(AnalysisError):
-            ranks.top_share(fraction)
-
-    def test_top_share_of_every_item_is_everything(self, analysis):
-        assert analysis(path_trace(["/a", "/a", "/b"]), "input_ranks").top_share(1.0) == 1.0
 
     def test_as_points_is_the_figure_2_series(self, analysis):
         ranks = analysis(path_trace(["/a"] * 4 + ["/b"] * 2 + ["/c"]), "input_ranks")
@@ -146,10 +127,6 @@ class TestBurstiness:
             burstiness_curve(values, drop_zero_hours=False)
         result = burstiness_curve(values, drop_zero_hours=True)
         assert result.hours == 10
-
-    def test_ratio_at_interpolates(self):
-        result = burstiness_curve([1.0] * 99 + [10.0])
-        assert result.ratio_at(50.0) == pytest.approx(1.0, abs=0.1)
 
     def test_empty_rejected(self):
         with pytest.raises(AnalysisError):

@@ -66,8 +66,6 @@ class TestInMemoryRoundTrip:
         assert columnar.bytes_moved() == pytest.approx(trace.bytes_moved())
         assert columnar.total_task_seconds() == pytest.approx(trace.total_task_seconds())
         assert columnar.duration_s() == pytest.approx(trace.duration_s())
-        naive_map_only = np.array([job.is_map_only for job in trace])
-        np.testing.assert_array_equal(columnar.map_only_mask(), naive_map_only)
 
     def test_unknown_dimension_raises(self):
         with pytest.raises(AnalysisError):

@@ -72,11 +72,6 @@ class TestScans:
             assert result.aggregates["n"] == sum(
                 1 for job in _module_trace if job.input_bytes > 2e7)
 
-    def test_string_values_roundtrip(self, _module_trace, store):
-        from_trace = list(TraceSource.wrap(_module_trace).string_values("input_path"))
-        from_store = list(TraceSource.wrap(store).string_values("input_path"))
-        assert from_trace == from_store == [job.input_path for job in _module_trace]
-
     def test_has_column(self, store):
         source = TraceSource.wrap(store)
         assert source.has_column("input_bytes")
@@ -148,17 +143,6 @@ class TestSortedGuard:
         ]
         return ChunkedTraceStore.write(tmp_path / "unsorted.store", iter(jobs),
                                        chunk_rows=2)
-
-    def test_iter_chunks_sorted_raises_on_disorder(self, unsorted_store):
-        source = TraceSource.wrap(unsorted_store)
-        with pytest.raises(AnalysisError, match="not sorted"):
-            list(source.iter_chunks_sorted(["submit_time_s"]))
-
-    def test_sorted_source_passes(self, store):
-        source = TraceSource.wrap(store)
-        blocks = list(source.iter_chunks_sorted(["input_bytes"]))
-        assert sum(block.n_rows for block in blocks) == 50
-        assert all("submit_time_s" in block.columns for block in blocks)
 
     def test_reaccess_analyses_reject_unsorted_store(self, unsorted_store, analysis):
         with pytest.raises(AnalysisError, match="not sorted"):

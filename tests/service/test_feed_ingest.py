@@ -155,7 +155,7 @@ class TestDaemonFeedLoop:
                 assert thread.service.tailers[0].append_lock \
                     is thread.service._append_io_lock
                 client = ServiceClient(port=thread.port)
-                n_before = client.store_info("fb")["n_jobs"]
+                n_before = client.get("/v1/stores/fb").json()["n_jobs"]
                 assert client.query("fb", agg=["count"]).cache == "miss"
                 assert client.query("fb", agg=["count"]).cache == "hit"
                 with open(feed, "ab") as handle:
@@ -170,7 +170,7 @@ class TestDaemonFeedLoop:
                 assert feeds[0]["appended_jobs"] == 5
                 fresh = client.query("fb", agg=["count"])
                 assert fresh.cache == "miss"  # tailer append invalidated fb
-                info = client.store_info("fb")
+                info = client.get("/v1/stores/fb").json()
                 assert info["n_jobs"] == n_before + 5
                 assert info["manifest_sequence"] == 1
 

@@ -148,7 +148,7 @@ class TestServiceMetrics:
         metrics.increment("repro_requests_total", endpoint="query", status="400")
         assert metrics.counter("repro_requests_total",
                                endpoint="query", status="200") == 2
-        assert metrics.counter_total("repro_requests_total") == 3
+        assert sum(metrics.snapshot().values()) == 3
 
     def test_render_is_prometheus_text(self):
         metrics = ServiceMetrics()
@@ -160,12 +160,3 @@ class TestServiceMetrics:
         assert "repro_cache_entries 3" in text
         assert 'quantile="0.99"' in text
         assert "repro_request_latency_seconds_count" in text
-
-    def test_latency_percentiles_come_from_the_sketch(self):
-        metrics = ServiceMetrics()
-        for value in (0.1, 0.2, 0.3, 0.4, 1.0):
-            metrics.observe_latency("GET /healthz", value)
-        p50 = metrics.latency_percentile("GET /healthz", 50)
-        p99 = metrics.latency_percentile("GET /healthz", 99)
-        assert 0.05 <= p50 <= 0.5
-        assert p99 >= p50

@@ -33,14 +33,14 @@ class TestBasicEndpoints:
         assert all(store["store_uid"] for store in stores)
 
     def test_store_info_endpoint(self, client):
-        info = client.store_info("fb")
+        info = client.get("/v1/stores/fb").json()
         assert info["catalog_name"] == "fb"
         assert info["manifest_sequence"] == 0
         assert info["n_jobs"] > 0
 
     def test_unknown_store_is_404(self, client):
         with pytest.raises(ServiceError) as excinfo:
-            client.store_info("nope")
+            client.get("/v1/stores/nope").json()
         assert excinfo.value.status == 404
         assert excinfo.value.body["type"] == "unknown_store"
 
@@ -106,7 +106,7 @@ class TestBasicEndpoints:
     def test_append_with_a_bad_record_is_400_schema_error(self, client, field, bad,
                                                           cc_service_trace):
         """A client error, not a 500 — and nothing was appended."""
-        before = client.store_info("fb")["n_jobs"]
+        before = client.get("/v1/stores/fb").json()["n_jobs"]
         records = [job.to_dict() for job in cc_service_trace.jobs[:3]]
         records[2][field] = bad
         with pytest.raises(ServiceError) as excinfo:
@@ -114,7 +114,7 @@ class TestBasicEndpoints:
         assert excinfo.value.status == 400
         assert excinfo.value.body["type"] == "SchemaError"
         assert excinfo.value.body["error"].startswith("jobs[2]: ")
-        assert client.store_info("fb")["n_jobs"] == before
+        assert client.get("/v1/stores/fb").json()["n_jobs"] == before
 
     def test_broken_member_is_listed_in_place_not_a_500(self, client, catalog_dir):
         """One unopenable member must not take the whole listing down."""
@@ -135,7 +135,7 @@ class TestBasicEndpoints:
         assert client.healthz()["stores"] == ["cc", "fb"]
         # The broken member itself keeps refusing with a 400 ...
         with pytest.raises(ServiceError) as excinfo:
-            client.store_info("cc")
+            client.get("/v1/stores/cc").json()
         assert excinfo.value.status == 400
         assert excinfo.value.body["type"] == "TraceFormatError"
         # ... and the healthy one keeps serving.
@@ -176,7 +176,7 @@ class TestCachedEndpoints:
     def test_query_group_by_and_rows_shapes(self, client):
         groups = client.query("fb", group_by="workload").json()["groups"]
         assert sum(value["count"] for value in groups.values()) == \
-            client.store_info("fb")["n_jobs"]
+            client.get("/v1/stores/fb").json()["n_jobs"]
         rows = client.query("fb", top_k="input_bytes:3").json()["rows"]
         assert len(rows) == 3
         assert rows[0]["input_bytes"] >= rows[1]["input_bytes"]
@@ -226,7 +226,7 @@ class TestAppendInvalidation:
 
     def test_drift_subscription_fires_on_threshold(self, client,
                                                    cc_service_trace):
-        subscription = client.subscribe_drift("fb", threshold=0.5)["subscription"]
+        subscription = client.post("/v1/stores/fb/drift", {"threshold": 0.5}).json()["subscription"]
         assert subscription["store"] == "fb"
         assert set(subscription["baseline_features"])  # non-empty vector
         listing = client.get("/v1/stores/fb/drift").json()["subscriptions"]
@@ -243,13 +243,13 @@ class TestAppendInvalidation:
 
     def test_bad_drift_threshold_is_400(self, client):
         with pytest.raises(ServiceError) as excinfo:
-            client.subscribe_drift("fb", threshold=-1)
+            client.post("/v1/stores/fb/drift", {"threshold": -1}).json()
         assert excinfo.value.status == 400
 
 
 class TestCatalogCompare:
     def test_get_compares_whole_catalog_and_caches(self, client):
-        first = client.catalog_compare()
+        first = client.get("/v1/catalog/compare")
         assert first.status == 200
         assert first.cache == "miss"
         payload = first.json()
@@ -257,13 +257,13 @@ class TestCatalogCompare:
         assert {v["name"] for v in payload["members_versions"]} == {"cc", "fb"}
         assert len(payload["distances"]) == 1
         assert 0.0 <= payload["distances"][0]["distance"]
-        second = client.catalog_compare()
+        second = client.get("/v1/catalog/compare")
         assert second.cache == "hit"
         assert second.data == first.data  # bit-identical replay
 
     def test_post_spec_members_pairs_and_suite(self, client):
-        response = client.catalog_compare(members=["fb", "cc"],
-                                          pairs=["cc,fb"], suite_size=1)
+        response = client.post("/v1/catalog/compare", {"members": ["fb", "cc"],
+                                                       "pairs": ["cc,fb"], "suite_size": 1})
         assert response.status == 200
         payload = response.json()
         (pair,) = payload["pairs"]
@@ -272,15 +272,15 @@ class TestCatalogCompare:
         assert len(payload["suite"]["selected"]) == 1
         assert set(payload["suite"]["assignment"]) == {"cc", "fb"}
         # Member order is normalized: the permuted spec replays from cache.
-        assert client.catalog_compare(members=["cc", "fb"], pairs=["cc,fb"],
-                                      suite_size=1).cache == "hit"
+        assert client.post("/v1/catalog/compare", {"members": ["cc", "fb"], "pairs": ["cc,fb"],
+                                                   "suite_size": 1}).cache == "hit"
 
     def test_append_to_any_member_invalidates_compare(self, client,
                                                       cc_service_trace):
-        before = client.catalog_compare()
-        assert client.catalog_compare().cache == "hit"
+        before = client.get("/v1/catalog/compare")
+        assert client.get("/v1/catalog/compare").cache == "hit"
         client.append("fb", cc_service_trace.jobs[:50])
-        fresh = client.catalog_compare()
+        fresh = client.get("/v1/catalog/compare")
         assert fresh.cache == "miss"  # member versions are in the fingerprint
         versions = {v["name"]: v["manifest_sequence"]
                     for v in fresh.json()["members_versions"]}
@@ -302,19 +302,19 @@ class TestCatalogCompare:
             assert excinfo.value.status == 400, body
             assert fragment in excinfo.value.body["error"]
         with pytest.raises(ServiceError) as excinfo:
-            client.catalog_compare(members=["fb", "nope"])
+            client.post("/v1/catalog/compare", {"members": ["fb", "nope"]})
         assert excinfo.value.status == 404
         with pytest.raises(ServiceError) as excinfo:
             client.request("DELETE", "/v1/catalog/compare")
         assert excinfo.value.status == 405
 
     def test_compare_rides_shared_scan_admission(self, client):
-        client.catalog_compare(suite_size=2)
+        client.post("/v1/catalog/compare", {"suite_size": 2})
         started = client.metric("repro_scans_started_total")
         # One profiling scan per member, not per (member, request).
         assert started == 2
         # A cached replay starts no further scans.
-        assert client.catalog_compare(suite_size=2).cache == "hit"
+        assert client.post("/v1/catalog/compare", {"suite_size": 2}).cache == "hit"
         assert client.metric("repro_scans_started_total") == started
 
 
@@ -335,7 +335,7 @@ class TestRollingCheckpoints:
                              for name in ("fb", "cc")]
                 return responses[0], [response.json()["results"][0]["rows"][0][1:]
                                       for response in responses]
-            response = client.catalog_compare()
+            response = client.get("/v1/catalog/compare")
             jobs = {m["name"]: m["n_jobs"] for m in response.json()["members"]}
             return response, [jobs["fb"], jobs["cc"]]
 
@@ -411,7 +411,7 @@ class TestSharedScanAdmission:
     def test_requests_admitted_before_append_use_old_manifest(
             self, windowed_service, cc_service_trace):
         client = ServiceClient(port=windowed_service.port)
-        n_before = client.store_info("fb")["n_jobs"]
+        n_before = client.get("/v1/stores/fb").json()["n_jobs"]
         holder = {}
 
         def characterize():
@@ -478,10 +478,10 @@ class TestPlannerIntegration:
     def test_store_info_exposes_indexes(self, catalog_dir, client):
         from repro.engine import ChunkedTraceStore, build_indexes
 
-        assert client.store_info("fb")["indexes"] is None
+        assert client.get("/v1/stores/fb").json()["indexes"] is None
         build_indexes(
             ChunkedTraceStore(os.path.join(catalog_dir, "fb"))).save()
-        info = client.store_info("fb")
+        info = client.get("/v1/stores/fb").json()
         assert info["indexes"]["fresh"] is True
         assert info["indexes"]["on_disk_bytes"] > 0
 

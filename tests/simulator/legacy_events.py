@@ -1,17 +1,19 @@
-"""Discrete-event simulation engine.
+"""The discrete-event queue of the legacy replay loop.
 
-A minimal, heap-based event loop shared by the MapReduce cluster simulator.
-Events are ``(time, priority, sequence, callback)`` tuples; ties are broken by
-priority then insertion order so the simulation is fully deterministic.
+A minimal, heap-based event loop: one :class:`Event` object per scheduled
+callback.  Events order by ``(time, priority, sequence)``; ties are broken by
+priority then insertion order so the simulation is fully deterministic.  The
+vectorized engine replaced it with a plain heap of tuples; the differential
+oracle in ``legacy_replay.py`` still runs on it, so it lives beside it.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
-from ..errors import SimulationError
+from repro.errors import SimulationError
 
 __all__ = ["EventQueue", "Event"]
 

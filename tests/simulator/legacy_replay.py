@@ -10,7 +10,7 @@ equivalence suites (``test_replay_equivalence.py``, ``test_replay_stretches.py``
 check the new engine against, bit for bit.
 
 This module is test infrastructure, not library code: it is slow by
-design (one :class:`~repro.simulator.events.Event` object plus closures per
+design (one :class:`legacy_events.Event` object plus closures per
 task transition) and exists so that any change to the vectorized engine can
 be re-pinned against the original semantics.
 
@@ -37,13 +37,22 @@ import itertools
 from typing import Dict, Iterable, Iterator
 
 from repro.errors import SimulationError
-from repro.simulator.cluster import Cluster
-from repro.simulator.events import EventQueue
 from repro.simulator.metrics import JobOutcome, SimulationMetrics
 from repro.simulator.tasks import SimJob, SimTask, split_job
 from repro.traces.schema import Job
 
-__all__ = ["legacy_replay_jobs"]
+from legacy_cluster import Cluster
+from legacy_events import EventQueue
+
+__all__ = ["legacy_replay_jobs", "observe_utilization"]
+
+
+def observe_utilization(metrics: SimulationMetrics, now_s: float, active_slots: int) -> None:
+    """Fold one ``(time, busy slots)`` sample into ``metrics`` — the
+    per-sample form of the batched fold the vectorized engine runs."""
+    metrics.utilization.observe(now_s, active_slots)
+    if metrics.keep_outcomes:
+        metrics.utilization_samples.append((now_s, active_slots))
 
 
 def legacy_replay_jobs(replayer, jobs: Iterable[Job]) -> SimulationMetrics:
@@ -66,7 +75,7 @@ def legacy_replay_jobs(replayer, jobs: Iterable[Job]) -> SimulationMetrics:
     scheduler = replayer.scheduler
 
     def record_utilization():
-        metrics.record_utilization(queue.now, cluster.total_busy_slots())
+        observe_utilization(metrics, queue.now, cluster.total_busy_slots())
 
     def pull_next_job() -> bool:
         """Schedule the next job's submission; False when the source is dry."""

@@ -16,11 +16,13 @@ from repro.simulator import (
 from repro.traces import Job, Trace
 from repro.units import GB, HOUR
 
+from legacy_replay import observe_utilization
+
 
 def metrics_with_samples(samples, total_slots=600):
     metrics = SimulationMetrics(total_slots=total_slots)
     for time_s, busy in samples:
-        metrics.record_utilization(time_s, busy)
+        observe_utilization(metrics, time_s, busy)
     metrics.horizon_s = samples[-1][0]
     return metrics
 
@@ -57,7 +59,7 @@ class TestEnergyFromMetrics:
                                                                  peak_node_watts=300.0))
         assert report.energy_joules == pytest.approx(300.0 * 100 * HOUR)
         assert report.mean_utilization == pytest.approx(1.0)
-        assert report.savings_vs_peak == pytest.approx(0.0)
+        assert 1.0 - report.energy_joules / report.always_peak_joules == pytest.approx(0.0)
         assert report.proportionality_gap == pytest.approx(0.0)
 
     def test_idle_cluster_energy_and_proportionality_gap(self):
@@ -67,7 +69,7 @@ class TestEnergyFromMetrics:
         assert report.energy_joules == pytest.approx(100.0 * 100 * HOUR)
         assert report.proportional_joules == pytest.approx(0.0)
         assert report.proportionality_gap == pytest.approx(1.0)
-        assert report.savings_vs_peak == pytest.approx(2.0 / 3.0)
+        assert 1.0 - report.energy_joules / report.always_peak_joules == pytest.approx(2.0 / 3.0)
 
     def test_energy_bounded_by_references(self):
         metrics = metrics_with_samples([(0.0, 60), (HOUR, 500), (2 * HOUR, 30), (3 * HOUR, 30)])
@@ -77,7 +79,7 @@ class TestEnergyFromMetrics:
 
     def test_requires_two_samples(self):
         metrics = SimulationMetrics(total_slots=600)
-        metrics.record_utilization(0.0, 10)
+        observe_utilization(metrics, 0.0, 10)
         with pytest.raises(SimulationError):
             energy_from_metrics(metrics, CONFIG)
 

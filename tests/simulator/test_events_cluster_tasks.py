@@ -1,12 +1,16 @@
-"""Tests for the event engine, the cluster/slot model, and task splitting."""
+"""Tests for the legacy replay loop's event queue and per-node slot model,
+and for task splitting."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.simulator import Cluster, ClusterConfig, EventQueue, split_job
+from repro.simulator import ClusterConfig, split_job
 from repro.simulator.tasks import MAX_TASKS_PER_STAGE
 from repro.traces import Job
+
+from legacy_cluster import Cluster
+from legacy_events import EventQueue
 
 
 class TestEventQueue:

@@ -33,23 +33,21 @@ class ScalarUtilization:
     def __init__(self):
         self.first_time_s = None
         self.last_time_s = None
-        self.last_slots = 0.0
+        self._last_slots = 0.0
         self.busy_slot_seconds = 0.0
         self.hourly_slot_seconds = []
-        self.n_observations = 0
 
     def observe(self, now_s, active_slots):
-        self.n_observations += 1
         if self.last_time_s is None:
             self.first_time_s = now_s
             self.last_time_s = now_s
-            self.last_slots = float(active_slots)
+            self._last_slots = float(active_slots)
             return
         if now_s < self.last_time_s:
             raise SimulationError(
                 "utilization observations must be time-ordered "
                 "(%.3f after %.3f)" % (now_s, self.last_time_s))
-        start, end, value = self.last_time_s, now_s, self.last_slots
+        start, end, value = self.last_time_s, now_s, self._last_slots
         if end > start:
             self.busy_slot_seconds += value * (end - start)
             hour = int(start // HOUR)
@@ -62,7 +60,7 @@ class ScalarUtilization:
                 start = hour_end
                 hour += 1
         self.last_time_s = now_s
-        self.last_slots = float(active_slots)
+        self._last_slots = float(active_slots)
 
 
 def state(accumulator):
@@ -71,9 +69,8 @@ def state(accumulator):
         "busy": repr(accumulator.busy_slot_seconds),
         "first": repr(accumulator.first_time_s),
         "last": repr(accumulator.last_time_s),
-        "last_slots": repr(accumulator.last_slots),
+        "last_slots": repr(accumulator._last_slots),
         "hourly": np.array(accumulator.hourly_slot_seconds, dtype=float).tobytes(),
-        "observations": accumulator.n_observations,
     }
 
 

@@ -12,7 +12,8 @@ from repro.simulator.metrics import (
     SimulationMetrics,
     UtilizationAccumulator,
 )
-from repro.units import GB
+
+from legacy_replay import observe_utilization
 
 
 def outcome(job_id, submit, wait=None, completion=None, total_bytes=1e9):
@@ -56,14 +57,10 @@ class TestPerJobReadouts:
     def test_completion_times_skip_unfinished_jobs(self):
         assert recorded(MIXED).completion_times().tolist() == [10.0, 30.0]
 
-    def test_wait_times_skip_jobs_that_never_started(self):
-        assert recorded(MIXED).wait_times().tolist() == [1.0, 3.0, 2.0]
-
     def test_per_job_arrays_are_empty_without_retained_outcomes(self):
         metrics = recorded(MIXED, keep_outcomes=False)
         assert metrics.outcomes == []
         assert metrics.completion_times().size == 0
-        assert metrics.wait_times().size == 0
 
     def test_n_jobs_falls_back_to_the_outcome_list(self):
         metrics = SimulationMetrics()
@@ -92,18 +89,11 @@ class TestCompletionSummaries:
         assert 3.0 <= metrics.percentile_completion_time(0.0)
         assert metrics.percentile_completion_time(100.0) <= 27.0
 
-    def test_mean_completion_time(self):
-        assert recorded(MIXED).mean_completion_time() == 20.0
-
     @pytest.mark.parametrize("keep_outcomes", [True, False])
     def test_percentile_without_finished_jobs_raises(self, keep_outcomes):
         metrics = recorded(MIXED[2:], keep_outcomes=keep_outcomes)
         with pytest.raises(SimulationError, match="no finished jobs"):
             metrics.percentile_completion_time(50.0)
-
-    def test_mean_without_finished_jobs_raises(self):
-        with pytest.raises(SimulationError, match="no finished jobs"):
-            recorded(MIXED[2:]).mean_completion_time()
 
     def test_mean_wait_time(self):
         assert recorded(MIXED).mean_wait_time() == 2.0
@@ -112,42 +102,25 @@ class TestCompletionSummaries:
         assert recorded([outcome("queued", 0.0)]).mean_wait_time() == 0.0
 
 
-class TestSmallJobSlowdown:
-    def test_mean_over_jobs_at_or_below_the_threshold(self):
-        metrics = recorded([
-            outcome("small", 0.0, wait=0.0, completion=4.0, total_bytes=GB),
-            outcome("tiny", 0.0, wait=0.0, completion=8.0, total_bytes=1.0),
-            outcome("large", 0.0, wait=0.0, completion=500.0, total_bytes=10 * GB),
-            outcome("unfinished", 0.0, wait=0.0, total_bytes=1.0),
-        ])
-        assert metrics.slowdown_of_small_jobs(GB) == 6.0
-
-    def test_no_small_job_finished_raises(self):
-        metrics = recorded([outcome("large", 0.0, wait=0.0, completion=5.0,
-                                    total_bytes=10 * GB)])
-        with pytest.raises(SimulationError, match="no finished small jobs"):
-            metrics.slowdown_of_small_jobs(GB)
-
-
 class TestUtilizationSteps:
     def test_sample_exact_steps_drop_zero_length_intervals(self):
         metrics = SimulationMetrics(total_slots=4)
         for now, slots in [(0.0, 1), (10.0, 3), (10.0, 2), (30.0, 0)]:
-            metrics.record_utilization(now, slots)
+            observe_utilization(metrics, now, slots)
         metrics.finalize()
         assert metrics.utilization_steps() == [(0.0, 10.0, 1.0), (10.0, 30.0, 2.0)]
 
     def test_samples_at_one_instant_raise(self):
         metrics = SimulationMetrics(total_slots=4)
-        metrics.record_utilization(5.0, 1)
-        metrics.record_utilization(5.0, 2)
+        observe_utilization(metrics, 5.0, 1)
+        observe_utilization(metrics, 5.0, 2)
         with pytest.raises(SimulationError, match="zero simulated time"):
             metrics.utilization_steps()
 
     def test_hour_granular_steps_without_retained_samples(self):
         metrics = SimulationMetrics(total_slots=4, keep_outcomes=False)
-        metrics.record_utilization(0.0, 2)
-        metrics.record_utilization(7200.0, 0)
+        observe_utilization(metrics, 0.0, 2)
+        observe_utilization(metrics, 7200.0, 0)
         metrics.finalize()
         assert metrics.utilization_samples == []
         assert metrics.utilization_steps() == [(0.0, 3600.0, 2.0),
@@ -222,7 +195,6 @@ class TestAccumulatorReadouts:
     def test_utilization_without_observations(self):
         utilization = UtilizationAccumulator()
         assert utilization.span_s == 0.0
-        assert utilization.n_observations == 0
         assert utilization.mean_utilization(10) == 0.0
         assert utilization.hourly_active_slots().tolist() == [0.0]
 

@@ -8,11 +8,8 @@ input-order pull sequence — across shard counts.
 
 The shared sequential RNG stream is only valid while jobs are transformed in
 input order.  Windowed sharding replays each window independently, so its
-workers would consume the shared stream in a different order than a serial
-run; that is why :func:`straggler_task_transform` grows ``per_job_streams``,
-which seeds each job's draws from ``(seed, crc32(job_id))`` and makes the
-injected slowdowns a pure function of (seed, job_id) — invariant to any
-partitioning.  These tests pin both regimes.
+workers consume the stream in their own pull order and straggler digests
+depend on where the cuts fall.  These tests pin both facts.
 """
 
 import pytest
@@ -41,11 +38,9 @@ def store(trace, tmp_path_factory):
     return ChunkedTraceStore.write(directory, trace, chunk_rows=64)
 
 
-def build_replayer(cls=StreamingReplayer, seed=42, per_job_streams=False,
-                   **kwargs):
+def build_replayer(cls=StreamingReplayer, seed=42, **kwargs):
     transform = straggler_task_transform(
-        StragglerModel(probability=0.2, slowdown_factor=4.0, seed=seed),
-        per_job_streams=per_job_streams)
+        StragglerModel(probability=0.2, slowdown_factor=4.0, seed=seed))
     return cls(task_transform=transform, cache=LruCache(capacity_bytes=GB),
                **kwargs)
 
@@ -70,19 +65,13 @@ class TestFixedSeedDeterminism:
                                      mode="exact")
             assert sharded.replay_store(store).digest() == serial, shards
 
-    def test_per_job_streams_deterministic_across_runs(self, store):
-        first = build_replayer(per_job_streams=True).replay_store(store).digest()
-        second = build_replayer(per_job_streams=True).replay_store(store).digest()
-        assert first == second
-
 
 class TestPerJobStreamIndependence:
-    """The unit-level reason windowed sharding needs per-job streams."""
+    """The unit-level reason windowed straggler digests depend on the cuts."""
 
-    def transform_durations(self, jobs, order, per_job_streams):
+    def transform_durations(self, jobs, order):
         transform = straggler_task_transform(
-            StragglerModel(probability=0.5, slowdown_factor=3.0, seed=7),
-            per_job_streams=per_job_streams)
+            StragglerModel(probability=0.5, slowdown_factor=3.0, seed=7))
         durations = {}
         for index in order:
             sim_job = split_job(jobs[index])
@@ -92,35 +81,10 @@ class TestPerJobStreamIndependence:
                 [task.duration_s for task in sim_job.reduce_tasks])
         return durations
 
-    def test_per_job_streams_are_order_invariant(self, trace):
-        jobs = trace.jobs[:40]
-        forward = self.transform_durations(jobs, range(len(jobs)), True)
-        backward = self.transform_durations(jobs, reversed(range(len(jobs))), True)
-        assert forward == backward
-
     def test_shared_stream_is_order_sensitive(self, trace):
         """Documents the hazard: the shared stream depends on transform
         order, which is exactly what windowed sharding changes."""
         jobs = trace.jobs[:40]
-        forward = self.transform_durations(jobs, range(len(jobs)), False)
-        backward = self.transform_durations(jobs, reversed(range(len(jobs))), False)
+        forward = self.transform_durations(jobs, range(len(jobs)))
+        backward = self.transform_durations(jobs, reversed(range(len(jobs))))
         assert forward != backward
-
-    def test_windowed_shards_with_per_job_streams_are_shard_count_invariant(
-            self, store):
-        """With per-job streams the *injected durations* are partition-pure,
-        so two windowed replays with the same cuts agree run-to-run, and
-        job/task counts agree across shard counts (completion-time floats
-        still shift with the cuts, because windowed mode drops cross-boundary
-        contention — that part is the documented approximation)."""
-        def run(shards):
-            replayer = build_replayer(cls=ShardedReplayer, shards=shards,
-                                      mode="windowed", per_job_streams=True,
-                                      processes=1)
-            return replayer.replay_store(store)
-        once, again = run(3), run(3)
-        assert once.digest() == again.digest()
-        other = run(5)
-        assert other.jobs_submitted == once.jobs_submitted
-        assert other.finished_jobs == once.finished_jobs
-        assert other.wait.count == once.wait.count

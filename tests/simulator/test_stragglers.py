@@ -67,7 +67,7 @@ class TestStragglerInjection:
         transform(sim_job)
         assert all(task.duration_s == pytest.approx(3.0 * before)
                    for task, before in zip(sim_job.map_tasks, original))
-        assert transform.stats.straggler_rate == pytest.approx(1.0)
+        assert transform.stats.stragglers_injected / transform.stats.tasks_seen == pytest.approx(1.0)
         assert transform.stats.jobs_affected == 1
 
     def test_injection_is_deterministic_given_seed(self):

@@ -23,6 +23,8 @@ from repro.traces import Job, Trace, load_workload
 from repro.traces.io import write_trace
 from repro.units import GB, HOUR
 
+from legacy_replay import observe_utilization
+
 
 @pytest.fixture(scope="module")
 def trace():
@@ -133,11 +135,6 @@ class TestStreamingBehaviour:
         metrics = StreamingReplayer(max_simulated_jobs=10).replay_store(store)
         assert metrics.jobs_submitted == 10
 
-    def test_slowdown_needs_retained_outcomes(self, store):
-        metrics = StreamingReplayer().replay_store(store)
-        with pytest.raises(SimulationError, match="retained per-job outcomes"):
-            metrics.slowdown_of_small_jobs(GB)
-
     def test_energy_from_streaming_metrics(self, store):
         """Energy integration falls back to hour-granular accumulator steps."""
         config = ClusterConfig()
@@ -223,7 +220,7 @@ class TestSimulationMetricsMerge:
                               whole.completion.sketch.counts)
         assert np.array_equal(merged.wait.sketch.counts, whole.wait.sketch.counts)
         assert merged.mean_wait_time() == whole.mean_wait_time()
-        assert merged.mean_completion_time() == whole.mean_completion_time()
+        assert merged.completion.mean_value == whole.completion.mean_value
 
     def test_mixed_retention_merge_demotes_and_clears_lists(self):
         """Merging a streaming shard into a materialized one must not leave a
@@ -232,8 +229,8 @@ class TestSimulationMetricsMerge:
         keeping = SimulationMetrics(total_slots=600, keep_outcomes=True)
         keeping.record_submission()
         keeping.record_job(outcome("a", 0.0, 1.0, 10.0))
-        keeping.record_utilization(0.0, 3)
-        keeping.record_utilization(HOUR, 0)
+        observe_utilization(keeping, 0.0, 3)
+        observe_utilization(keeping, HOUR, 0)
         streaming = SimulationMetrics(total_slots=600, keep_outcomes=False)
         streaming.record_submission()
         streaming.record_job(outcome("b", HOUR, 2.0, 20.0))
@@ -250,10 +247,10 @@ class TestSimulationMetricsMerge:
     def test_merge_combines_cache_stats_and_utilization(self):
         left = SimulationMetrics(total_slots=10)
         right = SimulationMetrics(total_slots=10)
-        left.record_utilization(0.0, 5)
-        left.record_utilization(HOUR, 5)
-        right.record_utilization(HOUR, 2)
-        right.record_utilization(2 * HOUR, 2)
+        observe_utilization(left, 0.0, 5)
+        observe_utilization(left, HOUR, 5)
+        observe_utilization(right, HOUR, 2)
+        observe_utilization(right, 2 * HOUR, 2)
         from repro.simulator import CacheStats
         left.cache_stats = CacheStats(hits=3, misses=1)
         right.cache_stats = CacheStats(hits=1, misses=5)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import SynthesisError
 from repro.synth import (
     DiurnalBurstyArrivals,
-    FileCatalog,
     FilePopularityModel,
     PoissonArrivals,
     diurnal_rate_profile,
@@ -96,21 +95,6 @@ class TestSineReference:
     def test_offset_must_exceed_amplitude(self):
         with pytest.raises(SynthesisError):
             sine_reference_series(24, offset=0.5, amplitude=1.0)
-
-
-class TestFileCatalog:
-    def test_paths_and_sizes(self):
-        catalog = FileCatalog(10, "/data", rng())
-        assert catalog.path(1) == "/data/00000001"
-        assert catalog.size(1) > 0
-        assert catalog.total_bytes() == pytest.approx(catalog.sizes.sum())
-
-    def test_rank_out_of_range(self):
-        catalog = FileCatalog(3, "/d", rng())
-        with pytest.raises(SynthesisError):
-            catalog.path(0)
-        with pytest.raises(SynthesisError):
-            catalog.size(4)
 
 
 class TestFilePopularityModel:

@@ -1,82 +1,15 @@
-"""Tests for the synthesis distributions."""
+"""Tests for the Zipf rank sampler."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SynthesisError
-from repro.synth import (
-    Constant,
-    Empirical,
-    Exponential,
-    LogNormal,
-    LogUniform,
-    Mixture,
-    Pareto,
-    ZipfRank,
-)
+from repro.synth import ZipfRank
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
-
-
-class TestConstant:
-    def test_samples_constant(self):
-        assert Constant(5.0).sample(rng(), 10).tolist() == [5.0] * 10
-
-    def test_rejects_negative(self):
-        with pytest.raises(SynthesisError):
-            Constant(-1.0)
-
-
-class TestLogNormal:
-    def test_median_is_preserved(self):
-        samples = LogNormal(1000.0, 0.5).sample(rng(), 20000)
-        assert np.median(samples) == pytest.approx(1000.0, rel=0.05)
-
-    def test_zero_median_gives_zeros(self):
-        assert LogNormal(0.0, 1.0).sample(rng(), 5).tolist() == [0.0] * 5
-
-    def test_mean_formula(self):
-        dist = LogNormal(100.0, 0.8)
-        samples = dist.sample(rng(), 200000)
-        assert samples.mean() == pytest.approx(dist.mean(), rel=0.05)
-
-    def test_rejects_negative_sigma(self):
-        with pytest.raises(SynthesisError):
-            LogNormal(1.0, -0.1)
-
-
-class TestLogUniform:
-    def test_bounds_respected(self):
-        samples = LogUniform(10.0, 1000.0).sample(rng(), 1000)
-        assert samples.min() >= 10.0 and samples.max() <= 1000.0
-
-    def test_invalid_bounds(self):
-        with pytest.raises(SynthesisError):
-            LogUniform(10.0, 1.0)
-        with pytest.raises(SynthesisError):
-            LogUniform(0.0, 1.0)
-
-
-class TestExponentialAndPareto:
-    def test_exponential_mean(self):
-        samples = Exponential(50.0).sample(rng(), 100000)
-        assert samples.mean() == pytest.approx(50.0, rel=0.05)
-
-    def test_pareto_minimum_is_scale(self):
-        samples = Pareto(10.0, 2.0).sample(rng(), 10000)
-        assert samples.min() >= 10.0
-
-    def test_pareto_infinite_mean_below_one(self):
-        assert Pareto(1.0, 0.9).mean() == float("inf")
-
-    def test_invalid_parameters(self):
-        with pytest.raises(SynthesisError):
-            Exponential(0.0)
-        with pytest.raises(SynthesisError):
-            Pareto(1.0, 0.0)
 
 
 class TestZipfRank:
@@ -102,50 +35,6 @@ class TestZipfRank:
             ZipfRank(0, 1.0)
         with pytest.raises(SynthesisError):
             ZipfRank(10, 0.0)
-
-
-class TestEmpirical:
-    def test_resamples_only_observed_values(self):
-        dist = Empirical([1.0, 2.0, 3.0])
-        assert set(dist.sample(rng(), 100).tolist()) <= {1.0, 2.0, 3.0}
-
-    def test_smoothing_jitters(self):
-        dist = Empirical([10.0], smooth=True, smooth_sigma=0.2)
-        samples = dist.sample(rng(), 100)
-        assert len(set(samples.tolist())) > 1
-
-    def test_quantile(self):
-        assert Empirical(range(1, 101)).quantile(0.5) == pytest.approx(50.5)
-
-    def test_rejects_empty_or_negative(self):
-        with pytest.raises(SynthesisError):
-            Empirical([])
-        with pytest.raises(SynthesisError):
-            Empirical([-1.0])
-
-
-class TestMixture:
-    def test_mixture_mean_is_weighted(self):
-        mixture = Mixture([Constant(0.0), Constant(10.0)], weights=[0.25, 0.75])
-        assert mixture.mean() == pytest.approx(7.5)
-        samples = mixture.sample(rng(), 20000)
-        assert samples.mean() == pytest.approx(7.5, abs=0.2)
-
-    def test_invalid_weights(self):
-        with pytest.raises(SynthesisError):
-            Mixture([Constant(1.0)], weights=[1.0, 2.0])
-        with pytest.raises(SynthesisError):
-            Mixture([])
-
-
-@settings(max_examples=25, deadline=None)
-@given(median=st.floats(min_value=1e-3, max_value=1e15),
-       sigma=st.floats(min_value=0.0, max_value=3.0))
-def test_property_lognormal_samples_non_negative(median, sigma):
-    """Log-normal samples are always non-negative and finite."""
-    samples = LogNormal(median, sigma).sample(rng(1), 256)
-    assert np.all(samples >= 0)
-    assert np.all(np.isfinite(samples))
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,5 +1,5 @@
-"""Every library module, and every name it exports, is reached by code that
-is not a test.
+"""Every library module, every name it exports and every public method of
+its classes is reached by code that is not a test.
 
 The guard parses (never imports) every ``.py`` file under ``src/``,
 ``benchmarks/``, ``examples/`` and ``scripts/``, resolves relative imports
@@ -9,9 +9,12 @@ some file other than a package ``__init__``.  A second check does the same
 for names: every name in a ``src/repro`` module's ``__all__`` must appear in
 some scanned file as a name, an attribute or an imported name — the
 module's own ``__all__`` and a package ``__init__``'s re-exports do not
-count.  Like the module check it is non-transitive: a reference counts
-wherever it sits.  A module or name only tests reach is library surface
-nothing runs: delete it with its tests instead of keeping it alive here.
+count.  A third check does the same for methods: every public method or
+property defined on a class in ``src/repro`` must appear by name in some
+scanned file.  Like the module check they are non-transitive: a reference
+counts wherever it sits.  A module, name or method only tests reach is
+library surface nothing runs: delete it with its tests instead of keeping it
+alive here.
 """
 
 import ast
@@ -21,37 +24,17 @@ REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 SOURCE_ROOT = os.path.join(REPO_ROOT, "src")
 SCANNED_DIRECTORIES = ("src", "benchmarks", "examples", "scripts")
 
-#: Modules allowed to be unreached, each with its reason.
-EXEMPT = {
-    # The event queue of the legacy replay loop, the differential oracle the
-    # replay tests keep beside them; the vectorized engine uses a plain heap.
-    "repro.simulator.events",
-}
-
 #: Exported names allowed to be unreached, each with its reason.
-_PUBLIC_ONLY_TESTS_CALL = "public API that only tests call; kept until a change decides its use"
 EXEMPT_NAMES = {
-    "repro.core.comparison.cdf_distance": _PUBLIC_ONLY_TESTS_CALL,
-    "repro.core.multiplexing.consolidate":
-        "the job-list form of the consolidation that consolidation_study streams",
-    "repro.core.stats.SKETCH_RELATIVE_RESOLUTION":
-        "states the sketch's bin resolution as a constant; no code reads it",
-    "repro.core.stats.sketch_cdf": _PUBLIC_ONLY_TESTS_CALL,
     "repro.engine.blockcache.clear_block_cache":
         "docs/engine.md: drop the decoded-block cache between timed runs",
-    "repro.simulator.cluster.Cluster": "the slot model of the legacy replay oracle in tests",
-    "repro.simulator.events.EventQueue": "the event queue of the legacy replay oracle in tests",
-    "repro.synth.distributions.Constant": _PUBLIC_ONLY_TESTS_CALL,
-    "repro.synth.distributions.Empirical": _PUBLIC_ONLY_TESTS_CALL,
-    "repro.synth.distributions.Exponential": _PUBLIC_ONLY_TESTS_CALL,
-    "repro.synth.distributions.LogNormal": _PUBLIC_ONLY_TESTS_CALL,
-    "repro.synth.distributions.LogUniform": _PUBLIC_ONLY_TESTS_CALL,
-    "repro.synth.distributions.Mixture": _PUBLIC_ONLY_TESTS_CALL,
-    "repro.synth.distributions.Pareto": _PUBLIC_ONLY_TESTS_CALL,
-    "repro.synth.filepop.FileCatalog": _PUBLIC_ONLY_TESTS_CALL,
-    "repro.traces.registry.all_paper_specs": "registry extension point for user workloads",
-    "repro.traces.registry.register_spec": "registry extension point for user workloads",
-    "repro.traces.registry.unregister_spec": "registry extension point for user workloads",
+}
+
+#: Public methods and properties allowed to be unreached, each with its reason.
+EXEMPT_METHODS = {
+    "repro.simulator.metrics.UtilizationAccumulator.observe":
+        "the buffered per-sample entry to the fold the replay engine batches; the legacy "
+        "replay oracle records through it",
 }
 
 
@@ -144,8 +127,7 @@ def test_every_library_module_is_reached_outside_tests():
     library = {name for name in graph.modules
                if name not in graph.packages and not name.endswith(".__main__")}
     assert "repro.engine.store" in library
-    assert EXEMPT <= library, "an exempt module moved or went: drop its exemption"
-    unreached = sorted(library - graph.reached() - EXEMPT)
+    unreached = sorted(library - graph.reached())
     assert unreached == [], (
         "modules no command, experiment, benchmark, example or script imports: %s"
         % ", ".join(unreached))
@@ -179,11 +161,17 @@ def referenced_names(path, tree):
     return names
 
 
-def test_every_exported_name_is_reached_outside_tests():
-    graph = ImportGraph()
+def referenced_anywhere(graph):
+    """The names every scanned file references (see :func:`referenced_names`)."""
     referenced = set()
     for path, tree in graph.trees.items():
         referenced |= referenced_names(path, tree)
+    return referenced
+
+
+def test_every_exported_name_is_reached_outside_tests():
+    graph = ImportGraph()
+    referenced = referenced_anywhere(graph)
     exported = {"%s.%s" % (module, name)
                 for module, path in graph.modules.items() if module not in graph.packages
                 for name in exported_names(graph.trees[path])}
@@ -196,3 +184,31 @@ def test_every_exported_name_is_reached_outside_tests():
         % ", ".join(unreached))
     stale = sorted(name for name in EXEMPT_NAMES if name.rsplit(".", 1)[-1] in referenced)
     assert stale == [], "exempt names now reached outside tests: %s" % ", ".join(stale)
+
+
+def public_methods(tree):
+    """``Class.method`` for every public method or property defined directly
+    in a class body (classes nested in functions included)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")):
+                    yield "%s.%s" % (node.name, item.name)
+
+
+def test_every_public_method_is_reached_outside_tests():
+    graph = ImportGraph()
+    referenced = referenced_anywhere(graph)
+    methods = {"%s.%s" % (module, method)
+               for module, path in graph.modules.items()
+               for method in public_methods(graph.trees[path])}
+    assert "repro.engine.store.ChunkedTraceStore.open_append" in methods
+    assert set(EXEMPT_METHODS) <= methods, "an exempt method moved or went: drop its exemption"
+    unreached = sorted(name for name in methods - set(EXEMPT_METHODS)
+                       if name.rsplit(".", 1)[-1] not in referenced)
+    assert unreached == [], (
+        "public methods no command, experiment, benchmark, example or script uses: %s"
+        % ", ".join(unreached))
+    stale = sorted(name for name in EXEMPT_METHODS if name.rsplit(".", 1)[-1] in referenced)
+    assert stale == [], "exempt methods now reached outside tests: %s" % ", ".join(stale)

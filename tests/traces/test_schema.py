@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import SchemaError, TraceFormatError
-from repro.traces import FEATURE_DIMENSIONS, Job
+from repro.traces import Job
 from repro.traces.schema import extract_first_word
 
 
@@ -86,14 +86,6 @@ class TestDerivedQuantities:
         assert make_job(shuffle_bytes=0.0, reduce_task_seconds=0.0).is_map_only
         assert not make_job().is_map_only
 
-    def test_data_ratio_expand_and_aggregate(self):
-        assert make_job(input_bytes=10.0, output_bytes=100.0).data_ratio == 10.0
-        assert make_job(input_bytes=100.0, output_bytes=10.0).data_ratio == 0.1
-
-    def test_data_ratio_zero_input(self):
-        assert make_job(input_bytes=0.0, output_bytes=10.0).data_ratio == float("inf")
-        assert make_job(input_bytes=0.0, output_bytes=0.0).data_ratio == 1.0
-
     def test_first_word_lowercased_and_stripped(self):
         assert make_job(name="INSERT overwrite table x").first_word == "insert"
         assert make_job(name="PigLatin:job-17 step2").first_word == "piglatinjob"
@@ -112,14 +104,6 @@ class TestDerivedQuantities:
     def test_extract_first_word(self, name, expected):
         assert extract_first_word(name) == expected
         assert make_job(name=name or None).first_word == expected
-
-    def test_feature_vector_order_matches_declared_dimensions(self):
-        job = make_job()
-        vector = job.feature_vector()
-        assert len(vector) == len(FEATURE_DIMENSIONS)
-        assert vector[0] == job.input_bytes
-        assert vector[3] == job.duration_s
-        assert vector[5] == job.reduce_task_seconds
 
 
 class TestSerialization:

@@ -70,15 +70,6 @@ class TestColumnCache:
         with pytest.raises(ValueError):
             values[0] = 999.0
 
-    def test_invalidate_cache_after_mutation(self, trace):
-        before = trace.dimension("input_bytes")
-        trace.jobs[0].input_bytes = 777.0
-        assert trace.dimension("input_bytes") is before  # stale until invalidated
-        trace.invalidate_cache()
-        after = trace.dimension("input_bytes")
-        assert after is not before
-        assert after[0] == 777.0
-
     def test_submit_times_uses_cache(self, trace):
         assert trace.submit_times() is trace.submit_times()
 
@@ -103,20 +94,6 @@ class TestFilters:
     def test_filter_predicate(self, trace):
         filtered = trace.filter(lambda job: job.submit_time_s >= 20)
         assert len(filtered) == 2
-
-    def test_time_window_half_open(self, trace):
-        window = trace.time_window(10, 30)
-        assert [job.job_id for job in window] == ["a", "b"]
-
-    def test_time_window_invalid(self, trace):
-        with pytest.raises(AnalysisError):
-            trace.time_window(30, 10)
-
-    def test_with_paths_and_names(self):
-        jobs = [job_at(0, "x", input_path="/p", name="select"), job_at(1, "y")]
-        trace = Trace(jobs, name="t")
-        assert len(trace.with_paths()) == 1
-        assert len(trace.with_names()) == 1
 
     def test_merge_sorts_and_keeps_jobs(self, trace):
         other = Trace([job_at(15, "z")], name="o")

@@ -20,7 +20,6 @@ from __future__ import annotations
 import sys
 import tempfile
 
-import repro
 from repro.core import characterize
 from repro.synth import SwimSynthesizer
 from repro.traces import format_job_line, load_workload, read_history_log

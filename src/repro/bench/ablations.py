@@ -17,13 +17,12 @@ Three ablations, each exercising one recommendation made in the paper:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..core.clustering import cluster_jobs
 from ..core.kmeans import log_standardize, select_k
-from ..core.stats import percentile_ratio_curve
 from ..simulator.cache import LfuCache, LruCache, NoCache, SizeThresholdCache, UnlimitedCache
 from ..simulator.cluster import ClusterConfig
 from ..simulator.replay import WorkloadReplayer
@@ -71,7 +70,7 @@ def cache_policy_ablation(trace: Trace, cache_capacity_bytes: float = 512 * GB,
     result.notes.append(
         "paper argument: a size-threshold admission policy captures the bulk of accesses "
         "(which hit small files) while bounding cache capacity; LRU-style eviction works "
-        "because 75%% of re-accesses fall within hours"
+        "because 75% of re-accesses fall within hours"
     )
     return result
 

@@ -157,8 +157,8 @@ def _size_profile_figure(traces: Dict[str, object], kind: str, experiment_id: st
         result.series["%s/jobs_cdf" % name] = _cdf_series(profile.jobs_cdf)
         result.series["%s/stored_bytes_cdf" % name] = _cdf_series(profile.stored_bytes_cdf)
     result.notes.append(
-        "paper: ~90%% of jobs access files of at most a few GB, which hold at most "
-        "16%% of stored bytes; 80%% of accesses go to 1-8%% of stored bytes"
+        "paper: ~90% of jobs access files of at most a few GB, which hold at most "
+        "16% of stored bytes; 80% of accesses go to 1-8% of stored bytes"
     )
     return result
 

@@ -15,7 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.clustering import cluster_jobs
 from ..simulator.cluster import ClusterConfig
 from ..simulator.replay import WorkloadReplayer
 from ..simulator.scheduler import FairScheduler

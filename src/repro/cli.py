@@ -51,11 +51,10 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .bench.suite import CHARACTERIZATION_EXPERIMENT_IDS, EXPERIMENT_IDS, render_suite, run_suite
-from .engine import ChunkedTraceStore, ParallelExecutor, Query, execute
+from .engine import ChunkedTraceStore, ParallelExecutor, Query
 from .errors import ReproError
 from .core.characterization import characterize
 from .core.evolution import compare_evolution
-from .simulator.cluster import ClusterConfig
 from .simulator.replay import WorkloadReplayer
 from .simulator.sweep import (
     CACHE_NAMES,

@@ -10,7 +10,7 @@ for the CLI, the examples, and EXPERIMENTS.md generation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..traces.trace import TraceSummary
 from ..units import format_bytes, format_duration

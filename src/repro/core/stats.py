@@ -52,7 +52,7 @@ Table-2 job sample              seeded bottom-k over per-row hash keys
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 

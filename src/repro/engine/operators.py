@@ -26,7 +26,7 @@ evaluates disjoint chunk sets and merges the mergeable partial aggregates from
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 

@@ -33,13 +33,13 @@ are always computed from live data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .columnar import ColumnBlock
-from .indexes import SORTED_PROBE_OPS, InvertedColumnIndex, SortedColumnIndex, cached_indexes
+from .indexes import InvertedColumnIndex, SortedColumnIndex, cached_indexes
 from .operators import Predicate, Query, QueryResult, execute
 
 __all__ = ["Plan", "plan_query", "execute_planned"]

@@ -24,7 +24,7 @@ claims can be evaluated as cache hit-rate orderings on replayed workloads:
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..errors import CacheError

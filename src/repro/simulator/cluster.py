@@ -24,23 +24,17 @@ class ClusterConfig:
         n_nodes: number of worker nodes.
         map_slots_per_node: concurrent map tasks a node can run.
         reduce_slots_per_node: concurrent reduce tasks a node can run.
-        disk_bandwidth_bps: per-node disk bandwidth (used by the HDFS model).
-        network_bandwidth_bps: per-node network bandwidth (used for shuffle).
     """
 
     n_nodes: int = 100
     map_slots_per_node: int = 4
     reduce_slots_per_node: int = 2
-    disk_bandwidth_bps: float = 100e6
-    network_bandwidth_bps: float = 125e6
 
     def __post_init__(self):
         if self.n_nodes <= 0:
             raise SimulationError("cluster needs at least one node")
         if self.map_slots_per_node <= 0 or self.reduce_slots_per_node <= 0:
             raise SimulationError("slots per node must be positive")
-        if self.disk_bandwidth_bps <= 0 or self.network_bandwidth_bps <= 0:
-            raise SimulationError("bandwidths must be positive")
 
     @property
     def total_map_slots(self) -> int:

@@ -23,30 +23,18 @@ class HdfsConfig:
     """Static HDFS parameters.
 
     Attributes:
-        block_size: block size in bytes (128 MB default).
         replication: replicas per block.
-        n_datanodes: number of datanodes (used for placement spreading).
-        disk_bandwidth_bps: sequential read/write bandwidth per datanode.
         retain_files: keep an :class:`HdfsFile` entry per path.  Streaming
             replays of traces without recorded paths disable this so the
             namespace does not grow by one implicit entry per job.
     """
 
-    block_size: float = 128 * 1024 * 1024
     replication: int = 3
-    n_datanodes: int = 100
-    disk_bandwidth_bps: float = 100e6
     retain_files: bool = True
 
     def __post_init__(self):
-        if self.block_size <= 0:
-            raise SimulationError("block_size must be positive")
         if self.replication <= 0:
             raise SimulationError("replication must be positive")
-        if self.n_datanodes <= 0:
-            raise SimulationError("n_datanodes must be positive")
-        if self.disk_bandwidth_bps <= 0:
-            raise SimulationError("disk_bandwidth_bps must be positive")
 
 
 @dataclass

@@ -1238,7 +1238,7 @@ class WorkloadReplayer:
         self.cluster_config = cluster_config or ClusterConfig()
         self.scheduler = scheduler or FifoScheduler()
         self.cache = cache or NoCache()
-        self.hdfs = Hdfs(hdfs_config or HdfsConfig(n_datanodes=self.cluster_config.n_nodes))
+        self.hdfs = Hdfs(hdfs_config or HdfsConfig())
         self.max_simulated_jobs = max_simulated_jobs
         self.task_transform = task_transform
         self.lookahead = lookahead
@@ -1331,10 +1331,8 @@ class StreamingReplayer(WorkloadReplayer):
                  task_transform: Optional[Callable[[SimJob], None]] = None,
                  lookahead: int = DEFAULT_LOOKAHEAD,
                  keep_outcomes: bool = False):
-        cluster_config = cluster_config or ClusterConfig()
         if hdfs_config is None:
-            hdfs_config = HdfsConfig(n_datanodes=cluster_config.n_nodes,
-                                     retain_files=False)
+            hdfs_config = HdfsConfig(retain_files=False)
         super().__init__(cluster_config=cluster_config, scheduler=scheduler,
                          cache=cache, hdfs_config=hdfs_config,
                          max_simulated_jobs=max_simulated_jobs,

@@ -27,14 +27,14 @@ substrate:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from ..errors import SimulationError
 from ..units import GB
 from .metrics import SimulationMetrics
-from .tasks import SimJob, SimTask
+from .tasks import SimJob
 
 __all__ = [
     "StragglerModel",

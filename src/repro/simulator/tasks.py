@@ -10,7 +10,7 @@ slot-seconds demanded and the degree of parallelism, not the user code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from ..errors import SimulationError

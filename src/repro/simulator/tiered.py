@@ -22,11 +22,10 @@ from typing import Dict, Optional
 from ..errors import SimulationError
 from ..traces.trace import Trace
 from ..units import GB
-from .cache import CachePolicy
 from .cluster import ClusterConfig
 from .metrics import SimulationMetrics
 from .replay import WorkloadReplayer
-from .scheduler import FifoScheduler, Scheduler
+from .scheduler import FifoScheduler
 
 __all__ = [
     "TieredClusterConfig",
@@ -77,8 +76,6 @@ class TieredClusterConfig:
             n_nodes=self.total_nodes,
             map_slots_per_node=self.performance.map_slots_per_node,
             reduce_slots_per_node=self.performance.reduce_slots_per_node,
-            disk_bandwidth_bps=self.performance.disk_bandwidth_bps,
-            network_bandwidth_bps=self.performance.network_bandwidth_bps,
         )
 
 

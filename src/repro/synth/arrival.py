@@ -14,12 +14,11 @@ Figure 8 for comparison ("sine + 2" and "sine + 20").
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from ..errors import SynthesisError
-from ..units import DAY, HOUR
+from ..units import HOUR
 
 __all__ = [
     "ArrivalProcess",

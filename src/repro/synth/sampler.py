@@ -10,7 +10,7 @@ process, and returns a fresh :class:`~repro.traces.trace.Trace`.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 

@@ -14,7 +14,7 @@ too, never as zero, so "zero bytes" and "not recorded" stay distinguishable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Optional
 
 from ..errors import SchemaError, TraceFormatError

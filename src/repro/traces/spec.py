@@ -22,7 +22,7 @@ The specification mirrors what the paper publishes about each workload:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..errors import SpecError
 from ..units import parse_bytes, parse_duration

@@ -147,8 +147,6 @@ class TestHdfs:
 
     def test_invalid_config(self):
         with pytest.raises(SimulationError):
-            HdfsConfig(block_size=0)
-        with pytest.raises(SimulationError):
             HdfsConfig(replication=0)
 
 

@@ -88,8 +88,6 @@ class TestClusterConfig:
             ClusterConfig(n_nodes=0)
         with pytest.raises(SimulationError):
             ClusterConfig(map_slots_per_node=0)
-        with pytest.raises(SimulationError):
-            ClusterConfig(disk_bandwidth_bps=0)
 
 
 class TestCluster:

@@ -14,7 +14,10 @@ property defined on a class in ``src/repro`` must appear by name in some
 scanned file.  Like the module check they are non-transitive: a reference
 counts wherever it sits.  A module, name or method only tests reach is
 library surface nothing runs: delete it with its tests instead of keeping it
-alive here.
+alive here.  Because an import counts as a reference, a fourth check makes
+every scanned file load each name it imports — a dead import would keep a
+name "reached" after its last caller went.  Names a module re-exports through
+its ``__all__`` and ``from __future__`` imports are exempt.
 """
 
 import ast
@@ -212,3 +215,28 @@ def test_every_public_method_is_reached_outside_tests():
         % ", ".join(unreached))
     stale = sorted(name for name in EXEMPT_METHODS if name.rsplit(".", 1)[-1] in referenced)
     assert stale == [], "exempt methods now reached outside tests: %s" % ", ".join(stale)
+
+
+def unused_imports(tree):
+    """``(line, name)`` for every name ``tree`` imports and never loads,
+    except ``from __future__`` imports and names listed in its ``__all__``."""
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set(exported_names(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        for name in bound:
+            if name not in loaded and name not in exported:
+                yield node.lineno, name
+
+
+def test_every_imported_name_is_used():
+    graph = ImportGraph()
+    unused = sorted("%s:%d %s" % (os.path.relpath(path, REPO_ROOT), line, name)
+                    for path, tree in graph.trees.items()
+                    for line, name in unused_imports(tree))
+    assert unused == [], "imported names their file never uses: %s" % ", ".join(unused)

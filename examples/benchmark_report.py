@@ -1,8 +1,9 @@
 """Regenerate every table and figure of the paper in one run.
 
 This drives the same harness as ``benchmarks/`` but prints the full plain-text
-report (and optionally writes it to a file), which is how EXPERIMENTS.md was
-produced.
+report (and optionally writes it to a file), in the format of
+``tests/bench/data/bench_seed0_scale0005.txt`` — the report
+``repro bench --seed 0 --scale 0.005`` renders.
 
 Run with::
 

@@ -31,9 +31,9 @@ from ..simulator.replay import WorkloadReplayer
 from ..simulator.stragglers import (
     SpeculativeExecutionModel,
     StragglerInjectionStats,
+    StragglerInjector,
     StragglerModel,
     straggler_impact,
-    straggler_task_transform,
 )
 from ..simulator.tiered import TieredClusterConfig, compare_tiered_vs_unified
 from ..traces.trace import Trace
@@ -103,11 +103,11 @@ def straggler_ablation(trace: Trace, probability: float = 0.05, slowdown: float 
     )
     for label, speculation in (("none", None), ("speculative execution", SpeculativeExecutionModel())):
         stats = StragglerInjectionStats()
-        transform = straggler_task_transform(
+        stragglers = StragglerInjector(
             StragglerModel(probability=probability, slowdown_factor=slowdown, seed=seed),
             speculation, stats)
         perturbed = WorkloadReplayer(cluster_config=config, max_simulated_jobs=max_simulated_jobs,
-                                     task_transform=transform).replay(trace)
+                                     stragglers=stragglers).replay(trace)
         impact = straggler_impact(baseline, perturbed)
         result.rows.append([
             label,

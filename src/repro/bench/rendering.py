@@ -3,8 +3,9 @@
 Every experiment module (one per table or figure of the paper) returns an
 :class:`ExperimentResult`: a table (headers + rows) and/or a set of named data
 series, plus free-form notes recording the workload scales used and the paper
-values the result should be compared against.  EXPERIMENTS.md is generated by
-rendering these results.
+values the result should be compared against.  The suite report is these
+results rendered; ``tests/bench/data/bench_seed0_scale0005.txt`` pins it at
+small scale.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 :func:`run_suite` generates the seven paper workloads at configurable scales,
 runs every experiment module, and returns the collected
 :class:`~repro.bench.rendering.ExperimentResult` objects;
-:func:`render_suite` turns them into the plain-text report that EXPERIMENTS.md
-is built from.
+:func:`render_suite` turns them into the plain-text report
+(``tests/bench/data/bench_seed0_scale0005.txt`` is the one for seed 0 at scale
+0.005, pinned byte for byte by a test).
 
 Pre-generated ``traces`` may be passed in any
 :class:`~repro.engine.source.TraceSource`-wrappable representation, including

@@ -4,7 +4,8 @@
 :class:`~repro.core.characterization.WorkloadCharacterizer`: one object per
 workload holding every analysis the paper's methodology defines (data access,
 temporal, compute).  ``render()`` turns it into a readable plain-text summary
-for the CLI, the examples, and EXPERIMENTS.md generation.
+for the CLI, the examples and the suite report
+(``tests/bench/data/bench_seed0_scale0005.txt`` pins one at small scale).
 """
 
 from __future__ import annotations

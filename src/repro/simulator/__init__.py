@@ -44,7 +44,6 @@ list is simply not retained.
 """
 
 from .cluster import ClusterConfig
-from .tasks import SimJob, SimTask, split_job
 from .scheduler import CapacityScheduler, FairScheduler, FifoScheduler, Scheduler
 from .hdfs import Hdfs, HdfsConfig, HdfsFile
 from .cache import (
@@ -76,9 +75,9 @@ from .stragglers import (
     SpeculativeExecutionModel,
     StragglerImpact,
     StragglerInjectionStats,
+    StragglerInjector,
     StragglerModel,
     straggler_impact,
-    straggler_task_transform,
 )
 from .energy import (
     EnergyReport,
@@ -98,9 +97,6 @@ from .tiered import (
 
 __all__ = [
     "ClusterConfig",
-    "SimJob",
-    "SimTask",
-    "split_job",
     "Scheduler",
     "FifoScheduler",
     "FairScheduler",
@@ -138,7 +134,7 @@ __all__ = [
     "StragglerModel",
     "SpeculativeExecutionModel",
     "StragglerInjectionStats",
-    "straggler_task_transform",
+    "StragglerInjector",
     "StragglerImpact",
     "straggler_impact",
     # energy

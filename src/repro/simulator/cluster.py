@@ -52,10 +52,11 @@ class ClusterConfig:
 class SlotLedger:
     """Aggregate busy/free slot counters without per-node placement.
 
-    The vectorized replay engine tracks slot occupancy with two integers per
-    slot kind.  This is exact for every recorded metric: nothing the replayer
-    measures (wait times, completion times, active-slot counts) observes
-    *which* node ran a task — only how many slots of each kind are busy.
+    The replay engine tracks slot occupancy with two integers per slot kind,
+    which it moves itself.  This is exact for every recorded metric: nothing
+    the replayer measures (wait times, completion times, active-slot counts)
+    observes *which* node ran a task — only how many slots of each kind are
+    busy.
     """
 
     __slots__ = ("map_capacity", "reduce_capacity", "busy_map", "busy_reduce")
@@ -65,39 +66,6 @@ class SlotLedger:
         self.reduce_capacity = config.total_reduce_slots
         self.busy_map = 0
         self.busy_reduce = 0
-
-    def free_slots(self, kind: str) -> int:
-        if kind == "map":
-            return self.map_capacity - self.busy_map
-        if kind == "reduce":
-            return self.reduce_capacity - self.busy_reduce
-        raise SimulationError("unknown slot kind %r" % (kind,))
-
-    def acquire(self, kind: str, count: int = 1) -> None:
-        """Occupy ``count`` slots of ``kind``."""
-        if kind == "map":
-            self.busy_map += count
-            if self.busy_map > self.map_capacity:
-                raise SimulationError("acquired more map slots than exist")
-        elif kind == "reduce":
-            self.busy_reduce += count
-            if self.busy_reduce > self.reduce_capacity:
-                raise SimulationError("acquired more reduce slots than exist")
-        else:
-            raise SimulationError("unknown slot kind %r" % (kind,))
-
-    def release(self, kind: str, count: int = 1) -> None:
-        """Release ``count`` slots of ``kind``."""
-        if kind == "map":
-            self.busy_map -= count
-            if self.busy_map < 0:
-                raise SimulationError("released a map slot that was not acquired")
-        elif kind == "reduce":
-            self.busy_reduce -= count
-            if self.busy_reduce < 0:
-                raise SimulationError("released a reduce slot that was not acquired")
-        else:
-            raise SimulationError("unknown slot kind %r" % (kind,))
 
     def total_busy_slots(self) -> int:
         return self.busy_map + self.busy_reduce

@@ -1,9 +1,10 @@
 """Workload replay on the simulated cluster — materialized or streaming.
 
 :class:`WorkloadReplayer` takes a trace (observed, spec-generated, or produced
-by the SWIM synthesizer), splits each job into tasks, and runs them through
-the discrete-event cluster model under a chosen scheduler and storage-cache
-policy.  The output is a :class:`~repro.simulator.metrics.SimulationMetrics`
+by the SWIM synthesizer), splits each job into map and reduce tasks, and
+runs them through the discrete-event cluster model under a chosen scheduler
+and storage-cache policy, optionally slowing randomly drawn tasks down
+(:class:`~repro.simulator.stragglers.StragglerInjector`).  The output is a :class:`~repro.simulator.metrics.SimulationMetrics`
 with per-job wait and completion summaries, slot-occupancy over time (the
 Figure-7 utilization column), and cache hit statistics (the §4.2/§4.3 policy
 comparisons).
@@ -31,13 +32,15 @@ differences here are:
 
 * completion events live in a plain ``heapq`` of tuples instead of an
   event queue of closure objects, and tasks of one job dispatched at the
-  same instant to the same stage share **one** heap entry (their completion
-  events are adjacent in the legacy event order, so processing them as a
-  group is order-preserving);
-* under the default configuration (FIFO scheduling, no task transform) jobs
-  are decomposed straight from the store's column arrays with NumPy — no
-  ``Job``/``SimJob``/``SimTask`` objects exist at all — and slot accounting
-  is two integers per slot kind (:class:`~repro.simulator.cluster.SlotLedger`);
+  same instant to the same stage with the same completion time share
+  **one** heap entry (their completion events are adjacent in the legacy
+  event order, so processing them as a group is order-preserving);
+* jobs are one record each (``_PreparedJob``: task counts and a duration per
+  stage, plus the per-task durations of a stage that drew a straggler),
+  decomposed with NumPy straight from the store's column arrays when a
+  store feeds the replay — no task objects exist at all — and slot
+  accounting is two integers per slot kind
+  (:class:`~repro.simulator.cluster.SlotLedger`);
 * when every slot of both kinds is busy, no arrival can dispatch until the
   next completion, so all buffered arrivals before that completion are
   admitted in one :func:`bisect.bisect_left` batch instead of one loop
@@ -70,9 +73,8 @@ Usage — the streamed run reproduces the materialized run exactly::
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -84,8 +86,7 @@ from .cluster import ClusterConfig, SlotLedger
 from .hdfs import Hdfs, HdfsConfig
 from .metrics import ACCUMULATOR_BATCH, JobOutcome, SimulationMetrics
 from .scheduler import FifoScheduler, Scheduler
-from .tasks import (DEFAULT_SECONDS_PER_TASK, MAX_TASKS_PER_STAGE, SimJob,
-                    split_job)
+from .stragglers import StragglerInjector
 
 __all__ = ["WorkloadReplayer", "StreamingReplayer", "replay", "replay_store"]
 
@@ -94,6 +95,14 @@ __all__ = ["WorkloadReplayer", "StreamingReplayer", "replay", "replay_store"]
 DEFAULT_LOOKAHEAD = 4096
 
 _INF = float("inf")
+
+#: Seconds of work per task when a trace lacks task counts.
+DEFAULT_SECONDS_PER_TASK = 30.0
+
+#: Cap on the number of simulated tasks per stage, to keep replay tractable
+#: for jobs with millions of slot-seconds.  The aggregate task time is
+#: preserved; only the granularity changes.
+MAX_TASKS_PER_STAGE = 512
 
 #: Stretch attempts (see ``_ReplayEngine._stretch``): a window of fewer rows
 #: goes straight to the heap loop — an attempt's fixed NumPy cost (~0.5 ms)
@@ -107,28 +116,33 @@ _ORDER_ERROR = (
     "streaming replay needs jobs in arrival-time order (sort "
     "the trace or rebuild the store with 'repro engine convert')")
 
-#: Store columns the column-fed fast path needs (strings may be absent).
-_FAST_NUMERIC = ("submit_time_s", "map_task_seconds", "reduce_task_seconds",
+#: Store columns a store-fed replay reads (strings may be absent).
+_STORE_NUMERIC = ("submit_time_s", "map_task_seconds", "reduce_task_seconds",
                  "map_tasks", "reduce_tasks", "input_bytes", "shuffle_bytes",
                  "output_bytes")
-_FAST_STRINGS = ("job_id", "input_path", "output_path")
+_STORE_STRINGS = ("job_id", "input_path", "output_path")
 
 
 class _PreparedJob:
-    """Fast-path job record: scalar stage parameters, no task objects.
+    """The engine's job record: scalar stage parameters, no task objects.
 
-    Exists only inside the engine's FIFO fast mode; one instance replaces a
-    ``SimJob`` plus up to 1024 ``SimTask`` objects.  ``maps_queued`` counts
-    not-yet-dispatched map tasks, ``maps_remaining`` not-yet-completed ones
-    (likewise for reduces); ``order`` is the admission index used to keep the
-    reduce-ready heap in FIFO order.
+    A trace job becomes ``n_map`` map tasks of ``map_duration_s`` seconds
+    each and ``n_reduce`` reduce tasks of ``reduce_duration_s``; a job of
+    neither is one 1-second map, so it still occupies a slot for a moment.
+    ``map_durations``/``reduce_durations`` replace the uniform duration with
+    per-task ones, in dispatch order, for a stage that drew a straggler.
+    ``maps_queued`` counts not-yet-dispatched map tasks, ``maps_remaining``
+    not-yet-completed ones (likewise for reduces); ``order`` is the admission
+    index the schedulers' ready queues rank jobs by.  ``running``/``entry``
+    (fair) and ``pool`` (capacity) belong to the scheduler's queues.
     """
 
     __slots__ = ("job_id", "submit_time_s", "n_map", "map_duration_s",
                  "n_reduce", "reduce_duration_s", "maps_queued",
                  "maps_remaining", "reduces_queued", "reduces_remaining",
                  "start_time_s", "order", "input_path", "input_bytes",
-                 "output_path", "output_bytes", "total_bytes")
+                 "output_path", "output_bytes", "total_bytes",
+                 "map_durations", "reduce_durations", "running", "entry", "pool")
 
     def __init__(self, job_id, submit_time_s, n_map, map_duration_s,
                  n_reduce, reduce_duration_s, input_path, input_bytes,
@@ -150,10 +164,14 @@ class _PreparedJob:
         self.output_path = output_path
         self.output_bytes = output_bytes
         self.total_bytes = total_bytes
+        self.map_durations = None
+        self.reduce_durations = None
 
 
 def _stage_params(total_seconds: float, recorded_count) -> Tuple[int, float]:
-    """Scalar mirror of :func:`repro.simulator.tasks._stage_tasks`."""
+    """Task count and per-task duration of one stage: the recorded count (or
+    one task per :data:`DEFAULT_SECONDS_PER_TASK`), at most
+    :data:`MAX_TASKS_PER_STAGE`, sharing the stage's task time evenly."""
     if total_seconds <= 0:
         return 0, 0.0
     if recorded_count and recorded_count > 0:
@@ -165,11 +183,11 @@ def _stage_params(total_seconds: float, recorded_count) -> Tuple[int, float]:
 
 
 def _vector_stage(seconds: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized mirror of :func:`repro.simulator.tasks._stage_tasks`.
+    """Vectorized :func:`_stage_params`.
 
     ``np.rint`` matches Python's banker's rounding in ``int(round(x))`` and
     the element-wise division produces the same IEEE quotient as the scalar
-    path, so per-task durations are bit-identical to ``split_job``.
+    path, so per-task durations are bit-identical to it.
     """
     n_tasks = np.where(counts > 0.0, counts,
                        np.maximum(1.0, np.rint(seconds / DEFAULT_SECONDS_PER_TASK)))
@@ -344,21 +362,26 @@ class _ReplayEngine:
     repeated :meth:`run` calls, one exact sharded replay — see
     :class:`~repro.simulator.sharded.ShardedReplayer`).  The engine reads its
     configuration from the owning :class:`WorkloadReplayer` and mutates that
-    replayer's scheduler/cache/HDFS state exactly as the legacy loop did.
+    replayer's cache/HDFS state exactly as the legacy loop did.
 
-    Two modes, chosen at construction:
+    Jobs become :class:`_PreparedJob` records — from NumPy columns when fed
+    by a store — and wait for slots in the ready queues the scheduler builds
+    for this replay (see :mod:`repro.simulator.scheduler`).  How a policy is
+    dispatched depends on whether its picks read running-task counts:
 
-    * **fast** (``FifoScheduler`` of exactly that type, untouched, and no
-      task transform): jobs become :class:`_PreparedJob` records — from NumPy
-      columns when fed by a store — and FIFO dispatch runs over an internal
-      deque/heap without consulting the scheduler object.  FIFO's picks never
-      read its running-task counters, so dispatching a job's whole queued run
-      in one step is pick-for-pick identical to the one-slot-at-a-time loop.
-    * **object**: jobs go through :func:`split_job` + the task transform into
-      real ``SimJob``/``SimTask`` objects and dispatch via
-      :meth:`Scheduler.drain`, replaying each completion's scheduler hooks
-      one task at a time in legacy order (fair/capacity picks are sensitive
-      to their running counters, so the per-task interleaving matters).
+    * **FIFO**'s picks never do, so dispatching a job's whole queued run in
+      one step, and releasing a completed group of tasks at once, is
+      pick-for-pick identical to the one-slot-at-a-time loop;
+    * **fair** and **capacity** picks do, so they are asked once per freed
+      slot, and each completion replays the legacy per-task order: release
+      the slot, report it to the queues, finish the job if that was its last
+      task, dispatch maps, dispatch reduces.
+
+    A straggler injector (see :mod:`repro.simulator.stragglers`) draws each
+    look-ahead window's stragglers when the window is opened — one random
+    number per task, in pull order — and a dispatch splits a run of tasks
+    where their completion times differ, which is how one-at-a-time picks
+    would have grouped them.
 
     Utilization is sampled once per simulated instant with activity (the
     final busy count), instead of once per task transition as the legacy loop
@@ -368,30 +391,29 @@ class _ReplayEngine:
     retained raw-sample *list* is shorter (its step function is unchanged).
 
     The metric side never feeds back into scheduling, so it is not paid per
-    event: the engine appends each ``(time, busy slots)`` sample and, in fast
-    mode without retained outcomes, each finished job's wait and completion
-    to plain lists, and :meth:`_fold_metrics` folds them into the
+    event: the engine appends each ``(time, busy slots)`` sample and, without
+    retained outcomes, each finished job's wait and completion to plain
+    lists, and :meth:`_fold_metrics` folds them into the
     accumulators in one vectorized pass at a look-ahead refill (once
     :data:`~repro.simulator.metrics.ACCUMULATOR_BATCH` samples are waiting)
     and at :meth:`finish`.  The folds repeat the per-sample float operations
     in the same order, so every digest bit is unchanged.  Output writes under
     the fast I/O path only add to the HDFS byte counter, like input reads.
 
-    In fast mode a refill buffers its jobs as column arrays (a window) and
+    A refill buffers its jobs as column arrays (a window) and
     :meth:`_open_window` first offers the window to :meth:`_stretch`, which
     schedules its leading uncontended stretch with NumPy and commits it
-    exactly as the heap loop would have processed it (fast I/O only); the
-    rest of the window becomes :class:`_PreparedJob` records for the heap
-    loop, which stays the exact fallback for contention.
+    exactly as the heap loop would have processed it (FIFO, no stragglers,
+    fast I/O only); the rest of the window becomes :class:`_PreparedJob`
+    records for the heap loop, which stays the exact fallback for contention.
     """
 
     def __init__(self, replayer: "WorkloadReplayer"):
         self.replayer = replayer
         config = replayer.cluster_config
-        self.scheduler = replayer.scheduler
         self.cache = replayer.cache
         self.hdfs = replayer.hdfs
-        self.transform = replayer.task_transform
+        self.stragglers = replayer.stragglers
         self.lookahead = replayer.lookahead
         self.slots = SlotLedger(config)
         self.metrics = SimulationMetrics(total_slots=config.total_slots,
@@ -399,9 +421,8 @@ class _ReplayEngine:
         self.now = 0.0
         self.last_submit = -_INF
         self.feed_boundary = _INF
-        self.fast = (type(self.scheduler) is FifoScheduler
-                     and self.transform is None
-                     and not self.scheduler._jobs)
+        self._queues = replayer.scheduler._queues()
+        self._fifo = isinstance(replayer.scheduler, FifoScheduler)
         # Serving a job's input through an empty NoCache + retain_files=False
         # HDFS is a fixed float-op sequence on the counters; skip the path
         # string, the HdfsFile allocation and both dict probes per job.
@@ -410,8 +431,7 @@ class _ReplayEngine:
                          and not self.hdfs.config.retain_files
                          and not self.hdfs._files
                          and not self.cache._contents)
-        self._has_task_finished = hasattr(self.scheduler, "task_finished")
-        self._has_task_released = hasattr(self.scheduler, "task_released")
+        self._stretchable = self._fifo and self.stragglers is None and self._fast_io
         self._seq = 0
         self._order = 0
         self._active = 0
@@ -421,21 +441,16 @@ class _ReplayEngine:
         self._buf_times: List[float] = []
         self._buf_jobs: List[object] = []
         self._buf_head = 0
-        # Fast-mode submissions pulled by the current refill and not yet
-        # buffered as records: column parts (store rows) or row tuples
+        # Submissions pulled by the current refill and not yet buffered as
+        # records: column parts (store rows) or row tuples
         # (``Job`` objects), _window_rows jobs in all; see _open_window.
         self._window_parts: List[dict] = []
         self._job_rows: List[tuple] = []
         self._window_rows = 0
         self._budget = replayer.max_simulated_jobs
-        # Fast-mode FIFO structures: map-ready jobs in admission order, and a
-        # reduce-ready min-heap keyed by admission order (a job enters it when
-        # its map stage completes, so plain FIFO list order would not do).
-        self._map_ready: deque = deque()
-        self._reduce_ready: List[tuple] = []
         # Metric samples awaiting the per-chunk fold (_fold_metrics):
         # (time, busy slots) observations, and the wait/completion of each
-        # fast-mode job finished without a retained outcome.
+        # job finished without a retained outcome.
         self._obs_times: List[float] = []
         self._obs_slots: List[int] = []
         self._waits: List[float] = []
@@ -455,7 +470,7 @@ class _ReplayEngine:
         self._exhausted = False
 
     def attach_blocks(self, blocks: Iterable) -> None:
-        """Feed the engine store chunks (``ColumnBlock``); fast mode only."""
+        """Feed the engine store chunks (``ColumnBlock``)."""
         self._blocks = iter(blocks)
         self._exhausted = False
 
@@ -560,35 +575,27 @@ class _ReplayEngine:
         if submit < self.last_submit:
             raise SimulationError(_ORDER_ERROR % (job.job_id, submit, self.last_submit))
         self.last_submit = submit
-        if self.fast:
-            map_seconds = float(job.map_task_seconds or 0.0)
-            reduce_seconds = float(job.reduce_task_seconds or 0.0)
-            if map_seconds < 0 or reduce_seconds < 0:
-                raise SimulationError("job %s has negative task time" % job.job_id)
-            n_map, map_duration = _stage_params(map_seconds, job.map_tasks)
-            n_reduce, reduce_duration = _stage_params(reduce_seconds, job.reduce_tasks)
-            if n_map == 0 and n_reduce == 0:
-                # Zero-compute jobs still occupy a slot for a moment (split_job).
-                n_map, map_duration = 1, 1.0
-            output_bytes = job.output_bytes or 0.0
-            self._job_rows.append((
-                max(0.0, submit), submit, n_map, map_duration, n_reduce,
-                reduce_duration, job.job_id, job.input_path,
-                float(job.input_bytes or 0.0), job.output_path,
-                float(output_bytes), bool(job.output_path) and bool(output_bytes),
-                job.total_bytes))
-            self._window_rows += 1
-            self.metrics.record_submission()
-            return
-        sim_job = split_job(job)
-        if self.transform is not None:
-            self.transform(sim_job)
+        map_seconds = float(job.map_task_seconds or 0.0)
+        reduce_seconds = float(job.reduce_task_seconds or 0.0)
+        if map_seconds < 0 or reduce_seconds < 0:
+            raise SimulationError("job %s has negative task time" % job.job_id)
+        n_map, map_duration = _stage_params(map_seconds, job.map_tasks)
+        n_reduce, reduce_duration = _stage_params(reduce_seconds, job.reduce_tasks)
+        if n_map == 0 and n_reduce == 0:
+            # Zero-compute jobs still occupy a slot for a moment.
+            n_map, map_duration = 1, 1.0
+        output_bytes = job.output_bytes or 0.0
+        self._job_rows.append((
+            max(0.0, submit), submit, n_map, map_duration, n_reduce,
+            reduce_duration, job.job_id, job.input_path,
+            float(job.input_bytes or 0.0), job.output_path,
+            float(output_bytes), bool(job.output_path) and bool(output_bytes),
+            job.total_bytes))
+        self._window_rows += 1
         self.metrics.record_submission()
-        self._buf_times.append(max(0.0, submit))
-        self._buf_jobs.append(sim_job)
 
     def _prep_rows(self, lo: int, hi: int) -> None:
-        """Vectorized decomposition of store rows ``[lo, hi)`` (fast mode)."""
+        """Vectorized decomposition of store rows ``[lo, hi)``."""
         cols = self._cols
         submits = cols["submit"][lo:hi]
         if submits[0] < self.last_submit:
@@ -652,13 +659,23 @@ class _ReplayEngine:
 
     def _open_window(self, until_s: float = _INF, attempt: bool = True) -> None:
         """Run one stretch attempt over a freshly refilled window, then hand
-        whatever it did not commit to the heap loop as buffered records."""
+        whatever it did not commit to the heap loop as buffered records
+        (drawing their stragglers first, when an injector is set)."""
         window = self._take_window()
         committed = self._stretch(window, until_s) if attempt else 0
         rows = np.arange(committed, window["eff"].shape[0])
         if rows.size:
+            records = self._records(window, rows)
+            if self.stragglers is not None:
+                slow = self.stragglers.draw(*(window[name][committed:] for name in (
+                    "job_id", "n_map", "map_dur", "n_red", "red_dur")))
+                for (row, kind), durations in slow.items():
+                    if kind == "map":
+                        records[row].map_durations = durations
+                    else:
+                        records[row].reduce_durations = durations
             self._buf_times.extend(window["eff"][rows].tolist())
-            self._buf_jobs.extend(self._records(window, rows))
+            self._buf_jobs.extend(records)
 
     # -- storage side effects ---------------------------------------------
     def _serve_input(self, job_id: str, input_path, size: float) -> None:
@@ -693,35 +710,42 @@ class _ReplayEngine:
         self.cache.invalidate(output_path)
 
     # -- admission and dispatch -------------------------------------------
-    def _admit(self, entry) -> None:
-        if self.fast:
-            record: _PreparedJob = entry
-            record.order = self._order
-            self._order += 1
-            self._active += 1
-            self._serve_input(record.job_id, record.input_path, record.input_bytes)
-            if record.n_map:
-                self._map_ready.append(record)
-            elif record.reduces_queued:
-                heappush(self._reduce_ready, (record.order, record))
-        else:
-            sim_job: SimJob = entry
-            self._active += 1
-            self.scheduler.add_job(sim_job)
-            job = sim_job.job
-            self._serve_input(job.job_id, job.input_path,
-                              float(job.input_bytes or 0.0))
+    def _admit(self, record: _PreparedJob) -> None:
+        record.order = self._order
+        self._order += 1
+        self._active += 1
+        self._serve_input(record.job_id, record.input_path, record.input_bytes)
+        self._queues.admit(record)
+
+    def _push_run(self, record: _PreparedJob, kind: str, durations: list,
+                  first: int, take: int) -> None:
+        """Heap entries for tasks ``[first, first + take)`` of a stage with
+        per-task ``durations``: one per run of equal completion times."""
+        now = self.now
+        heap = self._heap
+        group_time, count = 0.0, 0
+        for task_duration in durations[first:first + take]:
+            completion = now + task_duration
+            if count and completion == group_time:
+                count += 1
+                continue
+            if count:
+                heappush(heap, (group_time, self._seq, record, kind, count))
+                self._seq += 1
+            group_time, count = completion, 1
+        heappush(heap, (group_time, self._seq, record, kind, count))
+        self._seq += 1
 
     def _dispatch_fast(self) -> bool:
-        """FIFO dispatch over the internal ready structures, one heap entry
-        per (job, stage, instant) group of tasks."""
+        """FIFO dispatch over the ready queues, a job's whole queued run of
+        each stage at a time."""
         slots = self.slots
-        heap = self._heap
+        queues = self._queues
         now = self.now
         dispatched = False
         free = slots.map_capacity - slots.busy_map
-        if free > 0 and self._map_ready:
-            ready = self._map_ready
+        if free > 0 and queues.maps:
+            ready = queues.maps
             while free > 0 and ready:
                 record = ready[0]
                 take = record.maps_queued
@@ -733,15 +757,19 @@ class _ReplayEngine:
                     ready.popleft()
                 if record.start_time_s is None:
                     record.start_time_s = now
-                heappush(heap, (now + record.map_duration_s, self._seq,
-                                record, "map", take))
-                self._seq += 1
+                if record.map_durations is None:
+                    heappush(self._heap, (now + record.map_duration_s, self._seq,
+                                          record, "map", take))
+                    self._seq += 1
+                else:
+                    self._push_run(record, "map", record.map_durations,
+                                   record.n_map - record.maps_queued - take, take)
                 free -= take
             slots.busy_map = slots.map_capacity - free
             dispatched = True
         free = slots.reduce_capacity - slots.busy_reduce
-        if free > 0 and self._reduce_ready:
-            ready = self._reduce_ready
+        if free > 0 and queues.reduces:
+            ready = queues.reduces
             while free > 0 and ready:
                 record = ready[0][1]
                 take = record.reduces_queued
@@ -753,46 +781,68 @@ class _ReplayEngine:
                     heappop(ready)
                 if record.start_time_s is None:
                     record.start_time_s = now
-                heappush(heap, (now + record.reduce_duration_s, self._seq,
-                                record, "reduce", take))
-                self._seq += 1
+                if record.reduce_durations is None:
+                    heappush(self._heap, (now + record.reduce_duration_s, self._seq,
+                                          record, "reduce", take))
+                    self._seq += 1
+                else:
+                    self._push_run(record, "reduce", record.reduce_durations,
+                                   record.n_reduce - record.reduces_queued - take, take)
                 free -= take
             slots.busy_reduce = slots.reduce_capacity - free
             dispatched = True
         return dispatched
 
-    def _dispatch_obj(self, kind: str) -> bool:
+    def _dispatch_picks(self, kind: str) -> bool:
+        """Fill the free slots of ``kind`` one pick at a time (fair and
+        capacity); consecutive picks of one job that complete together share
+        a heap entry."""
         slots = self.slots
-        free = slots.free_slots(kind)
+        if kind == "map":
+            free = slots.map_capacity - slots.busy_map
+        else:
+            free = slots.reduce_capacity - slots.busy_reduce
         if free <= 0:
             return False
-        picks = self.scheduler.drain(kind, self.now, free)
-        if not picks:
-            return False
-        slots.acquire(kind, len(picks))
+        pick = self._queues.pick
         now = self.now
         heap = self._heap
-        group_job = None
-        group_time = 0.0
-        group_tasks: Optional[list] = None
-        for sim_job, task in picks:
-            if sim_job.start_time_s is None:
-                sim_job.start_time_s = now
-            task.start_time_s = now
-            completion = now + task.duration_s
-            if group_tasks is not None and group_job is sim_job and group_time == completion:
-                group_tasks.append(task)
+        taken = 0
+        group, group_time, count = None, 0.0, 0
+        while taken < free:
+            record = pick(kind)
+            if record is None:
+                break
+            taken += 1
+            if record.start_time_s is None:
+                record.start_time_s = now
+            if kind == "map":
+                durations = record.map_durations
+                completion = now + (record.map_duration_s if durations is None else
+                                    durations[record.n_map - record.maps_queued - 1])
+            else:
+                durations = record.reduce_durations
+                completion = now + (record.reduce_duration_s if durations is None else
+                                    durations[record.n_reduce - record.reduces_queued - 1])
+            if record is group and completion == group_time:
+                count += 1
                 continue
-            if group_tasks is not None:
-                heappush(heap, (group_time, self._seq, group_job, kind, group_tasks))
+            if count:
+                heappush(heap, (group_time, self._seq, group, kind, count))
                 self._seq += 1
-            group_job, group_time, group_tasks = sim_job, completion, [task]
-        heappush(heap, (group_time, self._seq, group_job, kind, group_tasks))
+            group, group_time, count = record, completion, 1
+        if not taken:
+            return False
+        if kind == "map":
+            slots.busy_map += taken
+        else:
+            slots.busy_reduce += taken
+        heappush(heap, (group_time, self._seq, group, kind, count))
         self._seq += 1
         return True
 
     # -- event processing --------------------------------------------------
-    def _finish_fast(self, record: _PreparedJob) -> None:
+    def _finish(self, record: _PreparedJob) -> None:
         self._active -= 1
         self._write_output(record.output_path, record.output_bytes)
         now = self.now
@@ -811,72 +861,55 @@ class _ReplayEngine:
             self._waits.append(wait)
             self._completions.append(now - submit)
 
-    def _finish_obj(self, sim_job: SimJob) -> None:
-        sim_job.finish_time_s = self.now
-        self.scheduler.job_finished(sim_job)
-        self._active -= 1
-        job = sim_job.job
-        self._write_output(job.output_path, job.output_bytes)
-        self.metrics.record_job(JobOutcome(
-            job_id=sim_job.job_id, submit_time_s=sim_job.submit_time_s,
-            start_time_s=sim_job.start_time_s, finish_time_s=sim_job.finish_time_s,
-            wait_time_s=sim_job.wait_time_s,
-            completion_time_s=sim_job.completion_time_s,
-            total_bytes=job.total_bytes,
-            n_tasks=len(sim_job.map_tasks) + len(sim_job.reduce_tasks)))
-
     def _pop_completion(self) -> None:
-        time_s, _seq, owner, kind, payload = heappop(self._heap)
+        time_s, _seq, record, kind, count = heappop(self._heap)
         self.now = time_s
         slots = self.slots
-        if self.fast:
-            record: _PreparedJob = owner
+        queues = self._queues
+        if self._fifo:
             if kind == "map":
-                slots.busy_map -= payload
-                record.maps_remaining -= payload
+                slots.busy_map -= count
+                record.maps_remaining -= count
                 if record.maps_remaining == 0 and record.reduces_queued:
-                    heappush(self._reduce_ready, (record.order, record))
+                    queues.reduce_ready(record)
             else:
-                slots.busy_reduce -= payload
-                record.reduces_remaining -= payload
+                slots.busy_reduce -= count
+                record.reduces_remaining -= count
             if record.maps_remaining == 0 and record.reduces_remaining == 0:
-                self._finish_fast(record)
+                self._finish(record)
             self._dispatch_fast()
         else:
-            sim_job: SimJob = owner
-            scheduler = self.scheduler
-            # Legacy per-task completion order: release, scheduler hooks,
-            # progress decrement, finish check, dispatch both kinds — the
-            # interleaving matters for count-sensitive schedulers.
-            for task in payload:
-                task.finish_time_s = time_s
-                slots.release(kind)
-                if self._has_task_finished:
-                    scheduler.task_finished(sim_job)
-                if self._has_task_released:
-                    scheduler.task_released(sim_job, kind)
+            # The legacy per-task order: the picks read the running counts
+            # each completion lowers, so one task at a time.
+            for _ in range(count):
                 if kind == "map":
-                    sim_job.maps_remaining -= 1
+                    slots.busy_map -= 1
+                    queues.released(record, kind)
+                    record.maps_remaining -= 1
+                    if record.maps_remaining == 0 and record.reduces_queued:
+                        queues.reduce_ready(record)
                 else:
-                    sim_job.reduces_remaining -= 1
-                if sim_job.done:
-                    self._finish_obj(sim_job)
-                self._dispatch_obj("map")
-                self._dispatch_obj("reduce")
+                    slots.busy_reduce -= 1
+                    queues.released(record, kind)
+                    record.reduces_remaining -= 1
+                if record.maps_remaining == 0 and record.reduces_remaining == 0:
+                    self._finish(record)
+                self._dispatch_picks("map")
+                self._dispatch_picks("reduce")
         self._obs_times.append(time_s)
         self._obs_slots.append(slots.busy_map + slots.busy_reduce)
 
     def _admit_next(self, until_s: float = _INF) -> None:
         head = self._buf_head
         self.now = self._buf_times[head]
-        entry = self._buf_jobs[head]
+        record = self._buf_jobs[head]
         self._buf_head = head + 1
-        self._admit(entry)
-        if self.fast:
+        self._admit(record)
+        if self._fifo:
             dispatched = self._dispatch_fast()
         else:
-            dispatched_map = self._dispatch_obj("map")
-            dispatched_reduce = self._dispatch_obj("reduce")
+            dispatched_map = self._dispatch_picks("map")
+            dispatched_reduce = self._dispatch_picks("reduce")
             dispatched = dispatched_map or dispatched_reduce
         slots = self.slots
         if dispatched:
@@ -926,7 +959,8 @@ class _ReplayEngine:
     def _stretch(self, window: dict, until_s: float) -> int:
         """Schedule the window's leading uncontended stretch with NumPy.
 
-        Allowed only when no job waits for a slot and every queued heap entry
+        Allowed only under FIFO without stragglers and with the fast I/O
+        path, when no job waits for a slot and every queued heap entry
         runs a whole stage of its job.  Then, until some dispatch finds too
         few free slots, each job's schedule follows from its own columns (see
         :meth:`_stretch_span`).  The window's jobs before ``until_s`` go in
@@ -935,7 +969,7 @@ class _ReplayEngine:
         sort only.  Returns the number of window jobs admitted; the heap loop
         takes over from there.
         """
-        if (not self._fast_io or self._map_ready or self._reduce_ready
+        if (not self._stretchable or self._queues.maps or self._queues.reduces
                 or window["eff"].shape[0] < _MIN_STRETCH):
             return 0
         for _time, _seq, record, kind, payload in self._heap:
@@ -1151,17 +1185,13 @@ class _ReplayEngine:
 
     def snapshot(self, shard_index: int, boundary_s: float) -> dict:
         """Hand-off state at a shard boundary (for ShardHandoff reporting)."""
-        in_flight = 0
-        for item in self._heap:
-            payload = item[4]
-            in_flight += payload if self.fast else len(payload)
         return {
             "shard_index": shard_index,
             "boundary_s": boundary_s,
             "clock_s": self.now,
             "jobs_submitted": self.metrics.jobs_submitted,
             "active_jobs": self._active,
-            "in_flight_tasks": in_flight,
+            "in_flight_tasks": sum(entry[4] for entry in self._heap),
             "pending_completion_events": len(self._heap),
             "busy_map_slots": self.slots.busy_map,
             "busy_reduce_slots": self.slots.busy_reduce,
@@ -1212,11 +1242,10 @@ class WorkloadReplayer:
         hdfs_config: HDFS model parameters.
         max_simulated_jobs: optional cap on the number of jobs replayed (the
             first N by submission order), useful for quick benchmarks.
-        task_transform: optional callable applied to each :class:`SimJob`
-            right after it is split into tasks and before it is submitted.
-            Used to perturb task durations, e.g. by the straggler-injection
-            model in :mod:`repro.simulator.stragglers`.  Setting a transform
-            disables the vectorized fast path (tasks must exist as objects).
+        stragglers: optional
+            :class:`~repro.simulator.stragglers.StragglerInjector` that slows
+            down randomly drawn tasks (and rescues some by speculative
+            execution) as the jobs are pulled.
         lookahead: bound on how many submissions may be queued ahead of
             simulated time (default :data:`DEFAULT_LOOKAHEAD`).  Replay
             memory is O(lookahead + active jobs), independent of trace size.
@@ -1230,7 +1259,7 @@ class WorkloadReplayer:
                  cache: Optional[CachePolicy] = None,
                  hdfs_config: Optional[HdfsConfig] = None,
                  max_simulated_jobs: Optional[int] = None,
-                 task_transform: Optional[Callable[[SimJob], None]] = None,
+                 stragglers: Optional[StragglerInjector] = None,
                  lookahead: int = DEFAULT_LOOKAHEAD,
                  keep_outcomes: bool = True):
         if lookahead < 1:
@@ -1240,7 +1269,7 @@ class WorkloadReplayer:
         self.cache = cache or NoCache()
         self.hdfs = Hdfs(hdfs_config or HdfsConfig())
         self.max_simulated_jobs = max_simulated_jobs
-        self.task_transform = task_transform
+        self.stragglers = stragglers
         self.lookahead = lookahead
         self.keep_outcomes = keep_outcomes
 
@@ -1274,28 +1303,6 @@ class WorkloadReplayer:
         engine.run()
         return engine.finish()
 
-    # ------------------------------------------------------------------
-    def _serve_input(self, sim_job: SimJob, now_s: float) -> None:
-        """Route the job's input read through HDFS and the cache policy.
-
-        Kept for the legacy reference loop of the differential tests
-        (``tests/simulator/legacy_replay.py``); the engine inlines the same
-        operation sequence.
-        """
-        job = sim_job.job
-        path = job.input_path or ("/implicit/%s" % job.job_id)
-        size = float(job.input_bytes or 0.0)
-        self.hdfs.read(path, now_s, size)
-        self.cache.access(path, size, now_s)
-
-    def _write_output(self, sim_job: SimJob, now_s: float) -> None:
-        """Record the job's output write in HDFS (invalidating stale cache entries)."""
-        job = sim_job.job
-        if job.output_path is None or not (job.output_bytes or 0.0):
-            return
-        self.hdfs.create(job.output_path, float(job.output_bytes), now_s, overwrite=True)
-        self.cache.invalidate(job.output_path)
-
 
 class StreamingReplayer(WorkloadReplayer):
     """Bounded-memory replay straight from a chunked store or a lazy reader.
@@ -1328,7 +1335,7 @@ class StreamingReplayer(WorkloadReplayer):
                  cache: Optional[CachePolicy] = None,
                  hdfs_config: Optional[HdfsConfig] = None,
                  max_simulated_jobs: Optional[int] = None,
-                 task_transform: Optional[Callable[[SimJob], None]] = None,
+                 stragglers: Optional[StragglerInjector] = None,
                  lookahead: int = DEFAULT_LOOKAHEAD,
                  keep_outcomes: bool = False):
         if hdfs_config is None:
@@ -1336,17 +1343,16 @@ class StreamingReplayer(WorkloadReplayer):
         super().__init__(cluster_config=cluster_config, scheduler=scheduler,
                          cache=cache, hdfs_config=hdfs_config,
                          max_simulated_jobs=max_simulated_jobs,
-                         task_transform=task_transform, lookahead=lookahead,
+                         stragglers=stragglers, lookahead=lookahead,
                          keep_outcomes=keep_outcomes)
 
     def replay_store(self, store) -> SimulationMetrics:
         """Replay a :class:`~repro.engine.store.ChunkedTraceStore` (or its
         directory path), streaming one chunk of jobs at a time.
 
-        Under the default FIFO/no-transform configuration the jobs are
-        decomposed directly from the store's column arrays (no ``Job``
-        objects); otherwise the chunks are materialized row by row.  Both
-        feeds produce the identical event sequence.
+        The jobs are decomposed directly from the store's column arrays (no
+        ``Job`` objects); the event sequence is the one a replay of the same
+        jobs as ``Job`` objects produces.
 
         Raises:
             SimulationError: when the store is not sorted by submission time
@@ -1379,18 +1385,10 @@ class StreamingReplayer(WorkloadReplayer):
                                   window_lo, window_hi)
             ]
         engine = _ReplayEngine(self)
-        if engine.fast:
-            wanted = [name for name in _FAST_NUMERIC + _FAST_STRINGS
-                      if name in store.columns]
-            blocks = store.iter_chunks(columns=wanted, chunk_indices=indices)
-            if window_lo is not None or window_hi is not None:
-                blocks = _window_blocks(blocks, window_lo, window_hi)
-            engine.attach_blocks(blocks)
-        else:
-            jobs: Iterator[Job] = _iter_store_jobs(store, indices)
-            if window_lo is not None or window_hi is not None:
-                jobs = _window_jobs(jobs, window_lo, window_hi)
-            engine.attach_jobs(jobs)
+        blocks = _store_blocks(store, indices)
+        if window_lo is not None or window_hi is not None:
+            blocks = _window_blocks(blocks, window_lo, window_hi)
+        engine.attach_blocks(blocks)
         engine.prime()
         if empty_ok and engine.metrics.jobs_submitted == 0:
             return None
@@ -1436,22 +1434,10 @@ def _window_blocks(blocks, window_lo: Optional[float], window_hi: Optional[float
             yield block if (lo == 0 and hi == submits.shape[0]) else block.slice(lo, hi)
 
 
-def _window_jobs(jobs: Iterator[Job], window_lo: Optional[float],
-                 window_hi: Optional[float]) -> Iterator[Job]:
-    for job in jobs:
-        if window_lo is not None and job.submit_time_s < window_lo:
-            continue
-        if window_hi is not None and job.submit_time_s >= window_hi:
-            continue
-        yield job
-
-
-def _iter_store_jobs(store, indices) -> Iterator[Job]:
-    from ..engine.columnar import _block_to_jobs
-
-    for block in store.iter_chunks(chunk_indices=indices):
-        for job in _block_to_jobs(block):
-            yield job
+def _store_blocks(store, indices: Optional[List[int]] = None):
+    """The store's chunks, read with only the columns the engine uses."""
+    wanted = [name for name in _STORE_NUMERIC + _STORE_STRINGS if name in store.columns]
+    return store.iter_chunks(columns=wanted, chunk_indices=indices)
 
 
 def replay(trace: Trace, cluster_config: Optional[ClusterConfig] = None,

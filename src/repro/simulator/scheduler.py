@@ -12,190 +12,199 @@ provided:
 * :class:`CapacityScheduler` — two pools ("interactive" for small jobs,
   "batch" for everything else) with a configurable slot share per pool: the
   performance/capacity split the paper suggests.
+
+A scheduler object holds only its settings.  For each replay the engine in
+:mod:`repro.simulator.replay` asks it for fresh ready queues (``_queues``),
+which hold the engine's job records (``_PreparedJob``) and answer one pick per
+freed slot.  FIFO's picks never read a running-task count, so the engine
+dispatches a FIFO job's whole queued run in one step instead; fair and
+capacity picks do read their counts, so the engine asks them once per slot and
+reports each task completion back (``released``) before the next pick.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from heapq import heappop, heappush, heapreplace
 
 from ..errors import SchedulingError
 from ..units import GB
-from .tasks import SimJob, SimTask
 
 __all__ = ["Scheduler", "FifoScheduler", "FairScheduler", "CapacityScheduler"]
 
 
 class Scheduler:
-    """Base scheduler interface.
+    """Base scheduler: a factory of per-replay ready queues."""
 
-    The replayer calls :meth:`add_job` when a job is submitted,
-    :meth:`next_task` whenever a slot of a given kind frees up, and
-    :meth:`job_finished` when a job's last task completes.
-    """
-
-    def add_job(self, sim_job: SimJob) -> None:
-        raise NotImplementedError
-
-    def next_task(self, kind: str, now_s: float) -> Optional[Tuple[SimJob, SimTask]]:
-        """Pick the next task of ``kind`` to run, or ``None`` if none is ready."""
-        raise NotImplementedError
-
-    def job_finished(self, sim_job: SimJob) -> None:
-        """Notification that a job has completed (default: no-op)."""
-
-    def drain(self, kind: str, now_s: float, max_tasks: int) -> List[Tuple[SimJob, SimTask]]:
-        """Pick up to ``max_tasks`` tasks of ``kind``, in dispatch order.
-
-        The default implementation calls :meth:`next_task` repeatedly, so the
-        picks — and their order — are identical to a caller looping one slot
-        at a time.  Policies whose choices do not depend on their own running
-        counters (FIFO) may override this with a batched pop; count-sensitive
-        policies (fair, capacity) must not, because the caller replays slot
-        effects one task at a time between picks.
-        """
-        picks: List[Tuple[SimJob, SimTask]] = []
-        while len(picks) < max_tasks:
-            picked = self.next_task(kind, now_s)
-            if picked is None:
-                break
-            picks.append(picked)
-        return picks
-
-    def pending_jobs(self) -> int:
-        """Number of jobs that still have unscheduled tasks."""
+    def _queues(self):
         raise NotImplementedError
 
 
-class _JobQueueMixin:
-    """Shared bookkeeping: per-job queues of unscheduled map/reduce tasks."""
+class _FifoQueues:
+    """Jobs with queued maps in admission order, and a reduce-ready min-heap
+    keyed by admission order (a job enters it when its map stage completes,
+    so plain list order would not do)."""
+
+    __slots__ = ("maps", "reduces")
 
     def __init__(self):
-        self._jobs: List[SimJob] = []
-        self._map_queues: Dict[str, Deque[SimTask]] = {}
-        self._reduce_queues: Dict[str, Deque[SimTask]] = {}
-        self._running_tasks: Dict[str, int] = {}
+        self.maps = deque()
+        self.reduces = []
 
-    def _register(self, sim_job: SimJob) -> None:
-        self._jobs.append(sim_job)
-        self._map_queues[sim_job.job_id] = deque(sim_job.map_tasks)
-        self._reduce_queues[sim_job.job_id] = deque(sim_job.reduce_tasks)
-        self._running_tasks.setdefault(sim_job.job_id, 0)
+    def admit(self, record) -> None:
+        if record.maps_queued:
+            self.maps.append(record)
+        elif record.reduces_queued:
+            heappush(self.reduces, (record.order, record))
 
-    def _queue_for(self, sim_job: SimJob, kind: str) -> Deque[SimTask]:
+    def reduce_ready(self, record) -> None:
+        heappush(self.reduces, (record.order, record))
+
+    def pick(self, kind: str):
+        """Take one queued task of ``kind`` from the earliest job holding one."""
         if kind == "map":
-            return self._map_queues[sim_job.job_id]
-        if kind == "reduce":
-            return self._reduce_queues[sim_job.job_id]
-        raise SchedulingError("unknown task kind %r" % (kind,))
-
-    def _has_ready_task(self, sim_job: SimJob, kind: str) -> bool:
-        queue = self._queue_for(sim_job, kind)
-        if not queue:
-            return False
-        if kind == "reduce" and not sim_job.map_stage_done:
-            # Reduce tasks wait for the map barrier.
-            return False
-        return True
-
-    def _pop_task(self, sim_job: SimJob, kind: str) -> Tuple[SimJob, SimTask]:
-        task = self._queue_for(sim_job, kind).popleft()
-        self._running_tasks[sim_job.job_id] = self._running_tasks.get(sim_job.job_id, 0) + 1
-        return sim_job, task
-
-    def task_finished(self, sim_job: SimJob) -> None:
-        """Called by the replayer when one of the job's tasks completes."""
-        count = self._running_tasks.get(sim_job.job_id, 0)
-        self._running_tasks[sim_job.job_id] = max(0, count - 1)
-
-    def job_finished(self, sim_job: SimJob) -> None:
-        self._jobs = [job for job in self._jobs if job.job_id != sim_job.job_id]
-        self._map_queues.pop(sim_job.job_id, None)
-        self._reduce_queues.pop(sim_job.job_id, None)
-        self._running_tasks.pop(sim_job.job_id, None)
-
-    def pending_jobs(self) -> int:
-        return sum(
-            1 for job in self._jobs
-            if self._map_queues.get(job.job_id) or self._reduce_queues.get(job.job_id)
-        )
-
-
-class FifoScheduler(_JobQueueMixin, Scheduler):
-    """Strict submission-order scheduling (Hadoop's original default)."""
-
-    def add_job(self, sim_job: SimJob) -> None:
-        self._register(sim_job)
-
-    def next_task(self, kind: str, now_s: float) -> Optional[Tuple[SimJob, SimTask]]:
-        # Inlined _has_ready_task: this probe runs once per freed slot per
-        # event, so the per-job dict lookups are the dispatch loop's hottest
-        # line.
-        if kind == "map":
-            queues = self._map_queues
-            for sim_job in self._jobs:  # jobs were added in submission order
-                if queues[sim_job.job_id]:
-                    return self._pop_task(sim_job, kind)
+            if not self.maps:
+                return None
+            record = self.maps[0]
+            record.maps_queued -= 1
+            if not record.maps_queued:
+                self.maps.popleft()
+            return record
+        if not self.reduces:
             return None
-        if kind != "reduce":
-            raise SchedulingError("unknown task kind %r" % (kind,))
-        queues = self._reduce_queues
-        for sim_job in self._jobs:
-            if queues[sim_job.job_id] and sim_job.map_stage_done:
-                return self._pop_task(sim_job, kind)
+        record = self.reduces[0][1]
+        record.reduces_queued -= 1
+        if not record.reduces_queued:
+            heappop(self.reduces)
+        return record
+
+
+class _FairQueues:
+    """Ready jobs per kind in a heap of ``(running tasks, admission order,
+    job)`` entries; a job's running count covers both kinds.
+
+    A job points at its one current entry (``record.entry``): a pick re-keys
+    that entry in place at the top of the heap, a task completion pushes a
+    fresh, lower one, and an entry its job no longer points at is dropped
+    when it surfaces.  Admission order ranks equal counts as a scan of the
+    jobs in submission order would, because jobs are admitted in submit
+    order.
+    """
+
+    __slots__ = ("maps", "reduces")
+
+    def __init__(self):
+        self.maps = []
+        self.reduces = []
+
+    @staticmethod
+    def _push(heap, record) -> None:
+        record.entry = entry = (record.running, record.order, record)
+        heappush(heap, entry)
+
+    def admit(self, record) -> None:
+        record.running = 0
+        record.entry = None
+        if record.maps_queued:
+            self._push(self.maps, record)
+        elif record.reduces_queued:
+            self._push(self.reduces, record)
+
+    def reduce_ready(self, record) -> None:
+        self._push(self.reduces, record)
+
+    def pick(self, kind: str):
+        heap = self.maps if kind == "map" else self.reduces
+        while heap:
+            entry = heap[0]
+            record = entry[2]
+            if entry is not record.entry:
+                heappop(heap)
+                continue
+            record.running += 1
+            if kind == "map":
+                record.maps_queued -= 1
+                queued = record.maps_queued
+            else:
+                record.reduces_queued -= 1
+                queued = record.reduces_queued
+            if queued:
+                record.entry = entry = (record.running, record.order, record)
+                heapreplace(heap, entry)
+            else:
+                record.entry = None
+                heappop(heap)
+            return record
         return None
 
-    def drain(self, kind: str, now_s: float, max_tasks: int) -> List[Tuple[SimJob, SimTask]]:
-        """Batched pop: whole per-job runs at a time.
-
-        FIFO picks never read the running-task counters, so popping a job's
-        contiguous run of queued tasks yields exactly the picks (and order)
-        of the one-at-a-time loop — this is what lets the vectorized replay
-        engine dispatch a stage in one step.
-        """
-        if kind == "map":
-            queues = self._map_queues
-        elif kind == "reduce":
-            queues = self._reduce_queues
-        else:
-            raise SchedulingError("unknown task kind %r" % (kind,))
-        picks: List[Tuple[SimJob, SimTask]] = []
-        for sim_job in self._jobs:
-            if len(picks) >= max_tasks:
-                break
-            queue = queues[sim_job.job_id]
-            if not queue or (kind == "reduce" and not sim_job.map_stage_done):
-                continue
-            take = min(max_tasks - len(picks), len(queue))
-            for _ in range(take):
-                picks.append((sim_job, queue.popleft()))
-            self._running_tasks[sim_job.job_id] = (
-                self._running_tasks.get(sim_job.job_id, 0) + take)
-        return picks
+    def released(self, record, kind: str) -> None:
+        if record.running:
+            record.running -= 1
+        if record.entry is not None:
+            self._push(self.maps if record.maps_queued else self.reduces, record)
 
 
-class FairScheduler(_JobQueueMixin, Scheduler):
+class _CapacityQueues:
+    """Two FIFO pools and the running-task count of each pool per kind."""
+
+    __slots__ = ("pools", "limits", "running", "threshold")
+
+    def __init__(self, limits, threshold: float):
+        self.pools = (_FifoQueues(), _FifoQueues())  # interactive, batch
+        self.limits = {kind: (limits[("interactive", kind)], limits[("batch", kind)])
+                       for kind in ("map", "reduce")}
+        self.running = {"map": [0, 0], "reduce": [0, 0]}
+        self.threshold = threshold
+
+    def admit(self, record) -> None:
+        record.pool = 0 if record.total_bytes <= self.threshold else 1
+        self.pools[record.pool].admit(record)
+
+    def reduce_ready(self, record) -> None:
+        self.pools[record.pool].reduce_ready(record)
+
+    def pick(self, kind: str):
+        # Pools under their limit pick first, the one furthest below it
+        # first (interactive on a tie); then an idle pool's unused capacity
+        # is lent to the other.
+        running = self.running[kind]
+        limits = self.limits[kind]
+        order = (1, 0) if running[1] / limits[1] < running[0] / limits[0] else (0, 1)
+        for enforce_limit in (True, False):
+            for pool in order:
+                if enforce_limit and running[pool] >= limits[pool]:
+                    continue
+                record = self.pools[pool].pick(kind)
+                if record is not None:
+                    running[pool] += 1
+                    return record
+        return None
+
+    def released(self, record, kind: str) -> None:
+        running = self.running[kind]
+        if running[record.pool]:
+            running[record.pool] -= 1
+
+
+class FifoScheduler(Scheduler):
+    """Strict submission-order scheduling (Hadoop's original default)."""
+
+    def _queues(self) -> _FifoQueues:
+        return _FifoQueues()
+
+
+class FairScheduler(Scheduler):
     """Fair sharing: the freed slot goes to the job with the fewest running tasks."""
 
-    def add_job(self, sim_job: SimJob) -> None:
-        self._register(sim_job)
-
-    def next_task(self, kind: str, now_s: float) -> Optional[Tuple[SimJob, SimTask]]:
-        candidates = [job for job in self._jobs if self._has_ready_task(job, kind)]
-        if not candidates:
-            return None
-        chosen = min(
-            candidates,
-            key=lambda job: (self._running_tasks.get(job.job_id, 0), job.submit_time_s),
-        )
-        return self._pop_task(chosen, kind)
+    def _queues(self) -> _FairQueues:
+        return _FairQueues()
 
 
 class CapacityScheduler(Scheduler):
     """Two-pool capacity scheduling: an interactive pool and a batch pool.
 
-    Jobs whose total data volume is below ``small_job_threshold_bytes`` go to
-    the interactive pool; the interactive pool owns
+    Jobs whose total data volume is at most ``small_job_threshold_bytes`` go
+    to the interactive pool; the interactive pool owns
     ``interactive_share`` of every slot type and the batch pool owns the rest.
     Each pool schedules FIFO internally, and an idle pool's slots are lent to
     the other pool (work-conserving).
@@ -220,57 +229,6 @@ class CapacityScheduler(Scheduler):
             ("batch", "map"): max(1, total_map_slots - int(round(total_map_slots * interactive_share))),
             ("batch", "reduce"): max(1, total_reduce_slots - int(round(total_reduce_slots * interactive_share))),
         }
-        self._running = {key: 0 for key in self._limits}
-        self._pools: Dict[str, FifoScheduler] = {
-            "interactive": FifoScheduler(),
-            "batch": FifoScheduler(),
-        }
-        self._pool_of_job: Dict[str, str] = {}
 
-    def _pool_for(self, sim_job: SimJob) -> str:
-        return ("interactive"
-                if sim_job.job.total_bytes <= self.small_job_threshold_bytes
-                else "batch")
-
-    def add_job(self, sim_job: SimJob) -> None:
-        pool = self._pool_for(sim_job)
-        self._pool_of_job[sim_job.job_id] = pool
-        self._pools[pool].add_job(sim_job)
-
-    def next_task(self, kind: str, now_s: float) -> Optional[Tuple[SimJob, SimTask]]:
-        # Pools under their limit pick first, ordered by how far below their
-        # limit they are; an idle pool's unused capacity is lent to the other.
-        ordered = sorted(
-            self._pools,
-            key=lambda pool: self._running[(pool, kind)] / self._limits[(pool, kind)],
-        )
-        for enforce_limit in (True, False):
-            for pool in ordered:
-                if enforce_limit and self._running[(pool, kind)] >= self._limits[(pool, kind)]:
-                    continue
-                picked = self._pools[pool].next_task(kind, now_s)
-                if picked is not None:
-                    self._running[(pool, kind)] += 1
-                    return picked
-        return None
-
-    def task_finished(self, sim_job: SimJob) -> None:
-        pool = self._pool_of_job.get(sim_job.job_id)
-        if pool is None:
-            return
-        self._pools[pool].task_finished(sim_job)
-
-    def task_released(self, sim_job: SimJob, kind: str) -> None:
-        """Return the pool's slot accounting when one of its tasks finishes."""
-        pool = self._pool_of_job.get(sim_job.job_id)
-        if pool is None:
-            return
-        self._running[(pool, kind)] = max(0, self._running[(pool, kind)] - 1)
-
-    def job_finished(self, sim_job: SimJob) -> None:
-        pool = self._pool_of_job.pop(sim_job.job_id, None)
-        if pool is not None:
-            self._pools[pool].job_finished(sim_job)
-
-    def pending_jobs(self) -> int:
-        return sum(pool.pending_jobs() for pool in self._pools.values())
+    def _queues(self) -> _CapacityQueues:
+        return _CapacityQueues(self._limits, self.small_job_threshold_bytes)

@@ -7,8 +7,8 @@ Two sharding disciplines, both built on the vectorized engine in
   windows in order.  The shard boundary only throttles the *feed*: jobs whose
   raw submit time is at or past the boundary stay with the next shard, and
   the engine pauses once every completion at or before the boundary has
-  fired.  In-flight tasks, busy slots, scheduler/cache state and the metric
-  accumulators carry across the boundary untouched (snapshotted per boundary
+  fired.  In-flight tasks, busy slots, the scheduler's ready queues, cache
+  state, the straggler stream and the metric accumulators carry across the boundary untouched (snapshotted per boundary
   as a :class:`ShardHandoff`), so the event sequence — and every digest bit —
   is identical to an unsharded run.  Exactness hinges on two event-loop
   invariants pinned by the equivalence suite: the next shard's earliest
@@ -26,7 +26,9 @@ Two sharding disciplines, both built on the vectorized engine in
   delay the next window's jobs.  This is the SWIM-style approximation: it is
   exact when no boundary has in-flight work, and the per-window
   :class:`ShardHandoff` reports (``horizon_s`` past the boundary) show where
-  it was not.  Use it for throughput, exact mode for bit-fidelity.
+  it was not.  Use it for throughput, exact mode for bit-fidelity.  With a
+  straggler injector the windows replay one after another in-process,
+  sharing its one RNG stream, so which tasks straggle depends on the cuts.
 
 The cut points default to an even split of the store's recorded submit-time
 range; pass ``boundaries`` to control them.  Jobs submitted exactly *at* a
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from ..errors import SimulationError
 from ..traces.schema import Job
@@ -46,9 +48,9 @@ from .cache import CachePolicy
 from .cluster import ClusterConfig
 from .hdfs import HdfsConfig
 from .metrics import SimulationMetrics
-from .replay import DEFAULT_LOOKAHEAD, StreamingReplayer, _ReplayEngine
+from .replay import DEFAULT_LOOKAHEAD, StreamingReplayer, _ReplayEngine, _store_blocks
 from .scheduler import Scheduler
-from .tasks import SimJob
+from .stragglers import StragglerInjector
 
 __all__ = ["ShardHandoff", "ShardedReplayer", "SHARD_MODES"]
 
@@ -125,7 +127,7 @@ class ShardedReplayer(StreamingReplayer):
                  cache: Optional[CachePolicy] = None,
                  hdfs_config: Optional[HdfsConfig] = None,
                  max_simulated_jobs: Optional[int] = None,
-                 task_transform: Optional[Callable[[SimJob], None]] = None,
+                 stragglers: Optional[StragglerInjector] = None,
                  lookahead: int = DEFAULT_LOOKAHEAD,
                  keep_outcomes: bool = False,
                  shards: int = 2,
@@ -135,7 +137,7 @@ class ShardedReplayer(StreamingReplayer):
         super().__init__(cluster_config=cluster_config, scheduler=scheduler,
                          cache=cache, hdfs_config=hdfs_config,
                          max_simulated_jobs=max_simulated_jobs,
-                         task_transform=task_transform, lookahead=lookahead,
+                         stragglers=stragglers, lookahead=lookahead,
                          keep_outcomes=keep_outcomes)
         if not isinstance(shards, int) or shards < 1:
             raise SimulationError("shards must be a positive integer, got %r"
@@ -192,14 +194,7 @@ class ShardedReplayer(StreamingReplayer):
         if self.mode == "windowed":
             return self._run_windowed(store, boundaries)
         engine = _ReplayEngine(self)
-        if engine.fast:
-            from .replay import _FAST_NUMERIC, _FAST_STRINGS
-
-            wanted = [name for name in _FAST_NUMERIC + _FAST_STRINGS
-                      if name in store.columns]
-            engine.attach_blocks(store.iter_chunks(columns=wanted))
-        else:
-            engine.attach_jobs(store.iter_jobs())
+        engine.attach_blocks(_store_blocks(store))
         return self._run_exact(engine, boundaries)
 
     # ------------------------------------------------------------------
@@ -238,21 +233,20 @@ class ShardedReplayer(StreamingReplayer):
         windows = [(edges[index], edges[index + 1])
                    for index in range(len(edges) - 1)]
         self.handoffs = []
-        if self.task_transform is not None:
-            # Transforms are usually closures (unpicklable) and often carry
-            # RNG state whose draw order would change per worker: replay the
-            # windows serially in-process instead, sharing this replayer's
-            # transform in window order.
+        if self.stragglers is not None:
+            # The injector's one RNG stream would be copied into every
+            # worker: replay the windows serially in-process instead,
+            # sharing this replayer's injector in window order.
             results = []
             for window_lo, window_hi in windows:
-                clone = self._serial_clone(with_transform=False)
-                clone.task_transform = self.task_transform
+                clone = self._serial_clone()
+                clone.stragglers = self.stragglers
                 metrics = clone._replay_store_window(store, window_lo, window_hi,
                                                      empty_ok=True)
                 results.append(None if metrics is None
                                else (metrics, metrics.jobs_submitted, metrics.horizon_s))
         else:
-            blob = pickle.dumps(self._serial_clone(with_transform=False))
+            blob = pickle.dumps(self._serial_clone())
             tasks = [(store.directory, blob, window_lo, window_hi)
                      for window_lo, window_hi in windows]
             executor = ParallelExecutor(processes=self.processes)
@@ -280,19 +274,20 @@ class ShardedReplayer(StreamingReplayer):
             raise SimulationError("cannot replay an empty job stream")
         return merged
 
-    def _serial_clone(self, with_transform: bool = True) -> StreamingReplayer:
-        """A fresh single-window replayer with this replayer's configuration.
+    def _serial_clone(self) -> StreamingReplayer:
+        """A fresh single-window replayer with this replayer's configuration,
+        without its straggler injector.
 
-        Workers unpickle their own copy, so per-window scheduler/cache/HDFS
-        mutations never touch this instance or each other.
+        Workers unpickle their own copy, so per-window cache/HDFS mutations
+        never touch this instance or each other (a scheduler holds only its
+        settings, so it is shared).
         """
         clone = StreamingReplayer(
             cluster_config=self.cluster_config,
-            scheduler=pickle.loads(pickle.dumps(self.scheduler)),
+            scheduler=self.scheduler,
             cache=pickle.loads(pickle.dumps(self.cache)),
             hdfs_config=self.hdfs.config,
             max_simulated_jobs=self.max_simulated_jobs,
-            task_transform=self.task_transform if with_transform else None,
             lookahead=self.lookahead,
             keep_outcomes=self.keep_outcomes)
         return clone

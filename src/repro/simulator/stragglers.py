@@ -18,8 +18,9 @@ substrate:
   execution: a straggling task is re-launched and effectively capped near the
   duration of its sibling tasks, but *only* when the job has enough
   comparable tasks in the same stage for the slowness to be detectable.
-* :func:`straggler_task_transform` packages both as a ``task_transform``
-  hook for :class:`~repro.simulator.replay.WorkloadReplayer`.
+* :class:`StragglerInjector` applies both to the tasks a
+  :class:`~repro.simulator.replay.WorkloadReplayer` replays, drawing one
+  random number per task in the order jobs are pulled.
 * :func:`straggler_impact` compares a baseline replay against a
   straggler-injected replay and summarizes the impact by job size class.
 """
@@ -27,20 +28,19 @@ substrate:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import SimulationError
 from ..units import GB
 from .metrics import SimulationMetrics
-from .tasks import SimJob
 
 __all__ = [
     "StragglerModel",
     "SpeculativeExecutionModel",
     "StragglerInjectionStats",
-    "straggler_task_transform",
+    "StragglerInjector",
     "StragglerImpact",
     "straggler_impact",
 ]
@@ -56,7 +56,7 @@ class StragglerModel:
             (the paper's informal definition of a straggler is a task that
             "executes significantly slower than other tasks in a job").
         seed: RNG seed; injection is deterministic given the seed and the
-            order in which jobs are transformed.
+            order in which jobs are drawn.
     """
 
     probability: float = 0.05
@@ -109,7 +109,7 @@ class SpeculativeExecutionModel:
 
 @dataclass
 class StragglerInjectionStats:
-    """Bookkeeping of what the injection transform actually did.
+    """Bookkeeping of what the injector actually did.
 
     Attributes:
         tasks_seen: total tasks examined.
@@ -132,59 +132,85 @@ class StragglerInjectionStats:
             self.jobs_affected += 1
 
 
-def straggler_task_transform(
-    model: StragglerModel,
-    speculation: Optional[SpeculativeExecutionModel] = None,
-    stats: Optional[StragglerInjectionStats] = None,
-) -> Callable[[SimJob], None]:
-    """Build a ``task_transform`` hook that injects (and optionally rescues) stragglers.
+class StragglerInjector:
+    """Draws which of a replay's tasks straggle, and how long they then run.
 
-    All jobs draw from one sequential stream seeded by ``model.seed``, so the
-    injected slowdowns are deterministic given the seed *and the order jobs
-    are transformed in* — input order for serial and exact-sharded replays,
+    Pass one to a replayer (``WorkloadReplayer(stragglers=...)``).  All jobs
+    draw from one sequential stream seeded by ``model.seed``, one number per
+    task: each job's maps, then its reduces, jobs in the order the replay
+    pulls them.  The injected slowdowns are therefore deterministic given the
+    seed *and that order* — input order for serial and exact-sharded replays,
     but each window's own pull order under windowed sharding, so windowed
-    digests depend on where the cuts fall.
+    digests depend on where the cuts fall.  The stream and :attr:`stats`
+    carry over when one injector serves several replays.
 
     Args:
         model: the straggler injection model.
         speculation: the mitigation model; pass ``None`` (or a model with
             ``enabled=False``) to replay without speculative execution.
-        stats: optional stats collector, filled in as jobs are transformed.
-
-    Returns:
-        A callable suitable for ``WorkloadReplayer(task_transform=...)``.
+        stats: optional stats collector, filled in as tasks are drawn.
     """
-    rng = np.random.default_rng(model.seed)
-    collected = stats if stats is not None else StragglerInjectionStats()
 
-    def transform(sim_job: SimJob) -> None:
-        for stage_tasks in (sim_job.map_tasks, sim_job.reduce_tasks):
-            if not stage_tasks:
-                continue
-            normal_duration = float(np.median([task.duration_s for task in stage_tasks]))
-            detectable = len(stage_tasks) >= (
-                speculation.min_comparable_tasks if speculation else np.inf
-            )
-            for task in stage_tasks:
-                collected.tasks_seen += 1
-                if rng.random() >= model.probability:
-                    continue
-                collected.stragglers_injected += 1
-                collected._mark_job(sim_job.job_id)
-                slowed = task.duration_s * model.slowdown_factor
-                if speculation is not None and speculation.enabled and detectable:
-                    rescued = (normal_duration * speculation.rescue_cap_factor
-                               + speculation.relaunch_overhead_s)
-                    if rescued < slowed:
-                        task.duration_s = rescued
-                        collected.stragglers_rescued += 1
-                        continue
-                if speculation is not None and speculation.enabled and not detectable:
-                    collected.stragglers_undetectable += 1
-                task.duration_s = slowed
+    def __init__(self, model: StragglerModel,
+                 speculation: Optional[SpeculativeExecutionModel] = None,
+                 stats: Optional[StragglerInjectionStats] = None):
+        self.model = model
+        self.speculation = speculation
+        self.stats = stats if stats is not None else StragglerInjectionStats()
+        self._rng = np.random.default_rng(model.seed)
 
-    transform.stats = collected  # type: ignore[attr-defined]
-    return transform
+    def draw(self, job_ids: np.ndarray, n_map: np.ndarray, map_duration: np.ndarray,
+             n_reduce: np.ndarray, reduce_duration: np.ndarray) -> Dict[Tuple[int, str], List[float]]:
+        """Perturb the stages of a batch of jobs, in batch order.
+
+        Every stage is ``n`` tasks of one duration.  A task straggles with
+        ``model.probability`` and then runs ``slowdown_factor`` times longer,
+        or — when speculation is enabled and its stage has at least
+        ``min_comparable_tasks`` tasks — ``rescue_cap_factor`` times the
+        stage's duration plus ``relaunch_overhead_s``, if that is shorter.
+
+        Returns:
+            ``{(job index, "map" or "reduce"): per-task durations}`` for each
+            stage with at least one straggler.
+        """
+        model = self.model
+        stats = self.stats
+        n_tasks = n_map + n_reduce
+        total = int(n_tasks.sum())
+        stats.tasks_seen += total
+        tasks = np.flatnonzero(self._rng.random(total) < model.probability)
+        if not tasks.size:
+            return {}
+        first = np.cumsum(n_tasks) - n_tasks
+        job = np.searchsorted(first, tasks, side="right") - 1
+        position = tasks - first[job]
+        is_map = position < n_map[job]
+        index = np.where(is_map, position, position - n_map[job])
+        stage_tasks = np.where(is_map, n_map[job], n_reduce[job])
+        normal = np.where(is_map, map_duration[job], reduce_duration[job])
+        slowed = normal * model.slowdown_factor
+        duration = slowed
+        stats.stragglers_injected += int(tasks.size)
+        speculation = self.speculation
+        if speculation is not None and speculation.enabled:
+            detectable = stage_tasks >= speculation.min_comparable_tasks
+            rescued = normal * speculation.rescue_cap_factor + speculation.relaunch_overhead_s
+            rescue = detectable & (rescued < slowed)
+            duration = np.where(rescue, rescued, slowed)
+            stats.stragglers_rescued += int(np.count_nonzero(rescue))
+            stats.stragglers_undetectable += int(np.count_nonzero(~detectable))
+        for row in np.unique(job).tolist():
+            stats._mark_job(str(job_ids[row]))
+        stages: Dict[Tuple[int, str], List[float]] = {}
+        for row, in_map, task, base, n, value in zip(
+                job.tolist(), is_map.tolist(), index.tolist(), normal.tolist(),
+                stage_tasks.tolist(), duration.tolist()):
+            key = (row, "map" if in_map else "reduce")
+            durations = stages.get(key)
+            if durations is None:
+                durations = stages[key] = [base] * n
+            durations[task] = value
+        return stages
 
 
 @dataclass

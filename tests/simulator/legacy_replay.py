@@ -7,7 +7,9 @@ completion summaries, cache statistics) is pinned to that loop's event
 ordering, so the old implementation is preserved here — unchanged except for
 taking the replayer as an argument — as the ground truth the differential
 equivalence suites (``test_replay_equivalence.py``, ``test_replay_stretches.py``)
-check the new engine against, bit for bit.
+check the new engine against, bit for bit.  It runs on the original task
+objects, schedulers and straggler transform (``legacy_tasks.py``,
+``legacy_scheduler.py``), built from the replayer's configuration.
 
 This module is test infrastructure, not library code: it is slow by
 design (one :class:`legacy_events.Event` object plus closures per
@@ -21,8 +23,8 @@ The invariants this loop defines (and the new engine reproduces):
   submission, submissions tie-break in input order, completions in dispatch
   order (the event-queue insertion sequence);
 * jobs are pulled from the source in input order with a bounded look-ahead;
-  ``split_job`` and the ``task_transform`` hook run at pull time, so RNG-based
-  transforms consume their stream in input order;
+  ``split_job`` and the straggler transform run at pull time, so the
+  transform consumes its RNG stream in input order;
 * each submission serves the job's input through HDFS + cache *before* any
   task dispatch at that instant; each finished job writes its output (and
   invalidates the cache) when its last task completes;
@@ -34,17 +36,35 @@ The invariants this loop defines (and the new engine reproduces):
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator
+from typing import Dict, Iterable, Iterator, Optional
 
+import repro.simulator.scheduler as policies
 from repro.errors import SimulationError
 from repro.simulator.metrics import JobOutcome, SimulationMetrics
-from repro.simulator.tasks import SimJob, SimTask, split_job
+from repro.simulator.stragglers import StragglerInjectionStats
 from repro.traces.schema import Job
 
+import legacy_scheduler
 from legacy_cluster import Cluster
 from legacy_events import EventQueue
+from legacy_tasks import SimJob, SimTask, split_job, straggler_task_transform
 
-__all__ = ["legacy_replay_jobs", "observe_utilization"]
+__all__ = ["legacy_replay_jobs", "legacy_scheduler_for", "observe_utilization"]
+
+
+def legacy_scheduler_for(scheduler):
+    """The original scheduler object for a replayer's scheduling policy."""
+    if isinstance(scheduler, policies.CapacityScheduler):
+        legacy = legacy_scheduler.CapacityScheduler(
+            total_map_slots=1, total_reduce_slots=1,
+            interactive_share=scheduler.interactive_share,
+            small_job_threshold_bytes=scheduler.small_job_threshold_bytes)
+        legacy._limits = dict(scheduler._limits)
+        return legacy
+    if isinstance(scheduler, policies.FairScheduler):
+        return legacy_scheduler.FairScheduler()
+    assert isinstance(scheduler, policies.FifoScheduler), scheduler
+    return legacy_scheduler.FifoScheduler()
 
 
 def observe_utilization(metrics: SimulationMetrics, now_s: float, active_slots: int) -> None:
@@ -55,12 +75,15 @@ def observe_utilization(metrics: SimulationMetrics, now_s: float, active_slots: 
         metrics.utilization_samples.append((now_s, active_slots))
 
 
-def legacy_replay_jobs(replayer, jobs: Iterable[Job]) -> SimulationMetrics:
+def legacy_replay_jobs(replayer, jobs: Iterable[Job],
+                       stats: Optional[StragglerInjectionStats] = None) -> SimulationMetrics:
     """Replay ``jobs`` with the original event loop of ``replayer``'s config.
 
     ``replayer`` is a :class:`~repro.simulator.replay.WorkloadReplayer` (or
-    subclass); its scheduler/cache/HDFS state is mutated exactly as the old
-    ``replay_jobs`` did, so use a fresh replayer per call.
+    subclass); its cache/HDFS state is mutated exactly as the old
+    ``replay_jobs`` did, so use a fresh replayer per call.  Its straggler
+    injector's models (if any) become a fresh transform seeded alike, which
+    fills ``stats``.
     """
     job_iter: Iterator[Job] = iter(jobs)
     if replayer.max_simulated_jobs is not None:
@@ -72,7 +95,28 @@ def legacy_replay_jobs(replayer, jobs: Iterable[Job]) -> SimulationMetrics:
                                 keep_outcomes=replayer.keep_outcomes)
     active_jobs: Dict[str, SimJob] = {}
     last_submit = [float("-inf")]
-    scheduler = replayer.scheduler
+    scheduler = legacy_scheduler_for(replayer.scheduler)
+    transform = None
+    if replayer.stragglers is not None:
+        transform = straggler_task_transform(replayer.stragglers.model,
+                                             replayer.stragglers.speculation, stats)
+    hdfs, cache = replayer.hdfs, replayer.cache
+
+    def serve_input(sim_job: SimJob, now_s: float) -> None:
+        """Route the job's input read through HDFS and the cache policy."""
+        job = sim_job.job
+        path = job.input_path or ("/implicit/%s" % job.job_id)
+        size = float(job.input_bytes or 0.0)
+        hdfs.read(path, now_s, size)
+        cache.access(path, size, now_s)
+
+    def write_output(sim_job: SimJob, now_s: float) -> None:
+        """Record the job's output write in HDFS (invalidating stale cache entries)."""
+        job = sim_job.job
+        if job.output_path is None or not (job.output_bytes or 0.0):
+            return
+        hdfs.create(job.output_path, float(job.output_bytes), now_s, overwrite=True)
+        cache.invalidate(job.output_path)
 
     def record_utilization():
         observe_utilization(metrics, queue.now, cluster.total_busy_slots())
@@ -90,8 +134,8 @@ def legacy_replay_jobs(replayer, jobs: Iterable[Job]) -> SimulationMetrics:
                 % (job.job_id, job.submit_time_s, last_submit[0]))
         last_submit[0] = job.submit_time_s
         sim_job = split_job(job)
-        if replayer.task_transform is not None:
-            replayer.task_transform(sim_job)
+        if transform is not None:
+            transform(sim_job)
         metrics.record_submission()
         queue.schedule(max(0.0, job.submit_time_s), on_submit(sim_job), priority=1)
         return True
@@ -100,7 +144,7 @@ def legacy_replay_jobs(replayer, jobs: Iterable[Job]) -> SimulationMetrics:
         def handler():
             active_jobs[sim_job.job_id] = sim_job
             scheduler.add_job(sim_job)
-            replayer._serve_input(sim_job, queue.now)
+            serve_input(sim_job, queue.now)
             dispatch("map")
             dispatch("reduce")
             # This submission fired: top the look-ahead window back up.
@@ -146,7 +190,7 @@ def legacy_replay_jobs(replayer, jobs: Iterable[Job]) -> SimulationMetrics:
         sim_job.finish_time_s = queue.now
         scheduler.job_finished(sim_job)
         active_jobs.pop(sim_job.job_id, None)
-        replayer._write_output(sim_job, queue.now)
+        write_output(sim_job, queue.now)
         metrics.record_job(
             JobOutcome(
                 job_id=sim_job.job_id,

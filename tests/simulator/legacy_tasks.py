@@ -1,22 +1,25 @@
-"""Task-level decomposition of jobs for the replay simulator.
+"""The replay simulator's original task objects, kept as a semantic reference.
 
-A trace records each job's aggregate map/reduce task time (slot-seconds) and,
-when available, its task counts.  To replay a job the simulator splits those
-aggregates into individual map and reduce tasks: each task occupies one slot
-for its share of the aggregate task time.  This matches how SWIM replays
-synthetic jobs — what matters for workload-level behaviour is the number of
-slot-seconds demanded and the degree of parallelism, not the user code.
+Before the replay engine dispatched one record per job, every job was split
+into :class:`SimJob`/:class:`SimTask` objects (``split_job``) and straggler
+injection was a ``task_transform`` hook that rewrote those task durations
+(:func:`straggler_task_transform`).  The legacy replay oracle
+(``legacy_replay.py``) still runs on them, so they live beside it, unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional
 
-from ..errors import SimulationError
-from ..traces.schema import Job
+import numpy as np
 
-__all__ = ["SimTask", "SimJob", "split_job"]
+from repro.errors import SimulationError
+from repro.simulator.stragglers import (SpeculativeExecutionModel, StragglerInjectionStats,
+                                        StragglerModel)
+from repro.traces.schema import Job
+
+__all__ = ["SimTask", "SimJob", "split_job", "straggler_task_transform"]
 
 #: Default seconds of work per task when a trace lacks task counts.
 DEFAULT_SECONDS_PER_TASK = 30.0
@@ -131,3 +134,58 @@ def split_job(job: Job) -> SimJob:
         map_tasks = [SimTask(job_id=job.job_id, kind="map", duration_s=1.0, index=0)]
     return SimJob(job=job, map_tasks=map_tasks, reduce_tasks=reduce_tasks,
                   submit_time_s=job.submit_time_s)
+
+
+def straggler_task_transform(
+    model: StragglerModel,
+    speculation: Optional[SpeculativeExecutionModel] = None,
+    stats: Optional[StragglerInjectionStats] = None,
+) -> Callable[[SimJob], None]:
+    """Build a ``task_transform`` hook that injects (and optionally rescues) stragglers.
+
+    All jobs draw from one sequential stream seeded by ``model.seed``, so the
+    injected slowdowns are deterministic given the seed *and the order jobs
+    are transformed in* — input order for serial and exact-sharded replays,
+    but each window's own pull order under windowed sharding, so windowed
+    digests depend on where the cuts fall.
+
+    Args:
+        model: the straggler injection model.
+        speculation: the mitigation model; pass ``None`` (or a model with
+            ``enabled=False``) to replay without speculative execution.
+        stats: optional stats collector, filled in as jobs are transformed.
+
+    Returns:
+        A callable suitable for ``WorkloadReplayer(task_transform=...)``.
+    """
+    rng = np.random.default_rng(model.seed)
+    collected = stats if stats is not None else StragglerInjectionStats()
+
+    def transform(sim_job: SimJob) -> None:
+        for stage_tasks in (sim_job.map_tasks, sim_job.reduce_tasks):
+            if not stage_tasks:
+                continue
+            normal_duration = float(np.median([task.duration_s for task in stage_tasks]))
+            detectable = len(stage_tasks) >= (
+                speculation.min_comparable_tasks if speculation else np.inf
+            )
+            for task in stage_tasks:
+                collected.tasks_seen += 1
+                if rng.random() >= model.probability:
+                    continue
+                collected.stragglers_injected += 1
+                collected._mark_job(sim_job.job_id)
+                slowed = task.duration_s * model.slowdown_factor
+                if speculation is not None and speculation.enabled and detectable:
+                    rescued = (normal_duration * speculation.rescue_cap_factor
+                               + speculation.relaunch_overhead_s)
+                    if rescued < slowed:
+                        task.duration_s = rescued
+                        collected.stragglers_rescued += 1
+                        continue
+                if speculation is not None and speculation.enabled and not detectable:
+                    collected.stragglers_undetectable += 1
+                task.duration_s = slowed
+
+    transform.stats = collected  # type: ignore[attr-defined]
+    return transform

@@ -1,16 +1,16 @@
-"""Tests for the legacy replay loop's event queue and per-node slot model,
-and for task splitting."""
+"""Tests for the legacy replay loop's event queue, per-node slot model and
+task splitting."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.simulator import ClusterConfig, split_job
-from repro.simulator.tasks import MAX_TASKS_PER_STAGE
+from repro.simulator import ClusterConfig
 from repro.traces import Job
 
 from legacy_cluster import Cluster
 from legacy_events import EventQueue
+from legacy_tasks import MAX_TASKS_PER_STAGE, split_job
 
 
 class TestEventQueue:

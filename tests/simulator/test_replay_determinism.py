@@ -12,19 +12,21 @@ workers consume the stream in their own pull order and straggler digests
 depend on where the cuts fall.  These tests pin both facts.
 """
 
+import numpy as np
 import pytest
 
 from repro.engine import ChunkedTraceStore
 from repro.simulator import (
     LruCache,
     ShardedReplayer,
+    StragglerInjector,
     StragglerModel,
     StreamingReplayer,
-    straggler_task_transform,
-    split_job,
 )
 from repro.traces import load_workload
 from repro.units import GB
+
+from legacy_tasks import split_job, straggler_task_transform
 
 
 @pytest.fixture(scope="module")
@@ -39,9 +41,9 @@ def store(trace, tmp_path_factory):
 
 
 def build_replayer(cls=StreamingReplayer, seed=42, **kwargs):
-    transform = straggler_task_transform(
+    stragglers = StragglerInjector(
         StragglerModel(probability=0.2, slowdown_factor=4.0, seed=seed))
-    return cls(task_transform=transform, cache=LruCache(capacity_bytes=GB),
+    return cls(stragglers=stragglers, cache=LruCache(capacity_bytes=GB),
                **kwargs)
 
 
@@ -88,3 +90,22 @@ class TestPerJobStreamIndependence:
         forward = self.transform_durations(jobs, range(len(jobs)))
         backward = self.transform_durations(jobs, reversed(range(len(jobs))))
         assert forward != backward
+
+    def test_injector_stream_is_order_sensitive(self, trace):
+        """The replay engine's injector shares the hazard: it draws in the
+        order its batches arrive."""
+        jobs = trace.jobs[:40]
+        n = len(jobs)
+        ones = np.ones(n, dtype=np.int64)
+        durations = np.array([job.map_task_seconds or 1.0 for job in jobs])
+        ids = np.array([job.job_id for job in jobs], dtype=object)
+
+        def slow_jobs(order):
+            injector = StragglerInjector(
+                StragglerModel(probability=0.5, slowdown_factor=3.0, seed=7))
+            order = np.asarray(order)
+            drawn = injector.draw(ids[order], ones, durations[order],
+                                  np.zeros(n, dtype=np.int64), np.zeros(n))
+            return {ids[order][row] for row, _kind in drawn}
+
+        assert slow_jobs(range(n)) != slow_jobs(list(reversed(range(n))))

@@ -9,8 +9,9 @@ order, min/max extremes, log-histogram sketch bins, hourly utilization bins,
 busy-slot seconds, and cache statistics.
 
 Grids cover scheduler × cache × lookahead (the three axes that change event
-interleaving), shard boundaries dropped mid-burst and exactly on an arrival
-tie, and duplicate-submit-time tie-breaking.  One 15 000-job case runs past
+interleaving), stragglers × scheduler × feed (the per-task durations a
+straggler injector draws), shard boundaries dropped mid-burst and exactly on
+an arrival tie, and duplicate-submit-time tie-breaking.  One 15 000-job case runs past
 several look-ahead refills and metric-fold blocks, where the engine folds
 its buffered metric samples.
 """
@@ -29,6 +30,10 @@ from repro.simulator import (
     LruCache,
     NoCache,
     ShardedReplayer,
+    SpeculativeExecutionModel,
+    StragglerInjectionStats,
+    StragglerInjector,
+    StragglerModel,
     StreamingReplayer,
     WorkloadReplayer,
 )
@@ -56,12 +61,12 @@ def store(trace, tmp_path_factory):
     return ChunkedTraceStore.write(directory, trace, chunk_rows=64)
 
 
-def make_scheduler(name):
+def make_scheduler(name, config=None):
     if name == "fifo":
         return FifoScheduler()
     if name == "fair":
         return FairScheduler()
-    config = ClusterConfig()
+    config = config or ClusterConfig()
     return CapacityScheduler(total_map_slots=config.total_map_slots,
                              total_reduce_slots=config.total_reduce_slots)
 
@@ -135,6 +140,75 @@ class TestVectorizedMatchesLegacy:
         with pytest.raises(SimulationError) as old_err:
             legacy_replay_jobs(WorkloadReplayer(), jobs)
         assert str(new_err.value) == str(old_err.value)
+
+
+# ---------------------------------------------------------------------------
+# stragglers × scheduler × feed
+# ---------------------------------------------------------------------------
+#: A three-node cluster keeps every scheduler's queues busy on the CC-e trace.
+CONTENDED = ClusterConfig(n_nodes=3)
+
+
+def make_stragglers(name, stats):
+    if name == "off":
+        return None
+    speculation = SpeculativeExecutionModel() if name == "speculation" else None
+    return StragglerInjector(StragglerModel(probability=0.1, slowdown_factor=4.0,
+                                            seed=5), speculation, stats)
+
+
+def outcome_rows(metrics):
+    return [(o.job_id, o.submit_time_s, o.start_time_s, o.finish_time_s,
+             o.wait_time_s, o.completion_time_s, o.total_bytes, o.n_tasks)
+            for o in metrics.outcomes]
+
+
+def stats_row(stats):
+    return (stats.tasks_seen, stats.stragglers_injected, stats.stragglers_rescued,
+            stats.stragglers_undetectable, stats.jobs_affected)
+
+
+class TestStragglersMatchLegacy:
+    """Straggler injection rides the record engine under every scheduler and
+    feed: digests, every outcome and the injection stats match the legacy
+    loop running the original per-task transform."""
+
+    @pytest.fixture(scope="class")
+    def legacy(self, trace):
+        cache = {}
+
+        def run(scheduler, stragglers):
+            if (scheduler, stragglers) not in cache:
+                stats = StragglerInjectionStats()
+                replayer = WorkloadReplayer(
+                    cluster_config=CONTENDED,
+                    scheduler=make_scheduler(scheduler, CONTENDED),
+                    stragglers=make_stragglers(stragglers, StragglerInjectionStats()))
+                metrics = legacy_replay_jobs(replayer, trace.jobs, stats=stats)
+                cache[scheduler, stragglers] = metrics, stats
+            return cache[scheduler, stragglers]
+        return run
+
+    @pytest.mark.parametrize("feed", ["replay", "replay_store", "exact-3-shards"])
+    @pytest.mark.parametrize("scheduler", ["fifo", "fair", "capacity"])
+    @pytest.mark.parametrize("stragglers", ["off", "no-speculation", "speculation"])
+    def test_grid(self, trace, store, legacy, stragglers, scheduler, feed):
+        stats = StragglerInjectionStats()
+        kwargs = dict(cluster_config=CONTENDED, scheduler=make_scheduler(scheduler, CONTENDED),
+                      stragglers=make_stragglers(stragglers, stats), keep_outcomes=True)
+        if feed == "replay":
+            new = WorkloadReplayer(**kwargs).replay(trace)
+        elif feed == "replay_store":
+            new = StreamingReplayer(**kwargs).replay_store(store)
+        else:
+            new = ShardedReplayer(shards=3, mode="exact", **kwargs).replay_store(store)
+        old, old_stats = legacy(scheduler, stragglers)
+        assert new.wait.maximum > 0.0  # the cluster is contended
+        assert new.digest() == old.digest()
+        assert outcome_rows(new) == outcome_rows(old)
+        assert stats_row(stats) == stats_row(old_stats)
+        if stragglers != "off":
+            assert stats.stragglers_injected > 0
 
 
 # ---------------------------------------------------------------------------

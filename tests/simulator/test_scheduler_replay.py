@@ -12,10 +12,13 @@ from repro.simulator import (
     SizeThresholdCache,
     WorkloadReplayer,
     replay,
-    split_job,
 )
+from repro.simulator.replay import _PreparedJob
 from repro.traces import Job, Trace
 from repro.units import GB, MB
+
+import legacy_scheduler
+from legacy_tasks import split_job
 
 
 def make_job(job_id, submit, map_seconds, reduce_seconds=0.0, maps=None, reduces=None,
@@ -29,7 +32,7 @@ def make_job(job_id, submit, map_seconds, reduce_seconds=0.0, maps=None, reduces
 
 class TestFifoScheduler:
     def test_strict_submission_order(self):
-        scheduler = FifoScheduler()
+        scheduler = legacy_scheduler.FifoScheduler()
         job_a = split_job(make_job("a", 0.0, 60.0, maps=2))
         job_b = split_job(make_job("b", 1.0, 60.0, maps=2))
         scheduler.add_job(job_a)
@@ -42,7 +45,7 @@ class TestFifoScheduler:
         assert picked.job_id == "b"
 
     def test_reduce_waits_for_map_barrier(self):
-        scheduler = FifoScheduler()
+        scheduler = legacy_scheduler.FifoScheduler()
         sim_job = split_job(make_job("a", 0.0, 30.0, reduce_seconds=30.0, maps=1, reduces=1))
         scheduler.add_job(sim_job)
         assert scheduler.next_task("reduce", 0.0) is None
@@ -52,7 +55,7 @@ class TestFifoScheduler:
         assert picked.job_id == "a"
 
     def test_pending_jobs_and_finish(self):
-        scheduler = FifoScheduler()
+        scheduler = legacy_scheduler.FifoScheduler()
         sim_job = split_job(make_job("a", 0.0, 30.0, maps=1))
         scheduler.add_job(sim_job)
         assert scheduler.pending_jobs() == 1
@@ -64,7 +67,7 @@ class TestFifoScheduler:
 
 class TestFairScheduler:
     def test_slot_goes_to_job_with_fewest_running_tasks(self):
-        scheduler = FairScheduler()
+        scheduler = legacy_scheduler.FairScheduler()
         job_a = split_job(make_job("a", 0.0, 300.0, maps=10))
         job_b = split_job(make_job("b", 1.0, 300.0, maps=10))
         scheduler.add_job(job_a)
@@ -76,9 +79,9 @@ class TestFairScheduler:
 
 class TestCapacityScheduler:
     def test_small_jobs_go_to_interactive_pool(self):
-        scheduler = CapacityScheduler(total_map_slots=10, total_reduce_slots=4,
-                                      interactive_share=0.5,
-                                      small_job_threshold_bytes=10 * GB)
+        scheduler = legacy_scheduler.CapacityScheduler(total_map_slots=10, total_reduce_slots=4,
+                                                       interactive_share=0.5,
+                                                       small_job_threshold_bytes=10 * GB)
         small = split_job(make_job("small", 0.0, 30.0, maps=1, input_bytes=1 * MB))
         big = split_job(make_job("big", 0.0, 3000.0, maps=10, input_bytes=100 * GB))
         scheduler.add_job(big)
@@ -181,3 +184,82 @@ class TestReplayer:
         assert metrics.cache_stats.accesses == 800
         assert metrics.cache_stats.hit_rate > 0.0
         assert cache.used_bytes <= 50 * GB
+
+
+# ---------------------------------------------------------------------------
+# the engine's ready queues: one pick per freed slot
+# ---------------------------------------------------------------------------
+def admitted(queues, job_id, order, maps=1, reduces=0, total_bytes=1 * MB):
+    """A replay record for ``queues``, admitted ``order``-th."""
+    record = _PreparedJob(job_id, float(order), maps, 30.0, reduces, 30.0,
+                          None, 0.0, None, 0.0, total_bytes)
+    record.order = order
+    queues.admit(record)
+    return record
+
+
+class TestReadyQueues:
+    def test_fifo_picks_in_admission_order(self):
+        queues = FifoScheduler()._queues()
+        admitted(queues, "a", 0, maps=2)
+        admitted(queues, "b", 1, maps=2)
+        assert [queues.pick("map").job_id for _ in range(4)] == ["a", "a", "b", "b"]
+        assert queues.pick("map") is None
+
+    def test_fifo_reduces_wait_for_the_map_barrier(self):
+        queues = FifoScheduler()._queues()
+        record = admitted(queues, "a", 0, maps=1, reduces=1)
+        assert queues.pick("reduce") is None
+        assert queues.pick("map") is record
+        record.maps_remaining -= 1
+        queues.reduce_ready(record)
+        assert queues.pick("reduce") is record
+
+    def test_fair_picks_fewest_running_then_admission_order(self):
+        queues = FairScheduler()._queues()
+        first = admitted(queues, "a", 0, maps=10)
+        second = admitted(queues, "b", 1, maps=10)
+        assert [queues.pick("map").job_id for _ in range(4)] == ["a", "b", "a", "b"]
+        # Two tasks of "a" complete: it runs fewer tasks than "b" now.
+        queues.released(first, "map")
+        queues.released(first, "map")
+        assert (first.running, second.running) == (0, 2)
+        assert [queues.pick("map").job_id for _ in range(3)] == ["a", "a", "a"]
+
+    def test_fair_drops_jobs_with_nothing_queued(self):
+        queues = FairScheduler()._queues()
+        only = admitted(queues, "a", 0, maps=1)
+        admitted(queues, "b", 1, maps=2)
+        assert queues.pick("map") is only
+        queues.released(only, "map")  # "a" now runs nothing, queues nothing
+        assert [queues.pick("map").job_id for _ in range(2)] == ["b", "b"]
+        assert queues.pick("map") is None
+
+    def test_capacity_routes_by_size_and_lends_idle_capacity(self):
+        scheduler = CapacityScheduler(total_map_slots=4, total_reduce_slots=2,
+                                      interactive_share=0.5,
+                                      small_job_threshold_bytes=10 * GB)
+        queues = scheduler._queues()
+        big = admitted(queues, "big", 0, maps=10, total_bytes=100 * GB)
+        small = admitted(queues, "small", 1, maps=1, total_bytes=1 * MB)
+        assert (big.pool, small.pool) == (1, 0)
+        # Both pools are empty: interactive first, then batch (now the
+        # emptier one), then batch borrows the idle interactive share.
+        assert [queues.pick("map").job_id for _ in range(4)] == \
+            ["small", "big", "big", "big"]
+        assert queues.running["map"] == [1, 3]
+        queues.released(small, "map")
+        assert queues.running["map"] == [0, 3]
+
+    def test_a_scheduler_holds_no_replay_state(self):
+        jobs = [make_job("j%d" % index, float(index), 600.0, reduce_seconds=60.0,
+                         maps=8, reduces=2) for index in range(12)]
+        config = ClusterConfig(n_nodes=1, map_slots_per_node=4, reduce_slots_per_node=2)
+        for scheduler in (FifoScheduler(), FairScheduler(),
+                          CapacityScheduler(config.total_map_slots,
+                                            config.total_reduce_slots)):
+            replayer = WorkloadReplayer(cluster_config=config, scheduler=scheduler)
+            first = replayer.replay(Trace(jobs, name="twice")).digest()
+            again = WorkloadReplayer(cluster_config=config,
+                                     scheduler=scheduler).replay(Trace(jobs, name="twice"))
+            assert again.digest() == first

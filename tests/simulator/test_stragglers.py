@@ -1,5 +1,6 @@
 """Tests for straggler injection, speculative execution, and impact analysis."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,14 +10,15 @@ from repro.simulator import (
     SpeculativeExecutionModel,
     StragglerImpact,
     StragglerInjectionStats,
+    StragglerInjector,
     StragglerModel,
     WorkloadReplayer,
     straggler_impact,
-    straggler_task_transform,
 )
-from repro.simulator.tasks import split_job
 from repro.traces import Job, Trace
 from repro.units import GB, MB
+
+from legacy_tasks import split_job, straggler_task_transform
 
 
 def make_job(job_id="j1", maps=8, reduces=4, map_seconds=240.0, reduce_seconds=120.0,
@@ -127,15 +129,62 @@ class TestStragglerInjection:
         assert all(b2 >= b1 - 1e-9 for b1, b2 in zip(before, after))
 
 
+class TestInjectorMatchesTransform:
+    """The replay engine's injector draws, per batch of jobs, exactly the
+    per-task durations and stats the original task transform produced one
+    task at a time."""
+
+    def jobs(self):
+        return [make_job("j%d" % i, maps=1 + (i * 7) % 13, reduces=(i * 5) % 4,
+                         map_seconds=30.0 + 17.0 * i, reduce_seconds=11.0 * i)
+                for i in range(40)]
+
+    @pytest.mark.parametrize("speculation", [
+        None, SpeculativeExecutionModel(), SpeculativeExecutionModel(enabled=False),
+        SpeculativeExecutionModel(min_comparable_tasks=2, relaunch_overhead_s=1e3)])
+    def test_same_durations_and_stats(self, speculation):
+        model = StragglerModel(probability=0.3, slowdown_factor=4.0, seed=9)
+        jobs = self.jobs()
+        transform = straggler_task_transform(model, speculation)
+        expected = []
+        for job in jobs:
+            sim_job = split_job(job)
+            transform(sim_job)
+            expected.append(([task.duration_s for task in sim_job.map_tasks],
+                             [task.duration_s for task in sim_job.reduce_tasks]))
+        injector = StragglerInjector(model, speculation)
+        stages = [(split_job(job).map_tasks, split_job(job).reduce_tasks) for job in jobs]
+        n_map = np.array([len(maps) for maps, _ in stages])
+        n_reduce = np.array([len(reduces) for _, reduces in stages])
+        map_duration = np.array([maps[0].duration_s if maps else 0.0 for maps, _ in stages])
+        reduce_duration = np.array([reduces[0].duration_s if reduces else 0.0
+                                    for _, reduces in stages])
+        job_ids = np.array([job.job_id for job in jobs], dtype=object)
+        # Two batches: the stream carries over from one draw to the next.
+        slow = injector.draw(job_ids[:15], n_map[:15], map_duration[:15],
+                             n_reduce[:15], reduce_duration[:15])
+        later = injector.draw(job_ids[15:], n_map[15:], map_duration[15:],
+                              n_reduce[15:], reduce_duration[15:])
+        slow.update({(row + 15, kind): durations for (row, kind), durations in later.items()})
+        drawn = [(slow.get((row, "map"), [map_duration[row]] * n_map[row]),
+                  slow.get((row, "reduce"), [reduce_duration[row]] * n_reduce[row]))
+                 for row in range(len(jobs))]
+        assert drawn == expected
+        assert slow, "no straggler was drawn"
+        for name in ("tasks_seen", "stragglers_injected", "stragglers_rescued",
+                     "stragglers_undetectable", "jobs_affected"):
+            assert getattr(injector.stats, name) == getattr(transform.stats, name), name
+
+
 class TestStragglerImpact:
     def _replay_pair(self, trace, probability):
         config = ClusterConfig(n_nodes=10)
         baseline = WorkloadReplayer(cluster_config=config).replay(trace)
         stats = StragglerInjectionStats()
-        transform = straggler_task_transform(
+        stragglers = StragglerInjector(
             StragglerModel(probability=probability, slowdown_factor=5.0, seed=2),
             SpeculativeExecutionModel(), stats)
-        perturbed = WorkloadReplayer(cluster_config=config, task_transform=transform).replay(trace)
+        perturbed = WorkloadReplayer(cluster_config=config, stragglers=stragglers).replay(trace)
         return baseline, perturbed, stats
 
     def test_impact_of_injection_is_nonnegative(self):

@@ -4,10 +4,10 @@
 by the SWIM synthesizer), splits each job into map and reduce tasks, and
 runs them through the discrete-event cluster model under a chosen scheduler
 and storage-cache policy, optionally slowing randomly drawn tasks down
-(:class:`~repro.simulator.stragglers.StragglerInjector`).  The output is a :class:`~repro.simulator.metrics.SimulationMetrics`
-with per-job wait and completion summaries, slot-occupancy over time (the
-Figure-7 utilization column), and cache hit statistics (the §4.2/§4.3 policy
-comparisons).
+(:class:`~repro.simulator.stragglers.StragglerInjector`).  The output is a
+:class:`~repro.simulator.metrics.SimulationMetrics` with per-job wait and
+completion summaries, slot-occupancy over time (the Figure-7 utilization
+column), and cache hit statistics (the §4.2/§4.3 policy comparisons).
 
 Both replayers share one vectorized event engine (:class:`_ReplayEngine`)
 that pulls jobs from the source in arrival-time order with a bounded

@@ -8,9 +8,10 @@ Two sharding disciplines, both built on the vectorized engine in
   raw submit time is at or past the boundary stay with the next shard, and
   the engine pauses once every completion at or before the boundary has
   fired.  In-flight tasks, busy slots, the scheduler's ready queues, cache
-  state, the straggler stream and the metric accumulators carry across the boundary untouched (snapshotted per boundary
-  as a :class:`ShardHandoff`), so the event sequence — and every digest bit —
-  is identical to an unsharded run.  Exactness hinges on two event-loop
+  state, the straggler stream and the metric accumulators carry across the
+  boundary untouched (snapshotted per boundary as a :class:`ShardHandoff`),
+  so the event sequence — and every digest bit — is identical to an
+  unsharded run.  Exactness hinges on two event-loop
   invariants pinned by the equivalence suite: the next shard's earliest
   submission is at or after the boundary, and completions precede
   submissions at equal times, so draining completions up to the boundary

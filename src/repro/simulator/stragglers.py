@@ -160,7 +160,8 @@ class StragglerInjector:
         self._rng = np.random.default_rng(model.seed)
 
     def draw(self, job_ids: np.ndarray, n_map: np.ndarray, map_duration: np.ndarray,
-             n_reduce: np.ndarray, reduce_duration: np.ndarray) -> Dict[Tuple[int, str], List[float]]:
+             n_reduce: np.ndarray, reduce_duration: np.ndarray
+             ) -> Dict[Tuple[int, str], List[float]]:
         """Perturb the stages of a batch of jobs, in batch order.
 
         Every stage is ``n`` tasks of one duration.  A task straggles with

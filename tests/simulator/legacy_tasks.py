@@ -156,7 +156,7 @@ def straggler_task_transform(
         stats: optional stats collector, filled in as jobs are transformed.
 
     Returns:
-        A callable suitable for ``WorkloadReplayer(task_transform=...)``.
+        A callable the legacy replay loop applies to each job as it pulls it.
     """
     rng = np.random.default_rng(model.seed)
     collected = stats if stats is not None else StragglerInjectionStats()

@@ -63,7 +63,8 @@ def main() -> int:
         metrics = replayer.replay(trace)
         stats = metrics.cache_stats
         results[name] = stats
-        used = format_bytes(cache.used_bytes) if cache.used_bytes != float("inf") else "unbounded"
+        used_bytes = replayer.cache.used_bytes
+        used = format_bytes(used_bytes) if used_bytes != float("inf") else "unbounded"
         print("%-40s %9.1f%% %13.1f%% %14s"
               % (name, 100 * stats.hit_rate, 100 * stats.byte_hit_rate, used))
 

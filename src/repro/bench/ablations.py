@@ -59,11 +59,12 @@ def cache_policy_ablation(trace: Trace, cache_capacity_bytes: float = 512 * GB,
         )
         metrics = replayer.replay(trace)
         stats = metrics.cache_stats
+        used = replayer.cache.used_bytes
         result.rows.append([
             name,
             "%.1f%%" % (100 * stats.hit_rate),
             "%.1f%%" % (100 * stats.byte_hit_rate),
-            format_bytes(cache.used_bytes) if np.isfinite(cache.used_bytes) else "inf",
+            format_bytes(used) if np.isfinite(used) else "inf",
             str(stats.evictions),
             str(stats.admissions_rejected),
         ])

@@ -8,10 +8,10 @@ submission dimensions.
 Traces may be given in any :class:`~repro.engine.source.TraceSource`-wrappable
 representation.  The hourly series come from the hourly group-by fold of the
 shared characterization scan (a workload without a bundle in ``analyses`` is
-scanned for that fold alone); for the Figure-7 utilization column a
-store-backed source feeds the replayer through the shared lazy event loop
-(one chunk of jobs at a time) instead of materializing the trace, producing
-the identical metric fold.
+scanned for that fold alone); for the Figure-7 utilization column every
+representation feeds the replayer the first week's column blocks, read with
+only the columns a replay uses (a store one chunk at a time, never
+materializing a job), producing the identical metric fold.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ import numpy as np
 from ..core.burstiness import burstiness_curve
 from ..core.sharedscan import CharacterizationAnalyses, workload_analyses
 from ..core.temporal import dimension_correlations, diurnal_strength, weekly_view
+from ..engine.columnar import _in_submit_order
 from ..engine.source import TraceSource
 from ..errors import AnalysisError
 from ..simulator.cluster import ClusterConfig
-from ..simulator.replay import WorkloadReplayer
+from ..simulator.replay import REPLAY_COLUMNS, WorkloadReplayer
 from ..synth.arrival import sine_reference_series
 from ..units import HOUR, WEEK
 from .rendering import ExperimentResult
@@ -34,34 +35,43 @@ from .rendering import ExperimentResult
 __all__ = ["figure7", "figure8", "figure9"]
 
 
-def _first_week_jobs(source: TraceSource, week_end: float):
-    """Yield jobs submitted in ``[0, week_end)``, verifying submit order.
+def _first_week_blocks(source: TraceSource, week_end: float):
+    """Yield column blocks of the jobs submitted in ``[0, week_end)``,
+    verifying submit order.
 
     Stopping at the first job past the window is only sound on a sorted
-    stream, so disorder raises instead of silently truncating the window.
+    stream, so disorder up to that job raises instead of silently truncating
+    the window; no block past it is read.
     """
+    columns = [name for name in REPLAY_COLUMNS if source.has_column(name)]
     last_submit = -np.inf
-    for job in source.iter_jobs():
-        if job.submit_time_s < last_submit:
+    for block in source.iter_chunks(columns=columns):
+        times = block.column("submit_time_s")
+        past = np.flatnonzero(times >= week_end)
+        stop = int(past[0]) if past.size else times.shape[0]
+        seen = times[:stop + 1]
+        if seen.size and not _in_submit_order(seen, last_submit):
             raise AnalysisError(
                 "source %r is not sorted by submit time; cannot window the "
                 "first week for the utilization replay" % (source.name,))
-        last_submit = job.submit_time_s
-        if job.submit_time_s >= week_end:
-            break
-        if job.submit_time_s >= 0.0:
-            yield job
+        start = int(np.searchsorted(times[:stop], 0.0, side="left"))
+        if start < stop:
+            yield block.slice(start, stop)
+        if past.size:
+            return
+        if times.size:
+            last_submit = float(times[-1])
 
 
 def _first_week_utilization(source: TraceSource,
                             max_simulated_jobs: Optional[int]) -> Optional[np.ndarray]:
     """Replay the first week of a source; hourly active slots (None if empty).
 
-    Materialized and streaming sources feed the same
-    :meth:`WorkloadReplayer.replay_jobs` event loop with the same job
-    sequence (submissions in ``[0, min(week, duration))``), so the hourly
+    Materialized and streaming sources feed
+    :meth:`WorkloadReplayer.replay_blocks` the same rows (submissions in
+    ``[0, min(week, duration))``) as column blocks, so the hourly
     utilization column is identical for every representation; a store source
-    streams jobs one chunk at a time.
+    is read one chunk at a time.
     """
     week_end = float(min(WEEK, source.duration_s()))
     machines = source.machines or 100
@@ -69,7 +79,7 @@ def _first_week_utilization(source: TraceSource,
         cluster_config=ClusterConfig(n_nodes=machines),
         max_simulated_jobs=max_simulated_jobs,
     )
-    metrics = replayer.replay_jobs(_first_week_jobs(source, week_end))
+    metrics = replayer.replay_blocks(_first_week_blocks(source, week_end))
     if metrics.n_jobs == 0:
         return None
     return metrics.hourly_active_slots()

@@ -50,7 +50,7 @@ from typing import Dict, Iterator, Optional, Sequence
 import numpy as np
 
 from ..errors import AnalysisError
-from ..traces.schema import Job, NUMERIC_DIMENSIONS
+from ..traces.schema import NUMERIC_DIMENSIONS
 from ..traces.trace import Trace
 from .columnar import DEFAULT_CHUNK_ROWS, ColumnBlock, ColumnarTrace
 from .operators import Query, QueryResult, execute
@@ -69,7 +69,9 @@ class TraceSource:
     Construct with :meth:`wrap` (idempotent — wrapping a ``TraceSource``
     returns it unchanged).  The wrapped object is available as
     :attr:`backing`; materialized backings are converted to columnar form on
-    first columnar access and the conversion is cached.
+    first columnar access and the conversion is cached.  Every consumer,
+    the Figure-7 utilization replay included, reads column blocks from
+    :meth:`iter_chunks`; only :meth:`materialize` hands out ``Job`` objects.
     """
 
     def __init__(self, backing):
@@ -235,12 +237,6 @@ class TraceSource:
                 continue
             yield np.column_stack([
                 _nan_to_zero(block.column(dim)) for dim in NUMERIC_DIMENSIONS])
-
-    def iter_jobs(self) -> Iterator[Job]:
-        """Yield :class:`Job` objects one chunk at a time (replay feeding)."""
-        if isinstance(self.backing, Trace):
-            return iter(self.backing.jobs)
-        return self.backing.iter_jobs()
 
     # -- scan-derived summaries ----------------------------------------------
     def time_bounds(self) -> "tuple[float, float]":

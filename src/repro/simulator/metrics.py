@@ -17,8 +17,8 @@ Since the streaming-replay refactor, every summary is maintained
   into total busy slot-seconds and per-hour slot-second bins (the Figure-7
   utilization column) without retaining the samples.
 
-Both buffer their samples and fold them a block at a time with NumPy, in a
-way that performs the per-sample float operations in the per-sample order
+Both fold their samples a block at a time with NumPy, in a way that
+performs the per-sample float operations in the per-sample order
 (4096-sample blocks for the pairwise sums, a sequential
 ``np.add.accumulate`` for the busy total, an index-ordered ``np.add.at`` for
 the hourly bins), so the fold granularity never shows in a result.  The
@@ -237,10 +237,11 @@ class UtilizationAccumulator:
     number of observations, so a replay of millions of task events keeps
     O(hours) utilization state.
 
-    Observations are buffered (:data:`ACCUMULATOR_BATCH` at a time, like
-    :class:`MetricAccumulator`) and folded in one vectorized pass; the pass
-    performs the same float operations in the same order as closing one
-    segment per observation, so every read-out is bit-identical to it:
+    Observations arrive in time-ordered batches (:meth:`fold`; the replay
+    engine hands over what it buffered between look-ahead refills) and are
+    folded in one vectorized pass, which performs the same float operations
+    in the same order as closing one segment per observation, so every
+    read-out is bit-identical to it however the stream is cut:
 
     * ``busy_slot_seconds`` is the last element of a sequential
       ``np.add.accumulate`` over ``[busy, slots * (end - start), ...]``;
@@ -251,11 +252,10 @@ class UtilizationAccumulator:
     Zero-length segments (several observations at one instant) add nothing.
     Idle (zero-slot) segments still extend the hourly bins so the step
     reconstruction in :meth:`SimulationMetrics.utilization_steps` covers the
-    full span.  Every read-out folds the buffer first.
+    full span.
     """
 
-    __slots__ = ("_first", "_last", "_last_slots", "_busy", "_hourly",
-                 "_pending_times", "_pending_slots")
+    __slots__ = ("_first", "_last", "_last_slots", "_busy", "_hourly")
 
     def __init__(self):
         self._first: Optional[float] = None
@@ -263,32 +263,11 @@ class UtilizationAccumulator:
         self._last_slots = 0.0
         self._busy = 0.0
         self._hourly = np.zeros(0, dtype=float)
-        self._pending_times: List[float] = []
-        self._pending_slots: List[float] = []
 
     # -- folding -----------------------------------------------------------
-    def observe(self, now_s: float, active_slots: float) -> None:
-        """Record the active-slot count at ``now_s`` (monotone non-decreasing)."""
-        times = self._pending_times
-        last = times[-1] if times else self._last
-        if last is not None and now_s < last:
-            raise SimulationError(
-                "utilization observations must be time-ordered "
-                "(%.3f after %.3f)" % (now_s, last))
-        times.append(now_s)
-        self._pending_slots.append(active_slots)
-        if len(times) >= ACCUMULATOR_BATCH:
-            self.flush()
-
-    def flush(self) -> None:
-        """Fold any buffered observations into the integral."""
-        if self._pending_times:
-            times, slots = self._pending_times, self._pending_slots
-            self._pending_times, self._pending_slots = [], []
-            self._fold(times, slots)
-
-    def _fold(self, times: List[float], slots: List[float]) -> None:
-        """Fold time-ordered observations that follow every one folded so far."""
+    def fold(self, times: List[float], slots: List[float]) -> None:
+        """Fold ``(time, active slots)`` observations, time-ordered and
+        following every one folded so far (the order is not checked)."""
         if self._last is None:
             # The first observation opens the step function: a zero-length
             # segment from itself to itself, skipped below.
@@ -320,8 +299,6 @@ class UtilizationAccumulator:
 
     def merge(self, other: "UtilizationAccumulator") -> None:
         """Combine with an accumulator covering a disjoint simulated period."""
-        self.flush()
-        other.flush()
         self._busy += other._busy
         if other._hourly.size > self._hourly.size:
             self._hourly = np.concatenate(
@@ -337,36 +314,30 @@ class UtilizationAccumulator:
     # -- read-outs ---------------------------------------------------------
     @property
     def first_time_s(self) -> Optional[float]:
-        self.flush()
         return self._first
 
     @property
     def last_time_s(self) -> Optional[float]:
-        self.flush()
         return self._last
 
     @property
     def busy_slot_seconds(self) -> float:
-        self.flush()
         return self._busy
 
     @property
     def hourly_slot_seconds(self) -> List[float]:
         """Slot-seconds per simulated hour (a copy)."""
-        self.flush()
         return self._hourly.tolist()
 
     @property
     def span_s(self) -> float:
         """Time between the first and last observation."""
-        self.flush()
         if self._first is None or self._last is None:
             return 0.0
         return self._last - self._first
 
     def hourly_active_slots(self) -> np.ndarray:
         """Average active slots per hour — the Figure-7 utilization column."""
-        self.flush()
         if not self._hourly.size:
             return np.zeros(1, dtype=float)
         return self._hourly / _SECONDS_PER_HOUR
@@ -444,10 +415,6 @@ class SimulationMetrics:
         self.utilization = UtilizationAccumulator()
 
     # -- recording ---------------------------------------------------------
-    def record_submission(self) -> None:
-        """Count one job handed to the simulator."""
-        self.jobs_submitted += 1
-
     def record_job(self, outcome: JobOutcome) -> None:
         """Fold one finished (or abandoned) job into the summaries."""
         if outcome.finish_time_s is not None:
@@ -463,7 +430,6 @@ class SimulationMetrics:
         """Flush buffered accumulator state (called at the end of a replay)."""
         self.wait.flush()
         self.completion.flush()
-        self.utilization.flush()
 
     # -- merging -----------------------------------------------------------
     def merge(self, other: "SimulationMetrics") -> None:

@@ -10,11 +10,14 @@ completion summaries, slot-occupancy over time (the Figure-7 utilization
 column), and cache hit statistics (the §4.2/§4.3 policy comparisons).
 
 Both replayers share one vectorized event engine (:class:`_ReplayEngine`)
-that pulls jobs from the source in arrival-time order with a bounded
-submission look-ahead, so the event sequence — and therefore every metric,
-bit for bit — is identical whether the jobs came from an in-memory
-:class:`~repro.traces.trace.Trace`, a lazy trace-file reader, or a chunked
-on-disk store:
+with one feed: every source reaches it as NumPy column blocks
+(:class:`~repro.engine.columnar.ColumnBlock`), which it pulls in
+arrival-time order with a bounded submission look-ahead.  A chunked
+on-disk store yields its chunks, read with only the columns a replay uses;
+an in-memory :class:`~repro.traces.trace.Trace`, a lazy trace-file reader
+or any job iterator is batched into blocks as the engine asks for them.  So
+the event sequence — and therefore every metric, bit for bit — is identical
+whatever the jobs came from:
 
 * :class:`WorkloadReplayer` — the classic entry point; replays a materialized
   trace and retains per-job outcomes for exact medians and per-job analyses.
@@ -37,9 +40,8 @@ differences here are:
   event order, so processing them as a group is order-preserving);
 * jobs are one record each (``_PreparedJob``: task counts and a duration per
   stage, plus the per-task durations of a stage that drew a straggler),
-  decomposed with NumPy straight from the store's column arrays when a
-  store feeds the replay — no task objects exist at all — and slot
-  accounting is two integers per slot kind
+  decomposed with NumPy straight from the feed's column arrays — no task
+  objects exist at all — and slot accounting is two integers per slot kind
   (:class:`~repro.simulator.cluster.SlotLedger`);
 * when every slot of both kinds is busy, no arrival can dispatch until the
   next completion, so all buffered arrivals before that completion are
@@ -72,8 +74,10 @@ Usage — the streamed run reproduces the materialized run exactly::
 
 from __future__ import annotations
 
+import copy
 from bisect import bisect_left
 from heapq import heapify, heappop, heappush
+from itertools import islice
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -116,11 +120,10 @@ _ORDER_ERROR = (
     "streaming replay needs jobs in arrival-time order (sort "
     "the trace or rebuild the store with 'repro engine convert')")
 
-#: Store columns a store-fed replay reads (strings may be absent).
-_STORE_NUMERIC = ("submit_time_s", "map_task_seconds", "reduce_task_seconds",
-                 "map_tasks", "reduce_tasks", "input_bytes", "shuffle_bytes",
-                 "output_bytes")
-_STORE_STRINGS = ("job_id", "input_path", "output_path")
+#: The columns a replay reads (all but ``submit_time_s`` may be absent).
+REPLAY_COLUMNS = ("submit_time_s", "map_task_seconds", "reduce_task_seconds",
+                  "map_tasks", "reduce_tasks", "input_bytes", "shuffle_bytes",
+                  "output_bytes", "job_id", "input_path", "output_path")
 
 
 class _PreparedJob:
@@ -168,26 +171,13 @@ class _PreparedJob:
         self.reduce_durations = None
 
 
-def _stage_params(total_seconds: float, recorded_count) -> Tuple[int, float]:
-    """Task count and per-task duration of one stage: the recorded count (or
-    one task per :data:`DEFAULT_SECONDS_PER_TASK`), at most
-    :data:`MAX_TASKS_PER_STAGE`, sharing the stage's task time evenly."""
-    if total_seconds <= 0:
-        return 0, 0.0
-    if recorded_count and recorded_count > 0:
-        n_tasks = int(recorded_count)
-    else:
-        n_tasks = max(1, int(round(total_seconds / DEFAULT_SECONDS_PER_TASK)))
-    n_tasks = min(n_tasks, MAX_TASKS_PER_STAGE)
-    return n_tasks, total_seconds / n_tasks
-
-
 def _vector_stage(seconds: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`_stage_params`.
+    """Task counts and per-task durations of one stage for a block of jobs.
 
-    ``np.rint`` matches Python's banker's rounding in ``int(round(x))`` and
-    the element-wise division produces the same IEEE quotient as the scalar
-    path, so per-task durations are bit-identical to it.
+    A job's count is its recorded one (or one task per
+    :data:`DEFAULT_SECONDS_PER_TASK`, rounded half to even), at most
+    :data:`MAX_TASKS_PER_STAGE`, sharing the stage's task time evenly; a
+    stage without task time has no tasks.
     """
     n_tasks = np.where(counts > 0.0, counts,
                        np.maximum(1.0, np.rint(seconds / DEFAULT_SECONDS_PER_TASK)))
@@ -207,21 +197,6 @@ _RECORD_COLUMNS = ("job_id", "raw", "n_map", "map_dur", "n_red", "red_dur",
                    "input_path", "input_bytes", "output_path", "output_bytes",
                    "total_bytes")
 
-#: Window columns in the order ``_prep_job`` appends its row tuples.
-_JOB_ROW_COLUMNS = ("eff", "raw", "n_map", "map_dur", "n_red", "red_dur",
-                    "job_id", "input_path", "input_bytes", "output_path",
-                    "output_bytes", "writes", "total_bytes")
-_JOB_ROW_DTYPES = {"eff": float, "raw": float, "n_map": np.int64,
-                   "map_dur": float, "n_red": np.int64, "red_dur": float,
-                   "input_bytes": float, "output_bytes": float, "writes": bool}
-
-
-def _object_column(values) -> np.ndarray:
-    column = np.empty(len(values), dtype=object)
-    column[:] = values
-    return column
-
-
 def _path_column(column: Optional[np.ndarray], lo: int, hi: int) -> np.ndarray:
     if column is None:  # never recorded: every job reads None
         return np.full(hi - lo, None, dtype=object)
@@ -233,17 +208,6 @@ def _truthy(column: np.ndarray) -> np.ndarray:
     if column.dtype.kind == "U":
         return column != ""
     return column.astype(bool)
-
-
-def _job_rows_part(rows: List[tuple]) -> dict:
-    """Window columns from ``_prep_job`` row tuples; ids, paths and total
-    bytes stay the job's own Python objects."""
-    part = {}
-    for name, values in zip(_JOB_ROW_COLUMNS, zip(*rows)):
-        dtype = _JOB_ROW_DTYPES.get(name)
-        part[name] = (np.array(values, dtype=dtype) if dtype is not None
-                      else _object_column(values))
-    return part
 
 
 def _fold_sum(total: float, values: np.ndarray) -> float:
@@ -361,13 +325,18 @@ class _ReplayEngine:
     One engine instance runs one replay (or, via ``feed_boundary`` +
     repeated :meth:`run` calls, one exact sharded replay — see
     :class:`~repro.simulator.sharded.ShardedReplayer`).  The engine reads its
-    configuration from the owning :class:`WorkloadReplayer` and mutates that
-    replayer's cache/HDFS state exactly as the legacy loop did.
+    configuration from the owning :class:`WorkloadReplayer` and starts from
+    fresh storage state: its own copy of the cache policy the replayer was
+    built with, and an empty HDFS namespace with zero counters, which it
+    leaves on the replayer as ``replayer.cache`` and ``replayer.hdfs``.
 
-    Jobs become :class:`_PreparedJob` records — from NumPy columns when fed
-    by a store — and wait for slots in the ready queues the scheduler builds
-    for this replay (see :mod:`repro.simulator.scheduler`).  How a policy is
-    dispatched depends on whether its picks read running-task counts:
+    Its one source is an iterator of column blocks (see
+    :func:`_feed_blocks`); a refill slices the loaded block's rows, so rows
+    past a shard's ``feed_boundary`` simply stay in the block.  The rows
+    become :class:`_PreparedJob` records, decomposed with NumPy, and wait for
+    slots in the ready queues the scheduler builds for this replay (see
+    :mod:`repro.simulator.scheduler`).  How a policy is dispatched depends on
+    whether its picks read running-task counts:
 
     * **FIFO**'s picks never do, so dispatching a job's whole queued run in
       one step, and releasing a completed group of tasks at once, is
@@ -408,11 +377,11 @@ class _ReplayEngine:
     records for the heap loop, which stays the exact fallback for contention.
     """
 
-    def __init__(self, replayer: "WorkloadReplayer"):
+    def __init__(self, replayer: "WorkloadReplayer", blocks: Iterable):
         self.replayer = replayer
         config = replayer.cluster_config
-        self.cache = replayer.cache
-        self.hdfs = replayer.hdfs
+        replayer.cache = self.cache = copy.deepcopy(replayer._cache_policy)
+        replayer.hdfs = self.hdfs = Hdfs(replayer.hdfs.config)
         self.stragglers = replayer.stragglers
         self.lookahead = replayer.lookahead
         self.slots = SlotLedger(config)
@@ -423,14 +392,11 @@ class _ReplayEngine:
         self.feed_boundary = _INF
         self._queues = replayer.scheduler._queues()
         self._fifo = isinstance(replayer.scheduler, FifoScheduler)
-        # Serving a job's input through an empty NoCache + retain_files=False
-        # HDFS is a fixed float-op sequence on the counters; skip the path
+        # Serving a job's input through a NoCache + retain_files=False HDFS
+        # is a fixed float-op sequence on the counters; skip the path
         # string, the HdfsFile allocation and both dict probes per job.
         self._fast_io = (type(self.cache) is NoCache
-                         and type(self.hdfs) is Hdfs
-                         and not self.hdfs.config.retain_files
-                         and not self.hdfs._files
-                         and not self.cache._contents)
+                         and not self.hdfs.config.retain_files)
         self._stretchable = self._fifo and self.stragglers is None and self._fast_io
         self._seq = 0
         self._order = 0
@@ -442,10 +408,8 @@ class _ReplayEngine:
         self._buf_jobs: List[object] = []
         self._buf_head = 0
         # Submissions pulled by the current refill and not yet buffered as
-        # records: column parts (store rows) or row tuples
-        # (``Job`` objects), _window_rows jobs in all; see _open_window.
+        # records: column parts, _window_rows jobs in all; see _open_window.
         self._window_parts: List[dict] = []
-        self._job_rows: List[tuple] = []
         self._window_rows = 0
         self._budget = replayer.max_simulated_jobs
         # Metric samples awaiting the per-chunk fold (_fold_metrics):
@@ -455,25 +419,14 @@ class _ReplayEngine:
         self._obs_slots: List[int] = []
         self._waits: List[float] = []
         self._completions: List[float] = []
-        # Job source (exactly one of the two is attached).
-        self._jobs_iter: Optional[Iterator[Job]] = None
-        self._pending_job: Optional[Job] = None
-        self._blocks: Optional[Iterator] = None
+        # The job source: column blocks, the loaded one's columns and cursor.
+        self._blocks = iter(blocks)
         self._cols: Optional[dict] = None
         self._row = 0
         self._n_rows = 0
-        self._exhausted = True
-
-    # -- job sources -------------------------------------------------------
-    def attach_jobs(self, jobs: Iterable[Job]) -> None:
-        self._jobs_iter = iter(jobs)
         self._exhausted = False
 
-    def attach_blocks(self, blocks: Iterable) -> None:
-        """Feed the engine store chunks (``ColumnBlock``)."""
-        self._blocks = iter(blocks)
-        self._exhausted = False
-
+    # -- job source --------------------------------------------------------
     def _load_block(self, block) -> None:
         n_rows = block.n_rows
 
@@ -531,71 +484,31 @@ class _ReplayEngine:
             if self._budget is not None and self._budget <= 0:
                 self._exhausted = True
                 return
-            if self._blocks is not None:
-                if self._cols is None or self._row >= self._n_rows:
-                    block = next(self._blocks, None)
-                    if block is None:
-                        self._exhausted = True
-                        return
-                    if block.n_rows == 0:
-                        continue
-                    self._load_block(block)
-                lo = self._row
-                hi = min(self._n_rows, lo + need)
-                if self._budget is not None:
-                    hi = min(hi, lo + self._budget)
-                if boundary != _INF:
-                    cut = lo + int(np.searchsorted(
-                        self._cols["submit"][lo:hi], boundary, side="left"))
-                    if cut == lo:
-                        return  # held at the shard boundary, not exhausted
-                    hi = min(hi, cut)
-                self._prep_rows(lo, hi)
-                self._row = hi
-                if self._budget is not None:
-                    self._budget -= hi - lo
-            else:
-                job = self._pending_job
-                self._pending_job = None
-                if job is None:
-                    job = next(self._jobs_iter, None)
-                    if job is None:
-                        self._exhausted = True
-                        return
-                if boundary != _INF and job.submit_time_s >= boundary:
-                    self._pending_job = job
+            if self._cols is None or self._row >= self._n_rows:
+                block = next(self._blocks, None)
+                if block is None:
+                    self._exhausted = True
                     return
-                self._prep_job(job)
-                if self._budget is not None:
-                    self._budget -= 1
-
-    def _prep_job(self, job: Job) -> None:
-        """Decompose one ``Job`` object and buffer its submission."""
-        submit = job.submit_time_s
-        if submit < self.last_submit:
-            raise SimulationError(_ORDER_ERROR % (job.job_id, submit, self.last_submit))
-        self.last_submit = submit
-        map_seconds = float(job.map_task_seconds or 0.0)
-        reduce_seconds = float(job.reduce_task_seconds or 0.0)
-        if map_seconds < 0 or reduce_seconds < 0:
-            raise SimulationError("job %s has negative task time" % job.job_id)
-        n_map, map_duration = _stage_params(map_seconds, job.map_tasks)
-        n_reduce, reduce_duration = _stage_params(reduce_seconds, job.reduce_tasks)
-        if n_map == 0 and n_reduce == 0:
-            # Zero-compute jobs still occupy a slot for a moment.
-            n_map, map_duration = 1, 1.0
-        output_bytes = job.output_bytes or 0.0
-        self._job_rows.append((
-            max(0.0, submit), submit, n_map, map_duration, n_reduce,
-            reduce_duration, job.job_id, job.input_path,
-            float(job.input_bytes or 0.0), job.output_path,
-            float(output_bytes), bool(job.output_path) and bool(output_bytes),
-            job.total_bytes))
-        self._window_rows += 1
-        self.metrics.record_submission()
+                if block.n_rows == 0:
+                    continue
+                self._load_block(block)
+            lo = self._row
+            hi = min(self._n_rows, lo + need)
+            if self._budget is not None:
+                hi = min(hi, lo + self._budget)
+            if boundary != _INF:
+                cut = lo + int(np.searchsorted(
+                    self._cols["submit"][lo:hi], boundary, side="left"))
+                if cut == lo:
+                    return  # held at the shard boundary, not exhausted
+                hi = min(hi, cut)
+            self._prep_rows(lo, hi)
+            self._row = hi
+            if self._budget is not None:
+                self._budget -= hi - lo
 
     def _prep_rows(self, lo: int, hi: int) -> None:
-        """Vectorized decomposition of store rows ``[lo, hi)``."""
+        """Vectorized decomposition of the loaded block's rows ``[lo, hi)``."""
         cols = self._cols
         submits = cols["submit"][lo:hi]
         if submits[0] < self.last_submit:
@@ -639,11 +552,8 @@ class _ReplayEngine:
 
     def _take_window(self) -> dict:
         """Concatenate the columns buffered since the last refill into one
-        window (``_prep_job`` rows become arrays here) and clear the parts."""
+        window and clear the parts."""
         parts = self._window_parts
-        if self._job_rows:
-            parts.append(_job_rows_part(self._job_rows))
-            self._job_rows = []
         self._window_parts = []
         self._window_rows = 0
         if len(parts) == 1:
@@ -1218,7 +1128,7 @@ class _ReplayEngine:
         """
         metrics = self.metrics
         times, slots = self._obs_times, self._obs_slots
-        metrics.utilization._fold(times, slots)
+        metrics.utilization.fold(times, slots)
         if metrics.keep_outcomes:
             metrics.utilization_samples.extend(zip(times, slots))
         times.clear()
@@ -1252,6 +1162,11 @@ class WorkloadReplayer:
         keep_outcomes: retain the per-job :class:`JobOutcome` list and raw
             utilization samples on the returned metrics (default True here;
             :class:`StreamingReplayer` defaults to False).
+
+    Every replay starts from a copy of ``cache`` as given here and from an
+    empty HDFS namespace; afterwards :attr:`cache` and :attr:`hdfs` hold
+    that replay's final storage state, so replaying twice gives the same
+    metrics twice.
     """
 
     def __init__(self, cluster_config: Optional[ClusterConfig] = None,
@@ -1266,7 +1181,7 @@ class WorkloadReplayer:
             raise SimulationError("lookahead must be at least 1, got %r" % (lookahead,))
         self.cluster_config = cluster_config or ClusterConfig()
         self.scheduler = scheduler or FifoScheduler()
-        self.cache = cache or NoCache()
+        self._cache_policy = self.cache = cache or NoCache()
         self.hdfs = Hdfs(hdfs_config or HdfsConfig())
         self.max_simulated_jobs = max_simulated_jobs
         self.stragglers = stragglers
@@ -1282,22 +1197,34 @@ class WorkloadReplayer:
         """
         if trace.is_empty():
             raise SimulationError("cannot replay an empty trace")
-        return self.replay_jobs(iter(trace.jobs))
+        return self.replay_jobs(trace.jobs)
 
     def replay_jobs(self, jobs: Iterable[Job]) -> SimulationMetrics:
         """Replay jobs pulled lazily from an iterable, in arrival-time order.
 
-        At most ``lookahead`` jobs are decomposed and queued for submission
-        ahead of the simulation clock, so memory stays bounded no matter how
-        many jobs the source yields.
+        The jobs are read into column blocks of at most ``lookahead`` jobs,
+        as the engine asks for them and never past ``max_simulated_jobs``,
+        so memory stays bounded no matter how many jobs the source yields.
 
         Raises:
             SimulationError: when the iterable yields no jobs, or yields them
                 out of arrival-time order (sort the trace, or convert it with
                 ``repro engine convert``, first).
         """
-        engine = _ReplayEngine(self)
-        engine.attach_jobs(jobs)
+        return self.replay_blocks(_feed_blocks(jobs, self))
+
+    def replay_blocks(self, blocks: Iterable) -> SimulationMetrics:
+        """Replay :class:`~repro.engine.columnar.ColumnBlock` batches of jobs
+        in arrival-time order: the feed every other entry point builds.
+
+        A block needs ``submit_time_s``; any other of
+        :data:`REPLAY_COLUMNS` it lacks reads as unrecorded.
+
+        Raises:
+            SimulationError: when the blocks hold no jobs, or hold them out of
+                arrival-time order.
+        """
+        engine = _ReplayEngine(self, blocks)
         engine.prime()
         engine.require_jobs()
         engine.run()
@@ -1351,8 +1278,8 @@ class StreamingReplayer(WorkloadReplayer):
         directory path), streaming one chunk of jobs at a time.
 
         The jobs are decomposed directly from the store's column arrays (no
-        ``Job`` objects); the event sequence is the one a replay of the same
-        jobs as ``Job`` objects produces.
+        ``Job`` objects), as for every other source, so the event sequence
+        is the one a replay of the same jobs from any source produces.
 
         Raises:
             SimulationError: when the store is not sorted by submission time
@@ -1384,11 +1311,10 @@ class StreamingReplayer(WorkloadReplayer):
                 if _zone_overlaps(store.chunk_zone(index, "submit_time_s"),
                                   window_lo, window_hi)
             ]
-        engine = _ReplayEngine(self)
-        blocks = _store_blocks(store, indices)
+        blocks = _feed_blocks(store, self, indices)
         if window_lo is not None or window_hi is not None:
             blocks = _window_blocks(blocks, window_lo, window_hi)
-        engine.attach_blocks(blocks)
+        engine = _ReplayEngine(self, blocks)
         engine.prime()
         if empty_ok and engine.metrics.jobs_submitted == 0:
             return None
@@ -1434,10 +1360,39 @@ def _window_blocks(blocks, window_lo: Optional[float], window_hi: Optional[float
             yield block if (lo == 0 and hi == submits.shape[0]) else block.slice(lo, hi)
 
 
-def _store_blocks(store, indices: Optional[List[int]] = None):
-    """The store's chunks, read with only the columns the engine uses."""
-    wanted = [name for name in _STORE_NUMERIC + _STORE_STRINGS if name in store.columns]
-    return store.iter_chunks(columns=wanted, chunk_indices=indices)
+def _feed_blocks(source, replayer: WorkloadReplayer,
+                 chunk_indices: Optional[List[int]] = None) -> Iterator:
+    """The column blocks an engine replays: the one reader every replay is
+    fed through.
+
+    A :class:`~repro.engine.store.ChunkedTraceStore` yields its chunks (only
+    ``chunk_indices`` when given), read with only the
+    :data:`REPLAY_COLUMNS` it records.  Any other source is an iterable of
+    ``Job`` objects, batched lazily into blocks of at most ``lookahead`` jobs
+    and never read past ``max_simulated_jobs``.
+    """
+    from ..engine.store import ChunkedTraceStore
+
+    if isinstance(source, ChunkedTraceStore):
+        wanted = [name for name in REPLAY_COLUMNS if name in source.columns]
+        return source.iter_chunks(columns=wanted, chunk_indices=chunk_indices)
+    jobs = iter(source)
+    if replayer.max_simulated_jobs is not None:
+        jobs = islice(jobs, max(0, replayer.max_simulated_jobs))
+    return _job_blocks(jobs, replayer.lookahead)
+
+
+def _job_blocks(jobs: Iterator[Job], rows: int) -> Iterator:
+    """Blocks of the next ``rows`` jobs at a time, pulled when asked for."""
+    from ..engine.columnar import ALL_COLUMNS, ColumnBlock, _append_job, _buffers_to_arrays
+
+    while True:
+        buffers = {column: [] for column in ALL_COLUMNS}
+        for job in islice(jobs, rows):
+            _append_job(buffers, job)
+        if not buffers["job_id"]:
+            return
+        yield ColumnBlock(_buffers_to_arrays(buffers))
 
 
 def replay(trace: Trace, cluster_config: Optional[ClusterConfig] = None,

@@ -44,12 +44,11 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 from ..errors import SimulationError
-from ..traces.schema import Job
 from .cache import CachePolicy
 from .cluster import ClusterConfig
 from .hdfs import HdfsConfig
 from .metrics import SimulationMetrics
-from .replay import DEFAULT_LOOKAHEAD, StreamingReplayer, _ReplayEngine, _store_blocks
+from .replay import DEFAULT_LOOKAHEAD, StreamingReplayer, _feed_blocks, _ReplayEngine
 from .scheduler import Scheduler
 from .stragglers import StragglerInjector
 
@@ -161,8 +160,9 @@ class ShardedReplayer(StreamingReplayer):
         self.handoffs: List[ShardHandoff] = []
 
     # ------------------------------------------------------------------
-    def replay_jobs(self, jobs: Iterable[Job]) -> SimulationMetrics:
-        """Exact sharded replay of a sorted job iterator.
+    def replay_blocks(self, blocks: Iterable) -> SimulationMetrics:
+        """Exact sharded replay of sorted column blocks (what :meth:`replay`
+        and :meth:`replay_jobs` feed as well).
 
         Needs explicit ``boundaries`` when ``shards > 1`` (the time range of
         an iterator is unknown until it is consumed); windowed mode needs a
@@ -177,9 +177,7 @@ class ShardedReplayer(StreamingReplayer):
                 "sharded replay_jobs needs explicit boundaries (an "
                 "iterator's time range is unknown); pass boundaries= or "
                 "replay from a store")
-        engine = _ReplayEngine(self)
-        engine.attach_jobs(jobs)
-        return self._run_exact(engine)
+        return self._run_exact(_ReplayEngine(self, blocks))
 
     def replay_store(self, store) -> SimulationMetrics:
         from ..engine.store import ChunkedTraceStore
@@ -194,9 +192,8 @@ class ShardedReplayer(StreamingReplayer):
             boundaries = self._even_boundaries(store)
         if self.mode == "windowed":
             return self._run_windowed(store, boundaries)
-        engine = _ReplayEngine(self)
-        engine.attach_blocks(_store_blocks(store))
-        return self._run_exact(engine, boundaries)
+        return self._run_exact(_ReplayEngine(self, _feed_blocks(store, self)),
+                               boundaries)
 
     # ------------------------------------------------------------------
     def _even_boundaries(self, store) -> List[float]:
@@ -279,16 +276,15 @@ class ShardedReplayer(StreamingReplayer):
         """A fresh single-window replayer with this replayer's configuration,
         without its straggler injector.
 
-        Workers unpickle their own copy, so per-window cache/HDFS mutations
-        never touch this instance or each other (a scheduler holds only its
-        settings, so it is shared).
+        Every replay works on its own copy of the configured cache policy and
+        a fresh HDFS namespace, so the windows never touch each other (a
+        scheduler holds only its settings, so it is shared too).
         """
-        clone = StreamingReplayer(
+        return StreamingReplayer(
             cluster_config=self.cluster_config,
             scheduler=self.scheduler,
-            cache=pickle.loads(pickle.dumps(self.cache)),
+            cache=self._cache_policy,
             hdfs_config=self.hdfs.config,
             max_simulated_jobs=self.max_simulated_jobs,
             lookahead=self.lookahead,
             keep_outcomes=self.keep_outcomes)
-        return clone

@@ -388,7 +388,7 @@ class ScenarioSweep:
 
         if isinstance(source, Trace):
             metrics_list = [
-                scenario.build_replayer().replay_jobs(iter(source.jobs))
+                scenario.build_replayer().replay(source)
                 for scenario in self.scenarios
             ]
         else:

@@ -40,7 +40,7 @@ from typing import Dict, Iterable, Iterator, Optional
 
 import repro.simulator.scheduler as policies
 from repro.errors import SimulationError
-from repro.simulator.metrics import JobOutcome, SimulationMetrics
+from repro.simulator.metrics import ACCUMULATOR_BATCH, JobOutcome, SimulationMetrics
 from repro.simulator.stragglers import StragglerInjectionStats
 from repro.traces.schema import Job
 
@@ -49,7 +49,8 @@ from legacy_cluster import Cluster
 from legacy_events import EventQueue
 from legacy_tasks import SimJob, SimTask, split_job, straggler_task_transform
 
-__all__ = ["legacy_replay_jobs", "legacy_scheduler_for", "observe_utilization"]
+__all__ = ["UtilizationObserver", "legacy_replay_jobs", "legacy_scheduler_for",
+           "observe_utilization"]
 
 
 def legacy_scheduler_for(scheduler):
@@ -67,12 +68,52 @@ def legacy_scheduler_for(scheduler):
     return legacy_scheduler.FifoScheduler()
 
 
+class UtilizationObserver:
+    """Per-sample utilization recording into ``metrics`` — what
+    ``UtilizationAccumulator.observe``/``flush`` did before the engine's
+    batched :meth:`~repro.simulator.metrics.UtilizationAccumulator.fold`
+    became the accumulator's one entry.
+
+    Observations are checked for time order and buffered, then folded
+    :data:`ACCUMULATOR_BATCH` at a time and at :meth:`flush`; the
+    ``(time, slots)`` samples are retained when ``metrics`` keeps outcomes.
+    """
+
+    __slots__ = ("metrics", "_pending_times", "_pending_slots")
+
+    def __init__(self, metrics: SimulationMetrics):
+        self.metrics = metrics
+        self._pending_times = []
+        self._pending_slots = []
+
+    def observe(self, now_s: float, active_slots: float) -> None:
+        """Record the active-slot count at ``now_s`` (monotone non-decreasing)."""
+        times = self._pending_times
+        last = times[-1] if times else self.metrics.utilization.last_time_s
+        if last is not None and now_s < last:
+            raise SimulationError(
+                "utilization observations must be time-ordered "
+                "(%.3f after %.3f)" % (now_s, last))
+        times.append(now_s)
+        self._pending_slots.append(active_slots)
+        if self.metrics.keep_outcomes:
+            self.metrics.utilization_samples.append((now_s, active_slots))
+        if len(times) >= ACCUMULATOR_BATCH:
+            self.flush()
+
+    def flush(self) -> None:
+        """Fold any buffered observations into the accumulator."""
+        if self._pending_times:
+            times, slots = self._pending_times, self._pending_slots
+            self._pending_times, self._pending_slots = [], []
+            self.metrics.utilization.fold(times, slots)
+
+
 def observe_utilization(metrics: SimulationMetrics, now_s: float, active_slots: int) -> None:
-    """Fold one ``(time, busy slots)`` sample into ``metrics`` — the
-    per-sample form of the batched fold the vectorized engine runs."""
-    metrics.utilization.observe(now_s, active_slots)
-    if metrics.keep_outcomes:
-        metrics.utilization_samples.append((now_s, active_slots))
+    """Fold one ``(time, busy slots)`` sample into ``metrics`` at once."""
+    observer = UtilizationObserver(metrics)
+    observer.observe(now_s, active_slots)
+    observer.flush()
 
 
 def legacy_replay_jobs(replayer, jobs: Iterable[Job],
@@ -96,6 +137,7 @@ def legacy_replay_jobs(replayer, jobs: Iterable[Job],
     active_jobs: Dict[str, SimJob] = {}
     last_submit = [float("-inf")]
     scheduler = legacy_scheduler_for(replayer.scheduler)
+    observer = UtilizationObserver(metrics)
     transform = None
     if replayer.stragglers is not None:
         transform = straggler_task_transform(replayer.stragglers.model,
@@ -119,7 +161,7 @@ def legacy_replay_jobs(replayer, jobs: Iterable[Job],
         cache.invalidate(job.output_path)
 
     def record_utilization():
-        observe_utilization(metrics, queue.now, cluster.total_busy_slots())
+        observer.observe(queue.now, cluster.total_busy_slots())
 
     def pull_next_job() -> bool:
         """Schedule the next job's submission; False when the source is dry."""
@@ -136,7 +178,7 @@ def legacy_replay_jobs(replayer, jobs: Iterable[Job],
         sim_job = split_job(job)
         if transform is not None:
             transform(sim_job)
-        metrics.record_submission()
+        metrics.jobs_submitted += 1
         queue.schedule(max(0.0, job.submit_time_s), on_submit(sim_job), priority=1)
         return True
 
@@ -216,5 +258,6 @@ def legacy_replay_jobs(replayer, jobs: Iterable[Job],
     metrics.horizon_s = queue.now
     metrics.cache_stats = replayer.cache.stats
     record_utilization()
+    observer.flush()
     metrics.finalize()
     return metrics

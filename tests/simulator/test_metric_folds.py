@@ -1,14 +1,16 @@
 """The batched metric folds equal the per-sample folds they replaced.
 
-``ScalarUtilization`` below is the previous body of
-``UtilizationAccumulator.observe``: it closed one segment per observation
-with Python float arithmetic.  It stays here as the differential oracle for
-the vectorized fold (``np.add.accumulate`` for the busy total, ``np.add.at``
-for the hourly bins), which must agree with it bit for bit — ``repr`` of
-every float, bytes of the bins — whatever way the stream is cut into
-folds.  The job side is pinned the same way: ``MetricAccumulator._extend``,
-the path a replay takes for wait and completion samples, against one
-``add`` per sample across the 4096-sample block boundaries.
+``ScalarUtilization`` below is the first body of the accumulator's
+per-observation entry: it closed one segment per observation with Python
+float arithmetic.  It stays here as the differential oracle for
+``UtilizationAccumulator.fold`` (``np.add.accumulate`` for the busy total,
+``np.add.at`` for the hourly bins), which must agree with it bit for bit —
+``repr`` of every float, bytes of the bins — whatever way the stream is cut
+into folds.  The legacy replay loop's buffered per-sample feed
+(``legacy_replay.UtilizationObserver``) is pinned to it the same way.  The
+job side is pinned likewise: ``MetricAccumulator._extend``, the path a
+replay takes for wait and completion samples, against one ``add`` per
+sample across the 4096-sample block boundaries.
 """
 
 import math
@@ -22,7 +24,10 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.simulator import ClusterConfig, MetricAccumulator, WorkloadReplayer
-from repro.simulator.metrics import ACCUMULATOR_BATCH, UtilizationAccumulator
+from repro.simulator.metrics import (ACCUMULATOR_BATCH, SimulationMetrics,
+                                     UtilizationAccumulator)
+
+from legacy_replay import UtilizationObserver
 
 HOUR = 3600.0
 
@@ -121,20 +126,21 @@ class TestUtilizationFold:
     @settings(deadline=None, max_examples=300)
     def test_fold_equals_scalar_at_every_split(self, stream, cuts, every):
         """Fold the stream in parts (the replay engine's path) and, beside
-        it, observe it one sample at a time with a flush at each split; after
-        every part both equal the scalar oracle fed the same prefix."""
+        it, observe it one sample at a time through the legacy loop's feed
+        with a flush at each split; after every part both equal the scalar
+        oracle fed the same prefix."""
         times, slots = stream
         points = range(1, len(times)) if every else cuts
-        oracle, folded, observed = (ScalarUtilization(), UtilizationAccumulator(),
-                                    UtilizationAccumulator())
+        oracle, folded = ScalarUtilization(), UtilizationAccumulator()
+        observed = UtilizationObserver(SimulationMetrics(keep_outcomes=False))
         for part_times, part_slots in zip(cut(times, points), cut(slots, points)):
             for now_s, count in zip(part_times, part_slots):
                 oracle.observe(now_s, count)
                 observed.observe(now_s, count)
             observed.flush()
-            folded._fold(list(part_times), list(part_slots))
+            folded.fold(list(part_times), list(part_slots))
             assert state(folded) == state(oracle)
-            assert state(observed) == state(oracle)
+            assert state(observed.metrics.utilization) == state(oracle)
 
     @given(stream=streams(min_size=2), position=st.integers(min_value=1, max_value=59),
            back=st.floats(min_value=1e-9, max_value=HOUR), flush_first=st.booleans())
@@ -149,7 +155,8 @@ class TestUtilizationFold:
         slots.insert(position, 1)
         if not times[position] < times[position - 1]:
             return  # the step back vanished in rounding
-        oracle, batched = ScalarUtilization(), UtilizationAccumulator()
+        oracle = ScalarUtilization()
+        batched = UtilizationObserver(SimulationMetrics(keep_outcomes=False))
         for index, (now_s, count) in enumerate(zip(times, slots)):
             if flush_first and index == position:
                 batched.flush()

@@ -128,6 +128,12 @@ step_streams = st.lists(
 ).map(lambda pairs: sorted({t: s for t, s in pairs}.items()))
 
 
+def fold(accumulator, observations):
+    """Fold ``(time, slots)`` pairs into a utilization accumulator."""
+    accumulator.fold([time_s for time_s, _ in observations],
+                     [slots for _, slots in observations])
+
+
 class TestUtilizationMergeAlgebra:
     @given(stream=step_streams,
            cuts=st.lists(st.integers(min_value=1, max_value=60), max_size=4))
@@ -138,8 +144,7 @@ class TestUtilizationMergeAlgebra:
         windowed shard would seed its window — merges back to the unsplit
         integral (hour bins included) up to float-addition ordering."""
         whole = UtilizationAccumulator()
-        for time_s, slots in stream:
-            whole.observe(time_s, slots)
+        fold(whole, stream)
 
         parts_acc = []
         parts = [p for p in partition(stream, cuts) if p]
@@ -147,9 +152,8 @@ class TestUtilizationMergeAlgebra:
         for chunk in parts:
             acc = UtilizationAccumulator()
             if previous_last is not None:
-                acc.observe(*previous_last)  # baseline: no segment charged
-            for time_s, slots in chunk:
-                acc.observe(time_s, slots)
+                fold(acc, [previous_last])  # baseline: no segment charged
+            fold(acc, chunk)
             previous_last = chunk[-1]
             parts_acc.append(acc)
         merged = parts_acc[0]
@@ -168,11 +172,10 @@ class TestUtilizationMergeAlgebra:
     @settings(deadline=None, max_examples=50)
     def test_merge_extends_shorter_hour_bins(self, stream):
         early = UtilizationAccumulator()
-        early.observe(0.0, 10)
-        early.observe(1800.0, 0)  # half an hour of 10 slots
+        fold(early, [(0.0, 10), (1800.0, 0)])  # half an hour of 10 slots
         late = UtilizationAccumulator()
-        for time_s, slots in stream:
-            late.observe(time_s + 10 * 3600.0, slots)  # shifted past hour 10
+        fold(late, [(time_s + 10 * 3600.0, slots)  # shifted past hour 10
+                    for time_s, slots in stream])
         early.merge(late)
         assert early.busy_slot_seconds >= 10 * 1800.0 - 1e-6
         if late.hourly_slot_seconds:
@@ -199,7 +202,7 @@ class TestSimulationMetricsMergeAlgebra:
                     for i, wait in enumerate(waits)]
         whole = SimulationMetrics(total_slots=600, keep_outcomes=False)
         for item in outcomes:
-            whole.record_submission()
+            whole.jobs_submitted += 1
             whole.record_job(item)
         whole.finalize()
 
@@ -207,7 +210,7 @@ class TestSimulationMetricsMergeAlgebra:
         for chunk in partition(outcomes, cuts):
             metrics = SimulationMetrics(total_slots=600, keep_outcomes=False)
             for item in chunk:
-                metrics.record_submission()
+                metrics.jobs_submitted += 1
                 metrics.record_job(item)
             metrics.finalize()
             parts.append(metrics)

@@ -32,7 +32,7 @@ def outcome(job_id, submit, wait=None, completion=None, total_bytes=1e9):
 def recorded(outcomes, keep_outcomes=True):
     metrics = SimulationMetrics(total_slots=10, keep_outcomes=keep_outcomes)
     for item in outcomes:
-        metrics.record_submission()
+        metrics.jobs_submitted += 1
         metrics.record_job(item)
     metrics.finalize()
     return metrics
@@ -200,8 +200,7 @@ class TestAccumulatorReadouts:
 
     def test_mean_utilization_over_the_observed_span(self):
         utilization = UtilizationAccumulator()
-        utilization.observe(100.0, 4)
-        utilization.observe(200.0, 0)
+        utilization.fold([100.0, 200.0], [4, 0])
         assert utilization.span_s == 100.0
         assert utilization.busy_slot_seconds == 400.0
         assert utilization.mean_utilization(8) == 0.5

@@ -10,8 +10,10 @@ busy-slot seconds, and cache statistics.
 
 Grids cover scheduler × cache × lookahead (the three axes that change event
 interleaving), stragglers × scheduler × feed (the per-task durations a
-straggler injector draws), shard boundaries dropped mid-burst and exactly on
-an arrival tie, and duplicate-submit-time tie-breaking.  One 15 000-job case runs past
+straggler injector draws, on every way jobs reach the engine's one block
+feed: a trace, a lazy generator, a trace file, a store and exact shards),
+shard boundaries dropped mid-burst and exactly on an arrival tie, and
+duplicate-submit-time tie-breaking.  One 15 000-job case runs past
 several look-ahead refills and metric-fold blocks, where the engine folds
 its buffered metric samples.
 """
@@ -40,6 +42,7 @@ from repro.simulator import (
 from repro.simulator.metrics import ACCUMULATOR_BATCH
 from repro.simulator.replay import DEFAULT_LOOKAHEAD, _ReplayEngine
 from repro.traces import Job, Trace, load_workload
+from repro.traces.io import write_trace
 from repro.units import GB
 
 from legacy_replay import legacy_replay_jobs
@@ -59,6 +62,13 @@ def trace():
 def store(trace, tmp_path_factory):
     directory = tmp_path_factory.mktemp("equiv") / "cc-e.store"
     return ChunkedTraceStore.write(directory, trace, chunk_rows=64)
+
+
+@pytest.fixture(scope="module")
+def trace_file(trace, tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("equiv-file") / "cc-e.jsonl.gz")
+    write_trace(trace, path)
+    return path
 
 
 def make_scheduler(name, config=None):
@@ -189,15 +199,20 @@ class TestStragglersMatchLegacy:
             return cache[scheduler, stragglers]
         return run
 
-    @pytest.mark.parametrize("feed", ["replay", "replay_store", "exact-3-shards"])
+    @pytest.mark.parametrize("feed", ["replay", "replay_jobs", "replay_path",
+                                      "replay_store", "exact-3-shards"])
     @pytest.mark.parametrize("scheduler", ["fifo", "fair", "capacity"])
     @pytest.mark.parametrize("stragglers", ["off", "no-speculation", "speculation"])
-    def test_grid(self, trace, store, legacy, stragglers, scheduler, feed):
+    def test_grid(self, trace, store, trace_file, legacy, stragglers, scheduler, feed):
         stats = StragglerInjectionStats()
         kwargs = dict(cluster_config=CONTENDED, scheduler=make_scheduler(scheduler, CONTENDED),
                       stragglers=make_stragglers(stragglers, stats), keep_outcomes=True)
         if feed == "replay":
             new = WorkloadReplayer(**kwargs).replay(trace)
+        elif feed == "replay_jobs":
+            new = WorkloadReplayer(**kwargs).replay_jobs(job for job in trace.jobs)
+        elif feed == "replay_path":
+            new = StreamingReplayer(**kwargs).replay_path(trace_file)
         elif feed == "replay_store":
             new = StreamingReplayer(**kwargs).replay_store(store)
         else:
@@ -209,6 +224,92 @@ class TestStragglersMatchLegacy:
         assert stats_row(stats) == stats_row(old_stats)
         if stragglers != "off":
             assert stats.stragglers_injected > 0
+
+
+# ---------------------------------------------------------------------------
+# a lazy generator feed: read as the engine asks, and no further
+# ---------------------------------------------------------------------------
+class TestGeneratorFeed:
+    """``replay_jobs`` batches a generator into column blocks lazily."""
+
+    @pytest.mark.parametrize("lookahead", [1, 2, 4096])
+    def test_out_of_order_job_is_named(self, lookahead):
+        jobs = [job("a", 0.0), job("b", 10.0), job("late", 5.0), job("d", 20.0)]
+        with pytest.raises(SimulationError) as new_err:
+            WorkloadReplayer(lookahead=lookahead).replay_jobs(iter(jobs))
+        with pytest.raises(SimulationError) as old_err:
+            legacy_replay_jobs(WorkloadReplayer(lookahead=lookahead), jobs)
+        assert str(new_err.value) == str(old_err.value)
+        assert str(new_err.value).startswith(
+            "job late submitted at 5.000 after a job submitted at 10.000")
+
+    @pytest.mark.parametrize("lookahead", [16, 4096])
+    def test_budget_stops_the_pull(self, trace, lookahead):
+        pulled = []
+
+        def source():
+            for item in trace.jobs:
+                pulled.append(item.job_id)
+                yield item
+
+        new = WorkloadReplayer(max_simulated_jobs=50,
+                               lookahead=lookahead).replay_jobs(source())
+        old = legacy_replay_jobs(WorkloadReplayer(max_simulated_jobs=50,
+                                                  lookahead=lookahead), trace.jobs)
+        assert new.jobs_submitted == 50
+        assert pulled == [item.job_id for item in trace.jobs[:50]]
+        assert new.digest() == old.digest()
+
+
+# ---------------------------------------------------------------------------
+# storage state: every replay starts fresh
+# ---------------------------------------------------------------------------
+class TestEachReplayStartsFresh:
+    """Each replay works on a copy of the cache policy its replayer was
+    built with and starts from an empty HDFS namespace; the replayer then
+    holds that replay's cache and namespace."""
+
+    def test_two_replays_on_one_replayer_agree(self):
+        small = load_workload("CC-e", seed=0, scale=0.02)
+        policy = LruCache(capacity_bytes=64 * GB)
+        replayer = WorkloadReplayer(cache=policy)
+        first = replayer.replay(small)
+        first_digest = first.digest()
+        second = replayer.replay(small)
+        assert second.digest() == first_digest
+        assert first.digest() == first_digest  # the second run left it alone
+        assert first.cache_stats is not second.cache_stats
+        assert first.cache_stats.accesses == len(small.jobs)
+        assert replayer.cache.stats is second.cache_stats
+        assert policy.stats.accesses == 0 and policy.used_bytes == 0.0
+
+    def test_hdfs_counters_are_the_latest_replays(self, trace):
+        replayer = StreamingReplayer()
+        replayer.replay(trace)
+        first = (replayer.hdfs.bytes_read, replayer.hdfs.bytes_written)
+        replayer.replay(trace)
+        assert (replayer.hdfs.bytes_read, replayer.hdfs.bytes_written) == first
+        assert first[0] == sum(item.input_bytes for item in trace.jobs)
+
+
+# ---------------------------------------------------------------------------
+# NaN task seconds read as unrecorded, as in a store
+# ---------------------------------------------------------------------------
+def test_nan_task_seconds_replay_like_the_store(tmp_path):
+    nan = float("nan")
+    jobs = [job("nan-map", 0.0, map_s=nan, reduce_s=60.0),
+            job("nan-reduce", 5.0, map_s=30.0, reduce_s=nan),
+            job("plain", 9.0)]
+    trace = Trace(jobs, name="nan")
+    store = ChunkedTraceStore.write(tmp_path / "nan.store", trace)
+    direct = WorkloadReplayer().replay(trace)
+    streamed = StreamingReplayer().replay_store(store)
+    assert direct.finished_jobs == 3
+    assert direct.digest() == streamed.digest()
+    unrecorded = Trace([job("nan-map", 0.0, map_s=0.0, reduce_s=60.0),
+                        job("nan-reduce", 5.0, map_s=30.0, reduce_s=0.0),
+                        job("plain", 9.0)], name="zero")
+    assert WorkloadReplayer().replay(unrecorded).digest() == direct.digest()
 
 
 # ---------------------------------------------------------------------------

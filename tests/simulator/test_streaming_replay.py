@@ -23,7 +23,7 @@ from repro.traces import Job, Trace, load_workload
 from repro.traces.io import write_trace
 from repro.units import GB, HOUR
 
-from legacy_replay import observe_utilization
+from legacy_replay import UtilizationObserver, observe_utilization
 
 
 @pytest.fixture(scope="module")
@@ -202,12 +202,12 @@ class TestSimulationMetricsMerge:
                     for i in range(1000)]
         whole = SimulationMetrics(total_slots=600, keep_outcomes=True)
         for entry in outcomes:
-            whole.record_submission()
+            whole.jobs_submitted += 1
             whole.record_job(entry)
         shards = [SimulationMetrics(total_slots=600, keep_outcomes=False)
                   for _ in range(3)]
         for index, entry in enumerate(outcomes):
-            shards[index % 3].record_submission()
+            shards[index % 3].jobs_submitted += 1
             shards[index % 3].record_job(entry)
         merged = shards[0]
         merged.merge(shards[1])
@@ -227,12 +227,12 @@ class TestSimulationMetricsMerge:
         partial outcome/sample list behind — summaries would silently cover
         only one side."""
         keeping = SimulationMetrics(total_slots=600, keep_outcomes=True)
-        keeping.record_submission()
+        keeping.jobs_submitted += 1
         keeping.record_job(outcome("a", 0.0, 1.0, 10.0))
         observe_utilization(keeping, 0.0, 3)
         observe_utilization(keeping, HOUR, 0)
         streaming = SimulationMetrics(total_slots=600, keep_outcomes=False)
-        streaming.record_submission()
+        streaming.jobs_submitted += 1
         streaming.record_job(outcome("b", HOUR, 2.0, 20.0))
         keeping.merge(streaming)
         assert keeping.keep_outcomes is False
@@ -264,24 +264,22 @@ class TestSimulationMetricsMerge:
 class TestUtilizationAccumulator:
     def test_hour_splitting_matches_step_integral(self):
         acc = UtilizationAccumulator()
-        acc.observe(0.0, 4)
-        acc.observe(1.5 * HOUR, 2)      # 4 slots for 1.5 h
-        acc.observe(3.0 * HOUR, 0)      # 2 slots for 1.5 h
+        # 4 slots for 1.5 h, then 2 slots for 1.5 h.
+        acc.fold([0.0, 1.5 * HOUR, 3.0 * HOUR], [4, 2, 0])
         assert acc.busy_slot_seconds == 4 * 1.5 * HOUR + 2 * 1.5 * HOUR
         hourly = acc.hourly_active_slots()
         assert hourly.tolist() == [4.0, 3.0, 2.0]
         assert acc.mean_utilization(total_slots=4) == pytest.approx(0.75)
 
     def test_out_of_order_observation_rejected(self):
-        acc = UtilizationAccumulator()
-        acc.observe(100.0, 1)
+        """The legacy loop's per-sample feed refuses to step back in time."""
+        observer = UtilizationObserver(SimulationMetrics())
+        observer.observe(100.0, 1)
         with pytest.raises(SimulationError):
-            acc.observe(50.0, 1)
+            observer.observe(50.0, 1)
 
     def test_idle_tail_extends_hourly_bins(self):
         acc = UtilizationAccumulator()
-        acc.observe(0.0, 3)
-        acc.observe(HOUR, 0)
-        acc.observe(3 * HOUR, 0)
+        acc.fold([0.0, HOUR, 3 * HOUR], [3, 0, 0])
         assert len(acc.hourly_slot_seconds) == 3
         assert acc.hourly_active_slots().tolist() == [3.0, 0.0, 0.0]

@@ -34,11 +34,7 @@ EXEMPT_NAMES = {
 }
 
 #: Public methods and properties allowed to be unreached, each with its reason.
-EXEMPT_METHODS = {
-    "repro.simulator.metrics.UtilizationAccumulator.observe":
-        "the buffered per-sample entry to the fold the replay engine batches; the legacy "
-        "replay oracle records through it",
-}
+EXEMPT_METHODS = {}
 
 
 def parsed_files():
